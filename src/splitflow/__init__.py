@@ -10,7 +10,13 @@ run through energy-dissipation-balance diagnostics.
 __version__ = "0.1.0"
 
 from . import diagnostics, energies, models, partitions, potentials, solvers
-from .errors import ConfigurationError, InputError, NumericalError, SplitflowError
+from .errors import (
+    ConfigurationError,
+    InputError,
+    InvariantError,
+    NumericalError,
+    SplitflowError,
+)
 
 __all__ = [
     "__version__",
@@ -23,5 +29,6 @@ __all__ = [
     "SplitflowError",
     "InputError",
     "ConfigurationError",
+    "InvariantError",
     "NumericalError",
 ]

@@ -22,16 +22,7 @@ from .errors import InputError, NumericalError, SplitflowError
 from .models import MODEL_NAMES, make_model
 from .partitions import build_partition
 from .potentials import qye_probe
-from .solvers import (
-    amm_solve,
-    block_solve,
-    effective_potential,
-    effective_solve,
-    split_step_solve,
-    time_to_zero,
-)
-
-SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
+from .solvers import SCHEMES, effective_potential, solve, time_to_zero
 
 
 @dataclass
@@ -110,27 +101,12 @@ def _echo_config(cfg: RunConfig, out_dir):
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _solve(cfg: RunConfig, preset, P):
-    sysd = preset.system
-    u0 = preset.u0
-    if cfg.scheme == "split":
-        return split_step_solve(sysd, P, u0, inner_steps=cfg.inner_steps, tol=cfg.tol)
-    if cfg.scheme == "amm":
-        return amm_solve(sysd, P, u0, tol=cfg.tol, with_variational=True,
-                         inner_factor=cfg.inner_steps)
-    if cfg.scheme == "effective":
-        return effective_solve(sysd, P, u0, tol=cfg.tol, inner_factor=cfg.inner_steps)
-    mode = "split" if cfg.scheme == "block-split" else "amm"
-    return block_solve(sysd, P, u0, mode=mode, tol=cfg.tol,
-                       inner_steps=cfg.inner_steps)
-
-
 def cmd_run(cfg: RunConfig) -> int:
     preset = make_model(cfg.model, **cfg.overrides)
     out_dir = cfg.out or os.path.join(_default_out_root(), f"{cfg.model}-{cfg.scheme}")
     _echo_config(cfg, out_dir)
     P = build_partition(preset.horizon, N=cfg.N, nodes=cfg.nodes)
-    out = _solve(cfg, preset, P)
+    out = solve(preset.system, cfg.scheme, P, preset.u0, cfg.tol, cfg.inner_steps)
     out.u_linear.to_csv(os.path.join(out_dir, "trajectory.csv"))
     out.xi.to_csv(os.path.join(out_dir, "forces.csv"))
 

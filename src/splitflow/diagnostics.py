@@ -23,10 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .partitions import SampledCurve, integrate, repetition_apply
+from .errors import InputError, InvariantError
+from .partitions import SampledCurve, repetition_apply
 from .potentials import Potential, Rescaled
-from .solvers import GradientSystem, SchemeOutput, effective_potential, effective_solve
+from .solvers import (
+    GradientSystem,
+    SchemeOutput,
+    effective_potential,
+    effective_solve,
+    solve,
+)
 
 __all__ = [
     "EDBReport",
@@ -100,7 +106,7 @@ def rate_term(out: SchemeOutput, pair, interval=None) -> float:
         if not math.isclose(
             chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12
         ):
-            raise AssertionError(
+            raise InvariantError(
                 f"repetition identity violated: {chi_val} vs {rep_val}"
             )
 
@@ -148,7 +154,7 @@ def slope_term(out: SchemeOutput, pair, interval=None) -> float:
                 r1.conjugate(-x1.cell_values[i]) + r2.conjugate(-x2.cell_values[i])
             )
         if not math.isclose(chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12):
-            raise AssertionError(
+            raise InvariantError(
                 f"repetition identity violated: {chi_val} vs {rep_val}"
             )
 
@@ -218,7 +224,7 @@ def _trajectory_state(out, t):
             if seg.t0 <= t <= seg.t1:
                 return seg.state(t)
         return out.segments[-1].state(out.segments[-1].t1)
-    curve = out.u_const if out.scheme in ("amm", "block-amm") else out.u_linear
+    curve = out.u_const if out.is_movement else out.u_linear
     return curve.at(t)
 
 
@@ -226,8 +232,7 @@ def _power_integral(E, out, interval):
     """Midpoint quadrature of d_t E along the run, with an error estimate."""
     curve = out.u_variational
     if curve is None:
-        curve = out.u_linear if out.scheme in ("split", "block-split", "effective") \
-            else out.u_const
+        curve = out.u_const if out.is_movement else out.u_linear
     idx, widths = _clip_cells(out.grid, interval)
     times = out.grid.times
     total, err = 0.0, 0.0
@@ -274,6 +279,22 @@ def _decomposition(out, sys, interval, r_eff):
     return v1, v2, defect, rep_value - eff_value
 
 
+def _effective_terms(out, r_eff, interval):
+    """Rate and slope integrals of the effective potential along a run."""
+    if out.segments is not None:
+        pieces = list(_segment_pieces(out.segments, interval))
+        d_rate = sum((b - a) * r_eff(seg.velocity) for seg, a, b in pieces)
+        d_slope = sum((b - a) * r_eff.conjugate(-seg.xi) for seg, a, b in pieces)
+        return d_rate, d_slope
+    rate = out.u_linear.derivative()
+    idx, widths = _clip_cells(out.grid, interval)
+    d_rate = sum(w * r_eff(rate.cell_values[i]) for i, w in zip(idx, widths))
+    d_slope = sum(
+        w * r_eff.conjugate(-out.xi.cell_values[i]) for i, w in zip(idx, widths)
+    )
+    return d_rate, d_slope
+
+
 def edb_audit(
     out: SchemeOutput,
     sys: GradientSystem,
@@ -290,26 +311,7 @@ def edb_audit(
     s, t = interval
 
     if out.scheme == "effective":
-        r_eff = effective_potential(sys)
-        rate = out.u_linear.derivative()
-        if out.segments is not None:
-            d_rate = sum(
-                (b - a) * r_eff(seg.velocity)
-                for seg, a, b in _segment_pieces(out.segments, interval)
-            )
-            d_slope = sum(
-                (b - a) * r_eff.conjugate(-seg.xi)
-                for seg, a, b in _segment_pieces(out.segments, interval)
-            )
-        else:
-            idx, widths = _clip_cells(out.grid, interval)
-            d_rate = sum(
-                w * r_eff(rate.cell_values[i]) for i, w in zip(idx, widths)
-            )
-            d_slope = sum(
-                w * r_eff.conjugate(-out.xi.cell_values[i])
-                for i, w in zip(idx, widths)
-            )
+        d_rate, d_slope = _effective_terms(out, effective_potential(sys), interval)
     else:
         pair = (sys.r1, sys.r2)
         d_rate = rate_term(out, pair, interval)
@@ -324,17 +326,14 @@ def edb_audit(
         1, int(np.sum((out.partition.nodes[1:] > s) & (out.partition.nodes[:-1] < t)))
     )
     # prox solves per step: 2 half-steps, or 2 * inner factor cells per step
-    per_step = 2.0 if out.scheme in ("amm", "block-amm") else 2.0 * out.grid.M
+    per_step = 2.0 if out.is_movement else 2.0 * out.grid.M
     inner_budget = per_step * n_steps * out.inner_tol
     scale = 1.0 + abs(e_start) + abs(e_end)
     slack = SLACK_FACTOR * (inner_budget + quad_err) + 1e-11 * scale
 
     remainder = remainder_bound = None
     if out.u_delayed is not None:
-        try:
-            remainder, remainder_bound = remainder_term(out, E, interval)
-        except InputError:
-            pass
+        remainder, remainder_bound = remainder_term(out, E, interval)
     if (
         form == "inequality"
         and out.u_variational is None
@@ -447,10 +446,6 @@ class StudyTable:
                 fh.write(",".join(cells) + "\n")
 
 
-def _reference_state(ref_out, t):
-    return _trajectory_state(ref_out, t)
-
-
 def _reference_rate(ref_out, t):
     if ref_out.segments:
         for seg in ref_out.segments:
@@ -458,25 +453,6 @@ def _reference_rate(ref_out, t):
                 return seg.velocity
         return ref_out.segments[-1].velocity
     return ref_out.u_linear.derivative().at(t)
-
-
-def _solve_scheme(sys, scheme, P, u0, tol, inner):
-    from . import solvers
-
-    if scheme == "split":
-        return solvers.split_step_solve(sys, P, u0, inner_steps=inner, tol=tol)
-    if scheme == "amm":
-        return solvers.amm_solve(sys, P, u0, tol=tol, with_variational=True,
-                                 inner_factor=inner)
-    if scheme == "block-split":
-        return solvers.block_solve(sys, P, u0, mode="split", tol=tol,
-                                   inner_steps=inner)
-    if scheme == "block-amm":
-        return solvers.block_solve(sys, P, u0, mode="amm", tol=tol,
-                                   inner_steps=inner)
-    if scheme == "effective":
-        return solvers.effective_solve(sys, P, u0, tol=tol, inner_factor=inner)
-    raise InputError(f"unknown scheme {scheme!r}")
 
 
 def convergence_study(
@@ -506,37 +482,19 @@ def convergence_study(
     inner = DEFAULT_INNER_FACTOR if inner is None else inner
     ref_P = build_partition(T, N=reference_factor * max(N_list))
     ref_out = effective_solve(sys, ref_P, u0, tol=tol, inner_factor=2)
-    r_eff = effective_potential(sys)
-
-    ref_rate_int = {}
-    ref_slope_int = {}
-
-    def ref_integrals():
-        if ref_out.segments is not None:
-            rr = sum(
-                (seg.t1 - seg.t0) * r_eff(seg.velocity) for seg in ref_out.segments
-            )
-            rs = sum(
-                (seg.t1 - seg.t0) * r_eff.conjugate(-seg.xi)
-                for seg in ref_out.segments
-            )
-        else:
-            rate = ref_out.u_linear.derivative()
-            rr = integrate(rate, r_eff)
-            rs = integrate(ref_out.xi, lambda x: r_eff.conjugate(-x))
-        return rr, rs
-
-    ref_rate_int, ref_slope_int = ref_integrals()
+    ref_rate_int, ref_slope_int = _effective_terms(
+        ref_out, effective_potential(sys), (0.0, ref_P.T)
+    )
 
     def one_row(N):
         P = build_partition(T, N=N)
-        out = _solve_scheme(sys, scheme, P, u0, tol, inner)
+        out = solve(sys, scheme, P, u0, tol, inner)
         states = out.node_states()
         errs = [
-            float(np.linalg.norm(states[i] - _reference_state(ref_out, tn)))
+            float(np.linalg.norm(states[i] - _trajectory_state(ref_out, tn)))
             for i, tn in enumerate(P.nodes)
         ]
-        form = "inequality" if scheme in ("amm", "block-amm") else "balance"
+        form = "inequality" if out.is_movement else "balance"
         report = edb_audit(out, sys, form=form)
         pair_rate = report.d_rate
         pair_slope = report.d_slope

@@ -33,8 +33,6 @@ __all__ = [
     "MaxNormEnergy",
     "AllenCahn1DEnergy",
     "DoubleWell",
-    "energy_eval",
-    "power_eval",
     "subdiff",
     "partial_subdiff",
 ]
@@ -437,16 +435,6 @@ class AllenCahn1DEnergy(EnergySpec):
         lb, ld = self.load.bound(horizon)
         c = 0.5 * float(np.min(np.linalg.eigvalsh(self.K)))
         return _power_control_bound(c, self.h * lb, self.h * ld, self.shift)
-
-
-def energy_eval(E: EnergySpec, t, u) -> float:
-    """E(t, u) + shift."""
-    return E.eval(t, u)
-
-
-def power_eval(E: EnergySpec, t, u) -> float:
-    """Partial time derivative of the energy at (t, u)."""
-    return E.power(t, u)
 
 
 def subdiff(E: EnergySpec, t, u) -> SubdiffSet:

@@ -13,6 +13,10 @@ class ConfigurationError(SplitflowError):
     """A configured object is malformed (singular matrix, invalid parameter, ...)."""
 
 
+class InvariantError(SplitflowError):
+    """An identity the library checks on its own results does not hold."""
+
+
 class NumericalError(SplitflowError):
     """An iterative solve failed to reach its tolerance.
 

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -65,13 +66,24 @@ class ModelPreset:
 
 def make_model(name, **overrides) -> ModelPreset:
     """Build a preset by name; overrides are validated before use."""
-    if name == "counterexample":
-        return _make_counterexample(**overrides)
-    if name == "allen-cahn-1d":
-        return _make_allen_cahn(**overrides)
-    if name == "visco-plasticity-1d":
-        return _make_visco_plasticity(**overrides)
-    raise InputError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
+    builders = {
+        "counterexample": _make_counterexample,
+        "allen-cahn-1d": _make_allen_cahn,
+        "visco-plasticity-1d": _make_visco_plasticity,
+    }
+    if name not in builders:
+        raise InputError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
+    allowed = inspect.signature(builders[name]).parameters
+    unknown = sorted(set(overrides) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown override {', '.join(unknown)} for {name}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+    preset = builders[name](**overrides)
+    if not np.all(np.isfinite(preset.u0)):
+        raise ConfigurationError("initial state must be finite")
+    return preset
 
 
 def _make_counterexample(a1=1.0, b1=3.0, a2=3.0, b2=1.0, u0=(2.0, 1.0), T=1.0):

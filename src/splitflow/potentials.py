@@ -39,8 +39,6 @@ __all__ = [
     "Decomposition",
     "QyeFit",
     "PsiMinorant",
-    "eval_potential",
-    "conjugate_eval",
     "dual_rate",
     "inf_conv_decompose",
     "fenchel_young_residual",
@@ -488,16 +486,6 @@ class Decomposition:
     gap: float = 0.0
 
 
-def eval_potential(P: Potential, v) -> float:
-    """Extended-real evaluation R(v)."""
-    return P(v)
-
-
-def conjugate_eval(P: Potential, xi) -> float:
-    """Conjugate evaluation R*(xi)."""
-    return P.conjugate(xi)
-
-
 def dual_rate(P: Potential, xi) -> np.ndarray:
     """An element of the conjugate subdifferential at xi."""
     return P.dual_rate(xi)
@@ -673,9 +661,10 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     """Fit the largest c and smallest C >= 0 valid on the sample.
 
     The offset C is taken from a small quantile (1%) of the violation
-    distribution at c = 0 (identically zero for nonnegative potentials),
-    after which c is maximized by bisection so that every sampled pair
-    satisfies R(v) + R*(xi) + C >= c ||v|| ||xi||_*.
+    distribution at c = 0 (identically zero for nonnegative potentials).
+    Then c is the largest value, at least 0, for which every sampled pair
+    satisfies R(v) + R*(xi) + C >= c ||v|| ||xi||_* up to a rounding
+    tolerance of 1e-14 (1 + |R(v) + R*(xi)|).
     """
     pairs = [(np.asarray(v, float), np.asarray(xi, float)) for v, xi in samples]
     if not pairs:
@@ -693,20 +682,7 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     mask = g_vals > 0.0
     s, g = s_vals[mask], g_vals[mask]
     ratios = (s + C_est) / g
-
-    def feasible(c):
-        return np.all(s + C_est - c * g >= -1e-14 * (1.0 + np.abs(s)))
-
-    lo, hi = 0.0, float(np.max(ratios)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-    c_est = lo
+    c_est = max(0.0, float(np.min((s + C_est + 1e-14 * (1.0 + np.abs(s))) / g)))
 
     worst = int(np.argmin(ratios))
     worst_pair = [p for p, m in zip(pairs, mask) if m][worst]

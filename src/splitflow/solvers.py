@@ -20,15 +20,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .energies import (
-    AllenCahn1DEnergy,
-    EnergySpec,
-    MaxNormEnergy,
-    QuadraticBlockEnergy,
-)
+from .energies import EnergySpec, MaxNormEnergy, QuadraticBlockEnergy
 from .errors import ConfigurationError, InputError, NumericalError
 from .partitions import (
     DEFAULT_INNER_FACTOR,
@@ -41,16 +37,17 @@ from .potentials import (
     BlockIndicator,
     InfConvolution,
     Potential,
-    QuadraticForm,
     Rescaled,
 )
 
 __all__ = [
     "GradientSystem",
+    "SCHEMES",
     "SchemeOutput",
     "Segment",
     "prox_step",
     "substep_flow",
+    "solve",
     "split_step_solve",
     "amm_solve",
     "block_solve",
@@ -127,37 +124,19 @@ class SchemeOutput:
     def inner_tol(self):
         return self.stats.get("tol", 0.0)
 
+    @property
+    def is_movement(self):
+        """True for alternating minimizing movements (amm, block-amm).
+
+        Their states are the piecewise-constant interpolant, they solve two
+        prox problems per step, and they satisfy the balance only as an
+        inequality.
+        """
+        return self.scheme in ("amm", "block-amm")
+
     def node_states(self):
         """Trajectory values at the partition nodes."""
         return self.u_linear.at(self.partition.nodes)
-
-    def save(self, directory):
-        import json
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        self.u_linear.to_csv(os.path.join(directory, "trajectory.csv"))
-        self.u_const.to_csv(os.path.join(directory, "u_const.csv"))
-        self.xi.to_csv(os.path.join(directory, "forces.csv"))
-        if self.u_variational is not None:
-            self.u_variational.to_csv(os.path.join(directory, "u_variational.csv"))
-        meta = {"scheme": self.scheme, "stats": _jsonable(self.stats)}
-        with open(os.path.join(directory, "solver_stats.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +348,13 @@ def _prox_maxnorm(E, R, t, anchor, h):
 _ZERO_TOL = 1e-13
 
 
+def _unscaled(R):
+    return R.base if isinstance(R, Rescaled) else R
+
+
 def _is_exact_pair(energy, potential):
-    base = potential.base if isinstance(potential, Rescaled) else potential
     return isinstance(energy, MaxNormEnergy) and isinstance(
-        base, AnisotropicDualQuadratic
+        _unscaled(potential), AnisotropicDualQuadratic
     )
 
 
@@ -453,68 +435,71 @@ def _flow_cells(sys, which, cell_times, u_start, tol, record):
     R = sys.r1 if which == 1 else sys.r2
     if R is None:
         raise InputError(f"system has no mechanism {which}")
-    t0, t1 = float(cell_times[0]), float(cell_times[-1])
 
     if _is_exact_pair(E, R):
-        base = R.base if isinstance(R, Rescaled) else R
-        weights = 2.0 * base.dual_weights  # dual weights of R~* = 2 R*
+        weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
         try:
-            u_end, segments = _regime_flow(weights, t0, t1, u_start, str(which))
+            u_end, segments = _regime_flow(
+                weights, float(cell_times[0]), float(cell_times[-1]), u_start, str(which)
+            )
         except NumericalError:
             warnings.warn("regime solver failed; falling back to prox stepping")
             record.setdefault("warnings", []).append("regime-fallback")
-            return _prox_cells(sys, which, cell_times, u_start, tol, record)
-        record.setdefault("segments", []).extend(segments)
-        nodes = []
-        forces = []
-        si = 0
-        for a, b in zip(cell_times[:-1], cell_times[1:]):
-            while segments[si].t1 < b - 1e-15 and si + 1 < len(segments):
-                si += 1
-            nodes.append(segments[si].state(min(b, segments[si].t1)))
-            mid = 0.5 * (a + b)
-            sj = si
-            while segments[sj].t1 < mid and sj + 1 < len(segments):
-                sj += 1
-            forces.append(np.array(segments[sj].xi))
-        return u_end, nodes, forces
-
-    return _prox_cells(sys, which, cell_times, u_start, tol, record)
-
-
-def _prox_cells(sys, which, cell_times, u_start, tol, record):
-    E = sys.energy
-    R = sys.r1 if which == 1 else sys.r2
-    R_tilde = R if isinstance(R, Rescaled) else Rescaled(R)
-    E_step = E
-    if sys.block_layout is not None:
-        R_tilde, E_step = _block_substep(sys, which, u_start)
-    u = np.array(u_start, dtype=float)
-    nodes, forces, iters = [], [], []
-    for a, b in zip(cell_times[:-1], cell_times[1:]):
-        if sys.block_layout is not None:
-            active = E_step.active
-            u_act, xi_act, st = _prox(E_step.rebind(u), R_tilde, b, u[active], b - a, tol)
-            u = np.array(u)
-            u[active] = u_act
-            xi = np.zeros(sys.dim)
-            xi[active] = xi_act
         else:
-            u, xi, st = _prox(E_step, R_tilde, b, u, b - a, tol)
+            record.setdefault("segments", []).extend(segments)
+            nodes, forces = _sample_segments(segments, cell_times)
+            return u_end, nodes, forces
+
+    u = np.array(u_start, dtype=float)
+    nodes, forces = [], []
+    for a, b in zip(cell_times[:-1], cell_times[1:]):
+        u, xi, st = _half_step(sys, which, b, u, b - a, tol)
+        _record_prox(record, st)
         nodes.append(np.array(u))
         forces.append(xi)
-        iters.append(st.iterations)
-        record.setdefault("inner_residuals", []).append(st.residual)
-    record.setdefault("inner_iterations", []).extend(iters)
     return u, nodes, forces
 
 
-def _block_substep(sys, which, u_state):
-    idx_y, idx_z = sys.block_indices()
-    r = sys.r1 if which == 1 else sys.r2
-    base = r.base
-    active = idx_y if which == 1 else idx_z
-    return Rescaled(base), _FrozenBlockEnergy(sys.energy, active, u_state)
+def _sample_segments(segments, times):
+    """Node states and cell forces of a segment-backed flow on a cell grid.
+
+    A cell takes the force of the segment that holds its right end, the
+    state at which every prox path evaluates its force.
+    """
+    nodes, forces = [], []
+    si = 0
+    for b in times[1:]:
+        while segments[si].t1 < b - 1e-15 and si + 1 < len(segments):
+            si += 1
+        nodes.append(segments[si].state(min(b, segments[si].t1)))
+        forces.append(np.array(segments[si].xi))
+    return nodes, forces
+
+
+def _half_step(sys, which, t_eval, anchor, h, tol):
+    """One prox step of the rescaled potential R~_which, on its block if blocked.
+
+    Block systems move only the active block; the other block stays frozen
+    in the energy and keeps its anchor values exactly.
+    """
+    R = sys.r1 if which == 1 else sys.r2
+    if sys.block_layout is None:
+        R_tilde = R if isinstance(R, Rescaled) else Rescaled(R)
+        return _prox(sys.energy, R_tilde, t_eval, anchor, h, tol)
+    active = sys.block_indices()[which - 1]
+    E_step = _FrozenBlockEnergy(sys.energy, active, anchor)
+    u_act, xi_act, st = _prox(E_step, Rescaled(R.base), t_eval, anchor[active], h, tol)
+    u = np.array(anchor)
+    u[active] = u_act
+    xi = np.zeros(sys.dim)
+    xi[active] = xi_act
+    return u, xi, st
+
+
+def _record_prox(record, st):
+    """One entry per prox solve, in solve order."""
+    record.setdefault("inner_iterations", []).append(st.iterations)
+    record.setdefault("inner_residuals", []).append(st.residual)
 
 
 class _FrozenBlockEnergy(EnergySpec):
@@ -526,9 +511,6 @@ class _FrozenBlockEnergy(EnergySpec):
         self.full = np.array(full_state, dtype=float)
         self.shift = base.shift
         self.lambda_convexity = base.lambda_convexity
-
-    def rebind(self, full_state):
-        return _FrozenBlockEnergy(self.base, self.active, full_state)
 
     @property
     def dim(self):
@@ -592,15 +574,18 @@ def _delayed_values(u_const: SampledCurve, grid: RefinedGrid, u0):
     return vals
 
 
-def _assemble_output(scheme, sys, P, grid, u0, node_vals, cell_forces, record, tol):
-    values = np.vstack([np.asarray(u0, float)[None, :], np.array(node_vals)])
-    u_linear = SampledCurve(grid, values, "piecewise-linear")
-    u_const = SampledCurve(grid, values, "piecewise-constant")
-    xi_vals = np.vstack([cell_forces[:1], np.array(cell_forces)])
-    xi = SampledCurve(grid, xi_vals, "piecewise-constant")
-    u_delayed = SampledCurve(
-        grid, _delayed_values(u_const, grid, np.asarray(u0, float)), "delayed-constant"
-    )
+def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
+                     u_variational=None):
+    """Build the ``SchemeOutput`` of a run; every scheme ends here.
+
+    ``linear`` and ``const`` are the node values of the two interpolants
+    (one array for flows sampled at their nodes) and ``forces`` has one row
+    per cell.  Split and AMM runs of a block system are the staggered block
+    schemes and take the ``block-`` prefix.
+    """
+    if sys.block_layout is not None and scheme != "effective":
+        scheme = f"block-{scheme}"
+    u_const = SampledCurve(grid, const, "piecewise-constant")
     stats = {
         "tol": tol,
         "inner_factor": grid.M,
@@ -610,15 +595,43 @@ def _assemble_output(scheme, sys, P, grid, u0, node_vals, cell_forces, record, t
     }
     return SchemeOutput(
         scheme=scheme,
-        partition=P,
+        partition=grid.partition,
         grid=grid,
         u_const=u_const,
-        u_delayed=u_delayed,
-        u_linear=u_linear,
-        xi=xi,
+        u_delayed=SampledCurve(
+            grid, _delayed_values(u_const, grid, const[0]), "delayed-constant"
+        ),
+        u_linear=SampledCurve(grid, linear, "piecewise-linear"),
+        xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
+        u_variational=u_variational,
         segments=record.get("segments"),
         stats=stats,
     )
+
+
+def _movements(grid, u0, plan, tol, record):
+    """Minimizing movements along a step plan.
+
+    Each plan entry ``(n, step, t_eval, h)`` solves one incremental problem
+    ``step(t_eval, anchor, h, tol)`` from the previous state and holds its
+    result on the next ``n`` cells.  Returns the node values of the linear
+    and the constant interpolant and the cell forces.
+    """
+    const = np.empty((grid.n_nodes, u0.size))
+    linear = np.empty_like(const)
+    const[0] = linear[0] = u0
+    forces = np.empty((grid.n_cells, u0.size))
+    u_prev, i = u0, 0
+    for n, step, t_eval, h in plan:
+        u, xi, st = step(t_eval, u_prev, h, tol)
+        _record_prox(record, st)
+        lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
+        const[i + 1 : i + n + 1] = u
+        # increment form keeps frozen block components exactly constant
+        linear[i + 1 : i + n + 1] = u_prev + lam * (u - u_prev)
+        forces[i : i + n] = xi
+        u_prev, i = u, i + n
+    return linear, const, forces
 
 
 def split_step_solve(
@@ -628,21 +641,21 @@ def split_step_solve(
     if sys.r2 is None:
         raise InputError("split stepping needs both dissipation mechanisms")
     grid = P.refine(inner_steps)
+    M = grid.M
     u = np.asarray(u0, dtype=float).reshape(-1)
     record = {}
-    node_vals, cell_forces = [], []
-    M = grid.M
-    for k in range(P.N):
-        base = 2 * M * k
-        left_times = grid.times[base : base + M + 1]
-        u, nodes, forces = _flow_cells(sys, 1, left_times, u, tol, record)
+    node_vals, cell_forces = [u], []
+    for j in range(2 * P.N):
+        # semi-interval j: mechanism 1 on left halves, 2 on right halves
+        u, nodes, forces = _flow_cells(
+            sys, 1 + j % 2, grid.times[j * M : (j + 1) * M + 1], u, tol, record
+        )
         node_vals.extend(nodes)
         cell_forces.extend(forces)
-        right_times = grid.times[base + M : base + 2 * M + 1]
-        u, nodes, forces = _flow_cells(sys, 2, right_times, u, tol, record)
-        node_vals.extend(nodes)
-        cell_forces.extend(forces)
-    return _assemble_output("split", sys, P, grid, u0, node_vals, cell_forces, record, tol)
+    values = np.array(node_vals)
+    return _assemble_output(
+        "split", sys, grid, values, values, np.array(cell_forces), record, tol
+    )
 
 
 def amm_solve(
@@ -664,104 +677,35 @@ def amm_solve(
     grid = P.refine(inner_factor)
     M = grid.M
     u0 = np.asarray(u0, dtype=float).reshape(-1)
-    E = sys.energy
-    is_block = sys.block_layout is not None
-
-    u_prev = np.array(u0)
-    const_nodes = np.empty((grid.n_nodes, sys.dim))
-    linear_nodes = np.empty_like(const_nodes)
-    const_nodes[0] = linear_nodes[0] = u0
-    cell_forces = np.empty((grid.n_cells, sys.dim))
-    iters, residuals = [], []
-    anchors = [np.array(u0)]
-
+    first, second = partial(_half_step, sys, 1), partial(_half_step, sys, 2)
+    plan = []
     for k in range(P.N):
-        tau = P.taus[k]
-        t_mid = P.midpoints[k]
-        t_end = P.nodes[k + 1]
-        u1, xi1, st1 = _half_step(sys, 1, t_mid, u_prev, tau / 2.0, tol)
-        u2, xi2, st2 = _half_step(sys, 2, t_end, u1, tau / 2.0, tol)
-        iters.extend([st1.iterations, st2.iterations])
-        residuals.extend([st1.residual, st2.residual])
-        base = 2 * M * k
-        const_nodes[base + 1 : base + M + 1] = u1
-        const_nodes[base + M + 1 : base + 2 * M + 1] = u2
-        lam = np.linspace(0.0, 1.0, M + 1)[1:, None]
-        # increment form keeps frozen block components exactly constant
-        linear_nodes[base + 1 : base + M + 1] = u_prev + lam * (u1 - u_prev)
-        linear_nodes[base + M + 1 : base + 2 * M + 1] = u1 + lam * (u2 - u1)
-        cell_forces[base : base + M] = xi1
-        cell_forces[base + M : base + 2 * M] = xi2
-        anchors.extend([np.array(u1), np.array(u2)])
-        u_prev = u2
-
-    u_const = SampledCurve(grid, const_nodes, "piecewise-constant")
-    u_linear = SampledCurve(grid, linear_nodes, "piecewise-linear")
-    xi_curve = SampledCurve(
-        grid, np.vstack([cell_forces[:1], cell_forces]), "piecewise-constant"
-    )
-    u_delayed = SampledCurve(grid, _delayed_values(u_const, grid, u0), "delayed-constant")
-
-    u_var = None
-    if with_variational:
-        u_var = _variational_interpolant(sys, grid, anchors, tol)
-
-    scheme = "block-amm" if is_block else "amm"
-    stats = {
-        "tol": tol,
-        "inner_factor": M,
-        "scheme": scheme,
-        "argmin_selection": "deterministic-from-anchor",
-        "inner_iterations": iters,
-        "inner_residuals": residuals,
-    }
-    return SchemeOutput(
-        scheme=scheme,
-        partition=P,
-        grid=grid,
-        u_const=u_const,
-        u_delayed=u_delayed,
-        u_linear=u_linear,
-        u_variational=u_var,
-        xi=xi_curve,
-        stats=stats,
-    )
+        h = P.taus[k] / 2.0
+        plan += [(M, first, P.midpoints[k], h), (M, second, P.nodes[k + 1], h)]
+    record = {}
+    linear, const, forces = _movements(grid, u0, plan, tol, record)
+    u_var = _variational_interpolant(sys, grid, const, tol) if with_variational else None
+    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol, u_var)
 
 
-def _half_step(sys, which, t_eval, anchor, h, tol):
-    """One alternating half-step: rescaled potential, possibly on one block."""
-    if sys.block_layout is None:
-        R = sys.r1 if which == 1 else sys.r2
-        return _prox(sys.energy, Rescaled(R) if not isinstance(R, Rescaled) else R,
-                     t_eval, anchor, h, tol)
-    R_tilde, E_step = _block_substep(sys, which, anchor)
-    active = E_step.active
-    u_act, xi_act, st = _prox(E_step, R_tilde, t_eval, anchor[active], h, tol)
-    u = np.array(anchor)
-    u[active] = u_act
-    xi = np.zeros(sys.dim)
-    xi[active] = xi_act
-    return u, xi, st
-
-
-def _variational_interpolant(sys, grid, anchors, tol):
+def _variational_interpolant(sys, grid, const, tol):
     """Re-solve the incremental problem at every inner sampling time."""
     P = grid.partition
     M = grid.M
-    vals = np.empty((grid.n_nodes, sys.dim))
-    vals[0] = anchors[0]
+    vals = np.empty_like(const)
+    vals[0] = const[0]
     for i in range(1, grid.n_nodes):
         r = grid.times[i]
         k = grid.cell_steps[i - 1]
         left = grid.cell_is_left[i - 1]
-        which = 1 if left else 2
         start = P.nodes[k - 1] if left else P.midpoints[k - 1]
-        anchor = anchors[2 * (k - 1)] if left else anchors[2 * (k - 1) + 1]
+        # the half-step's anchor is the state held before its first cell
+        anchor = const[(i - 1) // M * M]
         h = r - start
         if h <= 1e-15:
             vals[i] = anchor
             continue
-        u, _, _ = _half_step(sys, which, r, anchor, h, tol)
+        u, _, _ = _half_step(sys, 1 if left else 2, r, anchor, h, tol)
         vals[i] = u
     return SampledCurve(grid, vals, "variational")
 
@@ -779,14 +723,10 @@ def block_solve(
     if sys.block_layout is None:
         raise InputError("block_solve requires a system with a block layout")
     if mode == "amm":
-        out = amm_solve(sys, P, u0, tol=tol, inner_factor=inner_steps)
-        return out
+        return amm_solve(sys, P, u0, tol=tol, inner_factor=inner_steps)
     if mode != "split":
         raise InputError(f"unknown block mode {mode!r}")
-    out = split_step_solve(sys, P, u0, inner_steps=inner_steps, tol=tol)
-    out.scheme = "block-split"
-    out.stats["scheme"] = "block-split"
-    return out
+    return split_step_solve(sys, P, u0, inner_steps=inner_steps, tol=tol)
 
 
 def effective_potential(sys: GradientSystem) -> Potential:
@@ -810,76 +750,51 @@ def effective_solve(
     record = {}
 
     if sys.r2 is not None and _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
-        b1 = sys.r1.base if isinstance(sys.r1, Rescaled) else sys.r1
-        b2 = sys.r2.base if isinstance(sys.r2, Rescaled) else sys.r2
-        weights = b1.dual_weights + b2.dual_weights
+        weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
         _, segments = _regime_flow(weights, 0.0, P.T, u0, "eff")
-        node_vals, forces = _sample_segments(segments, grid)
         record["segments"] = segments
+        nodes, forces = _sample_segments(segments, grid.times)
+        values = np.array([u0] + nodes)
         return _assemble_output(
-            "effective", sys, P, grid, u0, node_vals, forces, record, tol
+            "effective", sys, grid, values, values, np.array(forces), record, tol
         )
 
+    step = partial(_full_step, sys)
+    plan = [(2 * grid.M, step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
+    linear, const, forces = _movements(grid, u0, plan, tol, record)
+    return _assemble_output("effective", sys, grid, linear, const, forces, record, tol)
+
+
+def _full_step(sys, t_eval, anchor, h, tol):
+    """One minimizing movement of the effective potential over a full step."""
+    if sys.block_layout is not None:
+        return _joint_block_prox(sys, t_eval, anchor, h, tol)
     R_eff = effective_potential(sys)
-    M = grid.M
-    u_prev = np.array(u0)
-    const_nodes = np.empty((grid.n_nodes, sys.dim))
-    linear_nodes = np.empty_like(const_nodes)
-    const_nodes[0] = linear_nodes[0] = u0
-    cell_forces = np.empty((grid.n_cells, sys.dim))
-    iters, residuals = [], []
-    for k in range(P.N):
-        tau = P.taus[k]
-        t_end = P.nodes[k + 1]
-        if sys.block_layout is not None:
-            u, xi, st = _joint_block_prox(sys, t_end, u_prev, tau, tol)
-        elif R_eff.quadratic_matrix() is not None or not isinstance(R_eff, InfConvolution):
-            u, xi, st = _prox(E, R_eff, t_end, u_prev, tau, tol)
-        else:
-            u, xi, st = _infconv_prox(E, R_eff, t_end, u_prev, tau, tol)
-        iters.append(st.iterations)
-        residuals.append(st.residual)
-        base = 2 * M * k
-        const_nodes[base + 1 : base + 2 * M + 1] = u
-        lam = np.linspace(0.0, 1.0, 2 * M + 1)[1:, None]
-        linear_nodes[base + 1 : base + 2 * M + 1] = u_prev + lam * (u - u_prev)
-        cell_forces[base : base + 2 * M] = xi
-        u_prev = u
-
-    u_const = SampledCurve(grid, const_nodes, "piecewise-constant")
-    u_linear = SampledCurve(grid, linear_nodes, "piecewise-linear")
-    xi_curve = SampledCurve(
-        grid, np.vstack([cell_forces[:1], cell_forces]), "piecewise-constant"
-    )
-    u_delayed = SampledCurve(grid, _delayed_values(u_const, grid, u0), "delayed-constant")
-    stats = {"tol": tol, "inner_factor": M, "scheme": "effective",
-             "inner_iterations": iters, "inner_residuals": residuals}
-    return SchemeOutput(
-        scheme="effective",
-        partition=P,
-        grid=grid,
-        u_const=u_const,
-        u_delayed=u_delayed,
-        u_linear=u_linear,
-        xi=xi_curve,
-        stats=stats,
-    )
+    if R_eff.quadratic_matrix() is not None or not isinstance(R_eff, InfConvolution):
+        return _prox(sys.energy, R_eff, t_eval, anchor, h, tol)
+    return _infconv_prox(sys.energy, R_eff, t_eval, anchor, h, tol)
 
 
-def _sample_segments(segments, grid):
-    node_vals, forces = [], []
-    si = 0
-    times = grid.times
-    for a, b in zip(times[:-1], times[1:]):
-        while segments[si].t1 < b - 1e-15 and si + 1 < len(segments):
-            si += 1
-        node_vals.append(segments[si].state(min(b, segments[si].t1)))
-        mid = 0.5 * (a + b)
-        sj = 0
-        while segments[sj].t1 < mid and sj + 1 < len(segments):
-            sj += 1
-        forces.append(np.array(segments[sj].xi))
-    return node_vals, forces
+SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
+
+
+def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
+    """Run the scheme named ``scheme``; one of ``SCHEMES``.
+
+    AMM runs carry the variational interpolant, which the audit reads.  The
+    entry points are looked up by name at call time, so wrapping one of
+    them (as a profiler does) also wraps this dispatch.
+    """
+    if scheme == "split":
+        return split_step_solve(sys, P, u0, inner_steps=inner, tol=tol)
+    if scheme == "amm":
+        return amm_solve(sys, P, u0, tol=tol, with_variational=True, inner_factor=inner)
+    if scheme == "effective":
+        return effective_solve(sys, P, u0, tol=tol, inner_factor=inner)
+    if scheme in ("block-split", "block-amm"):
+        return block_solve(sys, P, u0, mode=scheme[len("block-"):], tol=tol,
+                           inner_steps=inner)
+    raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
 def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):

@@ -116,6 +116,16 @@ def test_bad_flags_exit_nonzero(tmp_path, capsys):
                     "--inner-steps", "3", "--out", str(tmp_path / "y")]) == 1
 
 
+@pytest.mark.parametrize("override", ["foo=1", "u0=[NaN,1.0]"])
+def test_bad_override_exits_one_without_traceback(tmp_path, capsys, override):
+    code = run_cli(["run", "--model", "counterexample", "--scheme", "split",
+                    "--N", "8", "--override", override, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -8,6 +8,7 @@ from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
+from splitflow.errors import InvariantError
 from splitflow.models import make_model
 
 
@@ -62,6 +63,15 @@ def test_rate_term_counterexample_middle_regime_average():
     window = (0.25, 0.75)
     avg = dg.rate_term(out, (sys.r1, sys.r2), window) / 0.5
     assert avg == pytest.approx(0.75, abs=1e-9)
+
+
+def test_repetition_check_raises_library_error_on_non_finite_run():
+    P = pa.build_partition(1.0, N=4)
+    out = synthetic_linear_output(P, 2, slope=[math.nan], xi_value=[math.nan])
+    with pytest.raises(InvariantError):
+        dg.rate_term(out, quad_pair(), (0.0, 1.0))
+    with pytest.raises(InvariantError):
+        dg.slope_term(out, quad_pair(), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

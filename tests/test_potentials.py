@@ -350,6 +350,25 @@ def test_qye_worst_pair_minimizes_ratio():
     assert fit.worst_pair[1][0] == pytest.approx(1.0)
 
 
+def test_qye_c_is_the_largest_feasible_constant():
+    P = pt.PowerNorm(3.0, dim=3)
+    rng = np.random.default_rng(11)
+    samples = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(300)]
+    fit = pt.qye_probe(P, samples)
+    s = [P(v) + P.conjugate(xi) for v, xi in samples]
+    g = [pt.weighted_norm(v) * pt.weighted_dual_norm(xi) for v, xi in samples]
+
+    def feasible(c):
+        # R(v) + R*(xi) + C >= c ||v|| ||xi||_* on every pair, up to rounding
+        return all(
+            si + fit.C_est - c * gi >= -1e-14 * (1.0 + abs(si)) for si, gi in zip(s, g)
+        )
+
+    assert fit.c_est > 0.0
+    assert feasible(fit.c_est * (1.0 - 1e-13))
+    assert not feasible(fit.c_est * (1.0 + 1e-12))
+
+
 def test_qye_all_zero_samples_rejected():
     P = pt.QuadraticForm(np.eye(1))
     with pytest.raises(InputError):

@@ -260,6 +260,10 @@ def test_amm_variational_interpolant_matches_nodes():
     sys = counterexample_system()
     P = pa.build_partition(1.0, N=4)
     out = sv.amm_solve(sys, P, [2.0, 1.0], with_variational=True)
+    assert out.scheme == "amm"
+    # one entry per prox solve: two half-steps per step
+    assert len(out.stats["inner_iterations"]) == 2 * P.N
+    assert len(out.stats["inner_residuals"]) == 2 * P.N
     assert out.u_variational is not None
     for t in np.concatenate([P.midpoints, P.nodes[1:]]):
         np.testing.assert_allclose(
@@ -390,6 +394,27 @@ def test_effective_stationary():
     np.testing.assert_allclose(out.u_linear.values, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "solve, u0",
+    [
+        # R~_1 leaves the axis regime after (u1 - u2)/2
+        (sv.split_step_solve, [1.0 + 2.0 * 6.75 / 64, 1.0]),
+        # the effective flow leaves it after (u1 - u2)/4
+        (sv.effective_solve, [1.0 + 4.0 * 6.75 / 64, 1.0]),
+    ],
+)
+def test_exact_cell_force_is_taken_at_the_cell_right_end(solve, u0):
+    sys = counterexample_system()
+    P = pa.build_partition(1.0, N=4)  # 64 cells of width 1/64
+    out = solve(sys, P, u0)
+    # the first regime switch lies in the second half of cell 6
+    assert out.segments[0].t1 == pytest.approx(6.75 / 64, abs=1e-15)
+    np.testing.assert_array_equal(out.xi.cell_values[6], out.segments[1].xi)
+    for b, xi in zip(out.grid.times[1:], out.xi.cell_values):
+        seg = next(seg for seg in out.segments if seg.t1 >= b - 1e-15)
+        np.testing.assert_array_equal(xi, seg.xi)
+
+
 # ---------------------------------------------------------------------------
 # interpolant consistency under refinement
 # ---------------------------------------------------------------------------
@@ -448,24 +473,6 @@ def test_effective_prox_rate_is_optimal_for_infconv():
         assert pt.fenchel_young_residual(r_eff, rate, -xi) <= 1e-7
         dec = pt.inf_conv_decompose(r_eff, rate, tol=1e-11)
         assert dec.value == pytest.approx(r_eff(rate), abs=1e-9)
-
-
-def test_scheme_output_save(tmp_path):
-    sys = counterexample_system()
-    P = pa.build_partition(1.0, N=4)
-    out = sv.amm_solve(sys, P, [2.0, 1.0], with_variational=True)
-    out.save(tmp_path / "run")
-    import os
-
-    for name in ("trajectory.csv", "u_const.csv", "forces.csv",
-                 "u_variational.csv", "solver_stats.json"):
-        assert (tmp_path / "run" / name).exists()
-    import json
-
-    stats = json.loads((tmp_path / "run" / "solver_stats.json").read_text())
-    assert stats["scheme"] == "amm"
-    assert len(stats["stats"]["inner_iterations"]) == 2 * P.N
-    assert len(stats["stats"]["inner_residuals"]) == 2 * P.N
 
 
 def test_effective_energy_monotone_zero_loads():
@@ -558,3 +565,41 @@ def test_regime_flow_matches_fine_prox_stepping():
         u, _ = sv.prox_step(E, R, (k + 1) * dt, u, dt)
     exact = sv.substep_flow(sys, 1, (0.0, 1.0), [1.4, 1.0], inner_steps=2)
     np.testing.assert_allclose(u, exact.at(1.0), atol=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# scheme dispatch
+# ---------------------------------------------------------------------------
+
+
+def test_solve_dispatch_matches_entry_points():
+    ce = counterexample_system()
+    vp = make_model("visco-plasticity-1d", m=4)
+    P = pa.build_partition(1.0, N=4)
+    tol, inner = 1e-11, 4
+    direct = {
+        "split": sv.split_step_solve(ce, P, [2.0, 1.0], inner_steps=inner, tol=tol),
+        "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, with_variational=True,
+                            inner_factor=inner),
+        "effective": sv.effective_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
+        "block-split": sv.block_solve(vp.system, P, vp.u0, mode="split", tol=tol,
+                                      inner_steps=inner),
+        "block-amm": sv.block_solve(vp.system, P, vp.u0, mode="amm", tol=tol,
+                                    inner_steps=inner),
+    }
+    assert set(direct) == set(sv.SCHEMES)
+    for name, ref in direct.items():
+        sys, u0 = (vp.system, vp.u0) if name.startswith("block-") else (ce, [2.0, 1.0])
+        out = sv.solve(sys, name, P, u0, tol, inner)
+        assert out.scheme == ref.scheme == name
+        for attr in ("u_linear", "u_const", "u_delayed", "xi", "u_variational"):
+            a, b = getattr(out, attr), getattr(ref, attr)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_solve_rejects_unknown_scheme():
+    P = pa.build_partition(1.0, N=2)
+    with pytest.raises(InputError):
+        sv.solve(counterexample_system(), "leapfrog", P, [2.0, 1.0], 1e-10, 8)
