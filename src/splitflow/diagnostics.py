@@ -53,33 +53,53 @@ def _tilde(R: Potential) -> Potential:
 
 
 def _clip_cells(grid, interval):
-    """(indices, effective widths) of cells overlapping [s, t]."""
+    """(cells, lo, hi): the cells overlapping [s, t] and their ends clipped to
+    it.  The overlapping cells are contiguous, so ``cells`` is a slice and
+    selecting rows with it copies nothing."""
     s, t = float(interval[0]), float(interval[1])
     if s > t:
         raise InputError("reversed audit interval")
-    times = grid.times
-    idx, widths = [], []
-    for i in range(grid.n_cells):
-        a, b = max(times[i], s), min(times[i + 1], t)
-        if b > a:
-            idx.append(i)
-            widths.append(b - a)
-    return np.array(idx, dtype=int), np.array(widths)
+    lo = np.maximum(grid.times[:-1], s)
+    hi = np.minimum(grid.times[1:], t)
+    idx = np.flatnonzero(hi > lo)
+    cells = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    return cells, lo[cells], hi[cells]
 
 
-def _segment_pieces(segments, interval):
+def _segment_pieces(out, interval):
+    """(widths, first, velocities, forces) of the pieces of the run's segments
+    inside ``interval``; ``first`` flags the pieces of mechanism 1."""
+    segs = out.segments
     s, t = interval
-    for seg in segments:
-        a, b = max(seg.t0, s), min(seg.t1, t)
-        if b > a:
-            yield seg, a, b
+    lo = np.maximum([seg.t0 for seg in segs], s)
+    hi = np.minimum([seg.t1 for seg in segs], t)
+    keep = np.flatnonzero(hi > lo)
+    dim = out.u_linear.dim
+    first = np.array([segs[i].mechanism == "1" for i in keep], dtype=bool)
+    vel = np.array([segs[i].velocity for i in keep]).reshape(-1, dim)
+    xi = np.array([segs[i].xi for i in keep]).reshape(-1, dim)
+    return (hi - lo)[keep], first, vel, xi
+
+
+def _by_mechanism(widths, first, rows, f1, f2):
+    """Sum of widths * f(rows), with f1 on the rows where ``first`` holds and
+    f2 on the others; each function sees only its own rows."""
+    vals = np.empty(len(rows))
+    vals[first] = f1(rows[first])
+    vals[~first] = f2(rows[~first])
+    return float(widths @ vals)
 
 
 def _is_node_aligned(P, interval, tol=1e-12):
     s, t = interval
-    return any(abs(s - x) <= tol for x in P.nodes) and any(
-        abs(t - x) <= tol for x in P.nodes
+    return bool(
+        np.any(np.abs(P.nodes - s) <= tol) and np.any(np.abs(P.nodes - t) <= tol)
     )
+
+
+def _check_repetition(chi_val, rep_val):
+    if not math.isclose(chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12):
+        raise InvariantError(f"repetition identity violated: {chi_val} vs {rep_val}")
 
 
 def rate_term(out: SchemeOutput, pair, interval=None) -> float:
@@ -91,42 +111,23 @@ def rate_term(out: SchemeOutput, pair, interval=None) -> float:
     r1, r2 = pair
     t1, t2 = _tilde(r1), _tilde(r2)
     interval = (0.0, out.partition.T) if interval is None else interval
-    rate = out.u_linear.derivative()
+    rate = out.rate
 
-    idx, widths = _clip_cells(out.grid, interval)
-    cells = rate.cell_values
-    is_left = out.grid.cell_is_left
-    chi_val = 0.0
-    for i, w in zip(idx, widths):
-        R = t1 if is_left[i] else t2
-        chi_val += w * R(cells[i])
+    cells, lo, hi = _clip_cells(out.grid, interval)
+    widths = hi - lo
+    chi_val = _by_mechanism(
+        widths, out.grid.cell_is_left[cells], rate.cell_values[cells], t1, t2
+    )
 
     if _is_node_aligned(out.partition, interval):
-        rep_val = _repetition_rate(out, (r1, r2), rate, idx, widths)
-        if not math.isclose(
-            chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12
-        ):
-            raise InvariantError(
-                f"repetition identity violated: {chi_val} vs {rep_val}"
-            )
+        v1 = repetition_apply(1, out.partition, rate).cell_values[cells]
+        v2 = repetition_apply(2, out.partition, rate).cell_values[cells]
+        _check_repetition(chi_val, float(widths @ (r1(0.5 * v1) + r2(0.5 * v2))))
 
     if out.segments is not None:
-        exact = 0.0
-        for seg, a, b in _segment_pieces(out.segments, interval):
-            R = t1 if seg.mechanism == "1" else t2
-            exact += (b - a) * R(seg.velocity)
-        return exact
+        widths, first, vel, _ = _segment_pieces(out, interval)
+        return _by_mechanism(widths, first, vel, t1, t2)
     return chi_val
-
-
-def _repetition_rate(out, pair, rate, idx, widths):
-    r1, r2 = pair
-    v1 = repetition_apply(1, out.partition, rate)
-    v2 = repetition_apply(2, out.partition, rate)
-    total = 0.0
-    for i, w in zip(idx, widths):
-        total += w * (r1(0.5 * v1.cell_values[i]) + r2(0.5 * v2.cell_values[i]))
-    return total
 
 
 def slope_term(out: SchemeOutput, pair, interval=None) -> float:
@@ -137,33 +138,22 @@ def slope_term(out: SchemeOutput, pair, interval=None) -> float:
     if out.xi is None:
         raise InputError("scheme output carries no force curve")
 
-    idx, widths = _clip_cells(out.grid, interval)
-    cells = out.xi.cell_values
-    is_left = out.grid.cell_is_left
-    chi_val = 0.0
-    for i, w in zip(idx, widths):
-        R = t1 if is_left[i] else t2
-        chi_val += w * R.conjugate(-cells[i])
+    cells, lo, hi = _clip_cells(out.grid, interval)
+    widths = hi - lo
+    chi_val = _by_mechanism(
+        widths, out.grid.cell_is_left[cells], -out.xi.cell_values[cells],
+        t1.conjugate, t2.conjugate,
+    )
 
     if _is_node_aligned(out.partition, interval):
-        x1 = repetition_apply(1, out.partition, out.xi)
-        x2 = repetition_apply(2, out.partition, out.xi)
-        rep_val = 0.0
-        for i, w in zip(idx, widths):
-            rep_val += w * (
-                r1.conjugate(-x1.cell_values[i]) + r2.conjugate(-x2.cell_values[i])
-            )
-        if not math.isclose(chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12):
-            raise InvariantError(
-                f"repetition identity violated: {chi_val} vs {rep_val}"
-            )
+        x1 = repetition_apply(1, out.partition, out.xi).cell_values[cells]
+        x2 = repetition_apply(2, out.partition, out.xi).cell_values[cells]
+        rep_val = float(widths @ (r1.conjugate(-x1) + r2.conjugate(-x2)))
+        _check_repetition(chi_val, rep_val)
 
     if out.segments is not None:
-        exact = 0.0
-        for seg, a, b in _segment_pieces(out.segments, interval):
-            R = t1 if seg.mechanism == "1" else t2
-            exact += (b - a) * R.conjugate(-seg.xi)
-        return exact
+        widths, first, _, xi = _segment_pieces(out, interval)
+        return _by_mechanism(widths, first, -xi, t1.conjugate, t2.conjugate)
     return chi_val
 
 
@@ -233,66 +223,45 @@ def _power_integral(E, out, interval):
     curve = out.u_variational
     if curve is None:
         curve = out.u_const if out.is_movement else out.u_linear
-    idx, widths = _clip_cells(out.grid, interval)
-    times = out.grid.times
-    total, err = 0.0, 0.0
-    vals = curve.values
+    cells, lo, hi = _clip_cells(out.grid, interval)
+    widths = hi - lo
+    start, end = curve.values[:-1][cells], curve.values[1:][cells]
+    # constant kinds hold the cell value on the whole cell
     continuous = curve.kind in ("piecewise-linear", "variational")
-    for i, w in zip(idx, widths):
-        a = max(times[i], interval[0])
-        b = min(times[i + 1], interval[1])
-        # constant kinds hold the cell value on the whole cell
-        mid_state = 0.5 * (vals[i] + vals[i + 1]) if continuous else vals[i + 1]
-        f_mid = E.power(0.5 * (a + b), mid_state)
-        f_trap = 0.5 * (E.power(a, vals[i]) + E.power(b, vals[i + 1]))
-        total += w * f_mid
-        err += w * abs(f_mid - f_trap)
-    return total, err
-
-
-def _node_affine_rate(out):
-    """Rate of the node-to-node affine interpolant, constant per step."""
-    P = out.partition
-    states = out.node_states()
-    step_rates = np.diff(states, axis=0) / P.taus[:, None]
-    cells = step_rates[out.grid.cell_steps - 1]
-    values = np.vstack([cells[:1], cells])
-    return SampledCurve(out.grid, values, "piecewise-constant")
+    mid_state = 0.5 * (start + end) if continuous else end
+    f_mid = E.power(0.5 * (lo + hi), mid_state)
+    f_trap = 0.5 * (E.power(lo, start) + E.power(hi, end))
+    return float(widths @ f_mid), float(widths @ np.abs(f_mid - f_trap))
 
 
 def _decomposition(out, sys, interval, r_eff):
-    rate = out.u_linear.derivative()
-    rep1 = repetition_apply(1, out.partition, rate)
-    rep2 = repetition_apply(2, out.partition, rate)
-    v1 = rep1.with_values(0.5 * rep1.values)
-    v2 = rep2.with_values(0.5 * rep2.values)
-    coarse = _node_affine_rate(out)
-    idx, widths = _clip_cells(out.grid, interval)
-    defect = 0.0
-    rep_value = 0.0
-    eff_value = 0.0
-    for i, w in zip(idx, widths):
-        s = v1.cell_values[i] + v2.cell_values[i]
-        defect += w * float(np.linalg.norm(s - coarse.cell_values[i]))
-        rep_value += w * (sys.r1(v1.cell_values[i]) + sys.r2(v2.cell_values[i]))
-        eff_value += w * r_eff(coarse.cell_values[i])
+    v1 = repetition_apply(1, out.partition, out.rate)
+    v1 = v1.with_values(0.5 * v1.values)
+    v2 = repetition_apply(2, out.partition, out.rate)
+    v2 = v2.with_values(0.5 * v2.values)
+    cells, lo, hi = _clip_cells(out.grid, interval)
+    widths = hi - lo
+    # the node-to-node affine interpolant has one rate per step, so the
+    # effective potential is evaluated once per step the interval touches
+    steps, step_of_cell = np.unique(out.grid.cell_steps[cells] - 1, return_inverse=True)
+    rates = np.diff(out.node_states(), axis=0) / out.partition.taus[:, None]
+    step_rates = rates[steps]
+    c1, c2 = v1.cell_values[cells], v2.cell_values[cells]
+    defect = widths @ np.linalg.norm(c1 + c2 - step_rates[step_of_cell], axis=1)
+    rep_value = widths @ (sys.r1(c1) + sys.r2(c2))
+    eff_value = widths @ r_eff(step_rates)[step_of_cell]
     return v1, v2, defect, rep_value - eff_value
 
 
 def _effective_terms(out, r_eff, interval):
     """Rate and slope integrals of the effective potential along a run."""
     if out.segments is not None:
-        pieces = list(_segment_pieces(out.segments, interval))
-        d_rate = sum((b - a) * r_eff(seg.velocity) for seg, a, b in pieces)
-        d_slope = sum((b - a) * r_eff.conjugate(-seg.xi) for seg, a, b in pieces)
-        return d_rate, d_slope
-    rate = out.u_linear.derivative()
-    idx, widths = _clip_cells(out.grid, interval)
-    d_rate = sum(w * r_eff(rate.cell_values[i]) for i, w in zip(idx, widths))
-    d_slope = sum(
-        w * r_eff.conjugate(-out.xi.cell_values[i]) for i, w in zip(idx, widths)
-    )
-    return d_rate, d_slope
+        widths, _, rates, xi = _segment_pieces(out, interval)
+    else:
+        cells, lo, hi = _clip_cells(out.grid, interval)
+        widths = hi - lo
+        rates, xi = out.rate.cell_values[cells], out.xi.cell_values[cells]
+    return float(widths @ r_eff(rates)), float(widths @ r_eff.conjugate(-xi))
 
 
 def edb_audit(
@@ -387,27 +356,23 @@ def remainder_term(out: SchemeOutput, E, interval=None, weights=None):
         raise InputError("remainder needs the delayed interpolant")
     interval = (0.0, out.partition.T) if interval is None else interval
     P = out.partition
-    idx, widths = _clip_cells(out.grid, interval)
-    rate = out.u_linear.derivative()
+    cells, lo, hi = _clip_cells(out.grid, interval)
+    widths = hi - lo
+    steps = out.grid.cell_steps[cells]
+    t_bar = P.nodes[steps]
+    tau = P.taus[steps - 1]
     lam = abs(getattr(E, "lambda_convexity", 0.0))
-    w_vec = None if weights is None else np.asarray(weights)
+    w_vec = 1.0 if weights is None else np.asarray(weights)
 
-    def nrm(x):
-        return float(np.linalg.norm(x if w_vec is None else w_vec * x))
-
-    total, bound = 0.0, 0.0
-    for i, w in zip(idx, widths):
-        k = out.grid.cell_steps[i]
-        t_bar = P.nodes[k]
-        tau = P.taus[k - 1]
-        u_now = out.u_const.cell_values[i]
-        u_del = out.u_delayed.cell_values[i]
-        xi = out.xi.cell_values[i]
-        diff = u_now - u_del
-        total += (w / tau) * (
-            E.eval(t_bar, u_now) - E.eval(t_bar, u_del) - float(xi @ diff)
-        )
-        bound += 0.5 * lam * w * nrm(rate.cell_values[i]) * nrm(diff)
+    u_now = out.u_const.cell_values[cells]
+    u_del = out.u_delayed.cell_values[cells]
+    diff = u_now - u_del
+    defect = E.eval(t_bar, u_now) - E.eval(t_bar, u_del)
+    defect -= np.einsum("ij,ij->i", out.xi.cell_values[cells], diff)
+    total = (widths / tau) @ defect
+    rate_norms = np.linalg.norm(w_vec * out.rate.cell_values[cells], axis=1)
+    diff_norms = np.linalg.norm(w_vec * diff, axis=1)
+    bound = 0.5 * lam * (widths @ (rate_norms * diff_norms))
     return float(total), float(bound)
 
 
@@ -446,13 +411,14 @@ class StudyTable:
                 fh.write(",".join(cells) + "\n")
 
 
-def _reference_rate(ref_out, t):
-    if ref_out.segments:
-        for seg in ref_out.segments:
-            if seg.t0 <= t <= seg.t1:
-                return seg.velocity
-        return ref_out.segments[-1].velocity
-    return ref_out.u_linear.derivative().at(t)
+def _reference_rate(ref_out, times):
+    """Rate of the reference run at each of ``times``; a time on a segment
+    boundary takes the earlier segment."""
+    segs = ref_out.segments
+    if segs:
+        k = np.searchsorted([seg.t1 for seg in segs], times, side="left")
+        return np.array([seg.velocity for seg in segs])[np.minimum(k, len(segs) - 1)]
+    return ref_out.rate.at(times)
 
 
 def convergence_study(
@@ -498,14 +464,12 @@ def convergence_study(
         report = edb_audit(out, sys, form=form)
         pair_rate = report.d_rate
         pair_slope = report.d_slope
-        rate_c = out.u_linear.derivative()
-        v1 = repetition_apply(1, P, rate_c)
-        v2 = repetition_apply(2, P, rate_c)
-        mids = out.grid.cell_midpoints()
-        defect = 0.0
-        for i, w in enumerate(out.grid.cell_widths):
-            s = 0.5 * (v1.cell_values[i] + v2.cell_values[i])
-            defect += w * float(np.linalg.norm(s - _reference_rate(ref_out, mids[i])))
+        v1 = repetition_apply(1, P, out.rate).cell_values
+        v2 = repetition_apply(2, P, out.rate).cell_values
+        ref_rate = _reference_rate(ref_out, out.grid.cell_midpoints())
+        defect = float(
+            out.grid.cell_widths @ np.linalg.norm(0.5 * (v1 + v2) - ref_rate, axis=1)
+        )
         return {
             "N": N,
             "sup_error": max(errs),

@@ -14,6 +14,10 @@ Three families are provided:
 
 All subdifferentials are taken in the plain Euclidean pairing; mesh factors
 are folded into the discrete functionals.
+
+``eval`` and ``power`` take one state and return a float, or a batch of
+states as rows of shape (n, dim), with one time per row or one time for
+all, and return one value per row.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ __all__ = [
     "subdiff",
     "partial_subdiff",
 ]
+
+
+def _is_time_array(t):
+    return isinstance(t, np.ndarray) and t.ndim == 1
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,18 @@ class Load:
         return self.c0.size
 
     def value(self, t):
-        return self.c0 + self.c1 * t + self.amp * math.sin(self.omega * t + self.phase)
+        """l(t); one row per time for a one-dimensional array of times."""
+        if not _is_time_array(t):
+            return self.c0 + self.c1 * t + self.amp * math.sin(self.omega * t + self.phase)
+        t = t[:, None]
+        return self.c0 + self.c1 * t + self.amp * np.sin(self.omega * t + self.phase)
 
     def derivative(self, t):
-        return self.c1 + self.amp * self.omega * math.cos(self.omega * t + self.phase)
+        """l'(t); one row per time for a one-dimensional array of times."""
+        if not _is_time_array(t):
+            return self.c1 + self.amp * self.omega * math.cos(self.omega * t + self.phase)
+        t = t[:, None]
+        return self.c1 + self.amp * self.omega * np.cos(self.omega * t + self.phase)
 
     def bound(self, horizon=1.0):
         """(sup_t ||l(t)||, sup_t ||l'(t)||) over [0, horizon]."""
@@ -95,6 +111,18 @@ class Load:
             np.linalg.norm(self.c1) + abs(self.omega) * np.linalg.norm(self.amp)
         )
         return val, der
+
+
+def _dot(a, b):
+    """<a, b> for two vectors, else row by row (a single vector broadcasts)."""
+    if a.ndim == b.ndim == 1:
+        return a @ b
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _value(x):
+    """A float for a single-state result, the array of row values otherwise."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _as_load(obj, dim, name):
@@ -184,10 +212,13 @@ class EnergySpec:
         else:
             self.shift = float(shift)
 
-    def eval(self, t, u) -> float:
+    def eval(self, t, u):
+        """E(t, u): a float for one state, one value per row for an (n, dim)
+        batch, with ``t`` one time for all rows or one time per row."""
         raise NotImplementedError
 
-    def power(self, t, u) -> float:
+    def power(self, t, u):
+        """The power d_t E(t, u), for one state or a batch like ``eval``."""
         raise NotImplementedError
 
     def subdiff(self, t, u) -> SubdiffSet:
@@ -210,6 +241,15 @@ class EnergySpec:
         u = np.asarray(u, dtype=float).reshape(-1)
         if u.size != self.dim:
             raise InputError(f"state has length {u.size}, expected {self.dim}")
+        return u
+
+    def _batch(self, u):
+        """``u`` as one state, or as a batch of rows when it is two-dimensional."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            return self._check(u)
+        if u.shape[1] != self.dim:
+            raise InputError(f"state rows have length {u.shape[1]}, expected {self.dim}")
         return u
 
 
@@ -259,16 +299,22 @@ class QuadraticBlockEnergy(EnergySpec):
         u = self._check(u)
         return u[: self.n_y], u[self.n_y :]
 
+    def _blocks(self, u):
+        u = self._batch(u)
+        return u[..., : self.n_y], u[..., self.n_y :]
+
     def eval(self, t, u):
-        y, z = self.split_state(u)
-        val = 0.5 * float(y @ self.A @ y) + 0.5 * float(z @ self.G @ z)
-        val += float((self.B @ y) @ z)
-        val -= float(self.f.value(t) @ y) + float(self.g.value(t) @ z)
-        return val + self.shift
+        y, z = self._blocks(u)
+        # B y for one state; for a batch, the rows y B^T (equal to rounding)
+        By = self.B @ y if y.ndim == 1 else y @ self.B.T
+        val = 0.5 * _dot(y @ self.A, y) + 0.5 * _dot(z @ self.G, z)
+        val += _dot(By, z)
+        val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
+        return _value(val + self.shift)
 
     def power(self, t, u):
-        y, z = self.split_state(u)
-        return -float(self.f.derivative(t) @ y) - float(self.g.derivative(t) @ z)
+        y, z = self._blocks(u)
+        return _value(-_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z))
 
     def grad(self, t, u):
         y, z = self.split_state(u)
@@ -324,11 +370,12 @@ class MaxNormEnergy(EnergySpec):
         return False
 
     def eval(self, t, u):
-        u = self._check(u)
-        return float(np.max(np.abs(u))) + self.shift
+        u = self._batch(u)
+        return _value(np.abs(u).max(axis=-1) + self.shift)
 
     def power(self, t, u):
-        return 0.0
+        u = self._batch(u)
+        return 0.0 if u.ndim == 1 else np.zeros(len(u))
 
     def subdiff(self, t, u):
         u = self._check(u)
@@ -405,15 +452,15 @@ class AllenCahn1DEnergy(EnergySpec):
         return self.m
 
     def eval(self, t, u):
-        u = self._check(u)
-        grad_part = 0.5 * float(u @ self.K @ u)
-        well_part = self.h * float(np.sum(self.well(u)))
-        load_part = self.h * float(self.load.value(t) @ u)
-        return grad_part + well_part - load_part + self.shift
+        u = self._batch(u)
+        grad_part = 0.5 * _dot(u @ self.K, u)
+        well_part = self.h * self.well(u).sum(axis=-1)
+        load_part = self.h * _dot(self.load.value(t), u)
+        return _value(grad_part + well_part - load_part + self.shift)
 
     def power(self, t, u):
-        u = self._check(u)
-        return -self.h * float(self.load.derivative(t) @ u)
+        u = self._batch(u)
+        return _value(-self.h * _dot(self.load.derivative(t), u))
 
     def grad(self, t, u):
         u = self._check(u)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,9 @@ __all__ = [
 
 MODEL_NAMES = ("counterexample", "allen-cahn-1d", "visco-plasticity-1d")
 
+# builder parameters that take a state vector (their defaults may be None)
+_STATE_PARAMS = ("u0", "y0", "z0")
+
 
 @dataclass
 class ModelPreset:
@@ -80,10 +84,36 @@ def make_model(name, **overrides) -> ModelPreset:
             f"unknown override {', '.join(unknown)} for {name}; "
             f"allowed: {', '.join(allowed)}"
         )
+    for key, value in overrides.items():
+        _check_override_kind(key, value, allowed[key].default)
     preset = builders[name](**overrides)
+    dim = preset.system.dim
+    if preset.u0.shape != (dim,):
+        raise ConfigurationError(
+            f"initial state has shape {preset.u0.shape}, expected ({dim},)"
+        )
     if not np.all(np.isfinite(preset.u0)):
         raise ConfigurationError("initial state must be finite")
     return preset
+
+
+def _check_override_kind(key, value, default):
+    """Reject an override whose kind differs from its parameter's: an
+    integer, a real number, or a state vector of numbers."""
+    if isinstance(default, int):
+        ok, want = isinstance(value, numbers.Integral), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(value, numbers.Real), "a number"
+    elif key in _STATE_PARAMS:
+        want = "a list of numbers"
+        try:
+            ok = np.asarray(value, dtype=float).ndim == 1
+        except (TypeError, ValueError):
+            ok = False
+    else:
+        return
+    if not ok or isinstance(value, bool):
+        raise ConfigurationError(f"override {key} must be {want}, got {value!r}")
 
 
 def _make_counterexample(a1=1.0, b1=3.0, a2=3.0, b2=1.0, u0=(2.0, 1.0), T=1.0):

@@ -208,15 +208,20 @@ class SampledCurve:
     def at(self, t):
         """Evaluate at time t (scalar) or an array of times."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((ts.size, self.dim))
-        for j, tj in enumerate(ts):
-            i = self.grid.cell_index(tj)
-            if self.kind == "piecewise-linear":
-                t0, t1 = self.grid.times[i], self.grid.times[i + 1]
-                lam = 0.0 if t1 == t0 else (tj - t0) / (t1 - t0)
-                out[j] = (1 - lam) * self.values[i] + lam * self.values[i + 1]
-            else:
-                out[j] = self.values[i + 1] if tj > 0.0 else self.values[0]
+        T = self.grid.partition.T
+        outside = (ts < 0.0) | (ts > T)
+        if np.any(outside):
+            raise InputError(f"time {float(ts[outside][0])} outside [0, {T}]")
+        times = self.grid.times
+        # cell i holds (times[i], times[i+1]]; t = 0 maps to the first cell
+        i = np.maximum(np.searchsorted(times, ts, side="left") - 1, 0)
+        if self.kind == "piecewise-linear":
+            t0, t1 = times[i], times[i + 1]
+            lam = np.divide(ts - t0, t1 - t0, out=np.zeros_like(ts), where=t1 != t0)
+            lam = lam[:, None]
+            out = (1 - lam) * self.values[i] + lam * self.values[i + 1]
+        else:
+            out = self.values[np.where(ts > 0.0, i + 1, 0)]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -269,18 +274,12 @@ def repetition_apply(j, P: Partition, g: SampledCurve) -> SampledCurve:
     grid = g.grid
     if grid.partition is not P and not np.array_equal(grid.partition.nodes, P.nodes):
         raise InputError("curve grid does not match the partition")
-    M = grid.M
-    cells = g.cell_values
-    out = np.array(cells)
-    for k in range(P.N):
-        base = 2 * M * k
-        left = slice(base, base + M)
-        right = slice(base + M, base + 2 * M)
-        if j == 1:
-            out[right] = cells[left]
-        else:
-            out[left] = cells[right]
-    values = np.vstack([g.values[:1], out])
+    # cells as (step, semi-interval, cell, component): T^(j) repeats the
+    # j-th semi-interval of every step over the whole step
+    cells = g.cell_values.reshape(P.N, 2, grid.M, g.dim)
+    values = np.empty_like(g.values)
+    values[0] = g.values[0]
+    values[1:].reshape(cells.shape)[:] = cells[:, j - 1 : j]
     return SampledCurve(grid, values, g.kind)
 
 

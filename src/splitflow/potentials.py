@@ -6,6 +6,12 @@ probe range.  Evaluation returns an extended real: indicator-type kinds
 yield ``math.inf`` and IEEE arithmetic saturates, so infinite values flow
 through compositions without exceptions.
 
+``R(v)`` and ``R.conjugate(xi)`` take one vector and return a float, or a
+batch of rows of shape (n, dim) and return one value per row.  The single
+vector goes through the same arithmetic as one row of a batch, except where
+a matrix product is involved (quadratic forms and the quadratic-pair
+inf-convolution), where rows agree with single calls to rounding.
+
 Kinds provided:
 
 * :class:`QuadraticForm`           R(v) = <Vv, v>/2
@@ -56,6 +62,18 @@ def _as_vector(x, dim, what="vector"):
     return v
 
 
+def _value(x):
+    """A float for a single-vector result, the array of row values otherwise."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def _quadratic(x, M):
+    """<Mx, x>/2 for one vector or for each row of a batch."""
+    if x.ndim == 1:
+        return 0.5 * float(x @ M @ x)
+    return 0.5 * np.einsum("ij,ij->i", x @ M, x)
+
+
 def weighted_norm(v, weights=None):
     """Euclidean norm ||w * v||_2; ``weights`` defaults to ones."""
     v = np.asarray(v, dtype=float)
@@ -83,10 +101,12 @@ class Potential:
 
     # -- extended-real primal/dual evaluation --------------------------------
 
-    def __call__(self, v) -> float:
+    def __call__(self, v):
+        """R(v): a float for one vector, one value per row for an (n, dim) batch."""
         raise NotImplementedError
 
-    def conjugate(self, xi) -> float:
+    def conjugate(self, xi):
+        """R*(xi), for one vector or a batch of rows like ``__call__``."""
         raise NotImplementedError
 
     def dual_rate(self, xi) -> np.ndarray:
@@ -112,6 +132,15 @@ class Potential:
 
     def _check(self, x, what="v"):
         return _as_vector(x, self.dim, what)
+
+    def _batch(self, x, what="v"):
+        """``x`` as one vector, or as a batch of rows when it is two-dimensional."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            return _as_vector(x, self.dim, what)
+        if x.shape[1] != self.dim:
+            raise InputError(f"{what} rows have length {x.shape[1]}, expected {self.dim}")
+        return x
 
 
 def _freeze(a):
@@ -143,12 +172,10 @@ class QuadraticForm(Potential):
         return self.V.shape[0]
 
     def __call__(self, v):
-        v = self._check(v)
-        return 0.5 * float(v @ self.V @ v)
+        return _quadratic(self._batch(v), self.V)
 
     def conjugate(self, xi):
-        xi = self._check(xi, "xi")
-        return 0.5 * float(xi @ self._Vinv @ xi)
+        return _quadratic(self._batch(xi, "xi"), self._Vinv)
 
     def dual_rate(self, xi):
         xi = self._check(xi, "xi")
@@ -195,13 +222,13 @@ class PowerNorm(Potential):
         return self.p / (self.p - 1.0)
 
     def __call__(self, v):
-        v = self._check(v)
-        return float(np.sum(self.weights * np.abs(v) ** self.p) / self.p)
+        v = self._batch(v)
+        return _value((self.weights * np.abs(v) ** self.p).sum(axis=-1) / self.p)
 
     def conjugate(self, xi):
-        xi = self._check(xi, "xi")
+        xi = self._batch(xi, "xi")
         q = self.p_star
-        return float(np.sum(self.weights * (np.abs(xi) / self.weights) ** q) / q)
+        return _value((self.weights * (np.abs(xi) / self.weights) ** q).sum(axis=-1) / q)
 
     def dual_rate(self, xi):
         xi = self._check(xi, "xi")
@@ -246,12 +273,12 @@ class AnisotropicDualQuadratic(Potential):
         return self.dual_weights.size
 
     def __call__(self, v):
-        v = self._check(v)
-        return float(np.sum(v**2 / self.dual_weights) / 2.0)
+        v = self._batch(v)
+        return _value((v**2 / self.dual_weights).sum(axis=-1) / 2.0)
 
     def conjugate(self, xi):
-        xi = self._check(xi, "xi")
-        return float(np.sum(self.dual_weights * xi**2) / 2.0)
+        xi = self._batch(xi, "xi")
+        return _value((self.dual_weights * xi**2).sum(axis=-1) / 2.0)
 
     def dual_rate(self, xi):
         xi = self._check(xi, "xi")
@@ -298,16 +325,15 @@ class OneHomPlusQuad(Potential):
         return self.weights.size
 
     def __call__(self, v):
-        v = self._check(v)
-        return float(
-            np.sum(self.weights * (self.sigma * np.abs(v) + 0.5 * self.rho * v**2))
-        )
+        v = self._batch(v)
+        terms = self.weights * (self.sigma * np.abs(v) + 0.5 * self.rho * v**2)
+        return _value(terms.sum(axis=-1))
 
     def conjugate(self, xi):
-        xi = self._check(xi, "xi")
+        xi = self._batch(xi, "xi")
         s = np.abs(xi) / self.weights
         shrunk = np.maximum(s - self.sigma, 0.0)
-        return float(np.sum(self.weights * shrunk**2 / (2.0 * self.rho)))
+        return _value((self.weights * shrunk**2 / (2.0 * self.rho)).sum(axis=-1))
 
     def dual_rate(self, xi):
         xi = self._check(xi, "xi")
@@ -348,14 +374,19 @@ class BlockIndicator(Potential):
         return self.total_dim
 
     def __call__(self, v):
-        v = self._check(v)
-        if np.any(v[self.frozen] != 0.0):
-            return math.inf
-        return self.base(v[self.active])
+        v = self._batch(v)
+        if v.ndim == 1:
+            if np.any(v[self.frozen] != 0.0):
+                return math.inf
+            return self.base(v[self.active])
+        out = np.full(len(v), math.inf)
+        still = ~np.any(v[:, self.frozen] != 0.0, axis=1)
+        out[still] = self.base(v[np.ix_(still, self.active)])
+        return out
 
     def conjugate(self, xi):
-        xi = self._check(xi, "xi")
-        return self.base.conjugate(xi[self.active])
+        xi = self._batch(xi, "xi")
+        return self.base.conjugate(xi[..., self.active])
 
     def dual_rate(self, xi):
         xi = self._check(xi, "xi")
@@ -379,7 +410,7 @@ class Rescaled(Potential):
         return self.base.dim
 
     def __call__(self, v):
-        v = self._check(v)
+        v = self._batch(v)
         return 2.0 * self.base(0.5 * v)
 
     def conjugate(self, xi):
@@ -422,13 +453,27 @@ class InfConvolution(Potential):
     def __post_init__(self):
         if self.left.dim != self.right.dim:
             raise ConfigurationError("inf-convolution members must share a dimension")
+        V1 = self.left.quadratic_matrix()
+        V2 = self.right.quadratic_matrix()
+        V = None
+        if V1 is not None and V2 is not None:
+            V = _freeze(np.linalg.inv(np.linalg.inv(V1) + np.linalg.inv(V2)))
+        object.__setattr__(self, "_V", V)
 
     @property
     def dim(self):
         return self.left.dim
 
     def __call__(self, v):
-        return inf_conv_decompose(self, v, tol=1e-10).value
+        """The inf-convolution value; rows of a batch without a closed-form
+        split are decomposed one at a time."""
+        v = self._batch(v)
+        if v.ndim == 1:
+            return inf_conv_decompose(self, v, tol=1e-10).value
+        split = _closed_form_split(self, v)
+        if split is None:
+            return np.array([inf_conv_decompose(self, row, tol=1e-10).value for row in v])
+        return self.left(split[0]) + self.right(split[1])
 
     def conjugate(self, xi):
         return self.left.conjugate(xi) + self.right.conjugate(xi)
@@ -437,11 +482,7 @@ class InfConvolution(Potential):
         return self.left.dual_rate(xi) + self.right.dual_rate(xi)
 
     def quadratic_matrix(self):
-        V1 = self.left.quadratic_matrix()
-        V2 = self.right.quadratic_matrix()
-        if V1 is None or V2 is None:
-            return None
-        return np.linalg.inv(np.linalg.inv(V1) + np.linalg.inv(V2))
+        return self._V
 
     def grad(self, v):
         V = self.quadratic_matrix()
@@ -514,24 +555,34 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
         raise InputError("tolerance must be positive")
     v = _as_vector(v, P.dim, "v")
     R1, R2 = P.left, P.right
+    split = _closed_form_split(P, v)
+    if split is not None:
+        v1, v2 = split
+        return Decomposition(v1, v2, R1(v1) + R2(v2), 0.0)
+    return _decompose_fista(R1, R2, v, tol)
 
+
+def _closed_form_split(P, v):
+    """The optimal split (v1, v2) of one vector or of each row of a batch,
+    for complementary block indicators or a quadratic pair; None otherwise."""
     blocks = P._complementary_blocks()
     if blocks is not None:
         b1, b2 = blocks
-        v1 = np.zeros(P.dim)
-        v2 = np.zeros(P.dim)
-        v1[b1.active] = v[b1.active]
-        v2[b2.active] = v[b2.active]
-        return Decomposition(v1, v2, R1(v1) + R2(v2), 0.0)
+        v1 = np.zeros_like(v)
+        v2 = np.zeros_like(v)
+        v1[..., b1.active] = v[..., b1.active]
+        v2[..., b2.active] = v[..., b2.active]
+        return v1, v2
 
-    V1 = R1.quadratic_matrix()
-    V2 = R2.quadratic_matrix()
-    if V1 is not None and V2 is not None:
+    V1 = P.left.quadratic_matrix()
+    V2 = P.right.quadratic_matrix()
+    if V1 is None or V2 is None:
+        return None
+    if v.ndim == 1:
         v1 = np.linalg.solve(V1 + V2, V2 @ v)
-        v2 = v - v1
-        return Decomposition(v1, v2, R1(v1) + R2(v2), 0.0)
-
-    return _decompose_fista(R1, R2, v, tol)
+    else:
+        v1 = np.linalg.solve(V1 + V2, V2 @ v.T).T
+    return v1, v - v1
 
 
 def _duality_gap(R1, R2, v, v1, xi):

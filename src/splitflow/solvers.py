@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -133,6 +133,11 @@ class SchemeOutput:
         inequality.
         """
         return self.scheme in ("amm", "block-amm")
+
+    @cached_property
+    def rate(self):
+        """Piecewise-constant rate of the linear interpolant, taken once."""
+        return self.u_linear.derivative()
 
     def node_states(self):
         """Trajectory values at the partition nodes."""
@@ -562,15 +567,13 @@ def substep_flow(sys: GradientSystem, which, interval, u_init, inner_steps=None)
 
 def _delayed_values(u_const: SampledCurve, grid: RefinedGrid, u0):
     """Node values of the half-step-delayed interpolant of ``u_const``."""
-    P = grid.partition
+    t_src = grid.times[1:] - 0.5 * grid.partition.taus[grid.cell_steps - 1]
+    later = t_src > 0.0
     vals = np.empty_like(u_const.values)
     vals[0] = u0
-    for i in range(1, grid.n_nodes):
-        t_i = grid.times[i]
-        k = grid.cell_steps[i - 1]
-        shift = 0.5 * P.taus[k - 1]
-        t_src = t_i - shift
-        vals[i] = u0 if t_src <= 0.0 else u_const.at(t_src)
+    cells = vals[1:]
+    cells[~later] = u0
+    cells[later] = u_const.at(t_src[later])
     return vals
 
 
@@ -759,20 +762,17 @@ def effective_solve(
             "effective", sys, grid, values, values, np.array(forces), record, tol
         )
 
-    step = partial(_full_step, sys)
+    # one minimizing movement of the effective potential per full step
+    R_eff = effective_potential(sys)
+    if sys.block_layout is not None:
+        step = partial(_joint_block_prox, sys)
+    elif isinstance(R_eff, InfConvolution) and R_eff.quadratic_matrix() is None:
+        step = partial(_infconv_prox, E, R_eff)
+    else:
+        step = partial(_prox, E, R_eff)
     plan = [(2 * grid.M, step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
     linear, const, forces = _movements(grid, u0, plan, tol, record)
     return _assemble_output("effective", sys, grid, linear, const, forces, record, tol)
-
-
-def _full_step(sys, t_eval, anchor, h, tol):
-    """One minimizing movement of the effective potential over a full step."""
-    if sys.block_layout is not None:
-        return _joint_block_prox(sys, t_eval, anchor, h, tol)
-    R_eff = effective_potential(sys)
-    if R_eff.quadratic_matrix() is not None or not isinstance(R_eff, InfConvolution):
-        return _prox(sys.energy, R_eff, t_eval, anchor, h, tol)
-    return _infconv_prox(sys.energy, R_eff, t_eval, anchor, h, tol)
 
 
 SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
@@ -801,6 +801,7 @@ def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):
     """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps."""
     idx_y, idx_z = sys.block_indices()
     Ry, Rz = sys.r1.base, sys.r2.base
+    y_smooth = _has_grad(Ry)
     u = np.array(anchor)
     scale = 1.0 + float(np.linalg.norm(anchor))
     sweeps = 0
@@ -811,7 +812,7 @@ def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):
         Ez = _FrozenBlockEnergy(sys.energy, idx_z, u)
         uz, _, _ = _prox(Ez, Rz, t, anchor[idx_z], tau, tol)
         u[idx_z] = uz
-        res = _joint_block_residual(sys, t, anchor, u, tau)
+        res = _joint_block_residual(sys, t, anchor, u, tau, y_smooth)
         if res <= tol * scale:
             break
     else:
@@ -820,12 +821,15 @@ def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):
     return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
 
 
-def _joint_block_residual(sys, t, anchor, u, tau):
+def _joint_block_residual(sys, t, anchor, u, tau, y_smooth):
+    """Optimality residual of the joint block step; ``y_smooth`` says whether
+    the y potential has a gradient (without one its block counts as solved)."""
     idx_y, idx_z = sys.block_indices()
-    gy = sys.energy.grad(t, u)[idx_y]
+    g = sys.energy.grad(t, u)
+    gy = g[idx_y]
     vy = (u[idx_y] - anchor[idx_y]) / tau
-    ry = float(np.linalg.norm(sys.r1.base.grad(vy) + gy)) if _has_grad(sys.r1.base) else 0.0
-    gz = sys.energy.grad(t, u)[idx_z]
+    ry = float(np.linalg.norm(sys.r1.base.grad(vy) + gy)) if y_smooth else 0.0
+    gz = g[idx_z]
     vz = (u[idx_z] - anchor[idx_z]) / tau
     parts = sys.r2.base.shrinkage_parts()
     if parts is not None:

@@ -116,7 +116,10 @@ def test_bad_flags_exit_nonzero(tmp_path, capsys):
                     "--inner-steps", "3", "--out", str(tmp_path / "y")]) == 1
 
 
-@pytest.mark.parametrize("override", ["foo=1", "u0=[NaN,1.0]"])
+@pytest.mark.parametrize(
+    "override",
+    ["foo=1", "u0=[NaN,1.0]", "u0=[0.1,0.2,0.3]", 'a1="x"', 'u0=[1,"a"]'],
+)
 def test_bad_override_exits_one_without_traceback(tmp_path, capsys, override):
     code = run_cli(["run", "--model", "counterexample", "--scheme", "split",
                     "--N", "8", "--override", override, "--out", str(tmp_path / "x")])

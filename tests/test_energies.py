@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitflow import energies as en
 from splitflow.errors import ConfigurationError, InputError
@@ -286,3 +288,47 @@ def test_auto_shift_gives_positive_floor():
         u = rng.standard_normal(2) * 3.0
         t = rng.uniform()
         assert E2.eval(t, u) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# batches of states
+# ---------------------------------------------------------------------------
+
+_LOAD_Y = en.Load([0.3, -0.2], c1=[0.1, 0.4], amp=[0.5, -0.25], omega=3.0, phase=0.2)
+_LOAD_Z = en.Load([0.1], c1=[-0.2], amp=[0.3], omega=2.0)
+_A = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+BATCH_ENERGIES = [
+    (en.MaxNormEnergy(shift=0.5), True),
+    (en.QuadraticBlockEnergy(_A, B=[[0.2, -0.1]], G=[[1.5]], f=_LOAD_Y, g=_LOAD_Z,
+                             shift=1.0), False),
+    (en.AllenCahn1DEnergy(
+        3, load=en.Load([1.0, 0.5, -0.5], amp=[0.2, 0.1, 0.3], omega=5.0), shift=0.3
+    ), False),
+]
+
+
+@pytest.mark.parametrize(
+    "E, exact", BATCH_ENERGIES, ids=[type(E).__name__ for E, _ in BATCH_ENERGIES]
+)
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                  min_size=1, max_size=5),
+    times=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    one_time=st.booleans(),
+)
+def test_batch_rows_equal_single_calls(E, exact, rows, times, one_time):
+    rows = np.array(rows)[:, : E.dim]
+    ts = np.array(times[: len(rows)])
+    for method in (E.eval, E.power):
+        batch = method(ts[0] if one_time else ts, rows)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(rows),)
+        for t, row, value in zip(ts, rows, batch):
+            single = method(ts[0] if one_time else float(t), row)
+            assert type(single) is float
+            if exact:
+                assert value == single
+            else:
+                # the power sums load terms of both signs: an absolute floor too
+                assert math.isclose(value, single, rel_tol=1e-13, abs_tol=1e-13)

@@ -431,3 +431,88 @@ def test_infconv_sandwich_bounds():
         r_eff = P(v)
         assert r_eff <= R1(v) + 1e-10
         assert 2.0 * psi(0.5 * np.linalg.norm(v)) <= r_eff + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batches of rows
+# ---------------------------------------------------------------------------
+
+_W3 = np.array([0.5, 1.0, 2.0])
+_SPD3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]])
+
+# kinds whose rows go through the arithmetic of a single call: bitwise equal
+ELEMENTWISE_KINDS = [
+    pt.PowerNorm(3.0, _W3),
+    pt.PowerNorm(1.5, _W3),
+    pt.AnisotropicDualQuadratic(_W3),
+    pt.OneHomPlusQuad(0.4, 1.5, _W3),
+    pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3),
+    pt.Rescaled(pt.OneHomPlusQuad(0.4, 1.5, _W3)),
+    pt.InfConvolution(
+        pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3),
+        pt.BlockIndicator(pt.OneHomPlusQuad(0.4, 1.5, dim=1), [1], 3),
+    ),
+    # no closed form: every row is decomposed on its own
+    pt.InfConvolution(pt.PowerNorm(3.0, _W3), pt.AnisotropicDualQuadratic(_W3)),
+    pt.InfConvolution(pt.OneHomPlusQuad(0.4, 1.5, _W3), pt.PowerNorm(2.0, _W3)),
+]
+# kinds with a matrix product: equal to rounding
+MATRIX_KINDS = [
+    pt.QuadraticForm(_SPD3),
+    pt.BlockIndicator(pt.QuadraticForm(_SPD3[:2, :2]), [0, 1], 3),
+    pt.Rescaled(pt.QuadraticForm(_SPD3)),
+    pt.InfConvolution(pt.QuadraticForm(_SPD3), pt.PowerNorm(2.0, _W3)),
+    pt.InfConvolution(
+        pt.BlockIndicator(pt.QuadraticForm(_SPD3[:2, :2]), [0, 1], 3),
+        pt.BlockIndicator(pt.PowerNorm(3.0, dim=1), [2], 3),
+    ),
+]
+
+rows_3 = st.lists(
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3), min_size=1, max_size=5
+)
+
+
+def _assert_rows_match(P, rows, exact):
+    rows = np.array(rows)
+    for method in (P.__call__, P.conjugate):
+        batch = method(rows)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(rows),)
+        for row, value in zip(rows, batch):
+            single = method(row)
+            assert type(single) is float
+            if exact:
+                assert value == single or (math.isnan(value) and math.isnan(single))
+            else:
+                # the absolute floor only admits subnormal results
+                assert math.isclose(value, single, rel_tol=1e-13, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("P", ELEMENTWISE_KINDS, ids=lambda P: type(P).__name__)
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_3)
+def test_batch_rows_equal_single_calls_bitwise(P, rows):
+    _assert_rows_match(P, rows, exact=True)
+
+
+@pytest.mark.parametrize("P", MATRIX_KINDS, ids=lambda P: type(P).__name__)
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_3)
+def test_batch_rows_equal_single_calls_to_rounding(P, rows):
+    _assert_rows_match(P, rows, exact=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_3, moves=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_batch_block_indicator_rows_moving_the_frozen_block_are_infinite(rows, moves):
+    P = pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3)
+    rows = np.array(rows)
+    rows[:, 1] = np.where(moves[: len(rows)], 1.0, 0.0)
+    batch = P(rows)
+    assert list(np.isinf(batch)) == moves[: len(rows)]
+    assert list(batch) == [P(row) for row in rows]
+
+
+def test_batch_row_length_is_checked():
+    with pytest.raises(InputError):
+        pt.PowerNorm(2.0, dim=3)(np.ones((4, 2)))

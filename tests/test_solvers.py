@@ -384,6 +384,30 @@ def test_effective_block_is_simultaneous_implicit_step():
     assert np.linalg.norm(rz_vec) <= 1e-9
 
 
+def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
+    preset = make_model("visco-plasticity-1d", m=6)
+    system = preset.system
+    grads, probes = [], []
+    grad, has_grad = en.QuadraticBlockEnergy.grad, sv._has_grad
+
+    def counted_grad(self, t, u):
+        grads.append(t)
+        return grad(self, t, u)
+
+    def counted_probe(R):
+        probes.append(R)
+        return has_grad(R)
+
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "grad", counted_grad)
+    monkeypatch.setattr(sv, "_has_grad", counted_probe)
+    res = sv._joint_block_residual(system, 0.5, preset.u0, preset.u0 + 0.01, 0.1, True)
+    assert len(grads) == 1 and res > 0.0
+    # the smoothness of the y potential is probed once per step, not per sweep
+    _, _, stats = sv._joint_block_prox(system, 0.5, preset.u0, 0.25, 1e-12)
+    assert stats.iterations > 1
+    assert len(probes) == 1
+
+
 def test_effective_stationary():
     E = en.QuadraticBlockEnergy(A=np.eye(2))
     sys = sv.GradientSystem(
