@@ -3,7 +3,7 @@
 The library builds trajectories for generalized gradient systems whose dual
 dissipation potential is a sum of two parts, by time splitting (concatenated
 single-mechanism flows), by Alternating Minimizing Movements, by staggered
-block schemes, and by the effective inf-convolution flow, and audits every
+block schemes, and by the effective inf-convolution flow, and checks every
 run through energy-dissipation-balance diagnostics.
 """
 

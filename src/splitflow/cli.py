@@ -37,12 +37,9 @@ class RunConfig:
     inner_steps: int = 8
     tol: float = 1e-10
     out: str = None
-    jobs: int = 1
     seed: int = 0
     study: list = None
     samples: int = 1000
-    audits: dict = field(default_factory=lambda: {"edb": True, "remainder": True,
-                                                  "decomposition": True})
 
     def validate(self):
         if self.model not in MODEL_NAMES:
@@ -55,8 +52,6 @@ class RunConfig:
             raise InputError("inner steps must be an even count >= 2")
         if self.tol <= 0:
             raise InputError("tolerance must be positive")
-        if self.jobs < 1:
-            raise InputError("jobs must be at least 1")
         return self
 
 
@@ -76,8 +71,7 @@ def _load_config(path):
 
 
 def _apply_flags(cfg: RunConfig, args):
-    for attr in ("model", "scheme", "inner_steps", "tol", "out", "jobs", "seed",
-                 "samples"):
+    for attr in ("model", "scheme", "inner_steps", "tol", "out", "seed", "samples"):
         val = getattr(args, attr.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, attr, val)
@@ -94,67 +88,68 @@ def _apply_flags(cfg: RunConfig, args):
     return cfg
 
 
-def _echo_config(cfg: RunConfig, out_dir):
+def _write(out_dir, files):
+    """Write each ``{name: payload}`` into ``out_dir``: CSV payloads through
+    their own ``to_csv(path)``, anything else as sorted, indented JSON."""
+    for name, payload in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            payload.to_csv(path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def _setup(cfg: RunConfig, suffix):
+    """The preset and the output directory of a command; the directory gets
+    the config echo before any solve."""
+    preset = make_model(cfg.model, **cfg.overrides)
+    out_dir = cfg.out or os.path.join(_default_out_root(), f"{cfg.model}{suffix}")
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"version": __version__, "config": asdict(cfg)}
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write(out_dir, {"config.json": {"version": __version__, "config": asdict(cfg)}})
+    return preset, out_dir
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    preset = make_model(cfg.model, **cfg.overrides)
-    out_dir = cfg.out or os.path.join(_default_out_root(), f"{cfg.model}-{cfg.scheme}")
-    _echo_config(cfg, out_dir)
+    preset, out_dir = _setup(cfg, f"-{cfg.scheme}")
     P = build_partition(preset.horizon, N=cfg.N, nodes=cfg.nodes)
     out = solve(preset.system, cfg.scheme, P, preset.u0, cfg.tol, cfg.inner_steps)
-    out.u_linear.to_csv(os.path.join(out_dir, "trajectory.csv"))
-    out.xi.to_csv(os.path.join(out_dir, "forces.csv"))
+    _write(out_dir, {"trajectory.csv": out.u_linear, "forces.csv": out.xi})
 
+    # exact piecewise-affine flows satisfy the balance; minimizing-movement
+    # realizations guarantee only the one-sided estimate
+    form = "balance" if out.segments is not None else "inequality"
+    report = edb_audit(out, preset.system, form=form)
     summary = {
         "model": cfg.model,
         "scheme": cfg.scheme,
         "N": P.N,
         "version": __version__,
         "terminal_state": out.node_states()[-1].tolist(),
+        "edb_residual": report.residual,
+        "edb_passed": report.passed,
     }
     ttz = time_to_zero(out)
     if ttz is not None:
         summary["time_to_zero"] = ttz
-
-    status = 0
-    if cfg.audits.get("edb", True):
-        # exact piecewise-affine flows satisfy the balance; minimizing-movement
-        # realizations guarantee only the one-sided estimate
-        form = "balance" if out.segments is not None else "inequality"
-        report = edb_audit(out, preset.system, form=form,
-                           with_decomposition=cfg.audits.get("decomposition", True))
-        report.to_json(os.path.join(out_dir, "edb.json"))
-        summary["edb_residual"] = report.residual
-        summary["edb_passed"] = report.passed
-        if report.v1 is not None:
-            report.v1.to_csv(os.path.join(out_dir, "decomposition_v1.csv"))
-            report.v2.to_csv(os.path.join(out_dir, "decomposition_v2.csv"))
-        if not report.passed:
-            print(
-                f"EDB audit failed: residual {report.residual:.3e} "
-                f"exceeds slack {report.slack:.3e}",
-                file=_sys.stderr,
-            )
-            status = 1
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    files = {"edb.json": report.to_dict(), "summary.json": summary}
+    if report.v1 is not None:
+        files.update({"decomposition_v1.csv": report.v1, "decomposition_v2.csv": report.v2})
+    _write(out_dir, files)
+    if not report.passed:
+        print(
+            f"EDB audit failed: residual {report.residual:.3e} "
+            f"exceeds slack {report.slack:.3e}",
+            file=_sys.stderr,
+        )
     print(json.dumps(summary, sort_keys=True))
-    return status
+    return 0 if report.passed else 1
 
 
 def cmd_study(cfg: RunConfig) -> int:
     if not cfg.study:
         raise InputError("study needs a comma-separated N list (--study)")
-    preset = make_model(cfg.model, **cfg.overrides)
-    out_dir = cfg.out or os.path.join(
-        _default_out_root(), f"{cfg.model}-{cfg.scheme}-study"
-    )
-    _echo_config(cfg, out_dir)
+    preset, out_dir = _setup(cfg, f"-{cfg.scheme}-study")
     table = convergence_study(
         preset.system,
         preset.u0,
@@ -163,17 +158,14 @@ def cmd_study(cfg: RunConfig) -> int:
         T=preset.horizon,
         tol=cfg.tol,
         inner=cfg.inner_steps,
-        jobs=cfg.jobs,
     )
-    table.to_csv(os.path.join(out_dir, "study.csv"))
+    _write(out_dir, {"study.csv": table})
     print(f"study written to {os.path.join(out_dir, 'study.csv')}")
     return 0
 
 
 def cmd_probe_qye(cfg: RunConfig) -> int:
-    preset = make_model(cfg.model, **cfg.overrides)
-    out_dir = cfg.out or os.path.join(_default_out_root(), f"{cfg.model}-qye")
-    _echo_config(cfg, out_dir)
+    preset, out_dir = _setup(cfg, "-qye")
     rng = np.random.default_rng(cfg.seed)
     dim = preset.system.dim
     r_eff = effective_potential(preset.system)
@@ -191,8 +183,7 @@ def cmd_probe_qye(cfg: RunConfig) -> int:
         "worst_pair": [fit.worst_pair[0].tolist(), fit.worst_pair[1].tolist()],
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "qye.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write(out_dir, {"qye.json": payload})
     print(json.dumps({"c_est": fit.c_est, "C_est": fit.C_est}, sort_keys=True))
     return 0
 
@@ -206,7 +197,7 @@ def cmd_list_models(_cfg) -> int:
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="splitflow",
-        description="Split-step / alternating minimizing-movement runs and audits",
+        description="Audited split-step / alternating minimizing-movement runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -219,7 +210,6 @@ def build_parser():
         sp.add_argument("--inner-steps", type=int, dest="inner_steps")
         sp.add_argument("--tol", type=float)
         sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--samples", type=int)
         sp.add_argument(

@@ -1,4 +1,4 @@
-"""Energy-dissipation-balance audits and convergence studies.
+"""Energy-dissipation-balance audit and convergence studies.
 
 The rate term integrates the rescaled primal potentials along the scheme
 rate, alternating between the two mechanisms on left/right semi-intervals;
@@ -17,14 +17,13 @@ inequality form satisfied by the minimizing-movement schemes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .partitions import SampledCurve, repetition_apply
+from .partitions import DEFAULT_INNER_FACTOR, SampledCurve, build_partition, repetition_apply
 from .potentials import Potential, Rescaled
 from .solvers import (
     GradientSystem,
@@ -181,30 +180,9 @@ class EDBReport:
     v2: SampledCurve = field(default=None, repr=False)
 
     def to_dict(self):
-        d = {
-            "interval": [self.interval[0], self.interval[1]],
-            "form": self.form,
-            "d_rate": self.d_rate,
-            "d_slope": self.d_slope,
-            "power_integral": self.power_integral,
-            "energy_start": self.energy_start,
-            "energy_end": self.energy_end,
-            "residual": self.residual,
-            "slack": self.slack,
-            "passed": self.passed,
-            "quadrature_error": self.quadrature_error,
-            "inner_budget": self.inner_budget,
-        }
-        for key in ("remainder", "remainder_bound", "decomposition_defect",
-                    "decomposition_value_gap"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        return d
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        """Every scalar term that was computed; the curves are left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("v1", "v2") and getattr(self, f.name) is not None}
 
 
 def _trajectory_state(out, t):
@@ -430,7 +408,6 @@ def convergence_study(
     reference_factor=16,
     tol=1e-10,
     inner=None,
-    jobs=None,
 ) -> StudyTable:
     """Refinement study of a scheme against the effective reference.
 
@@ -438,10 +415,6 @@ def convergence_study(
     ``reference_factor`` relative to the finest tested N (for systems with
     an exact regime solver that trajectory is exact regardless of N).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .partitions import DEFAULT_INNER_FACTOR, build_partition
-
     N_list = list(N_list)
     if any(n2 <= n1 for n1, n2 in zip(N_list, N_list[1:])):
         raise InputError("N list must be increasing")
@@ -462,8 +435,6 @@ def convergence_study(
         ]
         form = "inequality" if out.is_movement else "balance"
         report = edb_audit(out, sys, form=form)
-        pair_rate = report.d_rate
-        pair_slope = report.d_slope
         v1 = repetition_apply(1, P, out.rate).cell_values
         v2 = repetition_apply(2, P, out.rate).cell_values
         ref_rate = _reference_rate(ref_out, out.grid.cell_midpoints())
@@ -475,17 +446,12 @@ def convergence_study(
             "sup_error": max(errs),
             "empirical_order": None,
             "edb_residual": report.residual,
-            "rate_gap": abs(pair_rate - ref_rate_int),
-            "slope_gap": abs(pair_slope - ref_slope_int),
+            "rate_gap": abs(report.d_rate - ref_rate_int),
+            "slope_gap": abs(report.d_slope - ref_slope_int),
             "decomposition_defect": defect,
         }
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_row, N_list))
-    else:
-        rows = [one_row(N) for N in N_list]
-
+    rows = [one_row(N) for N in N_list]
     for prev, row in zip(rows, rows[1:]):
         e0, e1 = prev["sup_error"], row["sup_error"]
         n0, n1 = prev["N"], row["N"]

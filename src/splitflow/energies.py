@@ -51,7 +51,7 @@ class Load:
     """Closed-form load c0 + c1 t + amp sin(omega t + phase), per coordinate.
 
     Keeping loads in closed form makes the power term exact, which the
-    energy-dissipation audits rely on.
+    energy-dissipation audit relies on.
     """
 
     c0: np.ndarray
@@ -233,10 +233,6 @@ class EnergySpec:
     def hess(self, t, u) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
 
-    @property
-    def is_smooth(self):
-        return True
-
     def _check(self, u):
         u = np.asarray(u, dtype=float).reshape(-1)
         if u.size != self.dim:
@@ -364,10 +360,6 @@ class MaxNormEnergy(EnergySpec):
     def __init__(self, shift=0.0):
         self.lambda_convexity = 0.0
         self._resolve_shift(shift)
-
-    @property
-    def is_smooth(self):
-        return False
 
     def eval(self, t, u):
         u = self._batch(u)

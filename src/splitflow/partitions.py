@@ -11,7 +11,6 @@ rewriting identities hold to machine precision.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,6 @@ class Partition:
         """True iff t lies in a left semi-interval (t^{k-1}, t^{k-1/2}]."""
         k = self.step_index(t)
         return t <= self.midpoints[k - 1]
-
-    def local_tau(self, t):
-        return float(self.taus[self.step_index(t) - 1])
 
     def refine(self, inner_factor=DEFAULT_INNER_FACTOR):
         return RefinedGrid(self, inner_factor)
@@ -156,12 +152,6 @@ class RefinedGrid:
 
     def cell_midpoints(self):
         return 0.5 * (self.times[:-1] + self.times[1:])
-
-    def node_index_of(self, t, tol=1e-12):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol * max(1.0, self.partition.T):
-            raise InputError(f"time {t} is not a grid node")
-        return i
 
 
 INTERPOLANT_KINDS = (
@@ -240,18 +230,11 @@ class SampledCurve:
         return integrate(self, lambda v: float(np.linalg.norm(v)), interval)
 
     def to_csv(self, path):
+        cols = ",".join(["t"] + [f"v_{j + 1}" for j in range(self.dim)])
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self._csv_text())
-
-    def _csv_text(self):
-        buf = io.StringIO()
-        buf.write(f"# interpolant_kind: {self.kind}\n")
-        cols = ["t"] + [f"v_{j + 1}" for j in range(self.dim)]
-        buf.write(",".join(cols) + "\n")
-        for t, row in zip(self.grid.times, self.values):
-            cells = [format(t, ".16e")] + [format(x, ".16e") for x in row]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+            np.savetxt(fh, np.column_stack([self.grid.times, self.values]), fmt="%.16e",
+                       delimiter=",", header=f"# interpolant_kind: {self.kind}\n{cols}",
+                       comments="")
 
     @classmethod
     def from_csv(cls, path, grid):

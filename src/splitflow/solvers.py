@@ -18,7 +18,6 @@ crossing times.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -50,7 +49,6 @@ __all__ = [
     "solve",
     "split_step_solve",
     "amm_solve",
-    "block_solve",
     "effective_solve",
     "effective_potential",
     "time_to_zero",
@@ -430,55 +428,33 @@ def _regime_flow(dual_weights, t0, t1, u0, mechanism):
 # ---------------------------------------------------------------------------
 
 
-def _flow_cells(sys, which, cell_times, u_start, tol, record):
-    """March one mechanism across the cells [cell_times[0], ..., cell_times[-1]].
+def _exact_flows(times, u0, pieces):
+    """Concatenated exact regime flows, sampled on a cell grid.
 
-    Returns (u_end, node_values[1:], cell_forces).  ``record`` collects
-    segments for exact runs and iteration counts for prox runs.
+    Each piece ``(t0, t1, weights, label)`` flows from where the previous one
+    ended.  Returns the states at ``times``, the cell forces and the
+    segments.  A cell takes the force of the segment that holds its right
+    end, the state at which every prox path evaluates its force.
     """
-    E = sys.energy
-    R = sys.r1 if which == 1 else sys.r2
-    if R is None:
-        raise InputError(f"system has no mechanism {which}")
-
-    if _is_exact_pair(E, R):
-        weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
-        try:
-            u_end, segments = _regime_flow(
-                weights, float(cell_times[0]), float(cell_times[-1]), u_start, str(which)
-            )
-        except NumericalError:
-            warnings.warn("regime solver failed; falling back to prox stepping")
-            record.setdefault("warnings", []).append("regime-fallback")
-        else:
-            record.setdefault("segments", []).extend(segments)
-            nodes, forces = _sample_segments(segments, cell_times)
-            return u_end, nodes, forces
-
-    u = np.array(u_start, dtype=float)
-    nodes, forces = [], []
-    for a, b in zip(cell_times[:-1], cell_times[1:]):
-        u, xi, st = _half_step(sys, which, b, u, b - a, tol)
-        _record_prox(record, st)
-        nodes.append(np.array(u))
-        forces.append(xi)
-    return u, nodes, forces
-
-
-def _sample_segments(segments, times):
-    """Node states and cell forces of a segment-backed flow on a cell grid.
-
-    A cell takes the force of the segment that holds its right end, the
-    state at which every prox path evaluates its force.
-    """
-    nodes, forces = [], []
+    u, segments = u0, []
+    for t0, t1, weights, label in pieces:
+        u, segs = _regime_flow(weights, t0, t1, u, label)
+        segments += segs
+    nodes, forces = [u0], []
     si = 0
     for b in times[1:]:
         while segments[si].t1 < b - 1e-15 and si + 1 < len(segments):
             si += 1
         nodes.append(segments[si].state(min(b, segments[si].t1)))
-        forces.append(np.array(segments[si].xi))
-    return nodes, forces
+        forces.append(segments[si].xi)
+    return np.array(nodes), np.array(forces), segments
+
+
+def _cell_plan(sys, times, which):
+    """Step plan of one prox step per cell of ``times``: mechanism
+    ``which[i]`` on cell i, over the cell's width, evaluated at its right end."""
+    step = {j: partial(_half_step, sys, j) for j in (1, 2)}
+    return [(step[j], b, b - a) for j, a, b in zip(which, times[:-1], times[1:])]
 
 
 def _half_step(sys, which, t_eval, anchor, h, tol):
@@ -555,13 +531,20 @@ def substep_flow(sys: GradientSystem, which, interval, u_init, inner_steps=None)
     s, t = float(interval[0]), float(interval[1])
     if not 0.0 <= s < t:
         raise InputError("substep interval must be nondegenerate and nonnegative")
+    R = {1: sys.r1, 2: sys.r2}.get(which)
+    if R is None:
+        raise InputError(f"system has no mechanism {which}")
     M = DEFAULT_INNER_FACTOR if inner_steps is None else int(inner_steps)
-    local = Partition(np.array([0.0, t - s]))
-    grid = local.refine(M)
+    grid = Partition(np.array([0.0, t - s])).refine(M)
     cell_times = s + grid.times
-    record = {}
-    _, nodes, _ = _flow_cells(sys, which, cell_times, np.asarray(u_init, float), 1e-10, record)
-    values = np.vstack([np.asarray(u_init, float)[None, :], np.array(nodes)])
+    u0 = np.asarray(u_init, dtype=float).reshape(-1)
+    if _is_exact_pair(sys.energy, R):
+        weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
+        piece = (cell_times[0], cell_times[-1], weights, str(which))
+        values, _, _ = _exact_flows(cell_times, u0, [piece])
+    else:
+        plan = _cell_plan(sys, cell_times, [which] * grid.n_cells)
+        _, values, _ = _movements(grid, u0, plan, 1e-10, {})
     return SampledCurve(grid, values, "piecewise-linear")
 
 
@@ -615,25 +598,28 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
 def _movements(grid, u0, plan, tol, record):
     """Minimizing movements along a step plan.
 
-    Each plan entry ``(n, step, t_eval, h)`` solves one incremental problem
+    Each plan entry ``(step, t_eval, h)`` solves one incremental problem
     ``step(t_eval, anchor, h, tol)`` from the previous state and holds its
-    result on the next ``n`` cells.  Returns the node values of the linear
-    and the constant interpolant and the cell forces.
+    result on the next ``n`` cells, the same ``n`` for every entry.
+    Returns the node values of the linear and the constant interpolant and
+    the cell forces.
     """
+    n = grid.n_cells // len(plan)
     const = np.empty((grid.n_nodes, u0.size))
-    linear = np.empty_like(const)
-    const[0] = linear[0] = u0
+    const[0] = u0
     forces = np.empty((grid.n_cells, u0.size))
-    u_prev, i = u0, 0
-    for n, step, t_eval, h in plan:
-        u, xi, st = step(t_eval, u_prev, h, tol)
+    u = u0
+    for k, (step, t_eval, h) in enumerate(plan):
+        u, xi, st = step(t_eval, u, h, tol)
         _record_prox(record, st)
-        lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
-        const[i + 1 : i + n + 1] = u
-        # increment form keeps frozen block components exactly constant
-        linear[i + 1 : i + n + 1] = u_prev + lam * (u - u_prev)
-        forces[i : i + n] = xi
-        u_prev, i = u, i + n
+        const[k * n + 1 : (k + 1) * n + 1] = u
+        forces[k * n : (k + 1) * n] = xi
+    # increment form keeps frozen block components exactly constant
+    lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
+    start, end = const[:-1:n, None], const[n::n, None]
+    linear = np.empty_like(const)
+    linear[0] = u0
+    linear[1:] = (start + lam * (end - start)).reshape(-1, u0.size)
     return linear, const, forces
 
 
@@ -644,21 +630,20 @@ def split_step_solve(
     if sys.r2 is None:
         raise InputError("split stepping needs both dissipation mechanisms")
     grid = P.refine(inner_steps)
-    M = grid.M
-    u = np.asarray(u0, dtype=float).reshape(-1)
+    u0 = np.asarray(u0, dtype=float).reshape(-1)
     record = {}
-    node_vals, cell_forces = [u], []
-    for j in range(2 * P.N):
-        # semi-interval j: mechanism 1 on left halves, 2 on right halves
-        u, nodes, forces = _flow_cells(
-            sys, 1 + j % 2, grid.times[j * M : (j + 1) * M + 1], u, tol, record
-        )
-        node_vals.extend(nodes)
-        cell_forces.extend(forces)
-    values = np.array(node_vals)
-    return _assemble_output(
-        "split", sys, grid, values, values, np.array(cell_forces), record, tol
-    )
+    # mechanism 1 on left semi-intervals, 2 on right ones
+    if _is_exact_pair(sys.energy, sys.r1) and _is_exact_pair(sys.energy, sys.r2):
+        ends = grid.times[:: grid.M]
+        # dual weights of R~* = 2 R*
+        weights = [2.0 * _unscaled(R).dual_weights for R in (sys.r1, sys.r2)]
+        pieces = [(float(a), float(b), weights[j % 2], str(1 + j % 2))
+                  for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
+    else:
+        plan = _cell_plan(sys, grid.times, np.where(grid.cell_is_left, 1, 2))
+        _, values, forces = _movements(grid, u0, plan, tol, record)
+    return _assemble_output("split", sys, grid, values, values, forces, record, tol)
 
 
 def amm_solve(
@@ -678,13 +663,12 @@ def amm_solve(
     if sys.r2 is None:
         raise InputError("alternating minimizing movements need both mechanisms")
     grid = P.refine(inner_factor)
-    M = grid.M
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     first, second = partial(_half_step, sys, 1), partial(_half_step, sys, 2)
     plan = []
     for k in range(P.N):
         h = P.taus[k] / 2.0
-        plan += [(M, first, P.midpoints[k], h), (M, second, P.nodes[k + 1], h)]
+        plan += [(first, P.midpoints[k], h), (second, P.nodes[k + 1], h)]
     record = {}
     linear, const, forces = _movements(grid, u0, plan, tol, record)
     u_var = _variational_interpolant(sys, grid, const, tol) if with_variational else None
@@ -713,25 +697,6 @@ def _variational_interpolant(sys, grid, const, tol):
     return SampledCurve(grid, vals, "variational")
 
 
-def block_solve(
-    sys: GradientSystem,
-    P: Partition,
-    u0,
-    mode="split",
-    tol=1e-10,
-    inner_steps=DEFAULT_INNER_FACTOR,
-):
-    """Staggered scheme for block systems: y moves on left semi-intervals
-    with z frozen, z moves on right semi-intervals with y frozen."""
-    if sys.block_layout is None:
-        raise InputError("block_solve requires a system with a block layout")
-    if mode == "amm":
-        return amm_solve(sys, P, u0, tol=tol, inner_factor=inner_steps)
-    if mode != "split":
-        raise InputError(f"unknown block mode {mode!r}")
-    return split_step_solve(sys, P, u0, inner_steps=inner_steps, tol=tol)
-
-
 def effective_potential(sys: GradientSystem) -> Potential:
     """The inf-convolution of the system's two dissipation potentials."""
     if sys.r2 is None:
@@ -754,12 +719,10 @@ def effective_solve(
 
     if sys.r2 is not None and _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
         weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
-        _, segments = _regime_flow(weights, 0.0, P.T, u0, "eff")
-        record["segments"] = segments
-        nodes, forces = _sample_segments(segments, grid.times)
-        values = np.array([u0] + nodes)
+        pieces = [(0.0, P.T, weights, "eff")]
+        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
         return _assemble_output(
-            "effective", sys, grid, values, values, np.array(forces), record, tol
+            "effective", sys, grid, values, values, forces, record, tol
         )
 
     # one minimizing movement of the effective potential per full step
@@ -770,7 +733,7 @@ def effective_solve(
         step = partial(_infconv_prox, E, R_eff)
     else:
         step = partial(_prox, E, R_eff)
-    plan = [(2 * grid.M, step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
+    plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
     linear, const, forces = _movements(grid, u0, plan, tol, record)
     return _assemble_output("effective", sys, grid, linear, const, forces, record, tol)
 
@@ -782,18 +745,21 @@ def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
     """Run the scheme named ``scheme``; one of ``SCHEMES``.
 
     AMM runs carry the variational interpolant, which the audit reads.  The
-    entry points are looked up by name at call time, so wrapping one of
-    them (as a profiler does) also wraps this dispatch.
+    ``block-`` names are the staggered block schemes: split and AMM (without
+    the variational interpolant) on a system with a block layout, where y
+    moves on left semi-intervals with z frozen and z on right ones with y
+    frozen.  The entry points are looked up by name at call time, so
+    wrapping one of them (as a profiler does) also wraps this dispatch.
     """
-    if scheme == "split":
+    if scheme in ("block-split", "block-amm") and sys.block_layout is None:
+        raise InputError(f"scheme {scheme!r} requires a system with a block layout")
+    if scheme in ("split", "block-split"):
         return split_step_solve(sys, P, u0, inner_steps=inner, tol=tol)
-    if scheme == "amm":
-        return amm_solve(sys, P, u0, tol=tol, with_variational=True, inner_factor=inner)
+    if scheme in ("amm", "block-amm"):
+        return amm_solve(sys, P, u0, tol=tol, with_variational=scheme == "amm",
+                         inner_factor=inner)
     if scheme == "effective":
         return effective_solve(sys, P, u0, tol=tol, inner_factor=inner)
-    if scheme in ("block-split", "block-amm"):
-        return block_solve(sys, P, u0, mode=scheme[len("block-"):], tol=tol,
-                           inner_steps=inner)
     raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 

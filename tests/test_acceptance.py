@@ -144,7 +144,7 @@ def test_criterion_5_edb_audits():
     for sysd, u0, scheme, N in runs:
         P = pa.build_partition(1.0, N=N)
         if scheme == "block-amm":
-            out = sv.block_solve(sysd, P, u0, mode="amm")
+            out = sv.solve(sysd, "block-amm", P, u0, 1e-10, 8)
         else:
             out = sv.amm_solve(sysd, P, u0, with_variational=True)
         worst_gap = -math.inf
@@ -273,14 +273,14 @@ def test_criterion_9_block_system():
     E = sys.energy
     ok = True
     for mode in ("amm", "split"):
-        out = sv.block_solve(sys, P, preset.u0, mode=mode)
+        out = sv.solve(sys, f"block-{mode}", P, preset.u0, 1e-10, 8)
         times = np.sort(np.concatenate([P.nodes[1:], P.midpoints]))
         vals = [E.eval(0.0, preset.u0)]
         vals += [E.eval(0.0, out.u_const.at(t)) for t in times]
         ok = ok and all(b <= a + 1e-11 for a, b in zip(vals, vals[1:]))
 
     stiff = make_model("visco-plasticity-1d", m=8, sigma_yield=50.0)
-    out = sv.block_solve(stiff.system, P, stiff.u0, mode="amm")
+    out = sv.solve(stiff.system, "block-amm", P, stiff.u0, 1e-10, 8)
     _, idx_z = stiff.system.block_indices()
     z_path = out.u_linear.values[:, idx_z]
     frozen = np.array_equal(z_path, np.tile(stiff.u0[idx_z], (len(z_path), 1)))

@@ -64,8 +64,7 @@ def test_study_writes_table(tmp_path):
     out_dir = tmp_path / "study"
     code = run_cli(
         ["study", "--model", "allen-cahn-1d", "--scheme", "amm",
-         "--study", "4,8", "--override", "m=6", "--out", str(out_dir),
-         "--jobs", "2"]
+         "--study", "4,8", "--override", "m=6", "--out", str(out_dir)]
     )
     assert code == 0
     lines = (out_dir / "study.csv").read_text().splitlines()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -167,18 +168,31 @@ def test_edb_stationary_all_terms_zero():
     assert rep.energy_end - rep.energy_start == 0.0
 
 
-def test_edb_report_serialization(tmp_path):
+def test_edb_report_serialization():
     sys = make_model("counterexample").system
     P = pa.build_partition(1.0, N=8)
     out = sv.split_step_solve(sys, P, [2.0, 1.0])
     rep = dg.edb_audit(out, sys)
-    path = tmp_path / "edb.json"
-    rep.to_json(path)
-    import json
-
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(rep.to_dict()))
     for key in ("d_rate", "d_slope", "residual", "slack", "passed", "interval"):
         assert key in data
+    assert "v1" not in data and "v2" not in data
+
+
+def test_split_with_one_exact_mechanism_is_audited_over_the_whole_run():
+    # r1 pairs exactly with the max-norm energy, r2 does not; the run must
+    # dissipate through both mechanisms, not through mechanism 1 alone
+    E = en.MaxNormEnergy(shift=2.0)
+    sys = sv.GradientSystem(E, pt.AnisotropicDualQuadratic([1.0, 3.0]),
+                            pt.QuadraticForm(np.diag([1.0 / 3.0, 1.0])))
+    P = pa.build_partition(1.0, N=64)
+    out = sv.split_step_solve(sys, P, [2.0, 1.0])
+    assert out.segments is None
+    assert len(out.stats["inner_iterations"]) == out.grid.n_cells
+    rep = dg.edb_audit(out, sys, form="inequality")
+    drop = rep.energy_start - rep.energy_end
+    assert rep.d_rate == pytest.approx(0.5 * drop, rel=1e-3)
+    assert rep.passed
 
 
 def test_edb_decomposition_counterexample():

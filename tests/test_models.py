@@ -93,7 +93,7 @@ def test_allen_cahn_r2_conjugate_is_laplacian_solve():
 def test_visco_infinite_yield_freezes_plastic_strain():
     preset = md.make_model("visco-plasticity-1d", sigma_yield=1e6)
     P = pa.build_partition(1.0, N=4)
-    out = sv.block_solve(preset.system, P, preset.u0, mode="amm")
+    out = sv.solve(preset.system, "block-amm", P, preset.u0, 1e-10, 8)
     _, idx_z = preset.system.block_indices()
     z_path = out.u_linear.values[:, idx_z]
     np.testing.assert_array_equal(z_path, np.tile(preset.u0[idx_z], (len(z_path), 1)))

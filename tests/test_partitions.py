@@ -238,12 +238,19 @@ def test_csv_round_trip(tmp_path):
     P = pa.build_partition(1.0, N=2)
     grid = P.refine(2)
     rng = np.random.default_rng(4)
-    g = pa.SampledCurve(grid, rng.standard_normal((grid.n_nodes, 3)))
+    values = rng.standard_normal((grid.n_nodes, 3))
+    values[1] = [0.0, -0.0, np.inf]
+    values[2] = [-np.inf, np.nan, 5e-324]
+    g = pa.SampledCurve(grid, values)
     path = tmp_path / "curve.csv"
     g.to_csv(path)
     text = path.read_text()
     assert text.startswith("# interpolant_kind: piecewise-linear")
-    assert text.splitlines()[1] == "t,v_1,v_2,v_3"
+    lines = text.splitlines()
+    assert lines[1] == "t,v_1,v_2,v_3"
+    for i in (1, 2):
+        row = [grid.times[i], *values[i]]
+        assert lines[2 + i] == ",".join(f"{x:.16e}" for x in row)
     back = pa.SampledCurve.from_csv(path, grid)
     np.testing.assert_array_equal(back.values, g.values)
     assert back.kind == g.kind

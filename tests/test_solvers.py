@@ -135,6 +135,24 @@ def test_substep_velocity_second_mechanism():
     np.testing.assert_allclose(rate, [-6.0, 0.0], atol=1e-12)
 
 
+def test_substep_prox_branch_is_a_loop_of_prox_steps():
+    # allen-cahn pairs no mechanism exactly: one prox step of R~_1 per cell
+    sys = make_model("allen-cahn-1d", m=4).system
+    u = np.array([0.3, 0.5, -0.2, 0.1])
+    curve = sv.substep_flow(sys, 1, (0.25, 0.75), u, inner_steps=4)
+    times = 0.25 + curve.grid.times
+    expected = [u]
+    for a, b in zip(times[:-1], times[1:]):
+        u, _ = sv.prox_step(sys.energy, pt.Rescaled(sys.r1), b, u, b - a)
+        expected.append(u)
+    np.testing.assert_array_equal(curve.values, np.array(expected))
+
+
+def test_substep_rejects_an_unknown_mechanism():
+    with pytest.raises(InputError):
+        sv.substep_flow(counterexample_system(), 3, (0.0, 0.25), [2.0, 1.0])
+
+
 def test_effective_diagonal_velocity():
     sys = counterexample_system()
     P = pa.build_partition(0.25, N=2)
@@ -292,7 +310,7 @@ def test_block_y_half_step_is_linear_solve():
     preset = make_model("visco-plasticity-1d", m=8)
     sys = preset.system
     P = pa.build_partition(1.0, N=4)
-    out = sv.block_solve(sys, P, preset.u0, mode="amm", tol=1e-12)
+    out = sv.solve(sys, "block-amm", P, preset.u0, 1e-12, 8)
     idx_y, idx_z = sys.block_indices()
     tau = P.taus[0]
     y0 = preset.u0[idx_y]
@@ -308,7 +326,7 @@ def test_block_z_frozen_on_left_y_frozen_on_right():
     preset = make_model("visco-plasticity-1d", m=6)
     sys = preset.system
     P = pa.build_partition(1.0, N=3)
-    out = sv.block_solve(sys, P, preset.u0, mode="amm")
+    out = sv.solve(sys, "block-amm", P, preset.u0, 1e-10, 8)
     idx_y, idx_z = sys.block_indices()
     for k in range(P.N):
         start = out.u_const.at(P.nodes[k] + 1e-12)
@@ -323,7 +341,7 @@ def test_block_large_yield_freezes_z_exactly():
     sys = preset.system
     P = pa.build_partition(1.0, N=5)
     for mode in ("amm", "split"):
-        out = sv.block_solve(sys, P, preset.u0, mode=mode)
+        out = sv.solve(sys, f"block-{mode}", P, preset.u0, 1e-10, 8)
         idx_y, idx_z = sys.block_indices()
         z_vals = out.u_linear.values[:, idx_z]
         np.testing.assert_array_equal(z_vals, np.tile(preset.u0[idx_z], (len(z_vals), 1)))
@@ -335,7 +353,7 @@ def test_block_energy_monotone_zero_loads():
     P = pa.build_partition(1.0, N=6)
     E = sys.energy
     for mode in ("amm", "split"):
-        out = sv.block_solve(sys, P, preset.u0, mode=mode)
+        out = sv.solve(sys, f"block-{mode}", P, preset.u0, 1e-10, 8)
         checkpoints = np.sort(np.concatenate([P.nodes[1:], P.midpoints]))
         vals = [E.eval(0.0, preset.u0)]
         vals += [E.eval(0.0, out.u_const.at(t)) for t in checkpoints]
@@ -606,10 +624,8 @@ def test_solve_dispatch_matches_entry_points():
         "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, with_variational=True,
                             inner_factor=inner),
         "effective": sv.effective_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
-        "block-split": sv.block_solve(vp.system, P, vp.u0, mode="split", tol=tol,
-                                      inner_steps=inner),
-        "block-amm": sv.block_solve(vp.system, P, vp.u0, mode="amm", tol=tol,
-                                    inner_steps=inner),
+        "block-split": sv.split_step_solve(vp.system, P, vp.u0, inner_steps=inner, tol=tol),
+        "block-amm": sv.amm_solve(vp.system, P, vp.u0, tol=tol, inner_factor=inner),
     }
     assert set(direct) == set(sv.SCHEMES)
     for name, ref in direct.items():
@@ -621,6 +637,9 @@ def test_solve_dispatch_matches_entry_points():
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_array_equal(a.values, b.values)
+    for name in ("block-split", "block-amm"):
+        with pytest.raises(InputError):
+            sv.solve(ce, name, P, [2.0, 1.0], tol, inner)
 
 
 def test_solve_rejects_unknown_scheme():
