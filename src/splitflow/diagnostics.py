@@ -197,8 +197,13 @@ def _trajectory_state(out, t):
 
 
 def _power_integral(E, out, interval):
-    """Midpoint quadrature of d_t E along the run, with an error estimate."""
-    curve = out.u_variational
+    """Midpoint quadrature of d_t E along the run, with an error estimate.
+
+    The variational interpolant is read only when E depends on time: for an
+    autonomous energy the power vanishes on every curve, so the run's own
+    interpolant serves and the variational one is never built.
+    """
+    curve = None if E.autonomous else out.u_variational
     if curve is None:
         curve = out.u_const if out.is_movement else out.u_linear
     cells, lo, hi = _clip_cells(out.grid, interval)
@@ -283,7 +288,7 @@ def edb_audit(
         remainder, remainder_bound = remainder_term(out, E, interval)
     if (
         form == "inequality"
-        and out.u_variational is None
+        and out.variational is None
         and remainder_bound is not None
     ):
         # without the variational interpolant the one-sided estimate carries

@@ -84,6 +84,11 @@ class Load:
     def dim(self):
         return self.c0.size
 
+    @property
+    def is_constant(self):
+        """True when l'(t) = 0 for every t: no drift, and no oscillation."""
+        return not self.c1.any() and (not self.amp.any() or self.omega == 0.0)
+
     def value(self, t):
         """l(t); one row per time for a one-dimensional array of times."""
         if not _is_time_array(t):
@@ -203,6 +208,8 @@ class EnergySpec:
     dim: int
     shift: float
     lambda_convexity: float
+    # True when d_t E = 0 identically; the power integral then vanishes
+    autonomous = False
 
     def _resolve_shift(self, shift):
         """Numeric shifts pass through; 'auto' samples for a positive floor."""
@@ -291,6 +298,10 @@ class QuadraticBlockEnergy(EnergySpec):
     def dim(self):
         return self.n_y + self.n_z
 
+    @property
+    def autonomous(self):
+        return self.f.is_constant and self.g.is_constant
+
     def split_state(self, u):
         u = self._check(u)
         return u[: self.n_y], u[self.n_y :]
@@ -356,6 +367,7 @@ class MaxNormEnergy(EnergySpec):
     """
 
     dim = 2
+    autonomous = True
 
     def __init__(self, shift=0.0):
         self.lambda_convexity = 0.0
@@ -442,6 +454,10 @@ class AllenCahn1DEnergy(EnergySpec):
     @property
     def dim(self):
         return self.m
+
+    @property
+    def autonomous(self):
+        return self.load.is_constant
 
     def eval(self, t, u):
         u = self._batch(u)

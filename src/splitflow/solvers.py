@@ -105,7 +105,12 @@ class Segment:
 
 @dataclass
 class SchemeOutput:
-    """Interpolants, forces, and statistics of one scheme run."""
+    """Interpolants, forces, and statistics of one scheme run.
+
+    ``variational`` is the recipe of the variational interpolant, a callable
+    of no arguments, or None for runs without one; ``u_variational`` builds
+    the curve from it on first read.
+    """
 
     scheme: str
     partition: Partition
@@ -114,7 +119,7 @@ class SchemeOutput:
     u_delayed: SampledCurve
     u_linear: SampledCurve
     xi: SampledCurve
-    u_variational: SampledCurve = None
+    variational: object = None
     segments: list = None
     stats: dict = field(default_factory=dict)
 
@@ -136,6 +141,11 @@ class SchemeOutput:
     def rate(self):
         """Piecewise-constant rate of the linear interpolant, taken once."""
         return self.u_linear.derivative()
+
+    @cached_property
+    def u_variational(self):
+        """The variational interpolant, built once on first read, or None."""
+        return None if self.variational is None else self.variational()
 
     def node_states(self):
         """Trajectory values at the partition nodes."""
@@ -202,12 +212,17 @@ def _prox_quadratic(E, VR, t, anchor, h):
     return u, xi, _ProxStats(1, res, "linear-solve")
 
 
+def _is_diagonal(M):
+    """True when every off-diagonal entry of M is exactly zero."""
+    return not np.count_nonzero(M - np.diag(np.diag(M)))
+
+
 def _prox_shrinkage(E, parts, t, anchor, h, tol, max_iter=10000):
     """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d)."""
     sigma_w, quad_w = parts
     H = E.hess(t, anchor)
     g_anchor = E.grad(t, anchor)
-    diag_only = np.allclose(H, np.diag(np.diag(H)))
+    diag_only = _is_diagonal(H)
     curv = np.diag(H) + quad_w / h
     if diag_only:
         d = -np.sign(g_anchor) * np.maximum(np.abs(g_anchor) - sigma_w, 0.0) / curv
@@ -286,7 +301,7 @@ def _prox_newton(E, R, t, anchor, h, tol, max_iter=100):
 def _prox_maxnorm(E, R, t, anchor, h):
     """Exact prox for the max-norm energy with a diagonal quadratic metric."""
     VR = R.quadratic_matrix()
-    if VR is None or not np.allclose(VR, np.diag(np.diag(VR))):
+    if VR is None or not _is_diagonal(VR):
         raise InputError("max-norm prox requires a diagonal quadratic potential")
     c = 1.0 / np.diag(VR)  # dual weights: dual_rate(xi) = c * xi
     a1, a2 = anchor
@@ -561,13 +576,14 @@ def _delayed_values(u_const: SampledCurve, grid: RefinedGrid, u0):
 
 
 def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
-                     u_variational=None):
+                     variational=None):
     """Build the ``SchemeOutput`` of a run; every scheme ends here.
 
     ``linear`` and ``const`` are the node values of the two interpolants
-    (one array for flows sampled at their nodes) and ``forces`` has one row
-    per cell.  Split and AMM runs of a block system are the staggered block
-    schemes and take the ``block-`` prefix.
+    (one array for flows sampled at their nodes), ``forces`` has one row
+    per cell and ``variational`` is the recipe of the variational
+    interpolant, if the run has one.  Split and AMM runs of a block system
+    are the staggered block schemes and take the ``block-`` prefix.
     """
     if sys.block_layout is not None and scheme != "effective":
         scheme = f"block-{scheme}"
@@ -589,7 +605,7 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
         ),
         u_linear=SampledCurve(grid, linear, "piecewise-linear"),
         xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
-        u_variational=u_variational,
+        variational=variational,
         segments=record.get("segments"),
         stats=stats,
     )
@@ -658,7 +674,9 @@ def amm_solve(
 
     Each step solves two incremental problems with the rescaled potentials:
     the first mechanism at the midpoint time from the previous endpoint, the
-    second at the node time from the intermediate state.
+    second at the node time from the intermediate state.  With
+    ``with_variational`` the output carries the variational interpolant,
+    built on its first read at the cost of one prox solve per cell.
     """
     if sys.r2 is None:
         raise InputError("alternating minimizing movements need both mechanisms")
@@ -671,8 +689,10 @@ def amm_solve(
         plan += [(first, P.midpoints[k], h), (second, P.nodes[k + 1], h)]
     record = {}
     linear, const, forces = _movements(grid, u0, plan, tol, record)
-    u_var = _variational_interpolant(sys, grid, const, tol) if with_variational else None
-    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol, u_var)
+    # the recipe keeps ``const``, which ``u_const`` makes read-only
+    recipe = partial(_variational_interpolant, sys, grid, const, tol)
+    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol,
+                            recipe if with_variational else None)
 
 
 def _variational_interpolant(sys, grid, const, tol):
@@ -744,12 +764,13 @@ SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
 def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
     """Run the scheme named ``scheme``; one of ``SCHEMES``.
 
-    AMM runs carry the variational interpolant, which the audit reads.  The
-    ``block-`` names are the staggered block schemes: split and AMM (without
-    the variational interpolant) on a system with a block layout, where y
-    moves on left semi-intervals with z frozen and z on right ones with y
-    frozen.  The entry points are looked up by name at call time, so
-    wrapping one of them (as a profiler does) also wraps this dispatch.
+    AMM runs carry the variational interpolant, which the audit reads only
+    for energies that depend on time.  The ``block-`` names are the
+    staggered block schemes: split and AMM (without the variational
+    interpolant) on a system with a block layout, where y moves on left
+    semi-intervals with z frozen and z on right ones with y frozen.  The
+    entry points are looked up by name at call time, so wrapping one of
+    them (as a profiler does) also wraps this dispatch.
     """
     if scheme in ("block-split", "block-amm") and sys.block_layout is None:
         raise InputError(f"scheme {scheme!r} requires a system with a block layout")

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitflow import diagnostics as dg
 from splitflow import energies as en
@@ -220,6 +223,125 @@ def test_fenchel_young_pointwise_along_run():
         xi = out.xi.cell_values[i]
         res = R(v) + R.conjugate(-xi) + float(xi @ v)
         assert res >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# the variational interpolant is built on demand
+# ---------------------------------------------------------------------------
+
+
+def count_interpolant_builds(monkeypatch):
+    """Wrap the interpolant builder; returns the list of its calls."""
+    calls = []
+    build = sv._variational_interpolant
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sv, "_variational_interpolant", counted)
+    return calls
+
+
+def loaded_allen_cahn():
+    load = en.Load([1.0, 0.5, -0.5, 0.2], c1=[0.3, 0.0, 0.0, -0.2],
+                   amp=[0.2, 0.1, 0.3, 0.0], omega=5.0)
+    return make_model("allen-cahn-1d", m=4, load=load)
+
+
+def test_audit_of_an_autonomous_amm_run_never_builds_the_interpolant(monkeypatch):
+    calls = count_interpolant_builds(monkeypatch)
+    preset = make_model("counterexample")
+    P = pa.build_partition(1.0, N=16)
+    out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, 8)
+    rep = dg.edb_audit(out, preset.system, form="inequality")
+    assert out.variational is not None
+    assert calls == []
+    assert rep.power_integral == 0.0 and rep.quadrature_error == 0.0
+    assert rep.passed
+
+
+def test_audit_of_a_loaded_amm_run_builds_the_interpolant_once(monkeypatch):
+    calls = count_interpolant_builds(monkeypatch)
+    preset = loaded_allen_cahn()
+    sys = preset.system
+    assert not sys.energy.autonomous
+    P = pa.build_partition(1.0, N=4)
+    out = sv.solve(sys, "amm", P, preset.u0, 1e-10, 8)
+    assert calls == []
+    rep = dg.edb_audit(out, sys, form="inequality")
+    assert len(calls) == 1
+    curve = out.u_variational
+    assert out.u_variational is curve and len(calls) == 1
+    assert rep.power_integral != 0.0
+
+    # a run whose interpolant was built before the audit gives the same report
+    eager = sv.solve(sys, "amm", P, preset.u0, 1e-10, 8)
+    assert eager.u_variational is not None
+    ref = dg.edb_audit(eager, sys, form="inequality")
+    for f in fields(rep):
+        a, b = getattr(rep, f.name), getattr(ref, f.name)
+        if isinstance(a, pa.SampledCurve):
+            assert a.values.tobytes() == b.values.tobytes()
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+# coefficients of a drawn load: zero, or bounded away from zero
+NONZERO = st.one_of(st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+COEF = st.one_of(st.just(0.0), NONZERO)
+
+
+@st.composite
+def loads(draw, dim):
+    """(constant, Load) for a load that is constant, drifting (c1 != 0),
+    oscillating (amp != 0 and omega != 0), or has an amplitude but omega = 0,
+    which is constant too."""
+    kind = draw(st.sampled_from(("constant", "drift", "wave", "frozen-wave")))
+
+    def vec(nonzero=False):
+        v = draw(st.lists(COEF, min_size=dim, max_size=dim))
+        if nonzero:
+            v[draw(st.integers(0, dim - 1))] = draw(NONZERO)
+        return v
+
+    c1 = amp = [0.0] * dim
+    omega = 0.0
+    if kind == "drift":
+        c1, amp = vec(nonzero=True), vec()
+        omega = draw(st.sampled_from([0.0, 3.0]))
+    elif kind != "constant":
+        amp = vec(nonzero=True)
+        omega = draw(st.floats(0.5, 8.0)) if kind == "wave" else 0.0
+    load = en.Load(vec(), c1, amp, omega, draw(st.floats(0.0, 3.0)))
+    return kind in ("constant", "frozen-wave"), load
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 4), N=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_autonomous_is_exactly_a_vanishing_power(m, N, data, seed):
+    (ac_const, ac), (f_const, f), (g_const, g) = (
+        data.draw(loads(m)), data.draw(loads(2)), data.draw(loads(1))
+    )
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    energies = [
+        (en.MaxNormEnergy(), True),
+        (en.QuadraticBlockEnergy(A, B=[[0.2, -0.1]], G=[[1.5]], f=f, g=g),
+         f_const and g_const),
+        (en.AllenCahn1DEnergy(m, load=ac), ac_const),
+    ]
+    rng = np.random.default_rng(seed)
+    for E, autonomous in energies:
+        assert E.autonomous is autonomous
+        ts, rows = rng.uniform(0.0, 1.0, 6), rng.standard_normal((6, E.dim))
+        assert autonomous == bool(np.all(E.power(ts, rows) == 0.0))
+
+    # the AMM inequality audit passes with and without a power term
+    preset = make_model("allen-cahn-1d", m=m, load=ac)
+    P = pa.build_partition(1.0, N=N)
+    out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, pa.DEFAULT_INNER_FACTOR)
+    assert dg.edb_audit(out, preset.system, form="inequality").passed
 
 
 # ---------------------------------------------------------------------------

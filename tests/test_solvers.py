@@ -116,6 +116,14 @@ def test_prox_positive_step_required():
         sv.prox_step(scalar_quadratic_energy(), quad_identity(), 0.0, [1.0], 0.0)
 
 
+def test_maxnorm_prox_rejects_a_nearly_diagonal_metric():
+    # the exact case table holds only for a diagonal metric; an off-diagonal
+    # entry below np.allclose's floor still couples the two coordinates
+    R = pt.QuadraticForm([[1.0, 5e-9], [5e-9, 1.0]])
+    with pytest.raises(InputError):
+        sv.prox_step(en.MaxNormEnergy(), R, 0.0, [2.0, 1.0], 0.1)
+
+
 # ---------------------------------------------------------------------------
 # substep_flow regime velocities
 # ---------------------------------------------------------------------------
