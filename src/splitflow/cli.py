@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import asdict, dataclass, field
@@ -137,11 +138,13 @@ def cmd_run(cfg: RunConfig) -> int:
         files.update({"decomposition_v1.csv": report.v1, "decomposition_v2.csv": report.v2})
     _write(out_dir, files)
     if not report.passed:
-        print(
-            f"EDB audit failed: residual {report.residual:.3e} "
-            f"exceeds slack {report.slack:.3e}",
-            file=_sys.stderr,
+        numbers = [x for x in report.to_dict().values() if isinstance(x, float)]
+        why = (
+            f"residual {report.residual:.3e} exceeds slack {report.slack:.3e}"
+            if all(map(math.isfinite, numbers))
+            else "a term of the audit is not finite"
         )
+        print(f"EDB audit failed: {why}", file=_sys.stderr)
     print(json.dumps(summary, sort_keys=True))
     return 0 if report.passed else 1
 

@@ -301,6 +301,10 @@ def edb_audit(
         passed = residual <= slack
     else:
         raise InputError(f"unknown audit form {form!r}")
+    # fail closed: an infinite slack or a non-finite term would pass anything
+    terms = (d_rate, d_slope, power, e_start, e_end, residual, slack, quad_err,
+             remainder, remainder_bound)
+    passed = passed and all(x is None or math.isfinite(x) for x in terms)
 
     report = EDBReport(
         interval=interval,

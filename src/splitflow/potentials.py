@@ -10,7 +10,10 @@ through compositions without exceptions.
 batch of rows of shape (n, dim) and return one value per row.  The single
 vector goes through the same arithmetic as one row of a batch, except where
 a matrix product is involved (quadratic forms and the quadratic-pair
-inf-convolution), where rows agree with single calls to rounding.
+inf-convolution), where rows agree with single calls to rounding.  The
+smooth kinds' ``grad`` and ``hess`` take batches as well, returning arrays
+of shape (n, dim) and (n, dim, dim); their single-vector results are
+unchanged by this.
 
 Kinds provided:
 
@@ -45,7 +48,6 @@ __all__ = [
     "Decomposition",
     "QyeFit",
     "PsiMinorant",
-    "dual_rate",
     "inf_conv_decompose",
     "fenchel_young_residual",
     "qye_probe",
@@ -74,20 +76,35 @@ def _quadratic(x, M):
     return 0.5 * np.einsum("ij,ij->i", x @ M, x)
 
 
+def _norm(x):
+    """Euclidean norm of one vector, or of each row of a batch."""
+    return np.linalg.norm(x, axis=1) if x.ndim == 2 else float(np.linalg.norm(x))
+
+
 def weighted_norm(v, weights=None):
-    """Euclidean norm ||w * v||_2; ``weights`` defaults to ones."""
+    """Euclidean norm ||w * v||_2, of one vector or of each row of a batch;
+    ``weights`` defaults to ones."""
     v = np.asarray(v, dtype=float)
-    if weights is None:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(np.asarray(weights) * v))
+    return _norm(v if weights is None else np.asarray(weights) * v)
 
 
 def weighted_dual_norm(xi, weights=None):
     """Dual norm of :func:`weighted_norm`, i.e. ||xi / w||_2."""
     xi = np.asarray(xi, dtype=float)
-    if weights is None:
-        return float(np.linalg.norm(xi))
-    return float(np.linalg.norm(xi / np.asarray(weights)))
+    return _norm(xi if weights is None else xi / np.asarray(weights))
+
+
+def _stacked(M, v):
+    """A copy of M for one vector, one copy per row for a batch."""
+    return np.array(M) if v.ndim == 1 else np.repeat(M[None], len(v), axis=0)
+
+
+def _diagonal(d):
+    """The diagonal matrix of d, or one per row when d is a batch."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    i = np.arange(d.shape[-1])
+    out[..., i, i] = d
+    return out
 
 
 class Potential:
@@ -116,9 +133,11 @@ class Potential:
     # -- smooth structure (used by the inner solvers) -------------------------
 
     def grad(self, v) -> np.ndarray:
+        """dR(v) for one vector; rows of shape (n, dim) for a batch."""
         raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
 
     def hess(self, v) -> np.ndarray:
+        """The Hessian at v; shape (n, dim, dim) for a batch."""
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
 
     def quadratic_matrix(self):
@@ -182,10 +201,11 @@ class QuadraticForm(Potential):
         return self._Vinv @ xi
 
     def grad(self, v):
-        return self.V @ self._check(v)
+        v = self._batch(v)
+        return self.V @ v if v.ndim == 1 else v @ self.V.T
 
     def hess(self, v):
-        return np.array(self.V)
+        return _stacked(self.V, self._batch(v))
 
     def quadratic_matrix(self):
         return np.array(self.V)
@@ -236,15 +256,15 @@ class PowerNorm(Potential):
         return np.sign(xi) * s ** (self.p_star - 1.0)
 
     def grad(self, v):
-        v = self._check(v)
+        v = self._batch(v)
         return self.weights * np.sign(v) * np.abs(v) ** (self.p - 1.0)
 
     def hess(self, v):
-        v = self._check(v)
+        v = self._batch(v)
         # For p < 2 the curvature blows up at v_i = 0; clamp for Newton use.
         with np.errstate(divide="ignore"):
             d = self.weights * (self.p - 1.0) * np.abs(v) ** (self.p - 2.0)
-        return np.diag(np.minimum(d, 1e12))
+        return _diagonal(np.minimum(d, 1e12))
 
     def quadratic_matrix(self):
         if self.p == 2.0:
@@ -285,10 +305,10 @@ class AnisotropicDualQuadratic(Potential):
         return self.dual_weights * xi
 
     def grad(self, v):
-        return self._check(v) / self.dual_weights
+        return self._batch(v) / self.dual_weights
 
     def hess(self, v):
-        return np.diag(1.0 / self.dual_weights)
+        return _stacked(np.diag(1.0 / self.dual_weights), self._batch(v))
 
     def quadratic_matrix(self):
         return np.diag(1.0 / self.dual_weights)
@@ -420,10 +440,10 @@ class Rescaled(Potential):
         return 2.0 * self.base.dual_rate(xi)
 
     def grad(self, v):
-        return self.base.grad(0.5 * self._check(v))
+        return self.base.grad(0.5 * self._batch(v))
 
     def hess(self, v):
-        return 0.5 * self.base.hess(0.5 * self._check(v))
+        return 0.5 * self.base.hess(0.5 * self._batch(v))
 
     def quadratic_matrix(self):
         V = self.base.quadratic_matrix()
@@ -465,14 +485,12 @@ class InfConvolution(Potential):
         return self.left.dim
 
     def __call__(self, v):
-        """The inf-convolution value; rows of a batch without a closed-form
-        split are decomposed one at a time."""
+        """The inf-convolution value; a batch without a closed-form split is
+        decomposed by one call for all its rows."""
         v = self._batch(v)
-        if v.ndim == 1:
-            return inf_conv_decompose(self, v, tol=1e-10).value
-        split = _closed_form_split(self, v)
+        split = None if v.ndim == 1 else _closed_form_split(self, v)
         if split is None:
-            return np.array([inf_conv_decompose(self, row, tol=1e-10).value for row in v])
+            return inf_conv_decompose(self, v, tol=1e-10).value
         return self.left(split[0]) + self.right(split[1])
 
     def conjugate(self, xi):
@@ -519,17 +537,16 @@ class InfConvolution(Potential):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Optimal split v = v1 + v2 realizing an inf-convolution value."""
+    """Optimal split v = v1 + v2 realizing an inf-convolution value.
+
+    For a batch of rows, ``v1`` and ``v2`` hold the splits row by row and
+    ``value`` and ``gap`` hold one entry per row.
+    """
 
     v1: np.ndarray
     v2: np.ndarray
     value: float
     gap: float = 0.0
-
-
-def dual_rate(P: Potential, xi) -> np.ndarray:
-    """An element of the conjugate subdifferential at xi."""
-    return P.dual_rate(xi)
 
 
 def fenchel_young_residual(P: Potential, v, xi) -> float:
@@ -542,24 +559,46 @@ def fenchel_young_residual(P: Potential, v, xi) -> float:
     return val + P.conjugate(xi) - float(xi @ v)
 
 
+# Rows per batched Newton solve.  The stacked Hessians of a block take
+# rows * dim**2 floats, so the block size bounds the memory of a large batch.
+_NEWTON_BLOCK = 64
+
+
 def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decomposition:
     """Minimize R1(v1) + R2(v - v1); returns the split and its value.
 
-    Closed forms cover quadratic pairs and complementary block indicators;
-    otherwise an accelerated proximal-gradient iteration runs until the
-    Fenchel duality gap drops below ``tol``.
+    ``v`` is one vector, or a batch of rows of shape (n, dim) that is
+    decomposed row by row.  Closed forms cover quadratic pairs and
+    complementary block indicators.  A smooth pair runs one damped Newton
+    iteration over each block of rows; a pair with a shrinkage member runs
+    an accelerated proximal-gradient iteration per row.  Both stop once a
+    row's Fenchel duality gap drops below ``tol``.
     """
     if not isinstance(P, InfConvolution):
         raise InputError("inf_conv_decompose requires an InfConvolution potential")
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    v = _as_vector(v, P.dim, "v")
+    v = P._batch(v)
     R1, R2 = P.left, P.right
     split = _closed_form_split(P, v)
     if split is not None:
         v1, v2 = split
-        return Decomposition(v1, v2, R1(v1) + R2(v2), 0.0)
-    return _decompose_fista(R1, R2, v, tol)
+        gap = 0.0 if v.ndim == 1 else np.zeros(len(v))
+        return Decomposition(v1, v2, R1(v1) + R2(v2), gap)
+
+    rows = np.atleast_2d(v)
+    if R1.shrinkage_parts() is None and R2.shrinkage_parts() is None:
+        solve, size = _decompose_newton, _NEWTON_BLOCK
+    else:
+        solve, size = _decompose_fista, 1
+    v1, v2, gap = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows))
+    for i in range(0, len(rows), size):
+        block = slice(i, i + size)
+        v1[block], v2[block], gap[block] = solve(R1, R2, rows[block], tol)
+    value = R1(v1) + R2(v2)
+    if v.ndim == 1:
+        return Decomposition(v1[0], v2[0], float(value[0]), float(gap[0]))
+    return Decomposition(v1, v2, value, gap)
 
 
 def _closed_form_split(P, v):
@@ -586,30 +625,24 @@ def _closed_form_split(P, v):
 
 
 def _duality_gap(R1, R2, v, v1, xi):
+    """Duality gap and primal value of the split v1, for one row or each row."""
     primal = R1(v1) + R2(v - v1)
-    dual = float(xi @ v) - R1.conjugate(xi) - R2.conjugate(xi)
+    dual = np.sum(xi * v, axis=-1) - R1.conjugate(xi) - R2.conjugate(xi)
     return primal - dual, primal
 
 
-def _decompose_fista(R1, R2, v, tol, max_iter=20000):
-    # Put a shrinkage-structured member, if any, on the prox side.
-    swapped = False
-    if R1.shrinkage_parts() is not None and R2.shrinkage_parts() is None:
+def _decompose_fista(R1, R2, rows, tol, max_iter=20000):
+    """Accelerated proximal gradient for a block of one row, with the
+    shrinkage-structured member on the prox side.  Returns (v1, v2, gap)."""
+    (v,) = rows
+    swapped = R2.shrinkage_parts() is None
+    if swapped:
         R1, R2 = R2, R1
-        swapped = True
-    parts = R2.shrinkage_parts()
-
-    if parts is None:
-        try:
-            return _decompose_newton(R1, R2, v, tol, swapped)
-        except NotImplementedError:
-            pass
+    sigma_w, quad_w = R2.shrinkage_parts()
 
     # Curvature bound for the gradient step.
     try:
         L = float(np.linalg.norm(R1.hess(v), 2))
-        if parts is None:
-            L += float(np.linalg.norm(R2.hess(np.zeros_like(v)), 2))
     except NotImplementedError:
         L = 1.0
     L = max(L, 1e-8)
@@ -618,9 +651,6 @@ def _decompose_fista(R1, R2, v, tol, max_iter=20000):
         return R1(v1) + R2(v - v1)
 
     def prox_map(y, step):
-        if parts is None:
-            return y
-        sigma_w, quad_w = parts
         # v2 = v - v1: minimize over v1 the shrinkage term in v2.
         v2 = v - y
         denom = 1.0 + step * quad_w
@@ -632,71 +662,84 @@ def _decompose_fista(R1, R2, v, tol, max_iter=20000):
     t_mom = 1.0
     gap = math.inf
     for it in range(max_iter):
-        if parts is None:
-            g = R1.grad(y) - R2.grad(v - y)
-            x_new = y - g / L
-        else:
-            g = R1.grad(y)
-            x_new = prox_map(y - g / L, 1.0 / L)
-            if objective(x_new) > objective(y) + 1e-15:
-                L *= 2.0
-                continue
+        x_new = prox_map(y - R1.grad(y) / L, 1.0 / L)
+        if objective(x_new) > objective(y) + 1e-15:
+            L *= 2.0
+            continue
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
         y = x_new + (t_mom - 1.0) / t_new * (x_new - x)
         x, t_mom = x_new, t_new
         if it % 8 == 0 or it == max_iter - 1:
-            xi = R1.grad(x) if parts is not None else R2.grad(v - x)
-            gap, _ = _duality_gap(R1, R2, v, x, xi)
+            gap, _ = _duality_gap(R1, R2, v, x, R1.grad(x))
             if gap <= tol:
-                break
-    else:
-        raise NumericalError(
-            "inf-convolution minimization stagnated", gap=gap, best=x
-        )
-    if gap > tol:
-        raise NumericalError("inf-convolution minimization stagnated", gap=gap, best=x)
-    v1 = v - x if swapped else x
-    v2 = x if swapped else v - x
-    if swapped:
-        R1, R2 = R2, R1
-    return Decomposition(v1, v2, R1(v1) + R2(v2), gap)
+                return (v - x, x, gap) if swapped else (x, v - x, gap)
+    raise NumericalError("inf-convolution minimization stagnated", gap=gap, best=x)
 
 
-def _decompose_newton(R1, R2, v, tol, swapped, max_iter=200):
-    """Damped Newton on v1 for a smooth pair, stopped on the duality gap."""
+def _decompose_newton(R1, R2, v, tol, max_iter=200):
+    """Damped Newton on v1 for a block of rows of a smooth pair.
+
+    The rows still active share one stacked solve per iteration; each has
+    its own line search and stops on its own duality gap.  Returns
+    (v1, v2, gap) with one row per row of ``v``.
+    """
+    n, dim = v.shape
     v1 = 0.5 * v
-    n = v1.size
-    gap = math.inf
-    for it in range(max_iter):
-        xi = R2.grad(v - v1)
-        gap, _ = _duality_gap(R1, R2, v, v1, xi)
-        if gap <= tol:
+    gap = np.full(n, math.inf)
+    active = np.arange(n)
+    ridge = 1e-12 * np.eye(dim)
+    for _ in range(max_iter):
+        va, x = v[active], v1[active]
+        xi = R2.grad(va - x)
+        row_gap, f0 = _duality_gap(R1, R2, va, x, xi)
+        gap[active] = row_gap
+        going = ~(row_gap <= tol)  # a NaN gap keeps its row going
+        active = active[going]
+        if not active.size:
+            return v1, v - v1, gap
+        va, x, xi, f0 = va[going], x[going], xi[going], f0[going]
+        g = R1.grad(x) - xi
+        step = _newton_steps(R1.hess(x) + R2.hess(va - x) + ridge, g)
+        v1[active] = _line_search(R1, R2, va, x, step, f0, np.sum(g * step, axis=-1))
+    worst = active[np.argmax(gap[active])]
+    raise NumericalError(
+        "inf-convolution newton stagnated",
+        gap=float(gap[worst]), iterations=max_iter, best=v1[worst],
+    )
+
+
+def _newton_steps(H, g):
+    """The Newton step -H^-1 g of each row; a singular row steps along -g."""
+    try:
+        return np.linalg.solve(H, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return -g
+        return np.concatenate([_newton_steps(H[i : i + 1], g[i : i + 1])
+                               for i in range(len(g))])
+
+
+def _line_search(R1, R2, v, x, step, f0, slope):
+    """Armijo backtracking of each row of x along its step.
+
+    Decreases below the rounding of f0 count as decreases; a row whose
+    search runs out takes the full step, since its objective differences
+    are then below rounding.
+    """
+    slack = 16.0 * np.finfo(float).eps * (1.0 + np.abs(f0))
+    new = x + step
+    alpha = np.ones(len(x))
+    todo = np.arange(len(x))
+    for _ in range(40):
+        trial = x[todo] + alpha[todo, None] * step[todo]
+        f = R1(trial) + R2(v[todo] - trial)
+        ok = f <= f0[todo] + 1e-4 * alpha[todo] * slope[todo] + slack[todo]
+        new[todo[ok]] = trial[ok]
+        todo = todo[~ok]
+        if not todo.size:
             break
-        g = R1.grad(v1) - xi
-        H = R1.hess(v1) + R2.hess(v - v1)
-        try:
-            step = np.linalg.solve(H + 1e-12 * np.eye(n), -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        f0 = R1(v1) + R2(v - v1)
-        alpha = 1.0
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f0))
-        for _ in range(40):
-            trial = v1 + alpha * step
-            if R1(trial) + R2(v - trial) <= f0 + 1e-4 * alpha * float(g @ step) + slack:
-                v1 = trial
-                break
-            alpha *= 0.5
-        else:
-            v1 = v1 + step
-    else:
-        raise NumericalError("inf-convolution newton stagnated", gap=gap, best=v1)
-    if gap > tol:
-        raise NumericalError("inf-convolution newton stagnated", gap=gap, best=v1)
-    a, b = (v - v1, v1) if swapped else (v1, v - v1)
-    if swapped:
-        R1, R2 = R2, R1
-    return Decomposition(a, b, R1(a) + R2(b), gap)
+        alpha[todo] *= 0.5
+    return new
 
 
 @dataclass(frozen=True)
@@ -720,10 +763,10 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     pairs = [(np.asarray(v, float), np.asarray(xi, float)) for v, xi in samples]
     if not pairs:
         raise InputError("qye_probe needs a nonempty sample list")
-    s_vals = np.array([P(v) + P.conjugate(xi) for v, xi in pairs])
-    g_vals = np.array(
-        [weighted_norm(v, weights) * weighted_dual_norm(xi, weights) for v, xi in pairs]
-    )
+    V = np.array([_as_vector(v, P.dim, "v") for v, _ in pairs])
+    Xi = np.array([_as_vector(xi, P.dim, "xi") for _, xi in pairs])
+    s_vals = P(V) + P.conjugate(Xi)
+    g_vals = weighted_norm(V, weights) * weighted_dual_norm(Xi, weights)
     if np.all(g_vals == 0.0):
         raise InputError("qye_probe needs at least one pair with nonzero norms")
 
@@ -735,9 +778,8 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     ratios = (s + C_est) / g
     c_est = max(0.0, float(np.min((s + C_est + 1e-14 * (1.0 + np.abs(s))) / g)))
 
-    worst = int(np.argmin(ratios))
-    worst_pair = [p for p, m in zip(pairs, mask) if m][worst]
-    return QyeFit(float(c_est), C_est, (worst_pair[0], worst_pair[1]))
+    worst_pair = pairs[np.flatnonzero(mask)[np.argmin(ratios)]]
+    return QyeFit(float(c_est), C_est, worst_pair)
 
 
 @dataclass
@@ -793,14 +835,10 @@ def psi_minorant(
             dd = weighted_dual_norm(d, weights)
             if nd == 0.0 or dd == 0.0:
                 continue
-            for r in radii:
-                vp = (r / nd) * d
-                xp = (r / dd) * d
-                Rv = P(vp)
-                Rx = P.conjugate(xp)
-                if math.isfinite(Rv):
-                    S = np.maximum(S, K * r - Rv)
-                if math.isfinite(Rx):
-                    S = np.maximum(S, K * r - Rx)
+            # one row per radius: the sphere points of the primal and dual norms
+            for values in (P(np.outer(radii / nd, d)), P.conjugate(np.outer(radii / dd, d))):
+                finite = np.isfinite(values)
+                gaps = K * radii[finite, None] - values[finite, None]
+                S = np.maximum(S, np.max(gaps, axis=0, initial=-math.inf))
     S = np.maximum(S, 0.0)
     return PsiMinorant(K, S, float(sample_radius))

@@ -462,7 +462,20 @@ def _exact_flows(times, u0, pieces):
             si += 1
         nodes.append(segments[si].state(min(b, segments[si].t1)))
         forces.append(segments[si].xi)
-    return np.array(nodes), np.array(forces), segments
+    nodes, forces = np.array(nodes), np.array(forces)
+    _require_finite(nodes, forces, 1)
+    return nodes, forces, segments
+
+
+def _require_finite(nodes, forces, n):
+    """Raise ``NumericalError`` at the first step that left a state or a
+    force that is not finite; step k holds cells k n to (k + 1) n - 1."""
+    finite = np.isfinite(nodes[1:]).all(axis=1) & np.isfinite(forces).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) // n
+        raise NumericalError(
+            f"non-finite state or force at step {step + 1} of {len(finite) // n}"
+        )
 
 
 def _cell_plan(sys, times, which):
@@ -630,6 +643,7 @@ def _movements(grid, u0, plan, tol, record):
         _record_prox(record, st)
         const[k * n + 1 : (k + 1) * n + 1] = u
         forces[k * n : (k + 1) * n] = xi
+    _require_finite(const, forces, n)
     # increment form keeps frozen block components exactly constant
     lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
     start, end = const[:-1:n, None], const[n::n, None]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -155,3 +156,28 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     code = run_cli(["run", "--model", "counterexample", "--scheme", "split",
                     "--N", "8", "--out", str(tmp_path / "x")])
     assert code == 3
+
+
+def test_run_with_an_overflowing_state_fails_its_audit(tmp_path, capsys):
+    # the energies overflow, so the audit slack is infinite: it must not pass
+    out_dir = tmp_path / "overflow"
+    with pytest.warns(RuntimeWarning):
+        code = run_cli(["run", "--model", "counterexample", "--scheme", "amm",
+                        "--N", "8", "--override", "u0=[1e308,1e308]",
+                        "--out", str(out_dir)])
+    assert code == 1
+    report = json.loads((out_dir / "edb.json").read_text())
+    assert report["slack"] == math.inf and report["passed"] is False
+    assert "EDB audit failed: a term of the audit is not finite" in capsys.readouterr().err
+
+
+def test_run_whose_solve_overflows_exits_3_at_the_first_bad_step(tmp_path, capsys):
+    out_dir = tmp_path / "overflow"
+    u0 = json.dumps([1e200] + [0.0] * 15)
+    with pytest.warns(RuntimeWarning):
+        code = run_cli(["run", "--model", "allen-cahn-1d", "--scheme", "split",
+                        "--N", "4", "--override", f"u0={u0}", "--out", str(out_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite state or force at step 1 of 64\n"
+    assert not (out_dir / "trajectory.csv").exists()

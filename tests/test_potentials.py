@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitflow import potentials as pt
-from splitflow.errors import ConfigurationError, InputError
+from splitflow.errors import ConfigurationError, InputError, NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -516,3 +516,188 @@ def test_batch_block_indicator_rows_moving_the_frozen_block_are_infinite(rows, m
 def test_batch_row_length_is_checked():
     with pytest.raises(InputError):
         pt.PowerNorm(2.0, dim=3)(np.ones((4, 2)))
+
+
+# ---------------------------------------------------------------------------
+# batched decomposition
+# ---------------------------------------------------------------------------
+
+
+def _random_spd(rng, dim):
+    B = rng.standard_normal((dim, dim))
+    return B @ B.T + dim * np.eye(dim)
+
+
+def _smooth_partner(kind, rng, dim):
+    if kind == "quadratic":
+        return pt.QuadraticForm(_random_spd(rng, dim))
+    if kind == "dual-quadratic":
+        return pt.AnisotropicDualQuadratic(rng.uniform(0.3, 3.0, dim))
+    return pt.Rescaled(pt.QuadraticForm(_random_spd(rng, dim)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.floats(1.5, 4.0),
+    kind=st.sampled_from(["quadratic", "dual-quadratic", "rescaled"]),
+    power_left=st.booleans(),
+    dim=st.integers(1, 4),
+    n=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_decomposition_rows_match_single_decompositions(
+    p, kind, power_left, dim, n, seed
+):
+    rng = np.random.default_rng(seed)
+    power = pt.PowerNorm(p, rng.uniform(0.2, 2.0, dim))
+    partner = _smooth_partner(kind, rng, dim)
+    P = pt.InfConvolution(*((power, partner) if power_left else (partner, power)))
+    rows = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0)
+    try:
+        batch = pt.inf_conv_decompose(P, rows, 1e-10)
+    except NumericalError as err:
+        _assert_batch_fails_like_its_rows(P, rows, err)
+        return
+    assert batch.v1.shape == batch.v2.shape == rows.shape
+    assert batch.value.shape == batch.gap.shape == (n,)
+    assert np.all(batch.gap <= 1e-10)
+    # the first and last rows and both sides of every block boundary
+    checked = {0, n - 1} | {i for b in range(64, n, 64) for i in (b - 1, b)}
+    for i in sorted(checked):
+        single = pt.inf_conv_decompose(P, rows[i], 1e-10)
+        scale = 1.0 + np.linalg.norm(rows[i])
+        np.testing.assert_allclose(batch.v1[i], single.v1, rtol=1e-13, atol=1e-13 * scale)
+        np.testing.assert_allclose(batch.v2[i], single.v2, rtol=1e-13, atol=1e-13 * scale)
+        assert math.isclose(batch.value[i], single.value, rel_tol=1e-13, abs_tol=1e-300)
+    np.testing.assert_array_equal(P(rows), batch.value)
+
+
+def _assert_batch_fails_like_its_rows(P, rows, err):
+    """A batch fails exactly when a row fails on its own, and it reports the
+    certificate of the worst failing row of the first block that fails.
+
+    (Newton does fail on some rows for p < 2, where it can oscillate across
+    the kink of |v|^p at zero, in the single decomposition as well.)
+    """
+    errors = {}
+    for i, row in enumerate(rows):
+        try:
+            pt.inf_conv_decompose(P, row, 1e-10)
+        except NumericalError as e:
+            errors[i] = e
+    assert errors
+    block = min(errors) // 64
+    in_block = [e for i, e in errors.items() if i // 64 == block]
+    worst = max(in_block, key=lambda e: e.gap)
+    assert math.isclose(err.gap, worst.gap, rel_tol=1e-9)
+    np.testing.assert_allclose(err.best, worst.best, rtol=1e-9, atol=1e-12)
+
+
+def test_batch_decomposition_of_closed_forms_has_zero_gaps():
+    P = pt.InfConvolution(pt.QuadraticForm(_SPD3), pt.PowerNorm(2.0, _W3))
+    dec = pt.inf_conv_decompose(P, np.ones((3, 3)), 1e-10)
+    assert dec.value.shape == (3,)
+    np.testing.assert_array_equal(dec.gap, np.zeros(3))
+
+
+def test_decomposition_of_an_empty_batch_is_empty():
+    P = pt.InfConvolution(pt.PowerNorm(3.0, _W3), pt.QuadraticForm(_SPD3))
+    dec = pt.inf_conv_decompose(P, np.empty((0, 3)), 1e-10)
+    assert dec.v1.shape == (0, 3) and dec.value.shape == (0,)
+
+
+def test_nonconvergent_newton_row_raises_with_the_worst_rows_certificate():
+    R1, R2 = pt.PowerNorm(3.0, _W3), pt.QuadraticForm(_SPD3)
+    rows = np.array([[0.0, 0.0, 0.0], [0.5, -0.2, 0.1], [2.0, 1.0, -3.0]])
+    # one iteration: the zero row converges at its first check, the others do not
+    with pytest.raises(NumericalError) as info:
+        pt._decompose_newton(R1, R2, rows, 1e-10, max_iter=1)
+    err = info.value
+    start = 0.5 * rows
+    xi = R2.grad(start)
+    gaps = R1(start) + R2(start) - (np.sum(xi * rows, axis=1) - R1.conjugate(xi)
+                                    - R2.conjugate(xi))
+    assert gaps[0] == 0.0 and gaps[2] == max(gaps)
+    assert err.gap == gaps[2] and err.iterations == 1
+    # the best iterate is the worst row's split after one damped Newton step
+    assert err.best.shape == (3,)
+    assert R1(err.best) + R2(rows[2] - err.best) < R1(start[2]) + R2(start[2])
+
+
+def test_nan_row_never_counts_as_converged():
+    R1, R2 = pt.PowerNorm(3.0, _W3), pt.AnisotropicDualQuadratic(_W3)
+    rows = np.array([[1.0, 0.5, -0.5], [math.nan, 0.0, 0.0]])
+    with pytest.raises(NumericalError) as info:
+        pt._decompose_newton(R1, R2, rows, 1e-10, max_iter=20)
+    assert math.isnan(info.value.gap) and info.value.best.shape == (3,)
+
+
+def test_newton_step_of_a_singular_row_is_the_gradient_step():
+    H = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2))])
+    g = np.array([[2.0, 4.0], [1.0, -1.0]])
+    np.testing.assert_array_equal(pt._newton_steps(H, g), [[-1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_qye_probe_decomposes_the_whole_sample_in_one_call(monkeypatch):
+    from splitflow.models import make_model
+    from splitflow.solvers import effective_potential
+
+    preset = make_model("allen-cahn-1d", p=3.0)
+    r_eff = effective_potential(preset.system)
+    rng = np.random.default_rng(2)
+    samples = [(rng.standard_normal(r_eff.dim), rng.standard_normal(r_eff.dim))
+               for _ in range(80)]
+    calls = []
+    decompose = pt.inf_conv_decompose
+
+    def counted(P, v, tol=1e-10):
+        calls.append(np.shape(v))
+        return decompose(P, v, tol)
+
+    monkeypatch.setattr(pt, "inf_conv_decompose", counted)
+    fit = pt.qye_probe(r_eff, samples, weights=preset.norm_weights)
+    assert calls == [(80, r_eff.dim)]
+    # the same fit from one evaluation per sample
+    monkeypatch.setattr(pt, "inf_conv_decompose", decompose)
+    w = preset.norm_weights
+    ratios = [
+        (r_eff(v) + r_eff.conjugate(xi)) / (np.linalg.norm(w * v) * np.linalg.norm(xi / w))
+        for v, xi in samples
+    ]
+    assert fit.c_est == pytest.approx(min(ratios), rel=1e-12)
+    worst = int(np.argmin(ratios))
+    np.testing.assert_array_equal(fit.worst_pair[0], samples[worst][0])
+
+
+def _psi_reference(potentials, K, radii, seed, n_directions):
+    """The per-radius loop: two scalar calls for each radius and direction."""
+    rng = np.random.default_rng(seed)
+    S = np.zeros_like(K)
+    for P in potentials:
+        dirs = rng.standard_normal((n_directions, P.dim))
+        for d in np.vstack([dirs, np.eye(P.dim), -np.eye(P.dim)]):
+            nd, dd = pt.weighted_norm(d), pt.weighted_dual_norm(d)
+            for r in radii:
+                for value in (P((r / nd) * d), P.conjugate((r / dd) * d)):
+                    if math.isfinite(value):
+                        S = np.maximum(S, K * r - value)
+    return np.maximum(S, 0.0)
+
+
+@pytest.mark.parametrize(
+    "potentials,exact",
+    [
+        ([pt.PowerNorm(2.0, dim=1), pt.PowerNorm(3.0, dim=1)], True),
+        ([pt.OneHomPlusQuad(0.4, 1.5, _W3), pt.AnisotropicDualQuadratic(_W3)], True),
+        ([pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3)], True),
+        ([pt.QuadraticForm(_SPD3), pt.Rescaled(pt.QuadraticForm(_SPD3))], False),
+    ],
+)
+def test_psi_minorant_matches_the_per_radius_loop(potentials, exact):
+    K = np.linspace(0.0, 4.0, 9)
+    psi = pt.psi_minorant(potentials, K, sample_radius=3.0, n_radii=64, n_directions=4)
+    reference = _psi_reference(potentials, K, np.linspace(0.0, 3.0, 64), 0, 4)
+    if exact:
+        np.testing.assert_array_equal(psi.S_values, reference)
+    else:
+        np.testing.assert_allclose(psi.S_values, reference, rtol=1e-13, atol=0.0)

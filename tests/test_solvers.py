@@ -603,6 +603,44 @@ def test_maxnorm_prox_matches_dense_grid_oracle():
         np.testing.assert_allclose(rate, -R.dual_rate(xi), atol=1e-9)
 
 
+def _grid_minimize(F, center, radius, num=41, levels=5):
+    """Brute-force minimizer of a convex F on nested grids: each level
+    searches a box of num**dim points around the previous level's best
+    point, with a box ten times smaller than the last."""
+    best = np.asarray(center, dtype=float)
+    for _ in range(levels):
+        axes = [np.linspace(c - radius, c + radius, num) for c in best]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, best.size)
+        best = points[int(np.argmin(F(points)))]
+        radius /= 10.0
+    return best
+
+
+@pytest.mark.parametrize(
+    "A,sigma,anchor",
+    [
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), 0.3, [1.0, -0.4]),
+        (np.array([[1.0, 5e-9], [5e-9, 1.0]]), 0.2, [0.6, 0.1]),
+        (np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]]), 0.25, [1.0, 0.1, -0.8]),
+        (np.array([[1.5, -0.6, 0.2], [-0.6, 1.2, 0.4], [0.2, 0.4, 2.0]]), 0.1, [0.3, 0.9, 0.5]),
+    ],
+)
+def test_shrinkage_prox_with_a_coupled_energy_matches_brute_force(A, sigma, anchor):
+    E = en.QuadraticBlockEnergy(A=A)
+    R = pt.OneHomPlusQuad(sigma, 1.0, dim=len(anchor))
+    anchor, h = np.array(anchor), 0.2
+    u, xi, st = sv._prox(E, R, 0.0, anchor, h, 1e-12)
+    assert st.method == "shrinkage-fista"
+
+    def F(w):
+        return h * R((w - anchor) / h) + E.eval(0.0, w)
+
+    oracle = _grid_minimize(F, anchor, 2.0)
+    np.testing.assert_allclose(u, oracle, atol=2e-5)
+    assert F(u) <= F(oracle) + 1e-12
+    np.testing.assert_array_equal(xi, E.grad(0.0, u))
+
+
 def test_regime_flow_matches_fine_prox_stepping():
     # march the first mechanism by many small incremental steps and compare
     # with the exact piecewise-affine flow
