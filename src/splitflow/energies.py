@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
+from .potentials import _is_vector
 
 __all__ = [
     "Load",
@@ -88,6 +89,11 @@ class Load:
     def is_constant(self):
         """True when l'(t) = 0 for every t: no drift, and no oscillation."""
         return not self.c1.any() and (not self.amp.any() or self.omega == 0.0)
+
+    @property
+    def is_zero(self):
+        """True when l(t) = 0 for every t: every coefficient is zero."""
+        return not (self.c0.any() or self.c1.any() or self.amp.any())
 
     def value(self, t):
         """l(t); one row per time for a one-dimensional array of times."""
@@ -241,6 +247,8 @@ class EnergySpec:
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
 
     def _check(self, u):
+        if _is_vector(u, self.dim):
+            return u
         u = np.asarray(u, dtype=float).reshape(-1)
         if u.size != self.dim:
             raise InputError(f"state has length {u.size}, expected {self.dim}")
@@ -248,6 +256,8 @@ class EnergySpec:
 
     def _batch(self, u):
         """``u`` as one state, or as a batch of rows when it is two-dimensional."""
+        if _is_vector(u, self.dim):
+            return u
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             return self._check(u)
@@ -287,6 +297,9 @@ class QuadraticBlockEnergy(EnergySpec):
         self.n_y, self.n_z = n_y, n_z
         self.f = _as_load(f, n_y, "f")
         self.g = _as_load(g, n_z, "g")
+        # without loads, eval and grad skip the load terms; their values are
+        # +0.0 and x - 0.0 == x, so the skip changes no bit
+        self._loaded = not (self.f.is_zero and self.g.is_zero)
         H = np.block([[A, B.T], [B, G]]) if n_z else A
         self._H = H
         self.lambda_convexity = 0.0 if n_y + n_z == 0 else min(
@@ -316,7 +329,8 @@ class QuadraticBlockEnergy(EnergySpec):
         By = self.B @ y if y.ndim == 1 else y @ self.B.T
         val = 0.5 * _dot(y @ self.A, y) + 0.5 * _dot(z @ self.G, z)
         val += _dot(By, z)
-        val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
+        if self._loaded:
+            val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
         return _value(val + self.shift)
 
     def power(self, t, u):
@@ -325,8 +339,11 @@ class QuadraticBlockEnergy(EnergySpec):
 
     def grad(self, t, u):
         y, z = self.split_state(u)
-        gy = self.A @ y + self.B.T @ z - self.f.value(t)
-        gz = self.B @ y + self.G @ z - self.g.value(t)
+        gy = self.A @ y + self.B.T @ z
+        gz = self.B @ y + self.G @ z
+        if self._loaded:
+            gy = gy - self.f.value(t)
+            gz = gz - self.g.value(t)
         return np.concatenate([gy, gz])
 
     def hess(self, t, u):
@@ -443,6 +460,8 @@ class AllenCahn1DEnergy(EnergySpec):
         self.h = 1.0 / (m + 1)
         self.well = well if well is not None else DoubleWell()
         self.load = _as_load(load, m, "load")
+        # a zero load is skipped in eval and grad, exactly as in QuadraticBlockEnergy
+        self._loaded = not self.load.is_zero
         # Dirichlet stiffness (1/h) tridiag(-1, 2, -1); grad term is u'Ku/2.
         K = (np.diag(np.full(m, 2.0)) - np.diag(np.ones(m - 1), 1) - np.diag(
             np.ones(m - 1), -1)) / self.h
@@ -461,10 +480,10 @@ class AllenCahn1DEnergy(EnergySpec):
 
     def eval(self, t, u):
         u = self._batch(u)
-        grad_part = 0.5 * _dot(u @ self.K, u)
-        well_part = self.h * self.well(u).sum(axis=-1)
-        load_part = self.h * _dot(self.load.value(t), u)
-        return _value(grad_part + well_part - load_part + self.shift)
+        val = 0.5 * _dot(u @ self.K, u) + self.h * self.well(u).sum(axis=-1)
+        if self._loaded:
+            val = val - self.h * _dot(self.load.value(t), u)
+        return _value(val + self.shift)
 
     def power(self, t, u):
         u = self._batch(u)
@@ -472,7 +491,10 @@ class AllenCahn1DEnergy(EnergySpec):
 
     def grad(self, t, u):
         u = self._check(u)
-        return self.K @ u + self.h * (self.well.d1(u) - self.load.value(t))
+        d1 = self.well.d1(u)
+        if self._loaded:
+            d1 = d1 - self.load.value(t)
+        return self.K @ u + self.h * d1
 
     def hess(self, t, u):
         u = self._check(u)

@@ -1,0 +1,80 @@
+"""Damped Newton iteration shared by the incremental minimizations and the
+inf-convolution decomposition.
+
+Every Newton loop of the package accepts a step by one Armijo test,
+:func:`accepts`.  Its slack absorbs the rounding of the objective: close to
+a minimizer the decrease still owed falls below the rounding of f, where a
+test without slack would backtrack to a zero step.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import NumericalError
+
+# objective differences below 16 eps (1 + |f0|) count as decreases
+_SLACK = float(16.0 * np.finfo(float).eps)
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
+
+
+def accepts(f, f0, alpha, slope):
+    """Armijo sufficient decrease of the step of length ``alpha``, up to rounding.
+
+    ``f0`` is the objective at the start, ``f`` at the trial point and
+    ``slope`` the directional derivative at the start along the full step.
+    Arrays of rows are tested row by row.
+    """
+    return f <= f0 + _ARMIJO * alpha * slope + _SLACK * (1.0 + abs(f0))
+
+
+def _step(H, g):
+    """The Newton step -H^-1 g; a singular H is regularised by a growing
+    multiple of the identity, and the gradient step is the last resort."""
+    bump = 0.0
+    for _ in range(8):
+        try:
+            return np.linalg.solve(H + bump * np.eye(len(g)) if bump else H, -g)
+        except np.linalg.LinAlgError:
+            bump = max(1e-10, 10.0 * bump)
+    return -g
+
+
+def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_iter=100):
+    """Damped Newton from ``x`` until the gradient's norm is at most ``tol``.
+
+    ``gradient(x)`` returns ``(g, held)``: the gradient divided by the
+    positive factor ``chain``, and whatever the caller wants back at the
+    solution.  ``hessian(x, held)`` returns the Hessian divided by ``chain``,
+    so that the objective's derivative along a step s is ``chain * g @ s``.
+    ``objective(x)`` is evaluated only once a step is taken.  A line search
+    that runs out takes the full step: its objective differences are then
+    below rounding.  Returns ``(x, held, iterations, residual)``; after
+    ``max_iter`` steps raises :class:`NumericalError` with the message
+    ``failure`` and the last iterate as ``best``.
+    """
+    f = None
+    for it in range(max_iter):
+        g, held = gradient(x)
+        res = math.sqrt(g.dot(g))
+        if res <= tol:
+            return x, held, it, res
+        step = _step(hessian(x, held), g)
+        if f is None:
+            f = objective(x)
+        slope = chain * float(g @ step)
+        alpha = 1.0
+        for _ in range(_BACKTRACKS):
+            trial = x + alpha * step
+            f_trial = objective(trial)
+            if accepts(f_trial, f, alpha, slope):
+                x, f = trial, f_trial
+                break
+            alpha *= 0.5
+        else:
+            x = x + step
+            f = objective(x)
+    raise NumericalError(failure, iterations=max_iter, best=x)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
+from .newton import accepts
 
 __all__ = [
     "Potential",
@@ -56,8 +57,17 @@ __all__ = [
     "weighted_dual_norm",
 ]
 
+_FLOAT = np.dtype(float)
+
+
+def _is_vector(x, dim):
+    """True for a float64 ndarray of shape (dim,), which passes checks as is."""
+    return type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT and len(x) == dim
+
 
 def _as_vector(x, dim, what="vector"):
+    if _is_vector(x, dim):
+        return x
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size != dim:
         raise InputError(f"{what} has length {v.size}, expected {dim}")
@@ -154,6 +164,8 @@ class Potential:
 
     def _batch(self, x, what="v"):
         """``x`` as one vector, or as a batch of rows when it is two-dimensional."""
+        if _is_vector(x, self.dim):
+            return x
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             return _as_vector(x, self.dim, what)
@@ -722,18 +734,17 @@ def _newton_steps(H, g):
 def _line_search(R1, R2, v, x, step, f0, slope):
     """Armijo backtracking of each row of x along its step.
 
-    Decreases below the rounding of f0 count as decreases; a row whose
+    Rows are accepted by the shared test :func:`newton.accepts`; a row whose
     search runs out takes the full step, since its objective differences
     are then below rounding.
     """
-    slack = 16.0 * np.finfo(float).eps * (1.0 + np.abs(f0))
     new = x + step
     alpha = np.ones(len(x))
     todo = np.arange(len(x))
     for _ in range(40):
         trial = x[todo] + alpha[todo, None] * step[todo]
         f = R1(trial) + R2(v[todo] - trial)
-        ok = f <= f0[todo] + 1e-4 * alpha[todo] * slope[todo] + slack[todo]
+        ok = accepts(f, f0[todo], alpha[todo], slope[todo])
         new[todo[ok]] = trial[ok]
         todo = todo[~ok]
         if not todo.size:

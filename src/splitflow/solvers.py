@@ -23,6 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import newton
 from .energies import EnergySpec, MaxNormEnergy, QuadraticBlockEnergy
 from .errors import ConfigurationError, InputError, NumericalError
 from .partitions import (
@@ -55,9 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSystem:
-    """Energy plus one or two dissipation potentials, optionally blocked."""
+    """Energy plus one or two dissipation potentials, optionally blocked.
+
+    Systems hash and compare by identity: their potentials hold arrays, and
+    two systems built alike are still two systems.
+    """
 
     energy: EnergySpec
     r1: Potential
@@ -180,19 +185,31 @@ def _prox(E, R, t, anchor, h, tol):
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
     if anchor.size != E.dim:
         raise InputError("anchor dimension disagrees with the energy")
+    return _prox_kernel(E, R)(E, t, anchor, h, tol)
 
+
+def _prox_kernel(E, R):
+    """The prox method for the kinds of E and R, with what it needs of R taken
+    once: a callable ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)``.
+
+    The choice depends only on the kinds, so a step plan resolves it once
+    per run and calls the kernel on every cell.
+    """
     if isinstance(E, MaxNormEnergy):
-        return _prox_maxnorm(E, R, t, anchor, h)
+        VR = R.quadratic_matrix()
+        if VR is None or not _is_diagonal(VR):
+            raise InputError("max-norm prox requires a diagonal quadratic potential")
+        return partial(_prox_maxnorm, R, VR)
 
-    VR = R.quadratic_matrix()
-    if VR is not None and _energy_is_quadratic(E):
-        return _prox_quadratic(E, VR, t, anchor, h)
+    if _energy_is_quadratic(E):
+        VR = R.quadratic_matrix()
+        if VR is not None:
+            return partial(_prox_quadratic, VR)
+        parts = R.shrinkage_parts()
+        if parts is not None:
+            return partial(_prox_shrinkage, parts)
 
-    parts = R.shrinkage_parts()
-    if parts is not None and _energy_is_quadratic(E):
-        return _prox_shrinkage(E, parts, t, anchor, h, tol)
-
-    return _prox_newton(E, R, t, anchor, h, tol)
+    return partial(_prox_newton, R)
 
 
 def _energy_is_quadratic(E):
@@ -201,7 +218,7 @@ def _energy_is_quadratic(E):
     )
 
 
-def _prox_quadratic(E, VR, t, anchor, h):
+def _prox_quadratic(VR, E, t, anchor, h, tol):
     H = E.hess(t, anchor)
     g0 = E.grad(t, np.zeros_like(anchor))
     lhs = VR / h + H
@@ -217,7 +234,7 @@ def _is_diagonal(M):
     return not np.count_nonzero(M - np.diag(np.diag(M)))
 
 
-def _prox_shrinkage(E, parts, t, anchor, h, tol, max_iter=10000):
+def _prox_shrinkage(parts, E, t, anchor, h, tol, max_iter=10000):
     """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d)."""
     sigma_w, quad_w = parts
     H = E.hess(t, anchor)
@@ -253,56 +270,30 @@ def _prox_shrinkage(E, parts, t, anchor, h, tol, max_iter=10000):
     raise NumericalError("shrinkage prox stagnated", iterations=max_iter, best=anchor + d)
 
 
-def _prox_newton(E, R, t, anchor, h, tol, max_iter=100):
-    u = np.array(anchor)
-    scale = 1.0 + float(np.linalg.norm(anchor))
-    history = []
+def _prox_newton(R, E, t, anchor, h, tol, max_iter=100):
+    """Damped Newton on u for h R((u - anchor)/h) + E(t, u)."""
 
-    def objective(x):
-        return h * R((x - anchor) / h) + E.eval(t, x)
-
-    f_u = objective(u)
-    for it in range(max_iter):
+    def gradient(u):
         v = (u - anchor) / h
-        g = R.grad(v) + E.grad(t, u)
-        res = float(np.linalg.norm(g))
-        history.append(res)
-        if res <= tol * scale:
-            return u, E.grad(t, u), _ProxStats(it, res, "newton")
-        Hm = R.hess(v) / h + E.hess(t, u)
-        step = None
-        bump = 0.0
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(Hm + bump * np.eye(u.size), -g)
-                break
-            except np.linalg.LinAlgError:
-                bump = max(1e-10, 10.0 * bump)
-        if step is None:
-            step = -g
-        alpha = 1.0
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(f_u))
-        for _ in range(40):
-            trial = u + alpha * step
-            f_trial = objective(trial)
-            if f_trial <= f_u + 1e-4 * alpha * float(g @ step) + slack:
-                u, f_u = trial, f_trial
-                break
-            alpha *= 0.5
-        else:
-            # objective differences are below rounding; trust the Newton step
-            u = u + step
-            f_u = objective(u)
-    raise NumericalError(
-        "incremental minimization diverged", iterations=len(history), best=u
-    )
+        xi = E.grad(t, u)
+        return R.grad(v) + xi, (v, xi)
+
+    def hessian(u, held):
+        return R.hess(held[0]) / h + E.hess(t, u)
+
+    def objective(u):
+        return h * R((u - anchor) / h) + E.eval(t, u)
+
+    scale = 1.0 + float(np.linalg.norm(anchor))
+    u, (_, xi), it, res = newton.minimize(
+        np.array(anchor), gradient, hessian, objective, tol * scale,
+        max_iter=max_iter, failure="incremental minimization diverged")
+    return u, xi, _ProxStats(it, res, "newton")
 
 
-def _prox_maxnorm(E, R, t, anchor, h):
-    """Exact prox for the max-norm energy with a diagonal quadratic metric."""
-    VR = R.quadratic_matrix()
-    if VR is None or not _is_diagonal(VR):
-        raise InputError("max-norm prox requires a diagonal quadratic potential")
+def _prox_maxnorm(R, VR, E, t, anchor, h, tol):
+    """Exact prox for the max-norm energy with the diagonal quadratic metric VR
+    of R."""
     c = 1.0 / np.diag(VR)  # dual weights: dual_rate(xi) = c * xi
     a1, a2 = anchor
     c1, c2 = c
@@ -481,23 +472,31 @@ def _require_finite(nodes, forces, n):
 def _cell_plan(sys, times, which):
     """Step plan of one prox step per cell of ``times``: mechanism
     ``which[i]`` on cell i, over the cell's width, evaluated at its right end."""
-    step = {j: partial(_half_step, sys, j) for j in (1, 2)}
+    step = {j: _half_step(sys, j) for j in sorted(set(map(int, which)))}
     return [(step[j], b, b - a) for j, a, b in zip(which, times[:-1], times[1:])]
 
 
-def _half_step(sys, which, t_eval, anchor, h, tol):
-    """One prox step of the rescaled potential R~_which, on its block if blocked.
+def _half_step(sys, which):
+    """The prox step of the rescaled potential R~_which, on its block if
+    blocked: ``step(t_eval, anchor, h, tol) -> (u, xi, stats)``.
 
-    Block systems move only the active block; the other block stays frozen
-    in the energy and keeps its anchor values exactly.
+    The wrapper and the prox method are built here, once per run.  Block
+    systems move only the active block; the other block stays frozen in the
+    energy and keeps its anchor values exactly.
     """
     R = sys.r1 if which == 1 else sys.r2
     if sys.block_layout is None:
         R_tilde = R if isinstance(R, Rescaled) else Rescaled(R)
-        return _prox(sys.energy, R_tilde, t_eval, anchor, h, tol)
+        return partial(_prox_kernel(sys.energy, R_tilde), sys.energy)
     active = sys.block_indices()[which - 1]
+    frozen = _FrozenBlockEnergy(sys.energy, active, np.zeros(sys.dim))
+    return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))
+
+
+def _block_step(sys, active, kernel, t_eval, anchor, h, tol):
+    """Move the ``active`` block by ``kernel``, with the other block frozen."""
     E_step = _FrozenBlockEnergy(sys.energy, active, anchor)
-    u_act, xi_act, st = _prox(E_step, Rescaled(R.base), t_eval, anchor[active], h, tol)
+    u_act, xi_act, st = kernel(E_step, t_eval, anchor[active], h, tol)
     u = np.array(anchor)
     u[active] = u_act
     xi = np.zeros(sys.dim)
@@ -696,7 +695,7 @@ def amm_solve(
         raise InputError("alternating minimizing movements need both mechanisms")
     grid = P.refine(inner_factor)
     u0 = np.asarray(u0, dtype=float).reshape(-1)
-    first, second = partial(_half_step, sys, 1), partial(_half_step, sys, 2)
+    first, second = _half_step(sys, 1), _half_step(sys, 2)
     plan = []
     for k in range(P.N):
         h = P.taus[k] / 2.0
@@ -713,6 +712,7 @@ def _variational_interpolant(sys, grid, const, tol):
     """Re-solve the incremental problem at every inner sampling time."""
     P = grid.partition
     M = grid.M
+    steps = {1: _half_step(sys, 1), 2: _half_step(sys, 2)}
     vals = np.empty_like(const)
     vals[0] = const[0]
     for i in range(1, grid.n_nodes):
@@ -726,7 +726,7 @@ def _variational_interpolant(sys, grid, const, tol):
         if h <= 1e-15:
             vals[i] = anchor
             continue
-        u, _, _ = _half_step(sys, 1 if left else 2, r, anchor, h, tol)
+        u, _, _ = steps[1 if left else 2](r, anchor, h, tol)
         vals[i] = u
     return SampledCurve(grid, vals, "variational")
 
@@ -766,7 +766,7 @@ def effective_solve(
     elif isinstance(R_eff, InfConvolution) and R_eff.quadratic_matrix() is None:
         step = partial(_infconv_prox, E, R_eff)
     else:
-        step = partial(_prox, E, R_eff)
+        step = partial(_prox_kernel(E, R_eff), E)
     plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
     linear, const, forces = _movements(grid, u0, plan, tol, record)
     return _assemble_output("effective", sys, grid, linear, const, forces, record, tol)
@@ -804,14 +804,17 @@ def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):
     Ry, Rz = sys.r1.base, sys.r2.base
     y_smooth = _has_grad(Ry)
     u = np.array(anchor)
+    # the prox methods of the two blocks, chosen once per step, not per sweep
+    ky = _prox_kernel(_FrozenBlockEnergy(sys.energy, idx_y, u), Ry)
+    kz = _prox_kernel(_FrozenBlockEnergy(sys.energy, idx_z, u), Rz)
     scale = 1.0 + float(np.linalg.norm(anchor))
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         Ey = _FrozenBlockEnergy(sys.energy, idx_y, u)
-        uy, _, _ = _prox(Ey, Ry, t, anchor[idx_y], tau, tol)
+        uy, _, _ = ky(Ey, t, anchor[idx_y], tau, tol)
         u[idx_y] = uy
         Ez = _FrozenBlockEnergy(sys.energy, idx_z, u)
-        uz, _, _ = _prox(Ez, Rz, t, anchor[idx_z], tau, tol)
+        uz, _, _ = kz(Ez, t, anchor[idx_z], tau, tol)
         u[idx_z] = uz
         res = _joint_block_residual(sys, t, anchor, u, tau, y_smooth)
         if res <= tol * scale:
@@ -856,41 +859,35 @@ def _has_grad(R):
 
 
 def _infconv_prox(E, R_eff, t, anchor, tau, tol, max_iter=100):
-    """Newton on the joint split variables for a smooth inf-convolution."""
+    """Newton on the joint split variables w = (v1, v2) for a smooth
+    inf-convolution: minimize tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
+
+    Gradient and Hessian are taken divided by tau; the chain factor tau
+    restores the objective's slope in the line search.
+    """
     R1, R2 = R_eff.left, R_eff.right
     n = E.dim
-    v1 = np.zeros(n)
-    v2 = np.zeros(n)
-    scale = 1.0 + float(np.linalg.norm(anchor))
 
-    def assemble(v1, v2):
-        return anchor + tau * (v1 + v2)
+    def state(w):
+        return anchor + tau * (w[:n] + w[n:])
 
-    for it in range(max_iter):
-        u = assemble(v1, v2)
+    def gradient(w):
+        u = state(w)
         ge = E.grad(t, u)
-        g = np.concatenate([R1.grad(v1) + ge, R2.grad(v2) + ge])
-        if float(np.linalg.norm(g)) <= tol * scale:
-            return u, E.grad(t, u), _ProxStats(it, float(np.linalg.norm(g)), "infconv-newton")
-        He = E.hess(t, u) * tau
-        H = np.block(
-            [[R1.hess(v1) + He, He], [He, R2.hess(v2) + He]]
-        )
-        try:
-            step = np.linalg.solve(H + 1e-12 * np.eye(2 * n), -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        alpha = 1.0
-        f0 = tau * (R1(v1) + R2(v2)) + E.eval(t, assemble(v1, v2))
-        for _ in range(50):
-            w1 = v1 + alpha * step[:n]
-            w2 = v2 + alpha * step[n:]
-            f1 = tau * (R1(w1) + R2(w2)) + E.eval(t, assemble(w1, w2))
-            if f1 <= f0 + 1e-4 * alpha * float(g @ step):
-                v1, v2 = w1, w2
-                break
-            alpha *= 0.5
-    raise NumericalError("effective prox stagnated", iterations=max_iter)
+        return np.concatenate([R1.grad(w[:n]) + ge, R2.grad(w[n:]) + ge]), (u, ge)
+
+    def hessian(w, held):
+        He = E.hess(t, held[0]) * tau
+        return np.block([[R1.hess(w[:n]) + He, He], [He, R2.hess(w[n:]) + He]])
+
+    def objective(w):
+        return tau * (R1(w[:n]) + R2(w[n:])) + E.eval(t, state(w))
+
+    scale = 1.0 + float(np.linalg.norm(anchor))
+    _, (u, xi), it, res = newton.minimize(
+        np.zeros(2 * n), gradient, hessian, objective, tol * scale, chain=tau,
+        max_iter=max_iter, failure="effective prox stagnated")
+    return u, xi, _ProxStats(it, res, "infconv-newton")
 
 
 def time_to_zero(out: SchemeOutput, tol=1e-9):

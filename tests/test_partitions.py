@@ -254,3 +254,23 @@ def test_csv_round_trip(tmp_path):
     back = pa.SampledCurve.from_csv(path, grid)
     np.testing.assert_array_equal(back.values, g.values)
     assert back.kind == g.kind
+
+
+def test_csv_text_equals_savetxt_across_row_blocks(tmp_path):
+    # more rows than one format call takes, with every special value
+    P = pa.build_partition(1.0, N=40)
+    grid = P.refine(8)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((grid.n_nodes, 3)) * 10.0 ** rng.integers(
+        -300, 300, (grid.n_nodes, 3))
+    values[1] = [0.0, -0.0, np.inf]
+    values[300] = [-np.inf, np.nan, 5e-324]
+    values[-1] = [-5e-324, 1.7976931348623157e308, -0.0]
+    assert grid.n_nodes > 256
+    g = pa.SampledCurve(grid, values, "piecewise-constant")
+    g.to_csv(tmp_path / "curve.csv")
+    with open(tmp_path / "savetxt.csv", "w", encoding="utf-8") as fh:
+        np.savetxt(fh, np.column_stack([grid.times, values]), fmt="%.16e", delimiter=",",
+                   header="# interpolant_kind: piecewise-constant\nt,v_1,v_2,v_3",
+                   comments="")
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

@@ -98,6 +98,26 @@ def test_prox_stationary_anchor():
     assert xi[0] == pytest.approx(0.0)
 
 
+def test_prox_at_a_stationary_anchor_takes_no_step(monkeypatch):
+    # a load that balances the energy's gradient at the anchor up to rounding
+    m = 4
+    x = np.linspace(0.0, 1.0, m + 2)[1:-1]
+    anchor = 0.4 * np.sin(np.pi * x)
+    plain = en.AllenCahn1DEnergy(m)
+    load = en.Load(plain.K @ anchor / plain.h + plain.well.d1(anchor))
+    E = en.AllenCahn1DEnergy(m, load=load)
+    R = pt.Rescaled(pt.PowerNorm(3.0, np.full(m, plain.h)))
+    evals = []
+    monkeypatch.setattr(en.AllenCahn1DEnergy, "eval",
+                        lambda self, t, u: evals.append(t) or 0.0)
+    u, xi, stats = sv._prox(E, R, 0.3, anchor, 0.05, 1e-10)
+    assert stats.iterations == 0 and evals == []
+    np.testing.assert_array_equal(u, anchor)
+    assert u is not anchor
+    # the force is the gradient the stopping test already took
+    assert xi.tobytes() == E.grad(0.3, u).tobytes()
+
+
 def test_prox_allen_cahn_matches_coordinate_descent():
     E = en.AllenCahn1DEnergy(m=3)
     R = pt.Rescaled(pt.PowerNorm(2.0, dim=3))
@@ -432,6 +452,13 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     _, _, stats = sv._joint_block_prox(system, 0.5, preset.u0, 0.25, 1e-12)
     assert stats.iterations > 1
     assert len(probes) == 1
+
+
+def test_systems_hash_and_compare_by_identity():
+    a = make_model("allen-cahn-1d", m=4).system
+    b = make_model("allen-cahn-1d", m=4).system
+    assert hash(a) == hash(a) and a == a
+    assert a != b and len({a, b, a}) == 2
 
 
 def test_effective_stationary():
