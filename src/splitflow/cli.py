@@ -79,14 +79,30 @@ def _apply_flags(cfg: RunConfig, args):
     if getattr(args, "N", None) is not None:
         cfg.N = args.N
     if getattr(args, "nodes", None):
-        cfg.nodes = [float(x) for x in args.nodes.split(",")]
+        cfg.nodes = args.nodes
     if getattr(args, "study", None):
-        cfg.study = [int(x) for x in args.study.split(",")]
+        cfg.study = args.study
     if getattr(args, "override", None):
-        for item in args.override:
-            key, _, raw = item.partition("=")
-            cfg.overrides[key] = json.loads(raw)
+        cfg.overrides.update(args.override)
     return cfg
+
+
+# argparse types; argparse reports their ValueError (json's decode error is
+# one) as "invalid <__name__> value"
+def _comma_list(kind):
+    def parse(text):
+        return [kind(x) for x in text.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
+def _override(item):
+    key, _, raw = item.partition("=")
+    return key, json.loads(raw)
+
+
+_override.__name__ = "KEY=JSON"
 
 
 def _write(out_dir, files):
@@ -197,8 +213,16 @@ def cmd_list_models(_cfg) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation failure (exit 1, one
+    line) instead of argparse's usage text and exit 2, the I/O failure code."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitflow",
         description="Audited split-step / alternating minimizing-movement runs",
     )
@@ -209,7 +233,8 @@ def build_parser():
         sp.add_argument("--model", choices=MODEL_NAMES)
         sp.add_argument("--scheme", choices=SCHEMES)
         sp.add_argument("--N", type=int, dest="N")
-        sp.add_argument("--nodes", help="comma-separated explicit node list")
+        sp.add_argument("--nodes", type=_comma_list(float),
+                        help="comma-separated explicit node list")
         sp.add_argument("--inner-steps", type=int, dest="inner_steps")
         sp.add_argument("--tol", type=float)
         sp.add_argument("--out")
@@ -218,20 +243,31 @@ def build_parser():
         sp.add_argument(
             "--override",
             action="append",
+            type=_override,
             metavar="KEY=JSON",
             help="model parameter override, e.g. --override p=3",
         )
-        sp.add_argument("--study", help="comma-separated N list for studies")
+        sp.add_argument("--study", type=_comma_list(int),
+                        help="comma-separated N list for studies")
 
     for name in ("run", "study", "probe-qye", "list-models"):
         add_common(sub.add_parser(name))
     return parser
 
 
+def _certificate(exc: NumericalError):
+    """The duality gap and iteration count a failed solve carries, if any."""
+    parts = []
+    if exc.gap is not None:
+        parts.append(f"gap {exc.gap:.1e}")
+    if exc.iterations is not None:
+        parts.append(f"after {exc.iterations} iterations")
+    return f" ({' '.join(parts)})" if parts else ""
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config) if args.config else RunConfig()
         cfg = _apply_flags(cfg, args).validate()
         handler = {
@@ -245,7 +281,11 @@ def main(argv=None) -> int:
         print(f"I/O failure: {exc}", file=_sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=_sys.stderr)
+        print(f"numerical failure: {exc}{_certificate(exc)}", file=_sys.stderr)
+        return 3
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # arithmetic broke down, e.g. on model parameters whose products overflow
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
     except SplitflowError as exc:
         print(f"error: {exc}", file=_sys.stderr)

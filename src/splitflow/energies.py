@@ -38,7 +38,6 @@ __all__ = [
     "MaxNormEnergy",
     "AllenCahn1DEnergy",
     "DoubleWell",
-    "subdiff",
     "partial_subdiff",
 ]
 
@@ -512,11 +511,6 @@ class AllenCahn1DEnergy(EnergySpec):
         lb, ld = self.load.bound(horizon)
         c = 0.5 * float(np.min(np.linalg.eigvalsh(self.K)))
         return _power_control_bound(c, self.h * lb, self.h * ld, self.shift)
-
-
-def subdiff(E: EnergySpec, t, u) -> SubdiffSet:
-    """Frechet subdifferential of E(t, .) at u."""
-    return E.subdiff(t, u)
 
 
 def partial_subdiff(E: EnergySpec, t, y, z, block) -> SubdiffSet:

@@ -99,11 +99,15 @@ def make_model(name, **overrides) -> ModelPreset:
 
 def _check_override_kind(key, value, default):
     """Reject an override whose kind differs from its parameter's: an
-    integer, a real number, or a state vector of numbers."""
+    integer, a finite real number, or a state vector of numbers."""
     if isinstance(default, int):
         ok, want = isinstance(value, numbers.Integral), "an integer"
     elif isinstance(default, float):
-        ok, want = isinstance(value, numbers.Real), "a number"
+        want = "a finite number"
+        try:
+            ok = math.isfinite(value)  # an integer too large for a float overflows
+        except (TypeError, OverflowError):
+            ok = False
     elif key in _STATE_PARAMS:
         want = "a list of numbers"
         try:
@@ -189,6 +193,8 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
     ):
         if val <= 0:
             raise ConfigurationError(f"parameter {label} must be positive, got {val}")
+    if m < 1:
+        raise ConfigurationError("mesh needs at least one interior node")
     h = 1.0 / (m + 1)
     n_el = m + 1
     # elementwise strain e(y)_i = (y_{i+1} - y_i)/h with Dirichlet ends

@@ -28,8 +28,11 @@ __all__ = [
 ]
 
 DEFAULT_INNER_FACTOR = 8
-# rows per format call of SampledCurve.to_csv; larger blocks format no
-# faster, and 256 rows of 34 columns held 0.5 MB of transient strings
+# "%.16e" text is at most 24 characters ("-1.7976931348623157e+308"); a CSV
+# field is that text left-justified in 24, then its "," or "\n" suffix
+_CSV_FIELD = "%-24.16e"
+# rows gathered per write of SampledCurve.to_csv; the time does not depend on
+# it, and 32 rows of 34 columns hold about 80 kB of transient bytes
 _CSV_BLOCK = 32
 
 
@@ -234,18 +237,17 @@ class SampledCurve:
 
     def to_csv(self, path):
         """Write the curve as CSV: a kind line, a header, then one ``%.16e`` row
-        per node, the text ``np.savetxt(fmt="%.16e", delimiter=",")`` writes.
+        per node, the bytes ``np.savetxt(fmt="%.16e", delimiter=",")`` writes.
 
-        Rows are formatted by one ``%`` per block of ``_CSV_BLOCK`` rows.
+        Each distinct value of a column is formatted once (see ``_csv_fields``).
         """
         cols = ",".join(["t"] + [f"v_{j + 1}" for j in range(self.dim)])
-        data = np.column_stack([self.grid.times, self.values])
-        row = ",".join(["%.16e"] * data.shape[1]) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# interpolant_kind: {self.kind}\n{cols}\n")
-            for i in range(0, len(data), _CSV_BLOCK):
-                block = data[i : i + _CSV_BLOCK]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        table, index = _csv_fields([self.grid.times, *self.values.T])
+        with open(path, "wb") as fh:
+            fh.write(f"# interpolant_kind: {self.kind}\n{cols}\n".encode("utf-8"))
+            for i in range(0, len(index), _CSV_BLOCK):
+                # fields are padded with spaces, which no formatted number holds
+                fh.write(table[index[i : i + _CSV_BLOCK]].tobytes().replace(b" ", b""))
 
     @classmethod
     def from_csv(cls, path, grid):
@@ -254,6 +256,26 @@ class SampledCurve:
             kind = first.split(":", 1)[1].strip()
             data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
         return cls(grid, data[:, 1:], kind)
+
+
+def _csv_fields(columns):
+    """Fixed-width CSV fields of equal-length float columns: a table of
+    ``S25`` fields and the ``(rows, columns)`` int32 index of each value's
+    field in it.
+
+    The schemes repeat values (a movement held over its cells, a frozen block,
+    an equilibrium), so each column formats only its distinct float64 bit
+    patterns.  Keying on bits, not values, keeps 0.0 and -0.0 apart.  A field
+    is ``_CSV_FIELD`` text followed by "," or, in the last column, "\n".
+    """
+    index = np.empty((len(columns[0]), len(columns)), dtype=np.int32)
+    fields = bytearray()  # one growing buffer, so the table is never held twice
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        index[:, j] = inverse + len(fields) // 25
+        field = _CSV_FIELD + ("\n" if j == len(columns) - 1 else ",")
+        fields += ((field * bits.size) % tuple(bits.view(np.float64).tolist())).encode("ascii")
+    return np.frombuffer(fields, dtype="S25"), index
 
 
 def repetition_apply(j, P: Partition, g: SampledCurve) -> SampledCurve:

@@ -355,6 +355,9 @@ def _prox_maxnorm(R, VR, E, t, anchor, h, tol):
 # ---------------------------------------------------------------------------
 
 _ZERO_TOL = 1e-13
+# absolute time resolution of the exact flows: a segment ends within it of
+# its piece's end, and a cell takes the segment that holds its right end
+_TIME_TOL = 1e-15
 
 
 def _unscaled(R):
@@ -389,7 +392,7 @@ def _regime_flow(dual_weights, t0, t1, u0, mechanism):
     t = float(t0)
     segments = []
     scale = max(1.0, float(np.max(np.abs(u))))
-    while t < t1 - 1e-15:
+    while t < t1 - _TIME_TOL:
         kind = _regime_classify(u, _ZERO_TOL * scale)
         if kind == "zero":
             u = np.zeros(2)
@@ -442,6 +445,9 @@ def _exact_flows(times, u0, pieces):
     segments.  A cell takes the force of the segment that holds its right
     end, the state at which every prox path evaluates its force.
     """
+    # the loop of _regime_flow emits a segment only under this condition
+    if any(t0 >= t1 - _TIME_TOL for t0, t1, _, _ in pieces):
+        raise InputError(f"exact flows need semi-intervals longer than {_TIME_TOL:g}")
     u, segments = u0, []
     for t0, t1, weights, label in pieces:
         u, segs = _regime_flow(weights, t0, t1, u, label)
@@ -449,7 +455,7 @@ def _exact_flows(times, u0, pieces):
     nodes, forces = [u0], []
     si = 0
     for b in times[1:]:
-        while segments[si].t1 < b - 1e-15 and si + 1 < len(segments):
+        while segments[si].t1 < b - _TIME_TOL and si + 1 < len(segments):
             si += 1
         nodes.append(segments[si].state(min(b, segments[si].t1)))
         forces.append(segments[si].xi)

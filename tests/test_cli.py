@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitflow import cli
 
@@ -181,3 +188,157 @@ def test_run_whose_solve_overflows_exits_3_at_the_first_bad_step(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == "numerical failure: non-finite state or force at step 1 of 64\n"
     assert not (out_dir / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "certificate, shown",
+    [
+        ({"gap": 2.6e-4, "iterations": 200}, " (gap 2.6e-04 after 200 iterations)"),
+        ({"iterations": 100}, " (after 100 iterations)"),
+        ({"gap": 1.5e-3, "best": [0.5]}, " (gap 1.5e-03)"),
+        ({"best": [0.5]}, ""),
+    ],
+)
+def test_numerical_failure_prints_its_certificate(tmp_path, capsys, monkeypatch,
+                                                  certificate, shown):
+    from splitflow.errors import NumericalError
+
+    def boom(cfg):
+        raise NumericalError("effective prox stagnated", **certificate)
+
+    monkeypatch.setattr(cli, "cmd_run", boom)
+    code = run_cli(["run", "--model", "counterexample", "--N", "8",
+                    "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: effective prox stagnated{shown}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run", "--N", "x"], ["run", "--no-such-flag"], ["run", "--scheme", "nope"],
+     ["run", "--override", "p"], ["run", "--override", "p=[1,"], ["study", "--study", "4,x"],
+     ["run", "--nodes", "0,a,1"]],
+)
+def test_malformed_command_line_exits_one_with_one_line(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("model, scheme", [("visco-plasticity-1d", "block-amm"),
+                                           ("allen-cahn-1d", "effective")])
+def test_run_csvs_are_savetxt_text_and_read_back_bit_for_bit(tmp_path, model, scheme):
+    from splitflow.models import make_model
+    from splitflow.partitions import SampledCurve, build_partition
+    from splitflow.solvers import solve
+
+    out_dir = tmp_path / scheme
+    assert run_cli(["run", "--model", model, "--scheme", scheme, "--N", "4",
+                    "--out", str(out_dir)]) == 0
+    cfg, preset = cli.RunConfig(), make_model(model)
+    out = solve(preset.system, scheme, build_partition(preset.horizon, N=4), preset.u0,
+                cfg.tol, cfg.inner_steps)
+    # the values the writer formats once: a force is held over the cells of
+    # its movement, and a block run freezes a block on each semi-interval
+    forces = out.xi.values
+    assert np.unique(forces, axis=0).shape[0] < forces.shape[0]
+    if scheme == "block-amm":
+        y = out.u_linear.values[:, : preset.system.block_layout[0]]
+        assert np.unique(y, axis=0).shape[0] < y.shape[0]
+    for name, curve in (("trajectory.csv", out.u_linear), ("forces.csv", out.xi)):
+        buf = io.BytesIO()
+        header = ",".join(["t"] + [f"v_{j + 1}" for j in range(curve.dim)])
+        np.savetxt(buf, np.column_stack([curve.grid.times, curve.values]), fmt="%.16e",
+                   delimiter=",", header=f"# interpolant_kind: {curve.kind}\n{header}",
+                   comments="")
+        assert (out_dir / name).read_bytes() == buf.getvalue()
+        back = SampledCurve.from_csv(out_dir / name, curve.grid)
+        assert back.kind == curve.kind
+        assert np.array_equal(back.values.view(np.uint64), curve.values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "model, override",
+    [("counterexample", "a1=Infinity"), ("counterexample", "T=1e400"),
+     ("counterexample", "T=" + "1" * 400), ("visco-plasticity-1d", "m=-1"),
+     ("visco-plasticity-1d", "m=0"), ("counterexample", "T=7e-121")],
+    ids=["infinite-weight", "infinite-T", "integer-T-beyond-float", "negative-m", "zero-m",
+         "T-below-time-resolution"],
+)
+def test_inputs_the_fuzz_found_exit_one(tmp_path, capsys, model, override):
+    # each escaped main with a traceback: a singular inverse of an infinite
+    # weight, a float overflow, a division by zero, no flow segment at all
+    code = run_cli(["run", "--model", model, "--scheme", "split", "--N", "1",
+                    "--override", override, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "model, override, err",
+    [("visco-plasticity-1d", "C_el=1e308", "LinAlgError: Eigenvalues did not converge"),
+     ("allen-cahn-1d", "well_pos=1e308", "OverflowError: (34, 'Numerical result out of range')")],
+)
+def test_overflowing_model_parameter_is_a_numerical_failure(tmp_path, capsys, model,
+                                                            override, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the products overflow
+        code = run_cli(["run", "--model", model, "--scheme", "split", "--N", "1",
+                        "--override", override, "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {err}\n"
+
+
+# each model's override keys; the fuzz also draws unknown keys
+_MODEL_KEYS = {
+    "counterexample": ["a1", "b1", "a2", "b2", "u0", "T"],
+    "allen-cahn-1d": ["m", "p", "well_scale", "well_pos", "load", "u0", "T"],
+    "visco-plasticity-1d": ["m", "C_el", "H_hard", "D_visc", "sigma_yield", "rho",
+                            "f_load", "g_load", "y0", "z0", "T"],
+}
+# integers stay small: m sizes the mesh, and a large one only costs time and memory
+_numbers = st.one_of(st.integers(-3, 10), st.floats(width=64),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324]))
+_values = st.one_of(
+    _numbers, _numbers, st.lists(_numbers, max_size=40),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.lists(_numbers, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["c1", "amp", "omega", "x"]), _numbers, max_size=2))
+
+
+@st.composite
+def _argv(draw):
+    # unknown subcommands, models and schemes are in
+    # test_malformed_command_line_exits_one_with_one_line; here most draws of
+    # N and of the override keys are valid, so that most examples reach a solve
+    model = draw(st.sampled_from(list(_MODEL_KEYS)))
+    argv = [draw(st.sampled_from(["run", "run", "study", "probe-qye", "list-models"])),
+            "--model", model, "--scheme", draw(st.sampled_from(list(cli.SCHEMES))),
+            "--N", draw(st.sampled_from([str(n) for n in range(1, 9)] * 2
+                                        + ["0", "-1", "x", "2.5", "", "nan"])),
+            "--samples", str(draw(st.integers(-1, 20))),
+            "--inner-steps", "2"]
+    if argv[0] == "study":
+        argv += ["--study", draw(st.sampled_from(["2,4", "2,4", "0,2", "x"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(_MODEL_KEYS[model] * 2 + ["foo", ""]))
+        raw = draw(st.one_of(_values.map(json.dumps), st.sampled_from(["", "[1,", "x"])))
+        argv += ["--override", f"{key}={raw}"]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_ends_in_an_exit_code_with_at_most_one_line(argv):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # overflowing inputs warn; a warning is not a way out of main
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + ["--out", os.path.join(tmp, "out")])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert len(err.splitlines()) <= 1, (argv, err)
+    assert "Traceback" not in err

@@ -1,3 +1,7 @@
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,3 +278,40 @@ def test_csv_text_equals_savetxt_across_row_blocks(tmp_path):
                    header="# interpolant_kind: piecewise-constant\nt,v_1,v_2,v_3",
                    comments="")
     assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+# zeros of both signs, NaN of both signs, infinities, the extreme subnormals
+# and finite values, and three-digit exponents
+_CSV_SPECIALS = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324,
+                 -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300,
+                 -2.5e-310, 6.02e200]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 18), M=st.sampled_from([2, 4, 6, 8]), dim=st.integers(1, 40),
+       hold=st.integers(1, 20), constant=st.lists(st.integers(0, 39), max_size=5),
+       pool=st.lists(st.floats(width=64), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_bytes_equal_savetxt_on_repeated_and_special_values(N, M, dim, hold, constant,
+                                                                 pool, seed):
+    # 5 to 289 rows: the writer's last row block is full or partial
+    grid = pa.build_partition(1.0, N=N).refine(M)
+    rng = np.random.default_rng(seed)
+    choices = np.concatenate([pool, _CSV_SPECIALS,
+                              rng.standard_normal(6) * 10.0 ** rng.integers(-320, 300, 6)])
+    # every row repeats `hold` times, and the listed columns are constant
+    rows = rng.choice(choices, (-(-grid.n_nodes // hold), dim))
+    values = np.repeat(rows, hold, axis=0)[: grid.n_nodes]
+    for j in constant:
+        values[:, j % dim] = values[0, j % dim]
+    values[1:3, 0] = [0.0, -0.0]
+    g = pa.SampledCurve(grid, values, "delayed-constant")
+    buf = io.BytesIO()
+    header = ",".join(["t"] + [f"v_{j + 1}" for j in range(dim)])
+    np.savetxt(buf, np.column_stack([grid.times, values]), fmt="%.16e", delimiter=",",
+               header=f"# interpolant_kind: delayed-constant\n{header}", comments="")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.csv")
+        g.to_csv(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == buf.getvalue()
