@@ -60,13 +60,45 @@ def _default_out_root():
     return os.environ.get("SPLITFLOW_OUT", os.path.join(os.getcwd(), "splitflow-out"))
 
 
+# the kind of each config field, as its flag's argparse type gives it: a
+# (kind, element kind) pair for lists, and None allowed where it is the default
+_FIELD_KINDS = {
+    "model": str, "scheme": str, "out": str, "overrides": dict,
+    "N": int, "inner_steps": int, "seed": int, "samples": int, "tol": float,
+    "nodes": (list, float), "study": (list, int),
+}
+_KIND_NAMES = {
+    str: "a string", dict: "an object", int: "an integer", float: "a number",
+    (list, float): "a non-empty list of numbers",
+    (list, int): "a non-empty list of integers",
+}
+
+
+def _is_kind(val, kind):
+    if isinstance(kind, tuple):
+        return isinstance(val, list) and bool(val) and all(
+            _is_kind(x, kind[1]) for x in val)
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InputError(f"config {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"config {path} must hold a JSON object of fields")
     cfg = RunConfig()
     for key, val in data.items():
-        if not hasattr(cfg, key):
+        kind = _FIELD_KINDS.get(key)
+        if kind is None:
             raise InputError(f"unknown config field {key!r}")
+        if not (_is_kind(val, kind) or (val is None and getattr(cfg, key) is None)):
+            raise InputError(f"config field {key!r} must be {_KIND_NAMES[kind]}, "
+                             f"not {json.dumps(val)}")
         setattr(cfg, key, val)
     return cfg
 

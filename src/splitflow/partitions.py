@@ -11,7 +11,7 @@ rewriting identities hold to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,15 @@ _CSV_BLOCK = 32
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing nodes 0 = t^0 < ... < t^N = T with midpoints."""
+    """Strictly increasing nodes 0 = t^0 < ... < t^N = T with midpoints.
+
+    The step lengths ``taus`` and the ``midpoints`` are read-only arrays
+    computed once, with the nodes.
+    """
 
     nodes: np.ndarray
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
+    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
@@ -48,10 +54,13 @@ class Partition:
             raise InputError("a partition needs at least two nodes")
         if nodes[0] != 0.0:
             raise InputError("partitions must start at t = 0")
-        if np.any(np.diff(nodes) <= 0):
+        taus = np.diff(nodes)
+        if not np.all(taus > 0):  # also false for a NaN node
             raise InputError("partition nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        midpoints = 0.5 * (nodes[:-1] + nodes[1:])
+        for name, value in (("nodes", nodes), ("taus", taus), ("midpoints", midpoints)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def T(self):
@@ -60,14 +69,6 @@ class Partition:
     @property
     def N(self):
         return self.nodes.size - 1
-
-    @property
-    def taus(self):
-        return np.diff(self.nodes)
-
-    @property
-    def midpoints(self):
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     @property
     def max_step(self):
@@ -122,14 +123,11 @@ class RefinedGrid:
             raise InputError("inner factor must be a positive even count")
         self.partition = partition
         self.M = M
-        times = [0.0]
-        for k in range(partition.N):
-            a = partition.nodes[k]
-            mid = partition.midpoints[k]
-            b = partition.nodes[k + 1]
-            times.extend(np.linspace(a, mid, M + 1)[1:])
-            times.extend(np.linspace(mid, b, M + 1)[1:])
-        self.times = np.asarray(times)
+        # the 2N semi-intervals in time order, each split by one linspace row
+        ends = np.column_stack([partition.midpoints, partition.nodes[1:]]).ravel()
+        starts = np.concatenate([[0.0], ends[:-1]])
+        cells = np.linspace(starts, ends, M + 1, axis=1)[:, 1:]
+        self.times = np.concatenate([[0.0], cells.ravel()])
         self.times.setflags(write=False)
         self.n_cells = 2 * M * partition.N
         widths = np.diff(self.times)

@@ -498,8 +498,14 @@ class InfConvolution(Potential):
 
     def __call__(self, v):
         """The inf-convolution value; a batch without a closed-form split is
-        decomposed by one call for all its rows."""
+        decomposed by one call for all its rows.
+
+        One vector of a quadratic pair is <V v, v>/2 with the combined matrix
+        V, the value whose gradient and Hessian ``grad`` and ``hess`` give.
+        """
         v = self._batch(v)
+        if v.ndim == 1 and self._V is not None:
+            return _quadratic(v, self._V)
         split = None if v.ndim == 1 else _closed_form_split(self, v)
         if split is None:
             return inf_conv_decompose(self, v, tol=1e-10).value

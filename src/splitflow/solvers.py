@@ -189,11 +189,12 @@ def _prox(E, R, t, anchor, h, tol):
 
 
 def _prox_kernel(E, R):
-    """The prox method for the kinds of E and R, with what it needs of R taken
-    once: a callable ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)``.
+    """The prox method for the kinds of E and R, with what it needs of them
+    taken once: a callable ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)``.
 
     The choice depends only on the kinds, so a step plan resolves it once
-    per run and calls the kernel on every cell.
+    per run and calls the kernel on every cell.  The Hessian of a quadratic
+    energy is constant, so it is taken here too.
     """
     if isinstance(E, MaxNormEnergy):
         VR = R.quadratic_matrix()
@@ -202,12 +203,14 @@ def _prox_kernel(E, R):
         return partial(_prox_maxnorm, R, VR)
 
     if _energy_is_quadratic(E):
+        # the loads are linear, so one Hessian holds at every time and state
+        H = E.hess(0.0, np.zeros(E.dim))
         VR = R.quadratic_matrix()
         if VR is not None:
-            return partial(_prox_quadratic, VR)
+            return partial(_prox_quadratic, VR, H)
         parts = R.shrinkage_parts()
         if parts is not None:
-            return partial(_prox_shrinkage, parts)
+            return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
 
     return partial(_prox_newton, R)
 
@@ -218,8 +221,9 @@ def _energy_is_quadratic(E):
     )
 
 
-def _prox_quadratic(VR, E, t, anchor, h, tol):
-    H = E.hess(t, anchor)
+def _prox_quadratic(VR, H, E, t, anchor, h, tol):
+    """Linear solve for a quadratic R with matrix VR and an energy with
+    Hessian H."""
     g0 = E.grad(t, np.zeros_like(anchor))
     lhs = VR / h + H
     rhs = VR @ anchor / h - g0
@@ -234,12 +238,11 @@ def _is_diagonal(M):
     return not np.count_nonzero(M - np.diag(np.diag(M)))
 
 
-def _prox_shrinkage(parts, E, t, anchor, h, tol, max_iter=10000):
-    """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d)."""
+def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
+    """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d) for
+    an energy with Hessian H; ``diag_only`` says H is diagonal."""
     sigma_w, quad_w = parts
-    H = E.hess(t, anchor)
     g_anchor = E.grad(t, anchor)
-    diag_only = _is_diagonal(H)
     curv = np.diag(H) + quad_w / h
     if diag_only:
         d = -np.sign(g_anchor) * np.maximum(np.abs(g_anchor) - sigma_w, 0.0) / curv

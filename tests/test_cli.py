@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -116,6 +117,32 @@ def test_config_file_with_flag_override(tmp_path):
     assert echo["config"]["N"] == 8
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"N": "x"}', "N = 8", "[1]", '{"validate": 1}', '{"nodes": []}',
+     '{"study": [4, 8.5]}', '{"tol": true}'],
+)
+def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli(["study", "--config", str(cfg_path), "--study", "2",
+                    "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_every_config_field_has_a_kind(tmp_path):
+    assert set(cli._FIELD_KINDS) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": "counterexample", "overrides": {"u0": [1.0, 0.5]}, "scheme": "amm",
+        "N": 4, "nodes": [0, 0.5, 1.0], "inner_steps": 2, "tol": 1, "out": None,
+        "seed": 3, "study": [2], "samples": 10,
+    }))
+    cfg = cli._load_config(str(cfg_path))
+    assert cfg.nodes == [0, 0.5, 1.0] and cfg.tol == 1 and cfg.study == [2]
+
+
 def test_bad_flags_exit_nonzero(tmp_path, capsys):
     assert run_cli(["run", "--model", "counterexample", "--scheme", "split",
                     "--N", "0", "--out", str(tmp_path / "x")]) == 1
@@ -217,7 +244,7 @@ def test_numerical_failure_prints_its_certificate(tmp_path, capsys, monkeypatch,
     "argv",
     [[], ["run", "--N", "x"], ["run", "--no-such-flag"], ["run", "--scheme", "nope"],
      ["run", "--override", "p"], ["run", "--override", "p=[1,"], ["study", "--study", "4,x"],
-     ["run", "--nodes", "0,a,1"]],
+     ["run", "--nodes", "0,a,1"], ["run", "--nodes", "0,nan,1"]],
 )
 def test_malformed_command_line_exits_one_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1

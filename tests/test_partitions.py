@@ -47,6 +47,44 @@ def test_single_step_semi_intervals():
 def test_non_monotone_nodes_rejected():
     with pytest.raises(InputError):
         pa.build_partition(1.0, nodes=[0.0, 0.6, 0.5, 1.0])
+    with pytest.raises(InputError):
+        pa.build_partition(1.0, nodes=[0.0, np.nan, 1.0])
+
+
+def test_steps_and_midpoints_are_read_only_arrays_built_once():
+    P = pa.build_partition(1.0, nodes=[0.0, 0.3, 0.35, 1.0])
+    assert P.taus is P.taus and P.midpoints is P.midpoints
+    assert not P.taus.flags.writeable and not P.midpoints.flags.writeable
+    np.testing.assert_array_equal(P.taus, np.diff(P.nodes))
+    np.testing.assert_array_equal(P.midpoints, 0.5 * (P.nodes[:-1] + P.nodes[1:]))
+
+
+def grid_times_reference(P, M):
+    """The refined grid's nodes built one semi-interval at a time."""
+    times = [0.0]
+    for k in range(P.N):
+        a, mid, b = P.nodes[k], P.midpoints[k], P.nodes[k + 1]
+        times.extend(np.linspace(a, mid, M + 1)[1:])
+        times.extend(np.linspace(mid, b, M + 1)[1:])
+    return np.asarray(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40),
+    uniform=st.booleans(),
+    M=st.sampled_from([2, 4, 6, 8, 16]),
+)
+def test_refined_grid_times_equal_the_per_semi_interval_loop(widths, uniform, M):
+    if uniform:
+        P = pa.build_partition(float(np.sum(widths)), N=len(widths))
+    else:
+        P = pa.build_partition(float(np.sum(widths)),
+                               nodes=np.concatenate([[0.0], np.cumsum(widths)]))
+    grid = P.refine(M)
+    reference = grid_times_reference(P, M)
+    np.testing.assert_array_equal(grid.times.view(np.uint64), reference.view(np.uint64))
+    assert grid.n_nodes == reference.size
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,44 @@ def test_infconv_scalar_quadratics_closed_form():
     assert dec.v2[0] == pytest.approx(3.0)
 
 
+def _quadratic_member(kind, dim, rng):
+    weights = rng.uniform(0.5, 2.0, dim)
+    if kind == "form":
+        B = rng.uniform(-0.2, 0.2, (dim, dim))
+        return pt.QuadraticForm(np.diag(weights) + 0.5 * (B + B.T) / dim)
+    if kind == "power":
+        return pt.PowerNorm(2.0, weights)
+    if kind == "dual":
+        return pt.AnisotropicDualQuadratic(weights)
+    return pt.Rescaled(pt.AnisotropicDualQuadratic(weights))
+
+
+_QUADRATIC_KINDS = ["form", "power", "dual", "rescaled"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(_QUADRATIC_KINDS), st.sampled_from(_QUADRATIC_KINDS)),
+    dim=st.integers(1, 6),
+    rows=st.integers(1, 5),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadratic_pair_value_of_one_vector_matches_its_split(kinds, dim, rows, scale,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    P = pt.InfConvolution(*(_quadratic_member(k, dim, rng) for k in kinds))
+    V = scale * rng.standard_normal((rows, dim))
+    batch = P(V)
+    for v, batch_value in zip(V, batch):
+        value = P(v)
+        v1, v2 = pt._closed_form_split(P, v)
+        tol = 1e-14 * (1.0 + abs(value))
+        assert abs(value - (P.left(v1) + P.right(v2))) <= tol
+        assert abs(value - batch_value) <= tol
+        assert value == pytest.approx(0.5 * v @ P.grad(v), rel=1e-14)
+
+
 def test_infconv_zero_rate():
     P = pt.InfConvolution(
         pt.AnisotropicDualQuadratic([1.0]), pt.AnisotropicDualQuadratic([3.0])

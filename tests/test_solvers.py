@@ -454,6 +454,38 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     assert len(probes) == 1
 
 
+def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
+    preset = make_model("visco-plasticity-1d", m=6)
+    hessians = []
+    hess = en.QuadraticBlockEnergy.hess
+
+    def counted_hess(self, t, u):
+        hessians.append(t)
+        return hess(self, t, u)
+
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "hess", counted_hess)
+    out = sv.solve(preset.system, "block-split", pa.build_partition(1.0, N=4),
+                   preset.u0, 1e-10, 4)
+    # one prox solve per cell: the y steps are linear solves, the z steps shrinkages
+    assert len(out.stats["inner_iterations"]) == out.grid.n_cells == 32
+    assert len(hessians) == 2
+
+
+def test_effective_prox_of_a_quadratic_pair_decomposes_nothing(monkeypatch):
+    preset = make_model("allen-cahn-1d", p=2.0)
+    calls = []
+    decompose = pt.inf_conv_decompose
+
+    def counted(P, v, tol=1e-10):
+        calls.append(np.shape(v))
+        return decompose(P, v, tol)
+
+    monkeypatch.setattr(pt, "inf_conv_decompose", counted)
+    out = sv.effective_solve(preset.system, pa.build_partition(preset.horizon, N=8),
+                             preset.u0)
+    assert out.stats["inner_iterations"] and calls == []
+
+
 def test_systems_hash_and_compare_by_identity():
     a = make_model("allen-cahn-1d", m=4).system
     b = make_model("allen-cahn-1d", m=4).system
