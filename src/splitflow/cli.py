@@ -298,30 +298,34 @@ def _certificate(exc: NumericalError):
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = _load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_flags(cfg, args).validate()
-        handler = {
-            "run": cmd_run,
-            "study": cmd_study,
-            "probe-qye": cmd_probe_qye,
-            "list-models": cmd_list_models,
-        }[args.command]
-        return handler(cfg)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=_sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}{_certificate(exc)}", file=_sys.stderr)
-        return 3
-    except (np.linalg.LinAlgError, OverflowError) as exc:
-        # arithmetic broke down, e.g. on model parameters whose products overflow
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        return 3
-    except SplitflowError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+    # numpy's floating-point warnings stay silent: a run that meets a number
+    # that is not finite ends on the one line of the failure it causes (the
+    # finiteness checks of the solve and the audit, or a linear-algebra error)
+    with np.errstate(all="ignore"):
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = _load_config(args.config) if args.config else RunConfig()
+            cfg = _apply_flags(cfg, args).validate()
+            handler = {
+                "run": cmd_run,
+                "study": cmd_study,
+                "probe-qye": cmd_probe_qye,
+                "list-models": cmd_list_models,
+            }[args.command]
+            return handler(cfg)
+        except OSError as exc:
+            print(f"I/O failure: {exc}", file=_sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}{_certificate(exc)}", file=_sys.stderr)
+            return 3
+        except (np.linalg.LinAlgError, OverflowError) as exc:
+            # arithmetic broke down, e.g. on model parameters whose products overflow
+            print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
+            return 3
+        except SplitflowError as exc:
+            print(f"error: {exc}", file=_sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

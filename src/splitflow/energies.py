@@ -243,7 +243,31 @@ class EnergySpec:
         return s.a
 
     def hess(self, t, u) -> np.ndarray:
+        """The Hessian at (t, u), built from its parts."""
+        u = self._check(u)
+        H = np.array(self.hess_constant())
+        H.reshape(-1)[:: len(H) + 1] = self._hess_diagonal(t, u)
+        return H
+
+    # -- Hessian parts and unchecked cores (used by the Newton prox) -----------
+
+    def hess_constant(self):
+        """The part of the Hessian that depends on neither t nor u: the Hessian
+        is this matrix with its diagonal replaced by ``_hess_diagonal(t, u)``."""
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
+
+    def _hess_diagonal(self, t, u):
+        """The Hessian's diagonal at (t, u), unchecked."""
+        raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
+
+    def _eval(self, t, u):
+        """E(t, u) without the checks of ``eval``; families the Newton prox
+        meets compute it here, and their ``eval`` checks ``u`` and calls this."""
+        return self.eval(t, u)
+
+    def _grad(self, t, u):
+        """The gradient at (t, u) without the checks of ``grad``, like ``_eval``."""
+        return self.grad(t, u)
 
     def _check(self, u):
         if _is_vector(u, self.dim):
@@ -301,6 +325,7 @@ class QuadraticBlockEnergy(EnergySpec):
         self._loaded = not (self.f.is_zero and self.g.is_zero)
         H = np.block([[A, B.T], [B, G]]) if n_z else A
         self._H = H
+        self._H_diagonal = np.diag(H)
         self.lambda_convexity = 0.0 if n_y + n_z == 0 else min(
             0.0, float(np.min(np.linalg.eigvalsh(H)))
         )
@@ -314,30 +339,32 @@ class QuadraticBlockEnergy(EnergySpec):
     def autonomous(self):
         return self.f.is_constant and self.g.is_constant
 
-    def split_state(self, u):
-        u = self._check(u)
-        return u[: self.n_y], u[self.n_y :]
-
     def _blocks(self, u):
         u = self._batch(u)
         return u[..., : self.n_y], u[..., self.n_y :]
 
     def eval(self, t, u):
-        y, z = self._blocks(u)
+        return _value(self._eval(t, self._batch(u)))
+
+    def _eval(self, t, u):
+        y, z = u[..., : self.n_y], u[..., self.n_y :]
         # B y for one state; for a batch, the rows y B^T (equal to rounding)
         By = self.B @ y if y.ndim == 1 else y @ self.B.T
         val = 0.5 * _dot(y @ self.A, y) + 0.5 * _dot(z @ self.G, z)
         val += _dot(By, z)
         if self._loaded:
             val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
-        return _value(val + self.shift)
+        return val + self.shift
 
     def power(self, t, u):
         y, z = self._blocks(u)
         return _value(-_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z))
 
     def grad(self, t, u):
-        y, z = self.split_state(u)
+        return self._grad(t, self._check(u))
+
+    def _grad(self, t, u):
+        y, z = u[: self.n_y], u[self.n_y :]
         gy = self.A @ y + self.B.T @ z
         gz = self.B @ y + self.G @ z
         if self._loaded:
@@ -345,8 +372,11 @@ class QuadraticBlockEnergy(EnergySpec):
             gz = gz - self.g.value(t)
         return np.concatenate([gy, gz])
 
-    def hess(self, t, u):
-        return np.array(self._H)
+    def hess_constant(self):
+        return self._H
+
+    def _hess_diagonal(self, t, u):
+        return self._H_diagonal
 
     def subdiff(self, t, u):
         return SubdiffSet.singleton(self.grad(t, u))
@@ -465,6 +495,7 @@ class AllenCahn1DEnergy(EnergySpec):
         K = (np.diag(np.full(m, 2.0)) - np.diag(np.ones(m - 1), 1) - np.diag(
             np.ones(m - 1), -1)) / self.h
         self.K = K
+        self._K_diagonal = np.diag(K)
         # W'' >= -C1 gives lambda-convexity wrt the h-weighted L2 norm.
         self.lambda_convexity = -self.well.curvature_bound
         self._resolve_shift(shift)
@@ -478,26 +509,32 @@ class AllenCahn1DEnergy(EnergySpec):
         return self.load.is_constant
 
     def eval(self, t, u):
-        u = self._batch(u)
+        return _value(self._eval(t, self._batch(u)))
+
+    def _eval(self, t, u):
         val = 0.5 * _dot(u @ self.K, u) + self.h * self.well(u).sum(axis=-1)
         if self._loaded:
             val = val - self.h * _dot(self.load.value(t), u)
-        return _value(val + self.shift)
+        return val + self.shift
 
     def power(self, t, u):
         u = self._batch(u)
         return _value(-self.h * _dot(self.load.derivative(t), u))
 
     def grad(self, t, u):
-        u = self._check(u)
+        return self._grad(t, self._check(u))
+
+    def _grad(self, t, u):
         d1 = self.well.d1(u)
         if self._loaded:
             d1 = d1 - self.load.value(t)
         return self.K @ u + self.h * d1
 
-    def hess(self, t, u):
-        u = self._check(u)
-        return self.K + self.h * np.diag(self.well.d2(u))
+    def hess_constant(self):
+        return self.K
+
+    def _hess_diagonal(self, t, u):
+        return self._K_diagonal + self.h * self.well.d2(u)
 
     def subdiff(self, t, u):
         return SubdiffSet.singleton(self.grad(t, u))

@@ -17,18 +17,19 @@ from .errors import NumericalError
 
 # objective differences below 16 eps (1 + |f0|) count as decreases
 _SLACK = float(16.0 * np.finfo(float).eps)
-_ARMIJO = 1e-4
+ARMIJO = 1e-4
 _BACKTRACKS = 40
 
 
-def accepts(f, f0, alpha, slope):
+def accepts(f, f0, alpha, slope, armijo=ARMIJO):
     """Armijo sufficient decrease of the step of length ``alpha``, up to rounding.
 
     ``f0`` is the objective at the start, ``f`` at the trial point and
-    ``slope`` the directional derivative at the start along the full step.
-    Arrays of rows are tested row by row.
+    ``slope`` the directional derivative at the start along the full step;
+    ``armijo`` is the share of the predicted decrease asked for.  Arrays of
+    rows are tested row by row.
     """
-    return f <= f0 + _ARMIJO * alpha * slope + _SLACK * (1.0 + abs(f0))
+    return f <= f0 + armijo * alpha * slope + _SLACK * (1.0 + abs(f0))
 
 
 def _step(H, g):

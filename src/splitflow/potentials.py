@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .newton import accepts
+from .newton import ARMIJO, accepts
 
 __all__ = [
     "Potential",
@@ -154,6 +154,26 @@ class Potential:
         """Matrix V with R(v) = <Vv, v>/2, or None if not purely quadratic."""
         return None
 
+    # -- Hessian parts and unchecked cores (used by the Newton prox) -----------
+
+    def hess_constant(self):
+        """The part of the Hessian that does not depend on v: the Hessian at
+        any v is this matrix with its diagonal replaced by the diagonal at v."""
+        raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
+
+    def _hess_diagonal(self, v):
+        """The Hessian's diagonal at v, unchecked; one row per row of a batch."""
+        raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
+
+    def _eval(self, v):
+        """R(v) without the checks of ``__call__``; kinds the Newton prox meets
+        compute it here, and their ``__call__`` checks ``v`` and calls this."""
+        return self(v)
+
+    def _grad(self, v):
+        """dR(v) without the checks of ``grad``, like ``_eval``."""
+        return self.grad(v)
+
     def shrinkage_parts(self):
         """(sigma_weights, quad_diag) for per-coordinate sigma_i|v_i| + q_i v_i^2/2,
         or None when the kind has no such structure."""
@@ -193,6 +213,7 @@ class QuadraticForm(Potential):
         if not np.allclose(V, V.T, atol=1e-12):
             raise ConfigurationError("quadratic form matrix must be symmetric")
         object.__setattr__(self, "V", _freeze(V))
+        object.__setattr__(self, "_V_diagonal", np.diag(self.V))
         try:
             object.__setattr__(self, "_Vinv", _freeze(np.linalg.inv(V)))
         except np.linalg.LinAlgError as exc:
@@ -203,7 +224,10 @@ class QuadraticForm(Potential):
         return self.V.shape[0]
 
     def __call__(self, v):
-        return _quadratic(self._batch(v), self.V)
+        return self._eval(self._batch(v))
+
+    def _eval(self, v):
+        return _quadratic(v, self.V)
 
     def conjugate(self, xi):
         return _quadratic(self._batch(xi, "xi"), self._Vinv)
@@ -213,11 +237,19 @@ class QuadraticForm(Potential):
         return self._Vinv @ xi
 
     def grad(self, v):
-        v = self._batch(v)
+        return self._grad(self._batch(v))
+
+    def _grad(self, v):
         return self.V @ v if v.ndim == 1 else v @ self.V.T
 
     def hess(self, v):
         return _stacked(self.V, self._batch(v))
+
+    def hess_constant(self):
+        return self.V
+
+    def _hess_diagonal(self, v):
+        return self._V_diagonal
 
     def quadratic_matrix(self):
         return np.array(self.V)
@@ -244,6 +276,7 @@ class PowerNorm(Potential):
             raise ConfigurationError("PowerNorm weights must be positive")
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "_curvature", _freeze(w * (self.p - 1.0)))
 
     @property
     def dim(self):
@@ -254,8 +287,10 @@ class PowerNorm(Potential):
         return self.p / (self.p - 1.0)
 
     def __call__(self, v):
-        v = self._batch(v)
-        return _value((self.weights * np.abs(v) ** self.p).sum(axis=-1) / self.p)
+        return _value(self._eval(self._batch(v)))
+
+    def _eval(self, v):
+        return (self.weights * np.abs(v) ** self.p).sum(axis=-1) / self.p
 
     def conjugate(self, xi):
         xi = self._batch(xi, "xi")
@@ -268,15 +303,24 @@ class PowerNorm(Potential):
         return np.sign(xi) * s ** (self.p_star - 1.0)
 
     def grad(self, v):
-        v = self._batch(v)
+        return self._grad(self._batch(v))
+
+    def _grad(self, v):
         return self.weights * np.sign(v) * np.abs(v) ** (self.p - 1.0)
 
     def hess(self, v):
-        v = self._batch(v)
+        return _diagonal(self._hess_diagonal(self._batch(v)))
+
+    def hess_constant(self):
+        return np.zeros((self.dim, self.dim))
+
+    def _hess_diagonal(self, v):
         # For p < 2 the curvature blows up at v_i = 0; clamp for Newton use.
+        if self.p >= 2.0:
+            return np.minimum(self._curvature * np.abs(v) ** (self.p - 2.0), 1e12)
         with np.errstate(divide="ignore"):
-            d = self.weights * (self.p - 1.0) * np.abs(v) ** (self.p - 2.0)
-        return _diagonal(np.minimum(d, 1e12))
+            d = self._curvature * np.abs(v) ** (self.p - 2.0)
+        return np.minimum(d, 1e12)
 
     def quadratic_matrix(self):
         if self.p == 2.0:
@@ -299,14 +343,17 @@ class AnisotropicDualQuadratic(Potential):
         if np.any(c <= 0):
             raise ConfigurationError("dual weights must be positive")
         object.__setattr__(self, "dual_weights", _freeze(c))
+        object.__setattr__(self, "_curvature", _freeze(1.0 / c))
 
     @property
     def dim(self):
         return self.dual_weights.size
 
     def __call__(self, v):
-        v = self._batch(v)
-        return _value((v**2 / self.dual_weights).sum(axis=-1) / 2.0)
+        return _value(self._eval(self._batch(v)))
+
+    def _eval(self, v):
+        return (v**2 / self.dual_weights).sum(axis=-1) / 2.0
 
     def conjugate(self, xi):
         xi = self._batch(xi, "xi")
@@ -317,13 +364,22 @@ class AnisotropicDualQuadratic(Potential):
         return self.dual_weights * xi
 
     def grad(self, v):
-        return self._batch(v) / self.dual_weights
+        return self._grad(self._batch(v))
+
+    def _grad(self, v):
+        return v / self.dual_weights
 
     def hess(self, v):
-        return _stacked(np.diag(1.0 / self.dual_weights), self._batch(v))
+        return _stacked(np.diag(self._curvature), self._batch(v))
+
+    def hess_constant(self):
+        return np.diag(self._curvature)
+
+    def _hess_diagonal(self, v):
+        return self._curvature
 
     def quadratic_matrix(self):
-        return np.diag(1.0 / self.dual_weights)
+        return np.diag(self._curvature)
 
 
 @dataclass(frozen=True)
@@ -442,8 +498,10 @@ class Rescaled(Potential):
         return self.base.dim
 
     def __call__(self, v):
-        v = self._batch(v)
-        return 2.0 * self.base(0.5 * v)
+        return _value(self._eval(self._batch(v)))
+
+    def _eval(self, v):
+        return 2.0 * self.base._eval(0.5 * v)
 
     def conjugate(self, xi):
         return 2.0 * self.base.conjugate(xi)
@@ -452,10 +510,19 @@ class Rescaled(Potential):
         return 2.0 * self.base.dual_rate(xi)
 
     def grad(self, v):
-        return self.base.grad(0.5 * self._batch(v))
+        return self._grad(self._batch(v))
+
+    def _grad(self, v):
+        return self.base._grad(0.5 * v)
 
     def hess(self, v):
         return 0.5 * self.base.hess(0.5 * self._batch(v))
+
+    def hess_constant(self):
+        return 0.5 * self.base.hess_constant()
+
+    def _hess_diagonal(self, v):
+        return 0.5 * self.base._hess_diagonal(0.5 * v)
 
     def quadratic_matrix(self):
         V = self.base.quadratic_matrix()
@@ -491,6 +558,7 @@ class InfConvolution(Potential):
         if V1 is not None and V2 is not None:
             V = _freeze(np.linalg.inv(np.linalg.inv(V1) + np.linalg.inv(V2)))
         object.__setattr__(self, "_V", V)
+        object.__setattr__(self, "_V_diagonal", None if V is None else np.diag(V))
 
     @property
     def dim(self):
@@ -519,6 +587,22 @@ class InfConvolution(Potential):
 
     def quadratic_matrix(self):
         return self._V
+
+    def _eval(self, v):
+        return self(v) if self._V is None else _quadratic(v, self._V)
+
+    def _grad(self, v):
+        return self.grad(v) if self._V is None else self._V @ v
+
+    def hess_constant(self):
+        # only a quadratic pair has a constant Hessian; a smooth pair's prox
+        # runs Newton on the members (``solvers._infconv_prox``)
+        if self._V is None:
+            raise NotImplementedError("only a quadratic inf-convolution has Hessian parts")
+        return self._V
+
+    def _hess_diagonal(self, v):
+        return self._V_diagonal
 
     def grad(self, v):
         V = self.quadratic_matrix()
@@ -575,6 +659,22 @@ def fenchel_young_residual(P: Potential, v, xi) -> float:
     if not math.isfinite(val):
         raise InputError("fenchel_young_residual requires a finite primal value")
     return val + P.conjugate(xi) - float(xi @ v)
+
+
+# Armijo constant of a pair with a member whose curvature is unbounded at 0,
+# a PowerNorm with p < 2.  A Newton step on |x|^p jumps across the kink (to -x
+# at p = 1.5), and with the default constant the iterates jump back and forth
+# while the gap shrinks by a few percent per step; asking for a quarter of the
+# predicted decrease halves such a step instead.  Pairs of members with bounded
+# curvature keep the default, and with it every iterate.
+_SINGULAR_ARMIJO = 0.25
+
+
+def _singular_curvature(R):
+    """True for a PowerNorm with p < 2, rescaled or not."""
+    while isinstance(R, Rescaled):
+        R = R.base
+    return isinstance(R, PowerNorm) and R.p < 2.0
 
 
 # Rows per batched Newton solve.  The stacked Hessians of a block take
@@ -706,6 +806,8 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
     gap = np.full(n, math.inf)
     active = np.arange(n)
     ridge = 1e-12 * np.eye(dim)
+    singular = _singular_curvature(R1) or _singular_curvature(R2)
+    armijo = _SINGULAR_ARMIJO if singular else ARMIJO
     for _ in range(max_iter):
         va, x = v[active], v1[active]
         xi = R2.grad(va - x)
@@ -718,7 +820,8 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         va, x, xi, f0 = va[going], x[going], xi[going], f0[going]
         g = R1.grad(x) - xi
         step = _newton_steps(R1.hess(x) + R2.hess(va - x) + ridge, g)
-        v1[active] = _line_search(R1, R2, va, x, step, f0, np.sum(g * step, axis=-1))
+        slope = np.sum(g * step, axis=-1)
+        v1[active] = _line_search(R1, R2, va, x, step, f0, slope, armijo)
     worst = active[np.argmax(gap[active])]
     raise NumericalError(
         "inf-convolution newton stagnated",
@@ -737,12 +840,12 @@ def _newton_steps(H, g):
                                for i in range(len(g))])
 
 
-def _line_search(R1, R2, v, x, step, f0, slope):
+def _line_search(R1, R2, v, x, step, f0, slope, armijo):
     """Armijo backtracking of each row of x along its step.
 
-    Rows are accepted by the shared test :func:`newton.accepts`; a row whose
-    search runs out takes the full step, since its objective differences
-    are then below rounding.
+    Rows are accepted by the shared test :func:`newton.accepts` with the
+    constant ``armijo``; a row whose search runs out takes the full step,
+    since its objective differences are then below rounding.
     """
     new = x + step
     alpha = np.ones(len(x))
@@ -750,7 +853,7 @@ def _line_search(R1, R2, v, x, step, f0, slope):
     for _ in range(40):
         trial = x[todo] + alpha[todo, None] * step[todo]
         f = R1(trial) + R2(v[todo] - trial)
-        ok = accepts(f, f0[todo], alpha[todo], slope[todo])
+        ok = accepts(f, f0[todo], alpha[todo], slope[todo], armijo)
         new[todo[ok]] = trial[ok]
         todo = todo[~ok]
         if not todo.size:

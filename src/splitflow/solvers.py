@@ -193,9 +193,20 @@ def _prox_kernel(E, R):
     taken once: a callable ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)``.
 
     The choice depends only on the kinds, so a step plan resolves it once
-    per run and calls the kernel on every cell.  The Hessian of a quadratic
-    energy is constant, so it is taken here too.
+    per run and calls the kernel on every cell.  What does not change from
+    cell to cell is taken here too: the Hessian of a quadratic energy, and
+    the constant Hessian parts of R (or of its members) and E for Newton.
+    A block step's kernel may be called with another frozen view of the same
+    energy; the parts do not depend on the frozen values.
     """
+    base = R.base if isinstance(R, Rescaled) else R
+    if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
+        if base is not R:
+            # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
+            R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
+        parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
+        return partial(_infconv_prox, R.left, R.right, parts)
+
     if isinstance(E, MaxNormEnergy):
         VR = R.quadratic_matrix()
         if VR is None or not _is_diagonal(VR):
@@ -212,7 +223,7 @@ def _prox_kernel(E, R):
         if parts is not None:
             return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
 
-    return partial(_prox_newton, R)
+    return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()))
 
 
 def _energy_is_quadratic(E):
@@ -273,19 +284,28 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
     raise NumericalError("shrinkage prox stagnated", iterations=max_iter, best=anchor + d)
 
 
-def _prox_newton(R, E, t, anchor, h, tol, max_iter=100):
-    """Damped Newton on u for h R((u - anchor)/h) + E(t, u)."""
+def _prox_newton(R, parts, E, t, anchor, h, tol, max_iter=100):
+    """Damped Newton on u for h R((u - anchor)/h) + E(t, u).
+
+    ``parts`` are the constant Hessian parts of R and E.  Every Hessian of
+    the solve is ``R_c / h + E_c`` off the diagonal, so that matrix is made
+    once and each step writes its diagonal ``R_ii / h + E_ii``.  Values,
+    gradients and diagonals come from the unchecked cores of R and E.
+    """
+    H = parts[0] / h + parts[1]
+    diagonal = H.reshape(-1)[:: len(H) + 1]
 
     def gradient(u):
         v = (u - anchor) / h
-        xi = E.grad(t, u)
-        return R.grad(v) + xi, (v, xi)
+        xi = E._grad(t, u)
+        return R._grad(v) + xi, (v, xi)
 
     def hessian(u, held):
-        return R.hess(held[0]) / h + E.hess(t, u)
+        diagonal[:] = R._hess_diagonal(held[0]) / h + E._hess_diagonal(t, u)
+        return H
 
     def objective(u):
-        return h * R((u - anchor) / h) + E.eval(t, u)
+        return h * R._eval((u - anchor) / h) + E._eval(t, u)
 
     scale = 1.0 + float(np.linalg.norm(anchor))
     u, (_, xi), it, res = newton.minimize(
@@ -538,23 +558,17 @@ class _FrozenBlockEnergy(EnergySpec):
         u[self.active] = x
         return u
 
-    def eval(self, t, x):
-        return self.base.eval(t, self._assemble(x))
-
-    def power(self, t, x):
-        return self.base.power(t, self._assemble(x))
+    def _eval(self, t, x):
+        return self.base._eval(t, self._assemble(x))
 
     def grad(self, t, x):
-        return self.base.grad(t, self._assemble(x))[self.active]
+        return self.base._grad(t, self._assemble(x))[self.active]
 
-    def hess(self, t, x):
-        H = self.base.hess(t, self._assemble(x))
-        return H[np.ix_(self.active, self.active)]
+    def hess_constant(self):
+        return self.base.hess_constant()[np.ix_(self.active, self.active)]
 
-    def subdiff(self, t, x):
-        from .energies import SubdiffSet
-
-        return SubdiffSet.singleton(self.grad(t, x))
+    def _hess_diagonal(self, t, x):
+        return self.base._hess_diagonal(t, self._assemble(x))[self.active]
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +786,6 @@ def effective_solve(
     R_eff = effective_potential(sys)
     if sys.block_layout is not None:
         step = partial(_joint_block_prox, sys)
-    elif isinstance(R_eff, InfConvolution) and R_eff.quadratic_matrix() is None:
-        step = partial(_infconv_prox, E, R_eff)
     else:
         step = partial(_prox_kernel(E, R_eff), E)
     plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
@@ -867,30 +879,46 @@ def _has_grad(R):
         return False
 
 
-def _infconv_prox(E, R_eff, t, anchor, tau, tol, max_iter=100):
+def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100):
     """Newton on the joint split variables w = (v1, v2) for a smooth
-    inf-convolution: minimize tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
+    inf-convolution of R1 and R2: minimize
+    tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
 
     Gradient and Hessian are taken divided by tau; the chain factor tau
-    restores the objective's slope in the line search.
+    restores the objective's slope in the line search.  With He the energy's
+    Hessian times tau, the Hessian is [[R1'' + He, He], [He, R2'' + He]]:
+    ``parts`` (the constant parts of R1, R2 and E) fix it off the diagonals
+    of its four blocks, and each step writes those diagonals.
     """
-    R1, R2 = R_eff.left, R_eff.right
     n = E.dim
+    He = parts[2] * tau
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = parts[0] + He
+    H[:n, n:] = He
+    H[n:, :n] = He
+    H[n:, n:] = parts[1] + He
+    flat = H.reshape(-1)
+    diagonal = flat[:: 2 * n + 1]
+    coupling = flat[n : 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
 
     def state(w):
         return anchor + tau * (w[:n] + w[n:])
 
     def gradient(w):
         u = state(w)
-        ge = E.grad(t, u)
-        return np.concatenate([R1.grad(w[:n]) + ge, R2.grad(w[n:]) + ge]), (u, ge)
+        ge = E._grad(t, u)
+        return np.concatenate([R1._grad(w[:n]) + ge, R2._grad(w[n:]) + ge]), (u, ge)
 
     def hessian(w, held):
-        He = E.hess(t, held[0]) * tau
-        return np.block([[R1.hess(w[:n]) + He, He], [He, R2.hess(w[n:]) + He]])
+        he = E._hess_diagonal(t, held[0]) * tau
+        diagonal[:n] = R1._hess_diagonal(w[:n]) + he
+        diagonal[n:] = R2._hess_diagonal(w[n:]) + he
+        coupling[0][:] = he
+        coupling[1][:] = he
+        return H
 
     def objective(w):
-        return tau * (R1(w[:n]) + R2(w[n:])) + E.eval(t, state(w))
+        return tau * (R1._eval(w[:n]) + R2._eval(w[n:])) + E._eval(t, state(w))
 
     scale = 1.0 + float(np.linalg.norm(anchor))
     _, (u, xi), it, res = newton.minimize(

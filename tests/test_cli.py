@@ -19,6 +19,15 @@ def run_cli(args):
     return cli.main(args)
 
 
+@contextlib.contextmanager
+def no_warning_escapes():
+    """Fail if a warning of any kind leaves the block: main prints one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 def test_list_models(capsys):
     assert run_cli(["list-models"]) == 0
     out = capsys.readouterr().out
@@ -195,7 +204,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 def test_run_with_an_overflowing_state_fails_its_audit(tmp_path, capsys):
     # the energies overflow, so the audit slack is infinite: it must not pass
     out_dir = tmp_path / "overflow"
-    with pytest.warns(RuntimeWarning):
+    with no_warning_escapes():
         code = run_cli(["run", "--model", "counterexample", "--scheme", "amm",
                         "--N", "8", "--override", "u0=[1e308,1e308]",
                         "--out", str(out_dir)])
@@ -208,7 +217,7 @@ def test_run_with_an_overflowing_state_fails_its_audit(tmp_path, capsys):
 def test_run_whose_solve_overflows_exits_3_at_the_first_bad_step(tmp_path, capsys):
     out_dir = tmp_path / "overflow"
     u0 = json.dumps([1e200] + [0.0] * 15)
-    with pytest.warns(RuntimeWarning):
+    with no_warning_escapes():
         code = run_cli(["run", "--model", "allen-cahn-1d", "--scheme", "split",
                         "--N", "4", "--override", f"u0={u0}", "--out", str(out_dir)])
     assert code == 3
@@ -309,8 +318,8 @@ def test_inputs_the_fuzz_found_exit_one(tmp_path, capsys, model, override):
 )
 def test_overflowing_model_parameter_is_a_numerical_failure(tmp_path, capsys, model,
                                                             override, err):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the products overflow
+    # the products overflow; the failure is the only line
+    with no_warning_escapes():
         code = run_cli(["run", "--model", model, "--scheme", "split", "--N", "1",
                         "--override", override, "--out", str(tmp_path / "x")])
     assert code == 3
@@ -360,9 +369,8 @@ def _argv(draw):
 @given(argv=_argv())
 def test_cli_fuzz_ends_in_an_exit_code_with_at_most_one_line(argv):
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # overflowing inputs warn; a warning is not a way out of main
-        warnings.simplefilter("ignore")
+    # overflowing inputs end in one line too, with no warning before it
+    with tempfile.TemporaryDirectory() as tmp, no_warning_escapes():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main(argv + ["--out", os.path.join(tmp, "out")])
     err = stderr.getvalue()

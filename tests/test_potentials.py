@@ -670,6 +670,22 @@ def test_nan_row_never_counts_as_converged():
     assert math.isnan(info.value.gap) and info.value.best.shape == (3,)
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("v", [0.001, -0.0042])
+def test_newton_decomposition_with_a_member_below_p_two_converges(v, swapped):
+    # a Newton step on |x|^1.5 jumps from x to -x; with the default Armijo
+    # constant these rows stagnated at gaps 2.6e-4 and 6.8e-5
+    quadratic, power = pt.AnisotropicDualQuadratic([1.7]), pt.PowerNorm(1.5, [1.9])
+    pair = pt.InfConvolution(power, quadratic) if swapped else pt.InfConvolution(quadratic, power)
+    dec = pt.inf_conv_decompose(pair, [v])
+    assert dec.gap <= 1e-10
+    assert dec.v1[0] + dec.v2[0] == pytest.approx(v, abs=1e-18)
+    # the best split on a grid of the power member's share, which is below 2e-6
+    z = np.linspace(-2e-5, 2e-5, 400001)[:, None]
+    best = float(np.min(quadratic(v - z) + power(z)))
+    assert dec.value == pytest.approx(best, abs=1e-10)
+
+
 def test_newton_step_of_a_singular_row_is_the_gradient_step():
     H = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2))])
     g = np.array([[2.0, 4.0], [1.0, -1.0]])

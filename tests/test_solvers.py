@@ -108,7 +108,8 @@ def test_prox_at_a_stationary_anchor_takes_no_step(monkeypatch):
     E = en.AllenCahn1DEnergy(m, load=load)
     R = pt.Rescaled(pt.PowerNorm(3.0, np.full(m, plain.h)))
     evals = []
-    monkeypatch.setattr(en.AllenCahn1DEnergy, "eval",
+    # the prox evaluates the energy through its unchecked core
+    monkeypatch.setattr(en.AllenCahn1DEnergy, "_eval",
                         lambda self, t, u: evals.append(t) or 0.0)
     u, xi, stats = sv._prox(E, R, 0.3, anchor, 0.05, 1e-10)
     assert stats.iterations == 0 and evals == []
@@ -129,6 +130,19 @@ def test_prox_allen_cahn_matches_coordinate_descent():
     # descent of the incremental functional relative to the anchor
     F = lambda w: 0.1 * R((w - anchor) / 0.1) + E.eval(0.0, w)
     assert F(u) <= F(anchor) + 1e-14
+
+
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_prox_of_a_smooth_inf_convolution_runs_newton_on_the_split(rescaled):
+    # such a pair has no Hessian parts; its prox moves the members' shares
+    E = en.AllenCahn1DEnergy(m=4)
+    R = pt.InfConvolution(pt.PowerNorm(3.0, dim=4), pt.QuadraticForm(E.K))
+    R = pt.Rescaled(R) if rescaled else R
+    anchor = np.array([0.5, -0.2, 0.3, 0.1])
+    u, xi = sv.prox_step(E, R, 0.0, anchor, 0.1, tol=1e-12)
+    np.testing.assert_array_equal(xi, E.grad(0.0, u))
+    # the Euler-Lagrange equation: the rate's gradient balances the force
+    np.testing.assert_allclose(R.grad((u - anchor) / 0.1) + xi, 0.0, atol=1e-7)
 
 
 def test_prox_positive_step_required():
@@ -457,13 +471,14 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
 def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     hessians = []
-    hess = en.QuadraticBlockEnergy.hess
+    hess_constant = en.QuadraticBlockEnergy.hess_constant
 
-    def counted_hess(self, t, u):
-        hessians.append(t)
-        return hess(self, t, u)
+    # the frozen-block views build their Hessians from the energy's constant part
+    def counted_hess(self):
+        hessians.append(self)
+        return hess_constant(self)
 
-    monkeypatch.setattr(en.QuadraticBlockEnergy, "hess", counted_hess)
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "hess_constant", counted_hess)
     out = sv.solve(preset.system, "block-split", pa.build_partition(1.0, N=4),
                    preset.u0, 1e-10, 4)
     # one prox solve per cell: the y steps are linear solves, the z steps shrinkages
