@@ -262,18 +262,103 @@ def _csv_fields(columns):
     field in it.
 
     The schemes repeat values (a movement held over its cells, a frozen block,
-    an equilibrium), so each column formats only its distinct float64 bit
-    patterns.  Keying on bits, not values, keeps 0.0 and -0.0 apart.  A field
-    is ``_CSV_FIELD`` text followed by "," or, in the last column, "\n".
+    an equilibrium), so each column keeps only its distinct float64 bit
+    patterns.  Keying on bits, not values, keeps 0.0 and -0.0 apart.  All
+    columns' distinct values are then formatted in one pass (``_write_e16``).
+    A field is ``_CSV_FIELD`` text, possibly with blanks on its left, followed
+    by "," or, in the last column, "\n".
     """
     index = np.empty((len(columns[0]), len(columns)), dtype=np.int32)
-    fields = bytearray()  # one growing buffer, so the table is never held twice
+    distinct = []
+    start = 0
     for j, column in enumerate(columns):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        index[:, j] = inverse + len(fields) // 25
-        field = _CSV_FIELD + ("\n" if j == len(columns) - 1 else ",")
-        fields += ((field * bits.size) % tuple(bits.view(np.float64).tolist())).encode("ascii")
-    return np.frombuffer(fields, dtype="S25"), index
+        index[:, j] = inverse + start
+        start += bits.size
+        distinct.append(bits)
+    table = np.empty((start, 25), dtype=np.uint8)
+    table[:, 24] = ord(",")
+    table[start - distinct[-1].size :, 24] = ord("\n")
+    _write_e16(np.concatenate(distinct).view(np.float64), table[:, :24])
+    return table.view("S25").reshape(-1), index
+
+
+# The fast path below needs a long double with at least a 64-bit significand
+# (x87 extended precision, or binary128): there 10**k is exact for k <= 27
+# (5**27 < 2**63), and one product or quotient |x| * 10**k is off by at most
+# 2**-64 of itself.
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+# fast-path decimal exponents: 10**(16 - e) stays within _POW10
+_E_MIN, _E_MAX = -11, 43
+# a field as six 4-byte words: blank, sign, lead digit and "."; four groups
+# of 4 digits; "e", the exponent's sign and its 2 digits
+_HEADS = np.frombuffer(b"".join(b" %s%d." % (s, d) for s in (b" ", b"-") for d in range(10)),
+                       dtype=np.uint32)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+_GROUPS = np.empty((100, 100, 2), dtype=np.uint16)
+_GROUPS[..., 0] = _PAIRS[:, None]
+_GROUPS[..., 1] = _PAIRS
+_GROUPS = _GROUPS.view(np.uint32).ravel()
+_TAILS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)),
+                       dtype=np.uint32)
+# values per chunk of _write_e16: its temporaries stay under 1 MB, and one
+# chunk of 100,000 values is slower than chunks of 4096
+_E16_CHUNK = 4096
+
+
+def _e16_digits(x):
+    """Where plain extended-precision arithmetic decides ``"%.16e" % x``:
+    a mask ``ok`` and, on it, the 17 significant digits of |x| as an int64
+    and the decimal exponent.
+
+    With e = floor(log10|x|) in [-11, 43], D = |x| * 10**(16 - e) is computed
+    with one rounding, so |D - exact| <= 2**-64 * 1e17 < 0.0055.  Where
+    1e16 + 1 <= D < 1e17 - 1 (e is then right and the rounded digits stay 17)
+    and frac(D) is farther than 2**-7 from 1/2, the exact value rounds as D
+    does.  Everything else -- zeros, subnormals, NaN, infinities, exponents
+    outside the window, near-ties -- is left to ``%``, and all of it is
+    without a 64-bit significand.
+    """
+    a = np.abs(x)
+    ok = (a >= 10.0**_E_MIN) & (a < 10.0 ** (_E_MAX + 1)) & _EXTENDED
+    a = np.where(ok, a, 1.0)  # keeps the arithmetic below finite
+    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
+    wide = a.astype(np.longdouble)
+    D = wide * _POW10[np.maximum(16 - e, 0)]
+    big = np.flatnonzero(e > 16)
+    D[big] = wide[big] / _POW10[e[big] - 16]
+    whole = D.astype(np.int64)
+    # with 64 significand bits a D >= 1e16 > 2**53 has at most 10 fraction
+    # bits, so this is exact; a wider one moves frac by under 2**-53
+    frac = (D - whole).astype(np.float64)
+    ok &= (whole > 10**16) & (whole < 10**17 - 1) & (np.abs(frac - 0.5) > 2.0**-7)
+    return ok, whole + (frac > 0.5), e
+
+
+def _write_e16(x, out):
+    """Write ``"%-24.16e" % value`` of each of ``x`` into the rows of the
+    ``(len(x), 24)`` uint8 array ``out``, up to blanks: a fast-path field
+    starts with a blank, then one for the sign of a positive value.
+    """
+    for lo in range(0, len(x), _E16_CHUNK):
+        chunk = x[lo : lo + _E16_CHUNK]
+        ok, digits, e = _e16_digits(chunk)
+        high = digits // 10**8
+        low = digits - high * 10**8
+        lead = np.minimum(high // 10**8, 9)  # off the fast path there may be 18 digits
+        high -= lead * 10**8
+        words = np.empty((len(chunk), 6), dtype=np.uint32)
+        words[:, 0] = _HEADS[np.signbit(chunk) * 10 + lead]
+        words[:, 1:5] = _GROUPS[np.stack([high // 10**4 % 10**4, high % 10**4,
+                                          low // 10**4, low % 10**4], axis=1)]
+        words[:, 5] = _TAILS[e - _E_MIN]
+        rows = out[lo : lo + _E16_CHUNK]
+        rows[:] = words.view(np.uint8)
+        slow = np.flatnonzero(~ok)
+        if slow.size:
+            text = (_CSV_FIELD * slow.size) % tuple(chunk[slow].tolist())
+            rows[slow] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
 
 
 def repetition_apply(j, P: Partition, g: SampledCurve) -> SampledCurve:

@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +354,93 @@ def test_csv_bytes_equal_savetxt_on_repeated_and_special_values(N, M, dim, hold,
         g.to_csv(path)
         with open(path, "rb") as fh:
             assert fh.read() == buf.getvalue()
+
+
+def _e16_text(x):
+    """Each value of ``x`` as the formatter writes it, blanks removed."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((x.size, 24), dtype=np.uint8)
+    pa._write_e16(x, out)
+    return np.char.strip(out.view("S24").ravel())
+
+
+def _percent_text(x):
+    return np.array([b"%.16e" % v for v in np.asarray(x, dtype=float).tolist()])
+
+
+def _targeted_e16_values():
+    tens = 10.0 ** np.arange(-12, 45)
+    window = [1e-11, 1e44, 1e16, 1e17, 9.999999999999999e43, 1.0000000000000001e-11]
+    ints = [2.0**53, 2.0**53 + 2, 2.0**60 + 2**8, 2.0**63, 1e17 - 16, 1e17 + 16, 1e22, 1e23]
+    # values whose 18th significant digit is 5: the exact value lies near a
+    # rounding tie of the 17 printed digits
+    rng = np.random.default_rng(5)
+    digits = rng.integers(10**16, 10**17, 400).tolist()
+    exponents = rng.integers(-12, 45, 400).tolist()
+    ties = np.array([float(f"{m}5e{e - 17}") for m, e in zip(digits, exponents)])
+    ties = np.concatenate([ties, [0.15, 0.25, 2.5, 0.35, 1.5e-5, 7.5e30]])
+    near = np.concatenate([tens, window, ints, ties])
+    near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+    return np.concatenate([near, -near, _CSV_SPECIALS, [1e100, -3.5e-105, 2.2250738585072014e-308]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_e16_formatter_equals_percent_on_arbitrary_bit_patterns(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert (_e16_text(x) == _percent_text(x)).all()
+
+
+def test_e16_formatter_equals_percent_on_targeted_values():
+    x = _targeted_e16_values()
+    assert (_e16_text(x) == _percent_text(x)).all()
+
+
+def test_e16_formatter_equals_percent_on_a_million_value_sweep():
+    # many chunks of the formatter per piece, each piece compared in one pass
+    # (raw bits mostly take the slow path: 3-digit exponents)
+    rng = np.random.default_rng(11)
+    n = 1 << 18
+    for x in (rng.standard_normal(n),
+              np.exp(rng.uniform(-40.0, 40.0, n) * np.log(10.0)) * rng.choice([-1.0, 1.0], n),
+              rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 45, n),
+              rng.integers(0, 2**64, n // 4, dtype=np.uint64).view(np.float64)):
+        out = np.full((x.size, 25), ord("\n"), dtype=np.uint8)
+        pa._write_e16(x, out[:, :24])
+        expected = ("%.16e\n" * x.size) % tuple(x.tolist())
+        assert out.tobytes().replace(b" ", b"") == expected.encode("ascii")
+
+
+def test_e16_formatter_without_extended_precision_uses_percent_only(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([_targeted_e16_values(), rng.standard_normal(5000)])
+    monkeypatch.setattr(pa, "_EXTENDED", False)
+    assert not pa._e16_digits(x)[0].any()
+    assert (_e16_text(x) == _percent_text(x)).all()
+
+
+def _wide_curve():
+    # the shape of a visco-plasticity-1d m=16 trajectory at N=64: 34 columns
+    grid = pa.build_partition(1.0, N=64).refine(8)
+    values = np.random.default_rng(2).standard_normal((grid.n_nodes, 33))
+    return pa.SampledCurve(grid, values, "piecewise-linear")
+
+
+@pytest.mark.skipif(not pa._EXTENDED, reason="no 64-bit long double significand")
+def test_e16_fast_path_takes_most_values_of_a_normal_curve():
+    g = _wide_curve()
+    ok = pa._e16_digits(np.column_stack([g.grid.times, g.values]).ravel())[0]
+    assert ok.size == 1025 * 34
+    assert ok.mean() >= 0.95
+
+
+def test_to_csv_transient_memory_stays_within_four_file_sizes(tmp_path):
+    g = _wide_curve()
+    g.to_csv(tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        g.to_csv(tmp_path / "curve.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * os.path.getsize(tmp_path / "curve.csv")
