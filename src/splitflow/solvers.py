@@ -672,6 +672,8 @@ def _movements(grid, u0, plan, tol, record):
     linear = np.empty_like(const)
     linear[0] = u0
     linear[1:] = (start + lam * (end - start)).reshape(-1, u0.size)
+    # start + 1.0 * (end - start) need not round to end
+    linear[n::n] = const[n::n]
     return linear, const, forces
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitflow import diagnostics as dg
 from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
@@ -362,6 +363,30 @@ def test_block_y_half_step_is_linear_solve():
     Ry_t = pt.Rescaled(sys.r1.base)
     resid = np.linalg.norm(Ry_t.grad(rate) + eta)
     assert resid <= 1e-10
+
+
+def test_block_amm_with_a_drawn_load_has_exact_end_nodes_and_passes_its_audit():
+    # a nonzero load moves the state so that start + 1.0 * (end - start) can
+    # miss a half step's end node; the block then frozen moved across that
+    # node, and the block indicator's rate term was +inf
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        c0, c1, amp = rng.standard_normal((3, 8))
+        preset = make_model("visco-plasticity-1d", m=8, f_load=en.Load(c0, c1, amp, omega=6.0))
+        sys = preset.system
+        idx_y, idx_z = sys.block_indices()
+        for N in (16, 64):
+            out = sv.solve(sys, "block-amm", pa.build_partition(1.0, N=N), preset.u0, 1e-10, 8)
+            M = out.grid.M
+            linear = out.u_linear.values
+            np.testing.assert_array_equal(linear[::M], out.u_const.values[::M])
+            halves = linear[1:].reshape(N, 2, M, -1)
+            # z is frozen on the left half steps, y on the right ones
+            assert (halves[:, 0][..., idx_z] == linear[:-1 : 2 * M, None, idx_z]).all()
+            assert (halves[:, 1][..., idx_y] == linear[M :: 2 * M, None, idx_y]).all()
+            report = dg.edb_audit(out, sys, form="inequality")
+            assert math.isfinite(report.d_rate)
+            assert report.passed
 
 
 def test_block_z_frozen_on_left_y_frozen_on_right():
