@@ -17,7 +17,9 @@ are folded into the discrete functionals.
 
 ``eval`` and ``power`` take one state and return a float, or a batch of
 states as rows of shape (n, dim), with one time per row or one time for
-all, and return one value per row.
+all, and return one value per row.  :class:`EnergySpec` owns these checked
+entries and ``grad``: each checks the state once and calls the family's
+core (``_eval``, ``_power``, ``_grad``), so a family states only its cores.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .potentials import _is_vector
+from .potentials import Potential, _value
 
 __all__ = [
     "Load",
@@ -130,11 +132,6 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _value(x):
-    """A float for a single-state result, the array of row values otherwise."""
-    return x if isinstance(x, np.ndarray) else float(x)
-
-
 def _as_load(obj, dim, name):
     if obj is None:
         return Load.zero(dim)
@@ -224,32 +221,43 @@ class EnergySpec:
         else:
             self.shift = float(shift)
 
+    # -- checked entries: each checks the state once and calls a core -------
+
     def eval(self, t, u):
         """E(t, u): a float for one state, one value per row for an (n, dim)
         batch, with ``t`` one time for all rows or one time per row."""
-        raise NotImplementedError
+        return _value(self._eval(t, self._batch(u, "state")))
 
     def power(self, t, u):
         """The power d_t E(t, u), for one state or a batch like ``eval``."""
-        raise NotImplementedError
-
-    def subdiff(self, t, u) -> SubdiffSet:
-        raise NotImplementedError
+        return _value(self._power(t, self._batch(u, "state")))
 
     def grad(self, t, u) -> np.ndarray:
-        s = self.subdiff(t, u)
-        if not s.is_singleton:
-            raise InputError("energy is not differentiable at this state")
-        return s.a
+        """The gradient at (t, u) of a differentiable energy."""
+        return self._grad(t, self._check(u, "state"))
+
+    def subdiff(self, t, u) -> SubdiffSet:
+        """The Frechet subdifferential at (t, u): the singleton of ``grad``
+        unless a family describes a set."""
+        return SubdiffSet.singleton(self.grad(t, u))
 
     def hess(self, t, u) -> np.ndarray:
         """The Hessian at (t, u), built from its parts."""
-        u = self._check(u)
+        u = self._check(u, "state")
         H = np.array(self.hess_constant())
         H.reshape(-1)[:: len(H) + 1] = self._hess_diagonal(t, u)
         return H
 
-    # -- Hessian parts and unchecked cores (used by the Newton prox) -----------
+    # -- cores: unchecked, called by the entries above and the Newton kernels --
+
+    def _eval(self, t, u):
+        raise NotImplementedError
+
+    def _power(self, t, u):
+        raise NotImplementedError
+
+    def _grad(self, t, u):
+        raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
 
     def hess_constant(self):
         """The part of the Hessian that depends on neither t nor u: the Hessian
@@ -260,33 +268,9 @@ class EnergySpec:
         """The Hessian's diagonal at (t, u), unchecked."""
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
 
-    def _eval(self, t, u):
-        """E(t, u) without the checks of ``eval``; families the Newton prox
-        meets compute it here, and their ``eval`` checks ``u`` and calls this."""
-        return self.eval(t, u)
-
-    def _grad(self, t, u):
-        """The gradient at (t, u) without the checks of ``grad``, like ``_eval``."""
-        return self.grad(t, u)
-
-    def _check(self, u):
-        if _is_vector(u, self.dim):
-            return u
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.size != self.dim:
-            raise InputError(f"state has length {u.size}, expected {self.dim}")
-        return u
-
-    def _batch(self, u):
-        """``u`` as one state, or as a batch of rows when it is two-dimensional."""
-        if _is_vector(u, self.dim):
-            return u
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2:
-            return self._check(u)
-        if u.shape[1] != self.dim:
-            raise InputError(f"state rows have length {u.shape[1]}, expected {self.dim}")
-        return u
+    # the potentials' input checks, called with the input named "state"
+    _check = Potential._check
+    _batch = Potential._batch
 
 
 def _power_control_bound(c, L, Ld, s):
@@ -339,13 +323,6 @@ class QuadraticBlockEnergy(EnergySpec):
     def autonomous(self):
         return self.f.is_constant and self.g.is_constant
 
-    def _blocks(self, u):
-        u = self._batch(u)
-        return u[..., : self.n_y], u[..., self.n_y :]
-
-    def eval(self, t, u):
-        return _value(self._eval(t, self._batch(u)))
-
     def _eval(self, t, u):
         y, z = u[..., : self.n_y], u[..., self.n_y :]
         # B y for one state; for a batch, the rows y B^T (equal to rounding)
@@ -356,12 +333,9 @@ class QuadraticBlockEnergy(EnergySpec):
             val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
         return val + self.shift
 
-    def power(self, t, u):
-        y, z = self._blocks(u)
-        return _value(-_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z))
-
-    def grad(self, t, u):
-        return self._grad(t, self._check(u))
+    def _power(self, t, u):
+        y, z = u[..., : self.n_y], u[..., self.n_y :]
+        return -_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z)
 
     def _grad(self, t, u):
         y, z = u[: self.n_y], u[self.n_y :]
@@ -377,9 +351,6 @@ class QuadraticBlockEnergy(EnergySpec):
 
     def _hess_diagonal(self, t, u):
         return self._H_diagonal
-
-    def subdiff(self, t, u):
-        return SubdiffSet.singleton(self.grad(t, u))
 
     def partial_grad(self, t, y, z, block):
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -419,16 +390,21 @@ class MaxNormEnergy(EnergySpec):
         self.lambda_convexity = 0.0
         self._resolve_shift(shift)
 
-    def eval(self, t, u):
-        u = self._batch(u)
-        return _value(np.abs(u).max(axis=-1) + self.shift)
+    def _eval(self, t, u):
+        return np.abs(u).max(axis=-1) + self.shift
 
-    def power(self, t, u):
-        u = self._batch(u)
+    def _power(self, t, u):
         return 0.0 if u.ndim == 1 else np.zeros(len(u))
 
+    def grad(self, t, u):
+        # the one family whose gradient reads its set-valued subdifferential
+        s = self.subdiff(t, u)
+        if not s.is_singleton:
+            raise InputError("energy is not differentiable at this state")
+        return s.a
+
     def subdiff(self, t, u):
-        u = self._check(u)
+        u = self._check(u, "state")
         u1, u2 = u
         if u1 == 0.0 and u2 == 0.0:
             return SubdiffSet.box([-1.0, -1.0], [1.0, 1.0])
@@ -508,21 +484,14 @@ class AllenCahn1DEnergy(EnergySpec):
     def autonomous(self):
         return self.load.is_constant
 
-    def eval(self, t, u):
-        return _value(self._eval(t, self._batch(u)))
-
     def _eval(self, t, u):
         val = 0.5 * _dot(u @ self.K, u) + self.h * self.well(u).sum(axis=-1)
         if self._loaded:
             val = val - self.h * _dot(self.load.value(t), u)
         return val + self.shift
 
-    def power(self, t, u):
-        u = self._batch(u)
-        return _value(-self.h * _dot(self.load.derivative(t), u))
-
-    def grad(self, t, u):
-        return self._grad(t, self._check(u))
+    def _power(self, t, u):
+        return -self.h * _dot(self.load.derivative(t), u)
 
     def _grad(self, t, u):
         d1 = self.well.d1(u)
@@ -535,9 +504,6 @@ class AllenCahn1DEnergy(EnergySpec):
 
     def _hess_diagonal(self, t, u):
         return self._K_diagonal + self.h * self.well.d2(u)
-
-    def subdiff(self, t, u):
-        return SubdiffSet.singleton(self.grad(t, u))
 
     def l2_weights(self):
         """Diagonal weights of the discrete L2 norm, sqrt(h) per node."""

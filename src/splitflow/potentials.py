@@ -12,8 +12,13 @@ vector goes through the same arithmetic as one row of a batch, except where
 a matrix product is involved (quadratic forms and the quadratic-pair
 inf-convolution), where rows agree with single calls to rounding.  The
 smooth kinds' ``grad`` and ``hess`` take batches as well, returning arrays
-of shape (n, dim) and (n, dim, dim); their single-vector results are
-unchanged by this.
+of shape (n, dim) and (n, dim, dim).
+
+:class:`Potential` owns these checked entries: each checks its input once
+and calls a core of the kind (``_eval``, ``_conjugate``, ``_dual_rate``,
+``_grad``) or, for ``hess``, the Hessian parts.  A kind states only its
+cores, which take checked input, so the composite kinds and the Newton
+kernels call them directly.
 
 Kinds provided:
 
@@ -104,19 +109,6 @@ def weighted_dual_norm(xi, weights=None):
     return _norm(xi if weights is None else xi / np.asarray(weights))
 
 
-def _stacked(M, v):
-    """A copy of M for one vector, one copy per row for a batch."""
-    return np.array(M) if v.ndim == 1 else np.repeat(M[None], len(v), axis=0)
-
-
-def _diagonal(d):
-    """The diagonal matrix of d, or one per row when d is a batch."""
-    out = np.zeros(d.shape + d.shape[-1:])
-    i = np.arange(d.shape[-1])
-    out[..., i, i] = d
-    return out
-
-
 class Potential:
     """Common interface of all dissipation-potential kinds.
 
@@ -126,35 +118,57 @@ class Potential:
 
     dim: int
 
-    # -- extended-real primal/dual evaluation --------------------------------
+    # -- checked entries: each checks its input once and calls a core --------
 
     def __call__(self, v):
         """R(v): a float for one vector, one value per row for an (n, dim) batch."""
-        raise NotImplementedError
+        return _value(self._eval(self._batch(v)))
 
     def conjugate(self, xi):
         """R*(xi), for one vector or a batch of rows like ``__call__``."""
-        raise NotImplementedError
+        return _value(self._conjugate(self._batch(xi, "xi")))
 
     def dual_rate(self, xi) -> np.ndarray:
         """An element of the conjugate subdifferential at ``xi``."""
-        raise NotImplementedError
-
-    # -- smooth structure (used by the inner solvers) -------------------------
+        return self._dual_rate(self._check(xi, "xi"))
 
     def grad(self, v) -> np.ndarray:
         """dR(v) for one vector; rows of shape (n, dim) for a batch."""
-        raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
+        return self._grad(self._batch(v))
 
     def hess(self, v) -> np.ndarray:
-        """The Hessian at v; shape (n, dim, dim) for a batch."""
-        raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
+        """The Hessian at v, built from its parts; shape (n, dim, dim) for a batch."""
+        v = self._batch(v)
+        H = self.hess_constant()
+        H = np.array(H) if v.ndim == 1 else np.repeat(H[None], len(v), axis=0)
+        i = np.arange(H.shape[-1])
+        H[..., i, i] = self._hess_diagonal(v)
+        return H
 
     def quadratic_matrix(self):
         """Matrix V with R(v) = <Vv, v>/2, or None if not purely quadratic."""
         return None
 
-    # -- Hessian parts and unchecked cores (used by the Newton prox) -----------
+    def shrinkage_parts(self):
+        """(sigma_weights, quad_diag) for per-coordinate sigma_i|v_i| + q_i v_i^2/2,
+        or None when the kind has no such structure."""
+        return None
+
+    # -- cores: unchecked, one vector or a batch of rows (``_dual_rate`` one) --
+
+    def _eval(self, v):
+        raise NotImplementedError
+
+    def _conjugate(self, xi):
+        raise NotImplementedError
+
+    def _dual_rate(self, xi):
+        raise NotImplementedError
+
+    def _grad(self, v):
+        raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
+
+    # -- Hessian parts (used by ``hess`` and the Newton kernels) ---------------
 
     def hess_constant(self):
         """The part of the Hessian that does not depend on v: the Hessian at
@@ -165,22 +179,8 @@ class Potential:
         """The Hessian's diagonal at v, unchecked; one row per row of a batch."""
         raise NotImplementedError(f"{type(self).__name__} has no smooth Hessian")
 
-    def _eval(self, v):
-        """R(v) without the checks of ``__call__``; kinds the Newton prox meets
-        compute it here, and their ``__call__`` checks ``v`` and calls this."""
-        return self(v)
-
-    def _grad(self, v):
-        """dR(v) without the checks of ``grad``, like ``_eval``."""
-        return self.grad(v)
-
-    def shrinkage_parts(self):
-        """(sigma_weights, quad_diag) for per-coordinate sigma_i|v_i| + q_i v_i^2/2,
-        or None when the kind has no such structure."""
-        return None
-
     def _check(self, x, what="v"):
-        return _as_vector(x, self.dim, what)
+        return x if _is_vector(x, self.dim) else _as_vector(x, self.dim, what)
 
     def _batch(self, x, what="v"):
         """``x`` as one vector, or as a batch of rows when it is two-dimensional."""
@@ -223,27 +223,17 @@ class QuadraticForm(Potential):
     def dim(self):
         return self.V.shape[0]
 
-    def __call__(self, v):
-        return self._eval(self._batch(v))
-
     def _eval(self, v):
         return _quadratic(v, self.V)
 
-    def conjugate(self, xi):
-        return _quadratic(self._batch(xi, "xi"), self._Vinv)
+    def _conjugate(self, xi):
+        return _quadratic(xi, self._Vinv)
 
-    def dual_rate(self, xi):
-        xi = self._check(xi, "xi")
+    def _dual_rate(self, xi):
         return self._Vinv @ xi
-
-    def grad(self, v):
-        return self._grad(self._batch(v))
 
     def _grad(self, v):
         return self.V @ v if v.ndim == 1 else v @ self.V.T
-
-    def hess(self, v):
-        return _stacked(self.V, self._batch(v))
 
     def hess_constant(self):
         return self.V
@@ -286,30 +276,19 @@ class PowerNorm(Potential):
     def p_star(self):
         return self.p / (self.p - 1.0)
 
-    def __call__(self, v):
-        return _value(self._eval(self._batch(v)))
-
     def _eval(self, v):
         return (self.weights * np.abs(v) ** self.p).sum(axis=-1) / self.p
 
-    def conjugate(self, xi):
-        xi = self._batch(xi, "xi")
+    def _conjugate(self, xi):
         q = self.p_star
-        return _value((self.weights * (np.abs(xi) / self.weights) ** q).sum(axis=-1) / q)
+        return (self.weights * (np.abs(xi) / self.weights) ** q).sum(axis=-1) / q
 
-    def dual_rate(self, xi):
-        xi = self._check(xi, "xi")
+    def _dual_rate(self, xi):
         s = np.abs(xi) / self.weights
         return np.sign(xi) * s ** (self.p_star - 1.0)
 
-    def grad(self, v):
-        return self._grad(self._batch(v))
-
     def _grad(self, v):
         return self.weights * np.sign(v) * np.abs(v) ** (self.p - 1.0)
-
-    def hess(self, v):
-        return _diagonal(self._hess_diagonal(self._batch(v)))
 
     def hess_constant(self):
         return np.zeros((self.dim, self.dim))
@@ -349,28 +328,17 @@ class AnisotropicDualQuadratic(Potential):
     def dim(self):
         return self.dual_weights.size
 
-    def __call__(self, v):
-        return _value(self._eval(self._batch(v)))
-
     def _eval(self, v):
         return (v**2 / self.dual_weights).sum(axis=-1) / 2.0
 
-    def conjugate(self, xi):
-        xi = self._batch(xi, "xi")
-        return _value((self.dual_weights * xi**2).sum(axis=-1) / 2.0)
+    def _conjugate(self, xi):
+        return (self.dual_weights * xi**2).sum(axis=-1) / 2.0
 
-    def dual_rate(self, xi):
-        xi = self._check(xi, "xi")
+    def _dual_rate(self, xi):
         return self.dual_weights * xi
-
-    def grad(self, v):
-        return self._grad(self._batch(v))
 
     def _grad(self, v):
         return v / self.dual_weights
-
-    def hess(self, v):
-        return _stacked(np.diag(self._curvature), self._batch(v))
 
     def hess_constant(self):
         return np.diag(self._curvature)
@@ -412,19 +380,16 @@ class OneHomPlusQuad(Potential):
     def dim(self):
         return self.weights.size
 
-    def __call__(self, v):
-        v = self._batch(v)
+    def _eval(self, v):
         terms = self.weights * (self.sigma * np.abs(v) + 0.5 * self.rho * v**2)
-        return _value(terms.sum(axis=-1))
+        return terms.sum(axis=-1)
 
-    def conjugate(self, xi):
-        xi = self._batch(xi, "xi")
+    def _conjugate(self, xi):
         s = np.abs(xi) / self.weights
         shrunk = np.maximum(s - self.sigma, 0.0)
-        return _value((self.weights * shrunk**2 / (2.0 * self.rho)).sum(axis=-1))
+        return (self.weights * shrunk**2 / (2.0 * self.rho)).sum(axis=-1)
 
-    def dual_rate(self, xi):
-        xi = self._check(xi, "xi")
+    def _dual_rate(self, xi):
         s = xi / self.weights
         return np.sign(s) * np.maximum(np.abs(s) - self.sigma, 0.0) / self.rho
 
@@ -461,25 +426,22 @@ class BlockIndicator(Potential):
     def dim(self):
         return self.total_dim
 
-    def __call__(self, v):
-        v = self._batch(v)
+    def _eval(self, v):
         if v.ndim == 1:
             if np.any(v[self.frozen] != 0.0):
                 return math.inf
-            return self.base(v[self.active])
+            return self.base._eval(v[self.active])
         out = np.full(len(v), math.inf)
         still = ~np.any(v[:, self.frozen] != 0.0, axis=1)
-        out[still] = self.base(v[np.ix_(still, self.active)])
+        out[still] = self.base._eval(v[np.ix_(still, self.active)])
         return out
 
-    def conjugate(self, xi):
-        xi = self._batch(xi, "xi")
-        return self.base.conjugate(xi[..., self.active])
+    def _conjugate(self, xi):
+        return self.base._conjugate(xi[..., self.active])
 
-    def dual_rate(self, xi):
-        xi = self._check(xi, "xi")
+    def _dual_rate(self, xi):
         out = np.zeros(self.total_dim)
-        out[self.active] = self.base.dual_rate(xi[self.active])
+        out[self.active] = self.base._dual_rate(xi[self.active])
         return out
 
 
@@ -497,26 +459,17 @@ class Rescaled(Potential):
     def dim(self):
         return self.base.dim
 
-    def __call__(self, v):
-        return _value(self._eval(self._batch(v)))
-
     def _eval(self, v):
         return 2.0 * self.base._eval(0.5 * v)
 
-    def conjugate(self, xi):
-        return 2.0 * self.base.conjugate(xi)
+    def _conjugate(self, xi):
+        return 2.0 * self.base._conjugate(xi)
 
-    def dual_rate(self, xi):
-        return 2.0 * self.base.dual_rate(xi)
-
-    def grad(self, v):
-        return self._grad(self._batch(v))
+    def _dual_rate(self, xi):
+        return 2.0 * self.base._dual_rate(xi)
 
     def _grad(self, v):
         return self.base._grad(0.5 * v)
-
-    def hess(self, v):
-        return 0.5 * self.base.hess(0.5 * self._batch(v))
 
     def hess_constant(self):
         return 0.5 * self.base.hess_constant()
@@ -564,35 +517,36 @@ class InfConvolution(Potential):
     def dim(self):
         return self.left.dim
 
-    def __call__(self, v):
+    def _eval(self, v):
         """The inf-convolution value; a batch without a closed-form split is
         decomposed by one call for all its rows.
 
         One vector of a quadratic pair is <V v, v>/2 with the combined matrix
         V, the value whose gradient and Hessian ``grad`` and ``hess`` give.
         """
-        v = self._batch(v)
         if v.ndim == 1 and self._V is not None:
             return _quadratic(v, self._V)
         split = None if v.ndim == 1 else _closed_form_split(self, v)
         if split is None:
             return inf_conv_decompose(self, v, tol=1e-10).value
-        return self.left(split[0]) + self.right(split[1])
+        return self.left._eval(split[0]) + self.right._eval(split[1])
 
-    def conjugate(self, xi):
-        return self.left.conjugate(xi) + self.right.conjugate(xi)
+    def _conjugate(self, xi):
+        return self.left._conjugate(xi) + self.right._conjugate(xi)
 
-    def dual_rate(self, xi):
-        return self.left.dual_rate(xi) + self.right.dual_rate(xi)
+    def _dual_rate(self, xi):
+        return self.left._dual_rate(xi) + self.right._dual_rate(xi)
+
+    def _grad(self, v):
+        if self._V is not None:
+            return self._V @ v if v.ndim == 1 else v @ self._V.T
+        dec = inf_conv_decompose(self, v, tol=1e-12)
+        # Envelope: the gradient of the value equals the shared dual variable.
+        smooth = self.right if self.right.shrinkage_parts() is None else self.left
+        return smooth._grad(dec.v2 if smooth is self.right else dec.v1)
 
     def quadratic_matrix(self):
         return self._V
-
-    def _eval(self, v):
-        return self(v) if self._V is None else _quadratic(v, self._V)
-
-    def _grad(self, v):
-        return self.grad(v) if self._V is None else self._V @ v
 
     def hess_constant(self):
         # only a quadratic pair has a constant Hessian; a smooth pair's prox
@@ -603,27 +557,6 @@ class InfConvolution(Potential):
 
     def _hess_diagonal(self, v):
         return self._V_diagonal
-
-    def grad(self, v):
-        V = self.quadratic_matrix()
-        if V is not None:
-            return V @ self._check(v)
-        dec = inf_conv_decompose(self, v, tol=1e-12)
-        # Envelope: the gradient of the value equals the shared dual variable.
-        smooth = self.right if self.right.shrinkage_parts() is None else self.left
-        part = dec.v2 if smooth is self.right else dec.v1
-        return smooth.grad(part)
-
-    def hess(self, v):
-        V = self.quadratic_matrix()
-        if V is not None:
-            return np.array(V)
-        # resolvent combination of the member curvatures at the optimal split
-        dec = inf_conv_decompose(self, v, tol=1e-10)
-        eps = 1e-10 * np.eye(self.dim)
-        H1 = self.left.hess(dec.v1) + eps
-        H2 = self.right.hess(dec.v2) + eps
-        return np.linalg.inv(np.linalg.inv(H1) + np.linalg.inv(H2))
 
     def _complementary_blocks(self):
         if isinstance(self.left, BlockIndicator) and isinstance(

@@ -235,11 +235,11 @@ def _energy_is_quadratic(E):
 def _prox_quadratic(VR, H, E, t, anchor, h, tol):
     """Linear solve for a quadratic R with matrix VR and an energy with
     Hessian H."""
-    g0 = E.grad(t, np.zeros_like(anchor))
+    g0 = E._grad(t, np.zeros_like(anchor))
     lhs = VR / h + H
     rhs = VR @ anchor / h - g0
     u = np.linalg.solve(lhs, rhs)
-    xi = E.grad(t, u)
+    xi = E._grad(t, u)
     res = float(np.linalg.norm(VR @ ((u - anchor) / h) + xi))
     return u, xi, _ProxStats(1, res, "linear-solve")
 
@@ -253,12 +253,12 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
     """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d) for
     an energy with Hessian H; ``diag_only`` says H is diagonal."""
     sigma_w, quad_w = parts
-    g_anchor = E.grad(t, anchor)
+    g_anchor = E._grad(t, anchor)
     curv = np.diag(H) + quad_w / h
     if diag_only:
         d = -np.sign(g_anchor) * np.maximum(np.abs(g_anchor) - sigma_w, 0.0) / curv
         u = anchor + d
-        xi = E.grad(t, u)
+        xi = E._grad(t, u)
         return u, xi, _ProxStats(1, 0.0, "shrinkage-exact")
 
     L = float(np.linalg.norm(H, 2)) + float(np.max(quad_w)) / h
@@ -267,20 +267,20 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
     t_mom = 1.0
     scale = 1.0 + float(np.linalg.norm(anchor))
     for it in range(max_iter):
-        gs = E.grad(t, anchor + y) + quad_w * y / h
+        gs = E._grad(t, anchor + y) + quad_w * y / h
         d_new = y - gs / L
         d_new = np.sign(d_new) * np.maximum(np.abs(d_new) - sigma_w / L, 0.0)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
         y = d_new + (t_mom - 1.0) / t_new * (d_new - d)
         d, t_mom = d_new, t_new
-        gs = E.grad(t, anchor + d) + quad_w * d / h
+        gs = E._grad(t, anchor + d) + quad_w * d / h
         res_vec = np.where(
             d != 0.0, gs + sigma_w * np.sign(d), np.maximum(np.abs(gs) - sigma_w, 0.0)
         )
         res = float(np.linalg.norm(res_vec))
         if res <= tol * scale:
             u = anchor + d
-            return u, E.grad(t, u), _ProxStats(it + 1, res, "shrinkage-fista")
+            return u, E._grad(t, u), _ProxStats(it + 1, res, "shrinkage-fista")
     raise NumericalError("shrinkage prox stagnated", iterations=max_iter, best=anchor + d)
 
 
@@ -322,7 +322,7 @@ def _prox_maxnorm(R, VR, E, t, anchor, h, tol):
     c1, c2 = c
 
     def objective(u, xi):
-        return h * R((u - anchor) / h) + E.eval(t, u)
+        return h * R((u - anchor) / h) + E._eval(t, u)
 
     candidates = []  # (priority, F, u, xi)
 
@@ -561,7 +561,7 @@ class _FrozenBlockEnergy(EnergySpec):
     def _eval(self, t, x):
         return self.base._eval(t, self._assemble(x))
 
-    def grad(self, t, x):
+    def _grad(self, t, x):
         return self.base._grad(t, self._assemble(x))[self.active]
 
     def hess_constant(self):

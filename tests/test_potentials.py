@@ -556,6 +556,65 @@ def test_batch_row_length_is_checked():
         pt.PowerNorm(2.0, dim=3)(np.ones((4, 2)))
 
 
+# every smooth kind, with whether its gradient is elementwise (rows bitwise
+# equal to single calls) or a matrix product (equal to rounding)
+_SMOOTH = [
+    (pt.QuadraticForm(_SPD3), False),
+    (pt.PowerNorm(3.0, _W3), True),
+    (pt.PowerNorm(1.5, _W3), True),
+    (pt.AnisotropicDualQuadratic(_W3), True),
+    (pt.InfConvolution(pt.QuadraticForm(_SPD3), pt.PowerNorm(2.0, _W3)), False),
+]
+SMOOTH_KINDS = _SMOOTH + [(pt.Rescaled(P), elementwise) for P, elementwise in _SMOOTH]
+
+
+def _smooth_id(case):
+    P = case[0]
+    return f"Rescaled-{type(P.base).__name__}" if isinstance(P, pt.Rescaled) else type(P).__name__
+
+
+@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=map(_smooth_id, SMOOTH_KINDS))
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_3)
+def test_batched_grad_and_hess_rows_equal_single_calls(P, elementwise, rows):
+    rows = np.array(rows)
+    grads, hessians = P.grad(rows), P.hess(rows)
+    assert grads.shape == rows.shape and hessians.shape == (len(rows), 3, 3)
+    for row, g, H in zip(rows, grads, hessians):
+        assert H.tobytes() == P.hess(row).tobytes()
+        if elementwise:
+            assert g.tobytes() == P.grad(row).tobytes()
+        else:
+            np.testing.assert_allclose(g, P.grad(row), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=map(_smooth_id, SMOOTH_KINDS))
+def test_grad_and_hess_reject_wrong_lengths(P, elementwise):
+    for bad in (np.ones(2), np.ones(4), [1.0] * 4, np.ones((2, 4)), np.ones((2, 2))):
+        for method in (P.grad, P.hess):
+            with pytest.raises(InputError):
+                method(bad)
+
+
+def test_quadratic_pair_checks_its_input_like_its_members():
+    pair = pt.InfConvolution(pt.QuadraticForm(np.eye(2)), pt.PowerNorm(2.0, dim=2))
+    with pytest.raises(InputError):
+        pair.hess([1.0, 2.0, 3.0])
+    with pytest.raises(InputError):
+        pair.grad([1.0, 2.0, 3.0])
+    assert pair.grad(np.ones((3, 2))).shape == (3, 2)
+    np.testing.assert_array_equal(pair.hess(np.ones((3, 2))), np.full((3, 2, 2), np.eye(2) / 2))
+
+
+def test_smooth_pair_has_an_envelope_gradient_but_no_hessian():
+    pair = pt.InfConvolution(pt.PowerNorm(3.0, _W3), pt.QuadraticForm(_SPD3))
+    v = np.array([0.4, -1.0, 0.7])
+    dec = pt.inf_conv_decompose(pair, v, tol=1e-12)
+    np.testing.assert_array_equal(pair.grad(v), pair.right.grad(dec.v2))
+    with pytest.raises(NotImplementedError):
+        pair.hess(v)
+
+
 # ---------------------------------------------------------------------------
 # batched decomposition
 # ---------------------------------------------------------------------------
