@@ -745,6 +745,11 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         va, x = v[active], v1[active]
         xi = R2.grad(va - x)
         row_gap, f0 = _duality_gap(R1, R2, va, x, xi)
+        if singular:
+            # Every dual point bounds the gap from above.  As v2 -> 0 the dual
+            # point R2'(v2) of a member with p < 2 stalls while R1'(v1)
+            # converges, so a row stops at the better of the two.
+            row_gap = np.fmin(row_gap, _duality_gap(R1, R2, va, x, R1.grad(x))[0])
         gap[active] = row_gap
         going = ~(row_gap <= tol)  # a NaN gap keeps its row going
         active = active[going]
