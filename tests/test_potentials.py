@@ -596,16 +596,6 @@ def test_grad_and_hess_reject_wrong_lengths(P, elementwise):
                 method(bad)
 
 
-def test_quadratic_pair_checks_its_input_like_its_members():
-    pair = pt.InfConvolution(pt.QuadraticForm(np.eye(2)), pt.PowerNorm(2.0, dim=2))
-    with pytest.raises(InputError):
-        pair.hess([1.0, 2.0, 3.0])
-    with pytest.raises(InputError):
-        pair.grad([1.0, 2.0, 3.0])
-    assert pair.grad(np.ones((3, 2))).shape == (3, 2)
-    np.testing.assert_array_equal(pair.hess(np.ones((3, 2))), np.full((3, 2, 2), np.eye(2) / 2))
-
-
 def test_smooth_pair_has_an_envelope_gradient_but_no_hessian():
     pair = pt.InfConvolution(pt.PowerNorm(3.0, _W3), pt.QuadraticForm(_SPD3))
     v = np.array([0.4, -1.0, 0.7])
