@@ -259,6 +259,12 @@ class EnergySpec:
     def _grad(self, t, u):
         raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
 
+    def _block_grad(self, t, y, z, block):
+        """The ``y`` or ``z`` block of the gradient at the state (y, z),
+        unchecked.  This default assembles the state and slices ``_grad``."""
+        g = self._grad(t, np.concatenate([y, z]))
+        return g[: y.size] if block == "y" else g[y.size :]
+
     def hess_constant(self):
         """The part of the Hessian that depends on neither t nor u: the Hessian
         is this matrix with its diagonal replaced by ``_hess_diagonal(t, u)``."""
@@ -339,12 +345,16 @@ class QuadraticBlockEnergy(EnergySpec):
 
     def _grad(self, t, u):
         y, z = u[: self.n_y], u[self.n_y :]
-        gy = self.A @ y + self.B.T @ z
-        gz = self.B @ y + self.G @ z
-        if self._loaded:
-            gy = gy - self.f.value(t)
-            gz = gz - self.g.value(t)
-        return np.concatenate([gy, gz])
+        return np.concatenate([self._block_grad(t, y, z, block) for block in "yz"])
+
+    def _block_grad(self, t, y, z, block):
+        if y.size != self.n_y:  # a split other than the energy's own blocks
+            return super()._block_grad(t, y, z, block)
+        if block == "y":
+            g, load = self.A @ y + self.B.T @ z, self.f
+        else:
+            g, load = self.B @ y + self.G @ z, self.g
+        return g - load.value(t) if self._loaded else g
 
     def hess_constant(self):
         return self._H
@@ -357,11 +367,9 @@ class QuadraticBlockEnergy(EnergySpec):
         z = np.asarray(z, dtype=float).reshape(-1)
         if y.size != self.n_y or z.size != self.n_z:
             raise InputError("block state sizes disagree with the energy")
-        if block == "y":
-            return self.A @ y + self.B.T @ z - self.f.value(t)
-        if block == "z":
-            return self.B @ y + self.G @ z - self.g.value(t)
-        raise InputError(f"unknown block {block!r}")
+        if block not in ("y", "z"):
+            raise InputError(f"unknown block {block!r}")
+        return self._block_grad(t, y, z, block)
 
     def power_control_constant(self, horizon=1.0):
         """C_# with |d_t E| <= C_# E globally, derived from the load bounds.

@@ -89,8 +89,9 @@ class GradientSystem:
         return self.energy.dim
 
     def block_indices(self):
+        """The index ranges of the blocks y and z, as slices."""
         n_y, n_z = self.block_layout
-        return np.arange(n_y), np.arange(n_y, n_y + n_z)
+        return slice(0, n_y), slice(n_y, n_y + n_z)
 
 
 @dataclass(frozen=True)
@@ -540,18 +541,20 @@ def _record_prox(record, st):
 
 
 class _FrozenBlockEnergy(EnergySpec):
-    """View of an energy restricted to an active index block."""
+    """View of an energy on one block of its state (y, z), the other block
+    frozen at its values in ``full_state``, read when the view is called.
+    ``active`` is the block's range: a slice, or contiguous indices."""
 
     def __init__(self, base, active, full_state):
-        self.base = base
-        self.active = np.asarray(active, dtype=int)
-        self.full = np.array(full_state, dtype=float)
+        if not isinstance(active, slice):
+            active = slice(int(active[0]), int(active[-1]) + 1)
+        self.base, self.active, self.full = base, active, full_state
         self.shift = base.shift
         self.lambda_convexity = base.lambda_convexity
 
     @property
     def dim(self):
-        return self.active.size
+        return self.active.stop - self.active.start
 
     def _assemble(self, x):
         u = np.array(self.full)
@@ -562,10 +565,13 @@ class _FrozenBlockEnergy(EnergySpec):
         return self.base._eval(t, self._assemble(x))
 
     def _grad(self, t, x):
-        return self.base._grad(t, self._assemble(x))[self.active]
+        a = self.active
+        if a.start == 0:  # y, or z after an empty y: the core checks the split
+            return self.base._block_grad(t, x, self.full[a.stop :], "y")
+        return self.base._block_grad(t, self.full[: a.start], x, "z")
 
     def hess_constant(self):
-        return self.base.hess_constant()[np.ix_(self.active, self.active)]
+        return self.base.hess_constant()[self.active, self.active]
 
     def _hess_diagonal(self, t, x):
         return self.base._hess_diagonal(t, self._assemble(x))[self.active]
@@ -787,7 +793,7 @@ def effective_solve(
     # one minimizing movement of the effective potential per full step
     R_eff = effective_potential(sys)
     if sys.block_layout is not None:
-        step = partial(_joint_block_prox, sys)
+        step = _joint_block_step(sys)
     else:
         step = partial(_prox_kernel(E, R_eff), E)
     plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
@@ -821,36 +827,41 @@ def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
     raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
-def _joint_block_prox(sys, t, anchor, tau, tol, max_sweeps=200):
+def _joint_block_step(sys):
+    """The joint step of a block system, ``step(t, anchor, tau, tol)``.  The
+    prox methods of both blocks, the smoothness probe of the y potential and
+    the shrinkage parts of the z potential are taken here, once per run."""
+    Ry, Rz = sys.r1.base, sys.r2.base
+    kernels = [_prox_kernel(_FrozenBlockEnergy(sys.energy, block, np.zeros(sys.dim)), R)
+               for block, R in zip(sys.block_indices(), (Ry, Rz))]
+    return partial(_joint_block_prox, sys, kernels, _has_grad(Ry), Rz.shrinkage_parts())
+
+
+def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_sweeps=200):
     """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps."""
     idx_y, idx_z = sys.block_indices()
-    Ry, Rz = sys.r1.base, sys.r2.base
-    y_smooth = _has_grad(Ry)
+    ky, kz = kernels
     u = np.array(anchor)
-    # the prox methods of the two blocks, chosen once per step, not per sweep
-    ky = _prox_kernel(_FrozenBlockEnergy(sys.energy, idx_y, u), Ry)
-    kz = _prox_kernel(_FrozenBlockEnergy(sys.energy, idx_z, u), Rz)
+    # each view reads its frozen block from u when called, so two serve every sweep
+    Ey, Ez = (_FrozenBlockEnergy(sys.energy, idx, u) for idx in (idx_y, idx_z))
     scale = 1.0 + float(np.linalg.norm(anchor))
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        Ey = _FrozenBlockEnergy(sys.energy, idx_y, u)
-        uy, _, _ = ky(Ey, t, anchor[idx_y], tau, tol)
-        u[idx_y] = uy
-        Ez = _FrozenBlockEnergy(sys.energy, idx_z, u)
-        uz, _, _ = kz(Ez, t, anchor[idx_z], tau, tol)
-        u[idx_z] = uz
-        res = _joint_block_residual(sys, t, anchor, u, tau, y_smooth)
+        u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
+        u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
+        res = _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts)
         if res <= tol * scale:
             break
     else:
-        raise NumericalError("joint block prox stagnated", iterations=max_sweeps)
+        raise NumericalError("joint block prox stagnated", iterations=max_sweeps, best=u)
     xi = sys.energy.grad(t, u)
     return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
 
 
-def _joint_block_residual(sys, t, anchor, u, tau, y_smooth):
+def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
     """Optimality residual of the joint block step; ``y_smooth`` says whether
-    the y potential has a gradient (without one its block counts as solved)."""
+    the y potential has a gradient (without one its block counts as solved)
+    and ``z_parts`` are the z potential's shrinkage parts, or None."""
     idx_y, idx_z = sys.block_indices()
     g = sys.energy.grad(t, u)
     gy = g[idx_y]
@@ -858,9 +869,8 @@ def _joint_block_residual(sys, t, anchor, u, tau, y_smooth):
     ry = float(np.linalg.norm(sys.r1.base.grad(vy) + gy)) if y_smooth else 0.0
     gz = g[idx_z]
     vz = (u[idx_z] - anchor[idx_z]) / tau
-    parts = sys.r2.base.shrinkage_parts()
-    if parts is not None:
-        sigma_w, quad_w = parts
+    if z_parts is not None:
+        sigma_w, quad_w = z_parts
         smooth = quad_w * vz + gz
         rz_vec = np.where(
             vz != 0.0,

@@ -8,7 +8,7 @@ from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
-from splitflow.errors import InputError
+from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
 
 
@@ -485,12 +485,26 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
 
     monkeypatch.setattr(en.QuadraticBlockEnergy, "grad", counted_grad)
     monkeypatch.setattr(sv, "_has_grad", counted_probe)
-    res = sv._joint_block_residual(system, 0.5, preset.u0, preset.u0 + 0.01, 0.1, True)
+    parts = system.r2.base.shrinkage_parts()
+    res = sv._joint_block_residual(system, 0.5, preset.u0, preset.u0 + 0.01, 0.1, True, parts)
     assert len(grads) == 1 and res > 0.0
-    # the smoothness of the y potential is probed once per step, not per sweep
-    _, _, stats = sv._joint_block_prox(system, 0.5, preset.u0, 0.25, 1e-12)
-    assert stats.iterations > 1
+    # the smoothness of the y potential is probed once per run, not per step or sweep
+    out = sv.effective_solve(system, pa.build_partition(1.0, N=4), preset.u0, tol=1e-12)
+    assert len(out.stats["inner_iterations"]) == 4
+    assert min(out.stats["inner_iterations"]) > 1
     assert len(probes) == 1
+
+
+def test_joint_block_stagnation_carries_the_last_sweep():
+    preset = make_model("visco-plasticity-1d", m=6)
+    step = sv._joint_block_step(preset.system)
+    # this step takes more than one sweep to reach 1e-12
+    with pytest.raises(NumericalError, match="joint block prox stagnated") as failure:
+        step(0.5, preset.u0, 0.25, 1e-12, max_sweeps=1)
+    best = failure.value.best
+    assert failure.value.iterations == 1
+    assert best.shape == (preset.system.dim,) and np.isfinite(best).all()
+    assert not np.array_equal(best, preset.u0)
 
 
 def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
@@ -508,6 +522,24 @@ def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
                    preset.u0, 1e-10, 4)
     # one prox solve per cell: the y steps are linear solves, the z steps shrinkages
     assert len(out.stats["inner_iterations"]) == out.grid.n_cells == 32
+    assert len(hessians) == 2
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_effective_block_run_takes_the_energy_hessian_once_per_block(monkeypatch, N):
+    preset = make_model("visco-plasticity-1d", m=6)
+    hessians = []
+    hess_constant = en.QuadraticBlockEnergy.hess_constant
+
+    def counted_hess(self):
+        hessians.append(self)
+        return hess_constant(self)
+
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "hess_constant", counted_hess)
+    out = sv.solve(preset.system, "effective", pa.build_partition(1.0, N=N),
+                   preset.u0, 1e-10, 4)
+    # the joint step builds the prox methods of both blocks once per run
+    assert len(out.stats["inner_iterations"]) == N
     assert len(hessians) == 2
 
 
