@@ -165,10 +165,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out = solve(preset.system, cfg.scheme, P, preset.u0, cfg.tol, cfg.inner_steps)
     _write(out_dir, {"trajectory.csv": out.u_linear, "forces.csv": out.xi})
 
-    # exact piecewise-affine flows satisfy the balance; minimizing-movement
-    # realizations guarantee only the one-sided estimate
-    form = "balance" if out.segments is not None else "inequality"
-    report = edb_audit(out, preset.system, form=form)
+    report = edb_audit(out, preset.system, form=out.audit_form)
     summary = {
         "model": cfg.model,
         "scheme": cfg.scheme,

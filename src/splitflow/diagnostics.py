@@ -174,6 +174,7 @@ class EDBReport:
     remainder_bound: float = None
     decomposition_defect: float = None
     decomposition_value_gap: float = None
+    # the power is exact, so no quadrature error; kept as a key of edb.json
     quadrature_error: float = 0.0
     inner_budget: float = 0.0
     v1: SampledCurve = field(default=None, repr=False)
@@ -196,25 +197,19 @@ def _trajectory_state(out, t):
     return curve.at(t)
 
 
-def _power_integral(E, out, interval):
-    """Midpoint quadrature of d_t E along the run, with an error estimate.
+def _anchored_power(E, out, interval):
+    """The integral of d_t E over the audited cells, on each cell at the
+    anchor of the prox step that holds it.
 
-    The variational interpolant is read only when E depends on time: for an
-    autonomous energy the power vanishes on every curve, so the run's own
-    interpolant serves and the variational one is never built.
+    A step from anchor a with eval time t_k is minimal, so it bounds
+    E(t_k, u_k) + ... by E(t_k, a) = E(t_{k-1}, a) + int d_t E(r, a) dr.
+    At a fixed state the integral is an energy difference, exact with no
+    quadrature, and exactly 0 for an autonomous energy.
     """
-    curve = None if E.autonomous else out.u_variational
-    if curve is None:
-        curve = out.u_const if out.is_movement else out.u_linear
     cells, lo, hi = _clip_cells(out.grid, interval)
-    widths = hi - lo
-    start, end = curve.values[:-1][cells], curve.values[1:][cells]
-    # constant kinds hold the cell value on the whole cell
-    continuous = curve.kind in ("piecewise-linear", "variational")
-    mid_state = 0.5 * (start + end) if continuous else end
-    f_mid = E.power(0.5 * (lo + hi), mid_state)
-    f_trap = 0.5 * (E.power(lo, start) + E.power(hi, end))
-    return float(widths @ f_mid), float(widths @ np.abs(f_mid - f_trap))
+    i = np.arange(cells.start, cells.stop)
+    anchors = out.u_const.values[i - i % out.step_cells]
+    return float(np.sum(E.eval(hi, anchors) - E.eval(lo, anchors)))
 
 
 def _decomposition(out, sys, interval, r_eff):
@@ -271,7 +266,7 @@ def edb_audit(
 
     e_start = E.eval(s, _trajectory_state(out, s))
     e_end = E.eval(t, _trajectory_state(out, t))
-    power, quad_err = _power_integral(E, out, interval)
+    power = _anchored_power(E, out, interval)
     residual = e_end + d_rate + d_slope - e_start - power
 
     n_steps = max(
@@ -281,18 +276,15 @@ def edb_audit(
     per_step = 2.0 if out.is_movement else 2.0 * out.grid.M
     inner_budget = per_step * n_steps * out.inner_tol
     scale = 1.0 + abs(e_start) + abs(e_end)
-    slack = SLACK_FACTOR * (inner_budget + quad_err) + 1e-11 * scale
+    slack = SLACK_FACTOR * inner_budget + 1e-11 * scale
 
     remainder = remainder_bound = None
     if out.u_delayed is not None:
         remainder, remainder_bound = remainder_term(out, E, interval)
-    if (
-        form == "inequality"
-        and out.variational is None
-        and remainder_bound is not None
-    ):
-        # without the variational interpolant the one-sided estimate carries
-        # the convexity-defect remainder on its right-hand side
+    if form == "inequality" and out.scheme != "amm" and remainder_bound is not None:
+        # the one-sided estimate of a prox step carries the convexity-defect
+        # remainder on its right-hand side; an amm run is audited without it
+        # (README, "The AMM slack rule")
         slack += remainder_bound
 
     if form == "balance":
@@ -302,7 +294,7 @@ def edb_audit(
     else:
         raise InputError(f"unknown audit form {form!r}")
     # fail closed: an infinite slack or a non-finite term would pass anything
-    terms = (d_rate, d_slope, power, e_start, e_end, residual, slack, quad_err,
+    terms = (d_rate, d_slope, power, e_start, e_end, residual, slack,
              remainder, remainder_bound)
     passed = passed and all(x is None or math.isfinite(x) for x in terms)
 
@@ -317,7 +309,6 @@ def edb_audit(
         residual=float(residual),
         slack=float(slack),
         passed=bool(passed),
-        quadrature_error=float(quad_err),
         inner_budget=float(inner_budget),
         remainder=remainder,
         remainder_bound=remainder_bound,
@@ -442,8 +433,7 @@ def convergence_study(
             float(np.linalg.norm(states[i] - _trajectory_state(ref_out, tn)))
             for i, tn in enumerate(P.nodes)
         ]
-        form = "inequality" if out.is_movement else "balance"
-        report = edb_audit(out, sys, form=form)
+        report = edb_audit(out, sys, form=out.audit_form)
         v1 = repetition_apply(1, P, out.rate).cell_values
         v2 = repetition_apply(2, P, out.rate).cell_values
         ref_rate = _reference_rate(ref_out, out.grid.cell_midpoints())

@@ -110,20 +110,6 @@ class Load:
         t = t[:, None]
         return self.c1 + self.amp * self.omega * np.cos(self.omega * t + self.phase)
 
-    def bound(self, horizon=1.0):
-        """(sup_t ||l(t)||, sup_t ||l'(t)||) over [0, horizon]."""
-        if self.c0.size == 0:
-            return 0.0, 0.0
-        val = float(
-            np.linalg.norm(self.c0)
-            + horizon * np.linalg.norm(self.c1)
-            + np.linalg.norm(self.amp)
-        )
-        der = float(
-            np.linalg.norm(self.c1) + abs(self.omega) * np.linalg.norm(self.amp)
-        )
-        return val, der
-
 
 def _dot(a, b):
     """<a, b> for two vectors, else row by row (a single vector broadcasts)."""
@@ -279,16 +265,6 @@ class EnergySpec:
     _batch = Potential._batch
 
 
-def _power_control_bound(c, L, Ld, s):
-    """max over r >= 0 of Ld r / (c r^2 - L r + s), or inf if unbounded."""
-    if Ld == 0.0:
-        return 0.0
-    if c <= 0.0 or s <= 0.0 or L**2 >= 4.0 * c * s:
-        return math.inf
-    r_star = math.sqrt(s / c)
-    return Ld * r_star / (2.0 * s - L * r_star)
-
-
 class QuadraticBlockEnergy(EnergySpec):
     """Quadratic energy on a block state (y, z) with time-dependent loads."""
 
@@ -370,18 +346,6 @@ class QuadraticBlockEnergy(EnergySpec):
         if block not in ("y", "z"):
             raise InputError(f"unknown block {block!r}")
         return self._block_grad(t, y, z, block)
-
-    def power_control_constant(self, horizon=1.0):
-        """C_# with |d_t E| <= C_# E globally, derived from the load bounds.
-
-        With E >= c r^2 - L r + s and |d_t E| <= L' r for r = ||u||, the
-        best constant is the maximum of L' r / (c r^2 - L r + s); infinite
-        when the quadratic lower bound is not everywhere positive.
-        """
-        fb, fdb = self.f.bound(horizon)
-        gb, gdb = self.g.bound(horizon)
-        c = 0.5 * float(np.min(np.linalg.eigvalsh(self._H))) if self.dim else 0.0
-        return _power_control_bound(c, fb + gb, fdb + gdb, self.shift)
 
 
 class MaxNormEnergy(EnergySpec):
@@ -516,12 +480,6 @@ class AllenCahn1DEnergy(EnergySpec):
     def l2_weights(self):
         """Diagonal weights of the discrete L2 norm, sqrt(h) per node."""
         return np.full(self.m, math.sqrt(self.h))
-
-    def power_control_constant(self, horizon=1.0):
-        # the quartic well is nonnegative, so only the shift raises the floor
-        lb, ld = self.load.bound(horizon)
-        c = 0.5 * float(np.min(np.linalg.eigvalsh(self.K)))
-        return _power_control_bound(c, self.h * lb, self.h * ld, self.shift)
 
 
 def partial_subdiff(E: EnergySpec, t, y, z, block) -> SubdiffSet:

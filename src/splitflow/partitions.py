@@ -162,7 +162,6 @@ INTERPOLANT_KINDS = (
     "piecewise-constant",
     "delayed-constant",
     "piecewise-linear",
-    "variational",
 )
 
 

@@ -78,10 +78,16 @@ class GradientSystem:
             n_y, n_z = self.block_layout
             if n_y + n_z != self.energy.dim:
                 raise ConfigurationError("block layout does not cover the state")
-            for r, name in ((self.r1, "r1"), (self.r2, "r2")):
+            blocks = self.block_indices()
+            for r, name, block in zip((self.r1, self.r2), ("r1", "r2"), blocks):
                 if not isinstance(r, BlockIndicator):
                     raise ConfigurationError(
                         f"{name} must be a BlockIndicator for block systems"
+                    )
+                # a block step moves the layout's block under r's potential
+                if not np.array_equal(r.active, np.arange(block.start, block.stop)):
+                    raise ConfigurationError(
+                        f"{name} is not active on its block of the layout"
                     )
 
     @property
@@ -113,9 +119,9 @@ class Segment:
 class SchemeOutput:
     """Interpolants, forces, and statistics of one scheme run.
 
-    ``variational`` is the recipe of the variational interpolant, a callable
-    of no arguments, or None for runs without one; ``u_variational`` builds
-    the curve from it on first read.
+    ``step_cells`` is the number of grid cells that each prox step holds (1
+    for exact flows), so cell i belongs to the step that started from node
+    ``i - i % step_cells``, its anchor.
     """
 
     scheme: str
@@ -125,7 +131,7 @@ class SchemeOutput:
     u_delayed: SampledCurve
     u_linear: SampledCurve
     xi: SampledCurve
-    variational: object = None
+    step_cells: int = 1
     segments: list = None
     stats: dict = field(default_factory=dict)
 
@@ -143,15 +149,17 @@ class SchemeOutput:
         """
         return self.scheme in ("amm", "block-amm")
 
+    @property
+    def audit_form(self):
+        """The form of the EDB the run satisfies: exact piecewise-affine flows
+        the balance, minimizing-movement realizations only the one-sided
+        estimate."""
+        return "balance" if self.segments is not None else "inequality"
+
     @cached_property
     def rate(self):
         """Piecewise-constant rate of the linear interpolant, taken once."""
         return self.u_linear.derivative()
-
-    @cached_property
-    def u_variational(self):
-        """The variational interpolant, built once on first read, or None."""
-        return None if self.variational is None else self.variational()
 
     def node_states(self):
         """Trajectory values at the partition nodes."""
@@ -616,15 +624,14 @@ def _delayed_values(u_const: SampledCurve, grid: RefinedGrid, u0):
     return vals
 
 
-def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
-                     variational=None):
+def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
     """Build the ``SchemeOutput`` of a run; every scheme ends here.
 
     ``linear`` and ``const`` are the node values of the two interpolants
     (one array for flows sampled at their nodes), ``forces`` has one row
-    per cell and ``variational`` is the recipe of the variational
-    interpolant, if the run has one.  Split and AMM runs of a block system
-    are the staggered block schemes and take the ``block-`` prefix.
+    per cell, and ``record`` holds what the run recorded.  Split and AMM
+    runs of a block system are the staggered block schemes and take the
+    ``block-`` prefix.
     """
     if sys.block_layout is not None and scheme != "effective":
         scheme = f"block-{scheme}"
@@ -634,7 +641,7 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
         "inner_factor": grid.M,
         "scheme": scheme,
         "argmin_selection": "deterministic-from-anchor",
-        **{k: v for k, v in record.items() if k != "segments"},
+        **{k: v for k, v in record.items() if k not in ("segments", "step_cells")},
     }
     return SchemeOutput(
         scheme=scheme,
@@ -646,7 +653,7 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol,
         ),
         u_linear=SampledCurve(grid, linear, "piecewise-linear"),
         xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
-        variational=variational,
+        step_cells=record.get("step_cells", 1),
         segments=record.get("segments"),
         stats=stats,
     )
@@ -657,11 +664,11 @@ def _movements(grid, u0, plan, tol, record):
 
     Each plan entry ``(step, t_eval, h)`` solves one incremental problem
     ``step(t_eval, anchor, h, tol)`` from the previous state and holds its
-    result on the next ``n`` cells, the same ``n`` for every entry.
-    Returns the node values of the linear and the constant interpolant and
-    the cell forces.
+    result on the next ``n`` cells, the same ``n`` for every entry; ``n``
+    goes into ``record`` as ``step_cells``.  Returns the node values of the
+    linear and the constant interpolant and the cell forces.
     """
-    n = grid.n_cells // len(plan)
+    n = record["step_cells"] = grid.n_cells // len(plan)
     const = np.empty((grid.n_nodes, u0.size))
     const[0] = u0
     forces = np.empty((grid.n_cells, u0.size))
@@ -711,16 +718,13 @@ def amm_solve(
     P: Partition,
     u0,
     tol=1e-10,
-    with_variational=False,
     inner_factor=DEFAULT_INNER_FACTOR,
 ):
     """Alternating minimizing movements over the partition.
 
     Each step solves two incremental problems with the rescaled potentials:
     the first mechanism at the midpoint time from the previous endpoint, the
-    second at the node time from the intermediate state.  With
-    ``with_variational`` the output carries the variational interpolant,
-    built on its first read at the cost of one prox solve per cell.
+    second at the node time from the intermediate state.
     """
     if sys.r2 is None:
         raise InputError("alternating minimizing movements need both mechanisms")
@@ -733,33 +737,7 @@ def amm_solve(
         plan += [(first, P.midpoints[k], h), (second, P.nodes[k + 1], h)]
     record = {}
     linear, const, forces = _movements(grid, u0, plan, tol, record)
-    # the recipe keeps ``const``, which ``u_const`` makes read-only
-    recipe = partial(_variational_interpolant, sys, grid, const, tol)
-    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol,
-                            recipe if with_variational else None)
-
-
-def _variational_interpolant(sys, grid, const, tol):
-    """Re-solve the incremental problem at every inner sampling time."""
-    P = grid.partition
-    M = grid.M
-    steps = {1: _half_step(sys, 1), 2: _half_step(sys, 2)}
-    vals = np.empty_like(const)
-    vals[0] = const[0]
-    for i in range(1, grid.n_nodes):
-        r = grid.times[i]
-        k = grid.cell_steps[i - 1]
-        left = grid.cell_is_left[i - 1]
-        start = P.nodes[k - 1] if left else P.midpoints[k - 1]
-        # the half-step's anchor is the state held before its first cell
-        anchor = const[(i - 1) // M * M]
-        h = r - start
-        if h <= 1e-15:
-            vals[i] = anchor
-            continue
-        u, _, _ = steps[1 if left else 2](r, anchor, h, tol)
-        vals[i] = u
-    return SampledCurve(grid, vals, "variational")
+    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol)
 
 
 def effective_potential(sys: GradientSystem) -> Potential:
@@ -807,21 +785,18 @@ SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
 def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
     """Run the scheme named ``scheme``; one of ``SCHEMES``.
 
-    AMM runs carry the variational interpolant, which the audit reads only
-    for energies that depend on time.  The ``block-`` names are the
-    staggered block schemes: split and AMM (without the variational
-    interpolant) on a system with a block layout, where y moves on left
-    semi-intervals with z frozen and z on right ones with y frozen.  The
-    entry points are looked up by name at call time, so wrapping one of
-    them (as a profiler does) also wraps this dispatch.
+    The ``block-`` names are the staggered block schemes: split and AMM on
+    a system with a block layout, where y moves on left semi-intervals with
+    z frozen and z on right ones with y frozen.  The entry points are
+    looked up by name at call time, so wrapping one of them (as a profiler
+    does) also wraps this dispatch.
     """
     if scheme in ("block-split", "block-amm") and sys.block_layout is None:
         raise InputError(f"scheme {scheme!r} requires a system with a block layout")
     if scheme in ("split", "block-split"):
         return split_step_solve(sys, P, u0, inner_steps=inner, tol=tol)
     if scheme in ("amm", "block-amm"):
-        return amm_solve(sys, P, u0, tol=tol, with_variational=scheme == "amm",
-                         inner_factor=inner)
+        return amm_solve(sys, P, u0, tol=tol, inner_factor=inner)
     if scheme == "effective":
         return effective_solve(sys, P, u0, tol=tol, inner_factor=inner)
     raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
@@ -849,19 +824,20 @@ def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_
     for sweeps in range(1, max_sweeps + 1):
         u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
         u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
-        res = _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts)
+        res, xi = _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts)
         if res <= tol * scale:
             break
     else:
         raise NumericalError("joint block prox stagnated", iterations=max_sweeps, best=u)
-    xi = sys.energy.grad(t, u)
+    # the residual's energy gradient at the accepted state is the force
     return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
 
 
 def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
-    """Optimality residual of the joint block step; ``y_smooth`` says whether
-    the y potential has a gradient (without one its block counts as solved)
-    and ``z_parts`` are the z potential's shrinkage parts, or None."""
+    """Optimality residual of the joint block step and the energy gradient
+    it took at u; ``y_smooth`` says whether the y potential has a gradient
+    (without one its block counts as solved) and ``z_parts`` are the z
+    potential's shrinkage parts, or None."""
     idx_y, idx_z = sys.block_indices()
     g = sys.energy.grad(t, u)
     gy = g[idx_y]
@@ -880,7 +856,7 @@ def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
         rz = float(np.linalg.norm(rz_vec))
     else:
         rz = float(np.linalg.norm(sys.r2.base.grad(vz) + gz))
-    return math.hypot(ry, rz)
+    return math.hypot(ry, rz), g
 
 
 def _has_grad(R):

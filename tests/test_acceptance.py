@@ -146,7 +146,7 @@ def test_criterion_5_edb_audits():
         if scheme == "block-amm":
             out = sv.solve(sysd, "block-amm", P, u0, 1e-10, 8)
         else:
-            out = sv.amm_solve(sysd, P, u0, with_variational=True)
+            out = sv.amm_solve(sysd, P, u0)
         worst_gap = -math.inf
         for i in range(0, P.N + 1, 2):
             for j in range(i + 1, P.N + 1, 2):

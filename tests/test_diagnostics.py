@@ -106,7 +106,7 @@ def test_quadratic_sanity_amm_step_balances():
         energy=E, r1=pt.QuadraticForm(np.eye(1)), r2=pt.QuadraticForm(np.eye(1))
     )
     P = pa.build_partition(1.0, N=1)
-    out = sv.amm_solve(sys, P, [1.0], tol=1e-13, with_variational=True)
+    out = sv.amm_solve(sys, P, [1.0], tol=1e-13)
     d_rate = dg.rate_term(out, (sys.r1, sys.r2))
     d_slope = dg.slope_term(out, (sys.r1, sys.r2))
     # U1 = 1/2, U2 = 1/4: rates -1 and -1/2, forces 1/2 and 1/4
@@ -148,7 +148,7 @@ def test_edb_amm_inequality_allen_cahn():
     preset = make_model("allen-cahn-1d", m=8)
     sys = preset.system
     P = pa.build_partition(1.0, N=8)
-    out = sv.amm_solve(sys, P, preset.u0, with_variational=True)
+    out = sv.amm_solve(sys, P, preset.u0)
     nodes = list(P.nodes)
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes), 3):
@@ -225,68 +225,6 @@ def test_fenchel_young_pointwise_along_run():
         assert res >= -1e-10
 
 
-# ---------------------------------------------------------------------------
-# the variational interpolant is built on demand
-# ---------------------------------------------------------------------------
-
-
-def count_interpolant_builds(monkeypatch):
-    """Wrap the interpolant builder; returns the list of its calls."""
-    calls = []
-    build = sv._variational_interpolant
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(sv, "_variational_interpolant", counted)
-    return calls
-
-
-def loaded_allen_cahn():
-    load = en.Load([1.0, 0.5, -0.5, 0.2], c1=[0.3, 0.0, 0.0, -0.2],
-                   amp=[0.2, 0.1, 0.3, 0.0], omega=5.0)
-    return make_model("allen-cahn-1d", m=4, load=load)
-
-
-def test_audit_of_an_autonomous_amm_run_never_builds_the_interpolant(monkeypatch):
-    calls = count_interpolant_builds(monkeypatch)
-    preset = make_model("counterexample")
-    P = pa.build_partition(1.0, N=16)
-    out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, 8)
-    rep = dg.edb_audit(out, preset.system, form="inequality")
-    assert out.variational is not None
-    assert calls == []
-    assert rep.power_integral == 0.0 and rep.quadrature_error == 0.0
-    assert rep.passed
-
-
-def test_audit_of_a_loaded_amm_run_builds_the_interpolant_once(monkeypatch):
-    calls = count_interpolant_builds(monkeypatch)
-    preset = loaded_allen_cahn()
-    sys = preset.system
-    assert not sys.energy.autonomous
-    P = pa.build_partition(1.0, N=4)
-    out = sv.solve(sys, "amm", P, preset.u0, 1e-10, 8)
-    assert calls == []
-    rep = dg.edb_audit(out, sys, form="inequality")
-    assert len(calls) == 1
-    curve = out.u_variational
-    assert out.u_variational is curve and len(calls) == 1
-    assert rep.power_integral != 0.0
-
-    # a run whose interpolant was built before the audit gives the same report
-    eager = sv.solve(sys, "amm", P, preset.u0, 1e-10, 8)
-    assert eager.u_variational is not None
-    ref = dg.edb_audit(eager, sys, form="inequality")
-    for f in fields(rep):
-        a, b = getattr(rep, f.name), getattr(ref, f.name)
-        if isinstance(a, pa.SampledCurve):
-            assert a.values.tobytes() == b.values.tobytes()
-        else:
-            assert repr(a) == repr(b), f.name
-
-
 # coefficients of a drawn load: zero, or bounded away from zero
 NONZERO = st.one_of(st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
 COEF = st.one_of(st.just(0.0), NONZERO)
@@ -341,7 +279,40 @@ def test_autonomous_is_exactly_a_vanishing_power(m, N, data, seed):
     preset = make_model("allen-cahn-1d", m=m, load=ac)
     P = pa.build_partition(1.0, N=N)
     out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, pa.DEFAULT_INNER_FACTOR)
-    assert dg.edb_audit(out, preset.system, form="inequality").passed
+    report = dg.edb_audit(out, preset.system, form="inequality")
+    assert report.passed
+    assert report.power_integral == 0.0 or not ac_const
+
+
+DRAWN_LOAD_CASES = [
+    (model, load_key, scheme)
+    for model, load_key, schemes in (
+        ("allen-cahn-1d", "load", ("split", "amm", "effective")),
+        ("visco-plasticity-1d", "f_load", ("block-split", "block-amm", "effective")),
+    )
+    for scheme in schemes
+]
+
+
+@pytest.mark.parametrize("model, load_key, scheme", DRAWN_LOAD_CASES)
+def test_audits_pass_under_drawn_time_dependent_loads(model, load_key, scheme):
+    # the power of a prox step is taken at its anchor, where the step's
+    # minimality bounds the energy; taken at the step's end state, the
+    # effective visco-plasticity audits failed (residual 7.2e-3 against a
+    # slack of 4.7e-4 at N=16)
+    rng = np.random.default_rng(64)
+    failed = []
+    for draw in range(5):
+        c0, c1, amp = rng.standard_normal((3, 8))
+        preset = make_model(model, m=8, **{load_key: en.Load(c0, c1, amp, omega=6.0)})
+        sys = preset.system
+        for N in (16, 64):
+            out = sv.solve(sys, scheme, pa.build_partition(1.0, N=N), preset.u0, 1e-10, 8)
+            report = dg.edb_audit(out, sys, form=out.audit_form)
+            assert report.power_integral != 0.0
+            if not report.passed:
+                failed.append((draw, N, report.residual, report.slack))
+    assert failed == []
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +416,7 @@ def test_rate_term_dominates_effective_rate_smooth_system():
     # inf-convolution lower bound: D_rate >= int R_eff(U') - quadrature tol
     sys = smooth_block_system()
     P = pa.build_partition(1.0, N=8)
-    out = sv.amm_solve(sys, P, [1.0, -0.5, 0.3], with_variational=True)
+    out = sv.amm_solve(sys, P, [1.0, -0.5, 0.3])
     rep = dg.edb_audit(out, sys)
     assert rep.decomposition_value_gap >= -1e-10
 

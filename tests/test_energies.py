@@ -231,26 +231,8 @@ def test_power_matches_time_differences():
 
 
 # ---------------------------------------------------------------------------
-# power control and lambda-convexity
+# lambda-convexity
 # ---------------------------------------------------------------------------
-
-
-def test_power_control_with_shift():
-    E = en.QuadraticBlockEnergy(
-        A=np.eye(2), B=np.zeros((0, 2)), G=np.zeros((0, 0)),
-        f=en.Load([0.0, 0.0], c1=[0.5, 0.5]),
-        shift=5.0,
-    )
-    c_sharp = E.power_control_constant()
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        u = rng.standard_normal(2)
-        t = rng.uniform()
-        e_val = E.eval(t, u)
-        if e_val > 0:
-            assert abs(E.power(t, u)) <= c_sharp * e_val + 1e-9 * (1 + abs(e_val)) * (
-                1 + float(np.linalg.norm(u))
-            )
 
 
 def test_lambda_convexity_secant_allen_cahn():

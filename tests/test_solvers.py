@@ -8,7 +8,7 @@ from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
-from splitflow.errors import InputError, NumericalError
+from splitflow.errors import ConfigurationError, InputError, NumericalError
 from splitflow.models import make_model
 
 
@@ -298,6 +298,10 @@ def test_amm_interpolants_agree_at_nodes_and_midpoints():
     sys = counterexample_system()
     P = pa.build_partition(1.0, N=8)
     out = sv.amm_solve(sys, P, [2.0, 1.0])
+    # one entry per prox solve: two half-steps per step, each holding M cells
+    assert len(out.stats["inner_iterations"]) == 2 * P.N
+    assert len(out.stats["inner_residuals"]) == 2 * P.N
+    assert out.step_cells == out.grid.M
     for t in np.concatenate([P.nodes[1:], P.midpoints]):
         np.testing.assert_allclose(
             out.u_linear.at(t), out.u_const.at(t), atol=1e-12
@@ -317,21 +321,6 @@ def test_amm_forces_are_energy_subgradients():
             assert E.subdiff(t_eval, u).contains(xi, tol=1e-9)
 
 
-def test_amm_variational_interpolant_matches_nodes():
-    sys = counterexample_system()
-    P = pa.build_partition(1.0, N=4)
-    out = sv.amm_solve(sys, P, [2.0, 1.0], with_variational=True)
-    assert out.scheme == "amm"
-    # one entry per prox solve: two half-steps per step
-    assert len(out.stats["inner_iterations"]) == 2 * P.N
-    assert len(out.stats["inner_residuals"]) == 2 * P.N
-    assert out.u_variational is not None
-    for t in np.concatenate([P.midpoints, P.nodes[1:]]):
-        np.testing.assert_allclose(
-            out.u_variational.at(t), out.u_const.at(t), atol=1e-10
-        )
-
-
 def test_amm_energy_monotone_autonomous():
     preset = make_model("allen-cahn-1d", m=8)
     sys = preset.system
@@ -347,6 +336,21 @@ def test_amm_energy_monotone_autonomous():
 # ---------------------------------------------------------------------------
 # block solves
 # ---------------------------------------------------------------------------
+
+
+def test_block_layout_must_match_the_indicators():
+    # a block-split run of this system moved coordinates 0 and 1 under the
+    # potential of block [0, 2], and its audit read d_rate = inf
+    E = en.QuadraticBlockEnergy(np.eye(2), np.zeros((1, 2)), np.eye(1), f=en.Load([1.0, 0.5]))
+    r1 = pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 2], 3)
+    r2 = pt.BlockIndicator(pt.QuadraticForm(np.eye(1)), [1], 3)
+    with pytest.raises(ConfigurationError, match="r1 is not active on its block"):
+        sv.GradientSystem(E, r1, r2, block_layout=(2, 1))
+    y = pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 3)
+    with pytest.raises(ConfigurationError, match="r2 is not active on its block"):
+        sv.GradientSystem(E, y, r2, block_layout=(2, 1))
+    z = pt.BlockIndicator(pt.QuadraticForm(np.eye(1)), [2], 3)
+    assert sv.GradientSystem(E, y, z, block_layout=(2, 1)).block_indices()[1] == slice(2, 3)
 
 
 def test_block_y_half_step_is_linear_solve():
@@ -486,13 +490,18 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     monkeypatch.setattr(en.QuadraticBlockEnergy, "grad", counted_grad)
     monkeypatch.setattr(sv, "_has_grad", counted_probe)
     parts = system.r2.base.shrinkage_parts()
-    res = sv._joint_block_residual(system, 0.5, preset.u0, preset.u0 + 0.01, 0.1, True, parts)
+    u = preset.u0 + 0.01
+    res, g = sv._joint_block_residual(system, 0.5, preset.u0, u, 0.1, True, parts)
     assert len(grads) == 1 and res > 0.0
+    np.testing.assert_array_equal(g, grad(system.energy, 0.5, u))
     # the smoothness of the y potential is probed once per run, not per step or sweep
+    grads.clear()
     out = sv.effective_solve(system, pa.build_partition(1.0, N=4), preset.u0, tol=1e-12)
     assert len(out.stats["inner_iterations"]) == 4
     assert min(out.stats["inner_iterations"]) > 1
     assert len(probes) == 1
+    # one gradient per sweep's residual, and the last one is the step's force
+    assert len(grads) == sum(out.stats["inner_iterations"])
 
 
 def test_joint_block_stagnation_carries_the_last_sweep():
@@ -616,27 +625,8 @@ def test_interpolant_consistency_under_refinement():
 
 
 # ---------------------------------------------------------------------------
-# power control along runs, effective prox optimality, serialization
+# effective prox optimality, serialization
 # ---------------------------------------------------------------------------
-
-
-def test_power_control_on_solver_visited_states():
-    E = en.QuadraticBlockEnergy(
-        A=np.eye(2), B=np.zeros((1, 2)), G=np.eye(1),
-        f=en.Load([0.1, 0.0], c1=[0.3, 0.1]),
-        g=en.Load([0.0], amp=[0.2], omega=2.0),
-        shift=4.0,
-    )
-    sys = sv.GradientSystem(
-        energy=E, r1=pt.QuadraticForm(np.eye(3)), r2=pt.QuadraticForm(np.eye(3))
-    )
-    c_sharp = E.power_control_constant(horizon=1.0)
-    assert math.isfinite(c_sharp)
-    P = pa.build_partition(1.0, N=8)
-    out = sv.amm_solve(sys, P, [0.5, -0.2, 0.1])
-    for t in np.sort(np.concatenate([P.nodes[1:], P.midpoints])):
-        u = out.u_const.at(t)
-        assert abs(E.power(t, u)) <= c_sharp * E.eval(t, u) + 1e-12
 
 
 def test_effective_prox_rate_is_optimal_for_infconv():
@@ -690,7 +680,7 @@ def test_amm_inequality_on_non_uniform_partition():
     preset = make_model("allen-cahn-1d", m=6)
     sys = preset.system
     P = pa.build_partition(1.0, nodes=[0.0, 0.1, 0.3, 0.4, 0.7, 1.0])
-    out = sv.amm_solve(sys, P, preset.u0, with_variational=True)
+    out = sv.amm_solve(sys, P, preset.u0)
     for i in range(P.N):
         for j in range(i + 1, P.N + 1):
             rep = dg.edb_audit(out, sys, (P.nodes[i], P.nodes[j]),
@@ -798,8 +788,7 @@ def test_solve_dispatch_matches_entry_points():
     tol, inner = 1e-11, 4
     direct = {
         "split": sv.split_step_solve(ce, P, [2.0, 1.0], inner_steps=inner, tol=tol),
-        "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, with_variational=True,
-                            inner_factor=inner),
+        "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
         "effective": sv.effective_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
         "block-split": sv.split_step_solve(vp.system, P, vp.u0, inner_steps=inner, tol=tol),
         "block-amm": sv.amm_solve(vp.system, P, vp.u0, tol=tol, inner_factor=inner),
@@ -809,11 +798,10 @@ def test_solve_dispatch_matches_entry_points():
         sys, u0 = (vp.system, vp.u0) if name.startswith("block-") else (ce, [2.0, 1.0])
         out = sv.solve(sys, name, P, u0, tol, inner)
         assert out.scheme == ref.scheme == name
-        for attr in ("u_linear", "u_const", "u_delayed", "xi", "u_variational"):
-            a, b = getattr(out, attr), getattr(ref, attr)
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a.values, b.values)
+        # the counterexample's split and effective runs are exact flows
+        assert out.step_cells == ref.step_cells == (inner if "amm" in name else 1)
+        for attr in ("u_linear", "u_const", "u_delayed", "xi"):
+            np.testing.assert_array_equal(getattr(out, attr).values, getattr(ref, attr).values)
     for name in ("block-split", "block-amm"):
         with pytest.raises(InputError):
             sv.solve(ce, name, P, [2.0, 1.0], tol, inner)
