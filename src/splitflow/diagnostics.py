@@ -68,16 +68,12 @@ def _clip_cells(grid, interval):
 def _segment_pieces(out, interval):
     """(widths, first, velocities, forces) of the pieces of the run's segments
     inside ``interval``; ``first`` flags the pieces of mechanism 1."""
-    segs = out.segments
+    seg = out.segment_arrays
     s, t = interval
-    lo = np.maximum([seg.t0 for seg in segs], s)
-    hi = np.minimum([seg.t1 for seg in segs], t)
+    lo = np.maximum(seg.t0, s)
+    hi = np.minimum(seg.t1, t)
     keep = np.flatnonzero(hi > lo)
-    dim = out.u_linear.dim
-    first = np.array([segs[i].mechanism == "1" for i in keep], dtype=bool)
-    vel = np.array([segs[i].velocity for i in keep]).reshape(-1, dim)
-    xi = np.array([segs[i].xi for i in keep]).reshape(-1, dim)
-    return (hi - lo)[keep], first, vel, xi
+    return (hi - lo)[keep], seg.first[keep], seg.velocity[keep], seg.xi[keep]
 
 
 def _by_mechanism(widths, first, rows, f1, f2):
@@ -187,12 +183,15 @@ class EDBReport:
 
 
 def _trajectory_state(out, t):
-    """State at time t; exact for segment-backed runs."""
+    """State at time t; exact for segment-backed runs, where it is the state
+    on the first segment that holds t, or the end state if none does."""
     if out.segments:
-        for seg in out.segments:
-            if seg.t0 <= t <= seg.t1:
-                return seg.state(t)
-        return out.segments[-1].state(out.segments[-1].t1)
+        seg = out.segment_arrays
+        # segments follow each other, so a later one holds t only if this one does
+        k = int(np.searchsorted(seg.t1, t))
+        if k == len(seg.t1) or not seg.t0[k] <= t:
+            k, t = -1, seg.t1[-1]
+        return seg.u0[k] + (t - seg.t0[k]) * seg.velocity[k]
     curve = out.u_const if out.is_movement else out.u_linear
     return curve.at(t)
 
@@ -392,10 +391,10 @@ class StudyTable:
 def _reference_rate(ref_out, times):
     """Rate of the reference run at each of ``times``; a time on a segment
     boundary takes the earlier segment."""
-    segs = ref_out.segments
-    if segs:
-        k = np.searchsorted([seg.t1 for seg in segs], times, side="left")
-        return np.array([seg.velocity for seg in segs])[np.minimum(k, len(segs) - 1)]
+    if ref_out.segments:
+        seg = ref_out.segment_arrays
+        k = np.searchsorted(seg.t1, times, side="left")
+        return seg.velocity[np.minimum(k, len(seg.t1) - 1)]
     return ref_out.rate.at(times)
 
 

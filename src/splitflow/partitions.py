@@ -34,6 +34,11 @@ _CSV_FIELD = "%-24.16e"
 # rows gathered per write of SampledCurve.to_csv; the time does not depend on
 # it, and 32 rows of 34 columns hold about 80 kB of transient bytes
 _CSV_BLOCK = 32
+# values per sort of _distinct_bits, so that each of its temporaries stays at
+# 128 kB: sorting the 34 x 1025 values of a wide curve at once raised a
+# process's peak RSS by 0.8 MB, and in chunks the peak stays that of one
+# np.unique per column
+_SORT_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -261,25 +266,45 @@ def _csv_fields(columns):
     field in it.
 
     The schemes repeat values (a movement held over its cells, a frozen block,
-    an equilibrium), so each column keeps only its distinct float64 bit
-    patterns.  Keying on bits, not values, keeps 0.0 and -0.0 apart.  All
-    columns' distinct values are then formatted in one pass (``_write_e16``).
-    A field is ``_CSV_FIELD`` text, possibly with blanks on its left, followed
-    by "," or, in the last column, "\n".
+    an equilibrium), so the table holds only each column's distinct values
+    (``_distinct_bits``), all formatted in one pass (``_write_e16``).  A field
+    is ``_CSV_FIELD`` text, possibly with blanks on its left, followed by ","
+    or, in the last column, "\n".
     """
-    index = np.empty((len(columns[0]), len(columns)), dtype=np.int32)
-    distinct = []
-    start = 0
-    for j, column in enumerate(columns):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        index[:, j] = inverse + start
-        start += bits.size
-        distinct.append(bits)
-    table = np.empty((start, 25), dtype=np.uint8)
+    distinct, index, n_last = _distinct_bits(columns)
+    table = np.empty((distinct.size, 25), dtype=np.uint8)
     table[:, 24] = ord(",")
-    table[start - distinct[-1].size :, 24] = ord("\n")
-    _write_e16(np.concatenate(distinct).view(np.float64), table[:, :24])
+    table[distinct.size - n_last :, 24] = ord("\n")
+    _write_e16(distinct, table[:, :24])
     return table.view("S25").reshape(-1), index
+
+
+def _distinct_bits(columns):
+    """The distinct float64 bit patterns of each column, in increasing order
+    and one column after the other; the ``(rows, columns)`` int32 index of
+    each value among them; and the number of the last column's.
+
+    Keying on bits, not values, keeps 0.0 and -0.0 apart.  One sort finds
+    them in a block of columns of up to ``_SORT_CHUNK`` values, and a value's
+    index is the number of distinct values before it, over all columns in
+    turn.
+    """
+    rows = len(columns[0])
+    index = np.empty((rows, len(columns)), dtype=np.int32)
+    distinct, start = [], 0
+    step = max(1, _SORT_CHUNK // rows)
+    for j in range(0, len(columns), step):
+        bits = np.stack(columns[j : j + step]).view(np.uint64)
+        order = np.argsort(bits, axis=1)
+        bits = np.take_along_axis(bits, order, axis=1)
+        new = np.ones(bits.shape, dtype=bool)
+        new[:, 1:] = bits[:, 1:] != bits[:, :-1]
+        ranks = np.cumsum(new, dtype=np.int32).reshape(bits.shape)
+        ranks += start - 1
+        np.put_along_axis(index.T[j : j + step], order, ranks, axis=1)
+        distinct.append(bits[new])
+        start += distinct[-1].size
+    return np.concatenate(distinct).view(np.float64), index, int(np.count_nonzero(new[-1]))
 
 
 # The fast path below needs a long double with at least a 64-bit significand

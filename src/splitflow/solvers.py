@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "SCHEMES",
     "SchemeOutput",
     "Segment",
+    "SegmentArrays",
     "prox_step",
     "substep_flow",
     "solve",
@@ -115,13 +117,36 @@ class Segment:
         return self.u0 + (t - self.t0) * self.velocity
 
 
+class SegmentArrays(NamedTuple):
+    """The segments of an exact flow as arrays, one row per segment; ``first``
+    flags the segments of mechanism 1.  The segments follow each other in
+    time, so ``t0`` and ``t1`` are increasing."""
+
+    t0: np.ndarray
+    t1: np.ndarray
+    u0: np.ndarray
+    velocity: np.ndarray
+    xi: np.ndarray
+    first: np.ndarray
+
+
+def _segment_arrays(segments):
+    return SegmentArrays(
+        *(np.array([getattr(seg, name) for seg in segments], dtype=float)
+          for name in ("t0", "t1", "u0", "velocity", "xi")),
+        np.array([seg.mechanism == "1" for seg in segments], dtype=bool),
+    )
+
+
 @dataclass
 class SchemeOutput:
     """Interpolants, forces, and statistics of one scheme run.
 
     ``step_cells`` is the number of grid cells that each prox step holds (1
     for exact flows), so cell i belongs to the step that started from node
-    ``i - i % step_cells``, its anchor.
+    ``i - i % step_cells``, its anchor.  An exact flow also carries its
+    ``segments``, and ``segment_arrays`` holds them as arrays (built from
+    ``segments`` when not given).
     """
 
     scheme: str
@@ -134,6 +159,11 @@ class SchemeOutput:
     step_cells: int = 1
     segments: list = None
     stats: dict = field(default_factory=dict)
+    segment_arrays: SegmentArrays = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.segments is not None and self.segment_arrays is None:
+            self.segment_arrays = _segment_arrays(self.segments)
 
     @property
     def inner_tol(self):
@@ -220,14 +250,15 @@ def _prox_kernel(E, R):
         VR = R.quadratic_matrix()
         if VR is None or not _is_diagonal(VR):
             raise InputError("max-norm prox requires a diagonal quadratic potential")
-        return partial(_prox_maxnorm, R, VR)
+        # dual weights: dual_rate(xi) = c * xi
+        return partial(_prox_maxnorm, R, VR, (1.0 / np.diag(VR)).tolist())
 
     if _energy_is_quadratic(E):
         # the loads are linear, so one Hessian holds at every time and state
         H = E.hess(0.0, np.zeros(E.dim))
         VR = R.quadratic_matrix()
         if VR is not None:
-            return partial(_prox_quadratic, VR, H)
+            return partial(_prox_quadratic, VR, H, lhs_by_h={})
         parts = R.shrinkage_parts()
         if parts is not None:
             return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
@@ -241,11 +272,15 @@ def _energy_is_quadratic(E):
     )
 
 
-def _prox_quadratic(VR, H, E, t, anchor, h, tol):
+def _prox_quadratic(VR, H, E, t, anchor, h, tol, lhs_by_h=None):
     """Linear solve for a quadratic R with matrix VR and an energy with
-    Hessian H."""
+    Hessian H; a run's kernel keeps the matrix VR / h + H of each step size
+    h it has met in ``lhs_by_h``."""
     g0 = E._grad(t, np.zeros_like(anchor))
-    lhs = VR / h + H
+    lhs_by_h = {} if lhs_by_h is None else lhs_by_h
+    lhs = lhs_by_h.get(h)
+    if lhs is None:
+        lhs = lhs_by_h[h] = VR / h + H
     rhs = VR @ anchor / h - g0
     u = np.linalg.solve(lhs, rhs)
     xi = E._grad(t, u)
@@ -323,59 +358,58 @@ def _prox_newton(R, parts, E, t, anchor, h, tol, max_iter=100):
     return u, xi, _ProxStats(it, res, "newton")
 
 
-def _prox_maxnorm(R, VR, E, t, anchor, h, tol):
+def _prox_maxnorm(R, VR, c, E, t, anchor, h, tol):
     """Exact prox for the max-norm energy with the diagonal quadratic metric VR
-    of R."""
-    c = 1.0 / np.diag(VR)  # dual weights: dual_rate(xi) = c * xi
-    a1, a2 = anchor
+    of R, whose dual weights are the floats ``c``.
+
+    The state of a face or axis regime is ``anchor - (h c) xi``, taken in
+    floats entry by entry, so that the regime's admission test costs no
+    arrays; only the admitted candidates are evaluated, through the
+    unchecked cores of R and E.
+    """
     c1, c2 = c
-
-    def objective(u, xi):
-        return h * R((u - anchor) / h) + E._eval(t, u)
-
-    candidates = []  # (priority, F, u, xi)
+    hc1, hc2 = h * c1, h * c2
+    a1, a2 = anchor.tolist()
+    candidates = []  # (priority, u, xi), in the order ties are broken
 
     # diagonal / antidiagonal faces, both signs
     for anti in (False, True):
+        rhs = (a1 + a2) if anti else (a1 - a2)
         for s in (1.0, -1.0):
-            rhs = (a1 - a2) if not anti else (a1 + a2)
             theta = (s * rhs / h + c2) / (c1 + c2)
             if not (0.0 <= theta <= 1.0):
                 continue
-            xi = np.array([s * theta, (s if not anti else -s) * (1.0 - theta)])
-            u = anchor - h * c * xi
-            ok = (u[0] * s > 0) and (
-                abs(u[0] - u[1]) <= 1e-12 if not anti else abs(u[0] + u[1]) <= 1e-12
-            )
-            if ok:
+            x1, x2 = s * theta, (-s if anti else s) * (1.0 - theta)
+            u1, u2 = a1 - hc1 * x1, a2 - hc2 * x2
+            if u1 * s > 0 and abs(u1 + u2 if anti else u1 - u2) <= 1e-12:
                 # snap exactly onto the face
-                u[1] = u[0] if not anti else -u[0]
-                candidates.append((0, objective(u, xi), u, xi))
+                candidates.append((0, [u1, -u1 if anti else u1], [x1, x2]))
 
     # axis regimes
     for s in (1.0, -1.0):
-        xi = np.array([s, 0.0])
-        u = anchor - h * c * xi
-        if abs(u[0]) > abs(u[1]) and math.copysign(1.0, u[0]) == s:
-            candidates.append((1, objective(u, xi), u, xi))
-        xi = np.array([0.0, s])
-        u = anchor - h * c * xi
-        if abs(u[1]) > abs(u[0]) and math.copysign(1.0, u[1]) == s:
-            candidates.append((1, objective(u, xi), u, xi))
+        u1, u2 = a1 - hc1 * s, a2 - hc2 * 0.0
+        if abs(u1) > abs(u2) and math.copysign(1.0, u1) == s:
+            candidates.append((1, [u1, u2], [s, 0.0]))
+        u1, u2 = a1 - hc1 * 0.0, a2 - hc2 * s
+        if abs(u2) > abs(u1) and math.copysign(1.0, u2) == s:
+            candidates.append((1, [u1, u2], [0.0, s]))
 
     # origin; stationarity needs xi in the l1 ball (the true subdifferential
     # at 0, strictly smaller than the reported box)
     xi = VR @ anchor / h
     if float(np.sum(np.abs(xi))) <= 1.0 + 1e-14:
-        u = np.zeros(2)
-        candidates.append((2, objective(u, xi), u, xi))
+        candidates.append((2, np.zeros(2), xi))
 
     if not candidates:
         raise NumericalError("max-norm prox found no admissible regime", best=anchor)
-    f_min = min(f for _, f, _, _ in candidates)
+    scored = []  # (priority, F, u, xi)
+    for priority, u, xi in candidates:
+        u, xi = np.array(u, dtype=float), np.array(xi, dtype=float)
+        scored.append((priority, h * R._eval((u - anchor) / h) + E._eval(t, u), u, xi))
+    f_min = min(f for _, f, _, _ in scored)
     tol_tie = 1e-12 * (1.0 + abs(f_min))
     best = min(
-        (cand for cand in candidates if cand[1] <= f_min + tol_tie),
+        (cand for cand in scored if cand[1] <= f_min + tol_tie),
         key=lambda cand: cand[0],
     )
     _, _, u, xi = best
@@ -473,9 +507,11 @@ def _exact_flows(times, u0, pieces):
     """Concatenated exact regime flows, sampled on a cell grid.
 
     Each piece ``(t0, t1, weights, label)`` flows from where the previous one
-    ended.  Returns the states at ``times``, the cell forces and the
-    segments.  A cell takes the force of the segment that holds its right
-    end, the state at which every prox path evaluates its force.
+    ended.  Returns the states at ``times``, the cell forces, the segments
+    and their ``SegmentArrays``.  A cell takes the first segment that ends
+    within ``_TIME_TOL`` before its right end or later (the last segment if
+    none does), and that segment's force, the force every prox path
+    evaluates at the state of the cell's right end.
     """
     # the loop of _regime_flow emits a segment only under this condition
     if any(t0 >= t1 - _TIME_TOL for t0, t1, _, _ in pieces):
@@ -484,16 +520,17 @@ def _exact_flows(times, u0, pieces):
     for t0, t1, weights, label in pieces:
         u, segs = _regime_flow(weights, t0, t1, u, label)
         segments += segs
-    nodes, forces = [u0], []
-    si = 0
-    for b in times[1:]:
-        while segments[si].t1 < b - _TIME_TOL and si + 1 < len(segments):
-            si += 1
-        nodes.append(segments[si].state(min(b, segments[si].t1)))
-        forces.append(segments[si].xi)
-    nodes, forces = np.array(nodes), np.array(forces)
+    seg = _segment_arrays(segments)
+    b = times[1:]
+    si = np.minimum(np.searchsorted(seg.t1, b - _TIME_TOL), len(segments) - 1)
+    # Segment.state, one row per cell
+    nodes = np.empty((len(times), u0.size))
+    nodes[0] = u0
+    dt = np.minimum(b, seg.t1[si]) - seg.t0[si]
+    nodes[1:] = seg.u0[si] + dt[:, None] * seg.velocity[si]
+    forces = seg.xi[si]
     _require_finite(nodes, forces, 1)
-    return nodes, forces, segments
+    return nodes, forces, segments, seg
 
 
 def _require_finite(nodes, forces, n):
@@ -605,7 +642,7 @@ def substep_flow(sys: GradientSystem, which, interval, u_init, inner_steps=None)
     if _is_exact_pair(sys.energy, R):
         weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
         piece = (cell_times[0], cell_times[-1], weights, str(which))
-        values, _, _ = _exact_flows(cell_times, u0, [piece])
+        values = _exact_flows(cell_times, u0, [piece])[0]
     else:
         plan = _cell_plan(sys, cell_times, [which] * grid.n_cells)
         _, values, _ = _movements(grid, u0, plan, 1e-10, {})
@@ -641,7 +678,8 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
         "inner_factor": grid.M,
         "scheme": scheme,
         "argmin_selection": "deterministic-from-anchor",
-        **{k: v for k, v in record.items() if k not in ("segments", "step_cells")},
+        **{k: v for k, v in record.items()
+           if k not in ("segments", "segment_arrays", "step_cells")},
     }
     return SchemeOutput(
         scheme=scheme,
@@ -655,6 +693,7 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
         xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
         step_cells=record.get("step_cells", 1),
         segments=record.get("segments"),
+        segment_arrays=record.get("segment_arrays"),
         stats=stats,
     )
 
@@ -706,7 +745,8 @@ def split_step_solve(
         weights = [2.0 * _unscaled(R).dual_weights for R in (sys.r1, sys.r2)]
         pieces = [(float(a), float(b), weights[j % 2], str(1 + j % 2))
                   for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
-        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
+        values, forces, record["segments"], record["segment_arrays"] = _exact_flows(
+            grid.times, u0, pieces)
     else:
         plan = _cell_plan(sys, grid.times, np.where(grid.cell_is_left, 1, 2))
         _, values, forces = _movements(grid, u0, plan, tol, record)
@@ -763,7 +803,8 @@ def effective_solve(
     if sys.r2 is not None and _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
         weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
         pieces = [(0.0, P.T, weights, "eff")]
-        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
+        values, forces, record["segments"], record["segment_arrays"] = _exact_flows(
+            grid.times, u0, pieces)
         return _assemble_output(
             "effective", sys, grid, values, values, forces, record, tol
         )
@@ -918,16 +959,20 @@ def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100):
 def time_to_zero(out: SchemeOutput, tol=1e-9):
     """First time the trajectory reaches the origin (within tol), or None."""
     if out.segments:
-        for seg in out.segments:
-            norms0 = float(np.max(np.abs(seg.u0)))
-            if norms0 <= tol:
-                return seg.t0
-            vel = float(np.max(np.abs(seg.velocity)))
-            end_state = seg.state(seg.t1)
-            if float(np.max(np.abs(end_state))) <= tol and vel > 0:
-                # linear piece hits zero inside the segment
-                return seg.t0 + norms0 / vel if vel > 0 else seg.t1
-        return None
+        seg = out.segment_arrays
+        norms0 = np.max(np.abs(seg.u0), axis=1)
+        speed = np.max(np.abs(seg.velocity), axis=1)
+        end_states = seg.u0 + (seg.t1 - seg.t0)[:, None] * seg.velocity
+        # a segment that starts at zero, or whose linear piece hits zero in it
+        hit = np.flatnonzero(
+            (norms0 <= tol) | ((np.max(np.abs(end_states), axis=1) <= tol) & (speed > 0))
+        )
+        if hit.size == 0:
+            return None
+        k = hit[0]
+        if norms0[k] <= tol:
+            return float(seg.t0[k])
+        return float(seg.t0[k] + norms0[k] / speed[k])
     times = out.grid.times
     vals = out.u_linear.values
     norms = np.max(np.abs(vals), axis=1)

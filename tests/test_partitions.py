@@ -356,6 +356,44 @@ def test_csv_bytes_equal_savetxt_on_repeated_and_special_values(N, M, dim, hold,
             assert fh.read() == buf.getvalue()
 
 
+def csv_fields_reference(columns):
+    """The writer's fields with one ``np.unique`` per column."""
+    index = np.empty((len(columns[0]), len(columns)), dtype=np.int32)
+    distinct, start = [], 0
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        index[:, j] = inverse + start
+        start += bits.size
+        distinct.append(bits)
+    table = np.empty((start, 25), dtype=np.uint8)
+    table[:, 24] = ord(",")
+    table[start - distinct[-1].size :, 24] = ord("\n")
+    pa._write_e16(np.concatenate(distinct).view(np.float64), table[:, :24])
+    return table.view("S25").reshape(-1), index
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 80), dim=st.integers(1, 12), hold=st.integers(1, 10),
+       pool=st.lists(st.floats(width=64), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 50, 160, None]))
+def test_csv_fields_equal_one_unique_per_column(rows, dim, hold, pool, seed, chunk):
+    rng = np.random.default_rng(seed)
+    choices = np.concatenate([pool, _CSV_SPECIALS, rng.standard_normal(4)])
+    values = np.repeat(rng.choice(choices, (-(-rows // hold), dim + 1)), hold, axis=0)[:rows]
+    values[rng.random(rows) < 0.2, -1] = -0.0
+    columns = [values[:, 0].copy(), *values[:, 1:].T]
+    # small chunks sort the columns in several blocks, None in one
+    default = pa._SORT_CHUNK
+    pa._SORT_CHUNK = default if chunk is None else chunk
+    try:
+        table, index = pa._csv_fields(columns)
+    finally:
+        pa._SORT_CHUNK = default
+    ref_table, ref_index = csv_fields_reference(columns)
+    assert table.dtype == ref_table.dtype and table.tobytes() == ref_table.tobytes()
+    assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
+
+
 def _e16_text(x):
     """Each value of ``x`` as the formatter writes it, blanks removed."""
     x = np.asarray(x, dtype=float)

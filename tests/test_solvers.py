@@ -92,6 +92,27 @@ def test_prox_quadratic_closed_form():
     assert xi[0] == pytest.approx(0.5)
 
 
+def test_quadratic_kernel_builds_one_matrix_per_step_size():
+    rng = np.random.default_rng(3)
+    E = en.QuadraticBlockEnergy(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                f=en.Load([1.0, 0.5], [2.0, 0.0]))
+    R = pt.Rescaled(pt.QuadraticForm(np.array([[3.0, 1.0], [1.0, 2.0]])))
+    kernel = sv._prox_kernel(E, R)
+    assert kernel.keywords["lhs_by_h"] == {}
+    close = float(np.nextafter(0.1, 1.0))
+    for h in (0.1, 0.25, 0.1, close, 0.25, close):
+        anchor = rng.standard_normal(2)
+        u, xi, st = kernel(E, 0.5, anchor, h, 1e-10)
+        # a fresh call builds VR / h + H itself
+        ref_u, ref_xi, ref_st = sv._prox_quadratic(R.quadratic_matrix(),
+                                                   E.hess(0.0, np.zeros(2)), E, 0.5,
+                                                   anchor, h, 1e-10)
+        np.testing.assert_array_equal(u, ref_u)
+        np.testing.assert_array_equal(xi, ref_xi)
+        assert (st.iterations, st.residual) == (ref_st.iterations, ref_st.residual)
+    assert sorted(kernel.keywords["lhs_by_h"]) == [0.1, close, 0.25]
+
+
 def test_prox_stationary_anchor():
     E = scalar_quadratic_energy()
     u, xi = sv.prox_step(E, quad_identity(), 0.0, [0.0], 1.0)
