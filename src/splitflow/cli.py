@@ -9,6 +9,7 @@ identical config produce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -284,6 +285,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built once per process: parsing fills a new
+    namespace on every call and changes nothing in the parser."""
+    return build_parser()
+
+
 def _certificate(exc: NumericalError):
     """The duality gap and iteration count a failed solve carries, if any."""
     parts = []
@@ -300,7 +308,7 @@ def main(argv=None) -> int:
     # finiteness checks of the solve and the audit, or a linear-algebra error)
     with np.errstate(all="ignore"):
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
             cfg = _load_config(args.config) if args.config else RunConfig()
             cfg = _apply_flags(cfg, args).validate()
             handler = {

@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import NumericalError
 
+try:  # numpy's private LAPACK gufunc; np.linalg.solve is the fallback
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # pragma: no cover
+    _solve1 = None
+
 # objective differences below 16 eps (1 + |f0|) count as decreases
 _SLACK = float(16.0 * np.finfo(float).eps)
 ARMIJO = 1e-4
@@ -34,7 +39,18 @@ def accepts(f, f0, alpha, slope, armijo=ARMIJO):
 
 def _step(H, g):
     """The Newton step -H^-1 g; a singular H is regularised by a growing
-    multiple of the identity, and the gradient step is the last resort."""
+    multiple of the identity, and the gradient step is the last resort.
+
+    The step is first solved by the LAPACK gufunc behind ``np.linalg.solve``,
+    called without that function's per-call checks; a finite result is the
+    same bits.  Otherwise (a singular H leaves NaN) ``np.linalg.solve`` and
+    its regularisation decide.
+    """
+    if _solve1 is not None:
+        with np.errstate(all="ignore"):
+            step = _solve1(H, -g, signature="dd->d")
+            if math.isfinite(step.dot(step)):
+                return step
     bump = 0.0
     for _ in range(8):
         try:

@@ -31,9 +31,11 @@ DEFAULT_INNER_FACTOR = 8
 # "%.16e" text is at most 24 characters ("-1.7976931348623157e+308"); a CSV
 # field is that text left-justified in 24, then its "," or "\n" suffix
 _CSV_FIELD = "%-24.16e"
-# rows gathered per write of SampledCurve.to_csv; the time does not depend on
-# it, and 32 rows of 34 columns hold about 80 kB of transient bytes
-_CSV_BLOCK = 32
+# bytes of fields gathered per write of SampledCurve.to_csv: 32 rows of 34
+# columns.  A block costs a gather, a strip and a write whatever its size, so
+# a narrow table takes as many rows as fill it; a block holds about 80 kB of
+# transient bytes at any width
+_CSV_BLOCK_BYTES = 32 * 34 * 25
 # values per sort of _distinct_bits, so that each of its temporaries stays at
 # 128 kB: sorting the 34 x 1025 values of a wide curve at once raised a
 # process's peak RSS by 0.8 MB, and in chunks the peak stays that of one
@@ -247,9 +249,10 @@ class SampledCurve:
         table, index = _csv_fields([self.grid.times, *self.values.T])
         with open(path, "wb") as fh:
             fh.write(f"# interpolant_kind: {self.kind}\n{cols}\n".encode("utf-8"))
-            for i in range(0, len(index), _CSV_BLOCK):
+            block = max(1, _CSV_BLOCK_BYTES // (25 * index.shape[1]))
+            for i in range(0, len(index), block):
                 # fields are padded with spaces, which no formatted number holds
-                fh.write(table[index[i : i + _CSV_BLOCK]].tobytes().replace(b" ", b""))
+                fh.write(table[index[i : i + block]].tobytes().replace(b" ", b""))
 
     @classmethod
     def from_csv(cls, path, grid):

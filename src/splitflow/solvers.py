@@ -234,7 +234,8 @@ def _prox_kernel(E, R):
     The choice depends only on the kinds, so a step plan resolves it once
     per run and calls the kernel on every cell.  What does not change from
     cell to cell is taken here too: the Hessian of a quadratic energy, and
-    the constant Hessian parts of R (or of its members) and E for Newton.
+    the constant Hessian parts of R (or of its members) and E for Newton,
+    and R's value, gradient and Hessian diagonal at v = 0.
     A block step's kernel may be called with another frozen view of the same
     energy; the parts do not depend on the frozen values.
     """
@@ -263,7 +264,9 @@ def _prox_kernel(E, R):
         if parts is not None:
             return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
 
-    return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()))
+    zero = np.zeros(E.dim)
+    R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
+    return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero)
 
 
 def _energy_is_quadratic(E):
@@ -328,32 +331,50 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
     raise NumericalError("shrinkage prox stagnated", iterations=max_iter, best=anchor + d)
 
 
-def _prox_newton(R, parts, E, t, anchor, h, tol, max_iter=100):
+def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
     """Damped Newton on u for h R((u - anchor)/h) + E(t, u).
 
     ``parts`` are the constant Hessian parts of R and E.  Every Hessian of
     the solve is ``R_c / h + E_c`` off the diagonal, so that matrix is made
     once and each step writes its diagonal ``R_ii / h + E_ii``.  Values,
     gradients and diagonals come from the unchecked cores of R and E.
+
+    ``R_at_zero`` holds R's value, gradient and Hessian diagonal at v = 0,
+    taken once per kernel: Newton starts at a finite anchor, where v is
+    exactly +0.  A trial's v is kept for the gradient at the same state.
     """
     H = parts[0] / h + parts[1]
     diagonal = H.reshape(-1)[:: len(H) + 1]
+    start = np.array(anchor)
+    norm = math.sqrt(anchor.dot(anchor))  # np.linalg.norm's arithmetic
+    # the state where R_at_zero holds: none when the anchor may not be finite
+    at_zero = start if math.isfinite(norm) else None
+    last = [None, None]  # the last state whose v was taken, and its v
+
+    def rate(u):
+        if u is not last[0]:
+            last[:] = u, (u - anchor) / h
+        return last[1]
 
     def gradient(u):
-        v = (u - anchor) / h
         xi = E._grad(t, u)
+        if u is at_zero:
+            return R_at_zero[1] + xi, (None, xi)
+        v = rate(u)
         return R._grad(v) + xi, (v, xi)
 
     def hessian(u, held):
-        diagonal[:] = R._hess_diagonal(held[0]) / h + E._hess_diagonal(t, u)
+        r_diagonal = R_at_zero[2] if held[0] is None else R._hess_diagonal(held[0])
+        diagonal[:] = r_diagonal / h + E._hess_diagonal(t, u)
         return H
 
     def objective(u):
-        return h * R._eval((u - anchor) / h) + E._eval(t, u)
+        if u is at_zero:
+            return h * R_at_zero[0] + E._eval(t, u)
+        return h * R._eval(rate(u)) + E._eval(t, u)
 
-    scale = 1.0 + float(np.linalg.norm(anchor))
     u, (_, xi), it, res = newton.minimize(
-        np.array(anchor), gradient, hessian, objective, tol * scale,
+        start, gradient, hessian, objective, tol * (1.0 + norm),
         max_iter=max_iter, failure="incremental minimization diverged")
     return u, xi, _ProxStats(it, res, "newton")
 
@@ -364,8 +385,9 @@ def _prox_maxnorm(R, VR, c, E, t, anchor, h, tol):
 
     The state of a face or axis regime is ``anchor - (h c) xi``, taken in
     floats entry by entry, so that the regime's admission test costs no
-    arrays; only the admitted candidates are evaluated, through the
-    unchecked cores of R and E.
+    arrays.  When more than one regime is admitted, the candidates are
+    scored through the unchecked cores of R and E; a lone candidate is
+    returned unscored.
     """
     c1, c2 = c
     hc1, hc2 = h * c1, h * c2
@@ -397,11 +419,16 @@ def _prox_maxnorm(R, VR, c, E, t, anchor, h, tol):
     # origin; stationarity needs xi in the l1 ball (the true subdifferential
     # at 0, strictly smaller than the reported box)
     xi = VR @ anchor / h
-    if float(np.sum(np.abs(xi))) <= 1.0 + 1e-14:
+    x1, x2 = xi.tolist()
+    if abs(x1) + abs(x2) <= 1.0 + 1e-14:  # np.sum's one addition
         candidates.append((2, np.zeros(2), xi))
 
     if not candidates:
         raise NumericalError("max-norm prox found no admissible regime", best=anchor)
+    if len(candidates) == 1:  # the objective decides nothing
+        _, u, xi = candidates[0]
+        return np.array(u, dtype=float), np.array(xi, dtype=float), _ProxStats(
+            1, 0.0, "maxnorm-cases")
     scored = []  # (priority, F, u, xi)
     for priority, u, xi in candidates:
         u, xi = np.array(u, dtype=float), np.array(xi, dtype=float)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -103,6 +105,44 @@ def test_probe_qye(tmp_path, capsys):
     data = json.loads((out_dir / "qye.json").read_text())
     assert data["c_est"] > 0.0
     assert data["seed"] == 3
+
+
+def _written_files(out_dir):
+    """The bytes of every file in ``out_dir``, with ``config.json``'s ``out``
+    taken out: it names the directory."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "config.json":
+            echo = json.loads(data)
+            assert echo["config"].pop("out") == str(out_dir)
+            data = json.dumps(echo, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+_REUSE_CALLS = [
+    ["run", "--model", "allen-cahn-1d", "--scheme", "amm", "--N", "4",
+     "--override", "p=3", "--override", "m=6"],
+    ["run", "--model", "allen-cahn-1d", "--scheme", "amm", "--N", "4"],
+    ["study", "--model", "allen-cahn-1d", "--scheme", "amm", "--study", "2,4"],
+    ["probe-qye", "--model", "allen-cahn-1d", "--samples", "50", "--seed", "3"],
+]
+
+
+def test_calls_in_one_process_write_what_a_fresh_process_writes(tmp_path):
+    # main keeps one parser for the process; no call may leave state in it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    script = "import sys; from splitflow import cli; sys.exit(cli.main(sys.argv[1:]))"
+    assert cli._parser() is cli._parser()
+    for i, argv in enumerate(_REUSE_CALLS):
+        fresh, reused = tmp_path / f"fresh-{i}", tmp_path / f"reused-{i}"
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, check=False)
+        assert done.returncode == 0, done.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(argv + ["--out", str(reused)]) == 0
+        assert _written_files(reused) == _written_files(fresh)
 
 
 def test_env_var_out_root(tmp_path, monkeypatch):

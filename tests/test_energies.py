@@ -314,3 +314,80 @@ def test_batch_rows_equal_single_calls(E, exact, rows, times, one_time):
             else:
                 # the power sums load terms of both signs: an absolute floor too
                 assert math.isclose(value, single, rel_tol=1e-13, abs_tol=1e-13)
+
+
+def auto_shift_reference(energy, radius=4.0, n_samples=128, seed=0):
+    """The shift from one draw and one checked ``eval`` per state."""
+    rng = np.random.default_rng(seed)
+    lo = math.inf
+    for t in np.linspace(0.0, 1.0, 9):
+        for _ in range(n_samples // 8):
+            u = rng.standard_normal(energy.dim) * radius
+            lo = min(lo, energy.eval(t, u))
+    return 1.0 + max(0.0, -lo)
+
+
+def _drawn_load(rng, dim, size):
+    return en.Load(rng.standard_normal(dim) * size, c1=rng.standard_normal(dim) * size,
+                   amp=rng.standard_normal(dim) * size, omega=rng.uniform(0.0, 6.0),
+                   phase=rng.uniform(0.0, 3.0))
+
+
+def _drawn_loaded_energy(rng, kind):
+    """An unshifted energy with a drawn load; a quadratic one may be indefinite."""
+    size = 10.0 ** rng.uniform(-2.0, 4.5)
+    if kind == "allen-cahn":
+        m = int(rng.integers(1, 24))
+        well = en.DoubleWell(scale=10.0 ** rng.uniform(-4.0, 0.0), pos=rng.uniform(0.1, 2.0))
+        return en.AllenCahn1DEnergy(m, well=well, load=_drawn_load(rng, m, size))
+    n_y, n_z = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+    M = rng.standard_normal((n_y + n_z, n_y + n_z))
+    H = M @ M.T + rng.uniform(-3.0, 3.0) * np.eye(n_y + n_z)
+    return en.QuadraticBlockEnergy(
+        H[:n_y, :n_y], H[n_y:, :n_y], H[n_y:, n_y:],
+        f=_drawn_load(rng, n_y, size), g=_drawn_load(rng, n_z, size) if n_z else None)
+
+
+@pytest.mark.parametrize("kind", ["allen-cahn", "quadratic-block"])
+def test_auto_shift_equals_the_shift_of_single_state_evaluations(kind):
+    rng = np.random.default_rng(16)
+    shifts = []
+    for _ in range(60):
+        E = _drawn_loaded_energy(rng, kind)
+        shifts.append(auto_shift_reference(E))
+        assert en._auto_shift(E).hex() == shifts[-1].hex()
+    # both outcomes occur: a floor of exactly 1.0 from the one batched
+    # evaluation, and a negative sampled minimum from the per-state loop
+    assert shifts.count(1.0) >= 10
+    assert sum(s > 1.0 for s in shifts) >= 10
+
+
+def test_auto_shift_evaluates_the_single_draws_as_one_batch():
+    batches = []
+
+    class Recording(en.AllenCahn1DEnergy):
+        def eval(self, t, u):
+            batches.append((np.array(t), np.array(u)))
+            return super().eval(t, u)
+
+    E = Recording(5, load=en.Load(np.full(5, 0.5)), shift="auto")
+    assert E.shift == 1.0 and len(batches) == 1
+    times, states = batches[0]
+    rng = np.random.default_rng(0)
+    single = [(t, rng.standard_normal(5) * 4.0)
+              for t in np.linspace(0.0, 1.0, 9) for _ in range(16)]
+    np.testing.assert_array_equal(times, [t for t, _ in single])
+    np.testing.assert_array_equal(states, [u for _, u in single])
+
+
+def test_a_batched_value_inside_its_rounding_bound_takes_the_per_state_loop():
+    # a family whose batched values round up to just above 0 while each single
+    # state's value is below it: the batch may not decide the shift
+    class Rounded(en.MaxNormEnergy):
+        def _eval(self, t, u):
+            return np.full(len(u), 1e-16) if u.ndim == 2 else -1e-9
+
+        def _eval_scale(self, t, u):
+            return np.ones(len(u))
+
+    assert Rounded(shift="auto").shift == 1.0 + 1e-9

@@ -1,0 +1,50 @@
+"""The Newton step's LAPACK path against ``np.linalg.solve``, bit for bit."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from splitflow import newton
+
+
+def step_reference(H, g):
+    """The Newton step through ``np.linalg.solve`` and its regularisation."""
+    bump = 0.0
+    for _ in range(8):
+        try:
+            return np.linalg.solve(H + bump * np.eye(len(g)) if bump else H, -g)
+        except np.linalg.LinAlgError:
+            bump = max(1e-10, 10.0 * bump)
+    return -g
+
+
+@pytest.mark.parametrize("dim", range(1, 34))
+def test_step_equals_linalg_solve_bit_for_bit(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    cases = []
+    for _ in range(10):
+        M = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        g = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+        for H in (M @ M.T + 1e-3 * np.eye(dim), M + M.T):  # SPD, indefinite
+            cases.append((H, g, np.linalg.solve(H, -g)))
+
+    def no_fallback(*args):
+        raise AssertionError("a finite solve fell back to np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_fallback)
+    for H, g, expected in cases:
+        assert newton._step(H, g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("H, g", [
+    (np.zeros((3, 3)), np.array([1.0, -2.0, 0.5])),  # singular: the bump path
+    (np.ones((2, 2)), np.array([1.0, 0.0])),
+    (np.array([[1e-300]]), np.array([1e300])),  # a solve that overflows
+    (np.eye(2), np.array([np.nan, 1.0])),
+])
+def test_a_step_that_is_not_finite_takes_the_reference_path(H, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = step_reference(H, g)
+        assert newton._step(H, g).tobytes() == expected.tobytes()

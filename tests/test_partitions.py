@@ -482,3 +482,40 @@ def test_to_csv_transient_memory_stays_within_four_file_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * os.path.getsize(tmp_path / "curve.csv")
+
+
+class _Grid:
+    """The two attributes of a refined grid that a curve's writer reads, for
+    any number of rows."""
+
+    def __init__(self, rows):
+        self.times = np.linspace(0.0, 1.0, rows)
+        self.n_nodes = rows
+
+
+@pytest.mark.parametrize("columns", [1, 3, 34])
+def test_csv_bytes_equal_savetxt_at_the_row_block_edges(tmp_path, monkeypatch, columns):
+    # a row block holds about the same bytes at every width: one header
+    # write, then one write per block
+    block = pa._CSV_BLOCK_BYTES // (25 * columns)
+    writes = []
+
+    class Counted(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    monkeypatch.setattr(pa, "open", lambda path, mode: Counted(path, "w"), raising=False)
+    rng = np.random.default_rng(columns)
+    for rows in [1] + [k * block + d for k in (1, 2) for d in (-1, 0, 1)]:
+        values = rng.choice(np.concatenate([_CSV_SPECIALS, rng.standard_normal(40)]),
+                            (rows, columns - 1))
+        g = pa.SampledCurve(_Grid(rows), values, "piecewise-constant")
+        writes.clear()
+        g.to_csv(tmp_path / "curve.csv")
+        assert len(writes) == 1 + -(-rows // block)
+        header = ",".join(["t"] + [f"v_{j + 1}" for j in range(columns - 1)])
+        buf = io.BytesIO()
+        np.savetxt(buf, np.column_stack([g.grid.times, values]), fmt="%.16e", delimiter=",",
+                   header=f"# interpolant_kind: piecewise-constant\n{header}", comments="")
+        assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue()

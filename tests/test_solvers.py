@@ -180,6 +180,23 @@ def test_maxnorm_prox_rejects_a_nearly_diagonal_metric():
         sv.prox_step(en.MaxNormEnergy(), R, 0.0, [2.0, 1.0], 0.1)
 
 
+def test_counterexample_amm_scores_no_lone_max_norm_candidate(monkeypatch):
+    # every prox of the preset run admits one regime, so no objective is evaluated
+    preset = make_model("counterexample")
+    calls = []
+    evaluate = pt.Rescaled._eval
+
+    def counted(self, v):
+        calls.append(v)
+        return evaluate(self, v)
+
+    monkeypatch.setattr(pt.Rescaled, "_eval", counted)
+    P = pa.build_partition(preset.horizon, N=128)
+    out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, 8)
+    assert len(out.stats["inner_iterations"]) == 256
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # substep_flow regime velocities
 # ---------------------------------------------------------------------------
