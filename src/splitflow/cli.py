@@ -54,6 +54,8 @@ class RunConfig:
             raise InputError("inner steps must be an even count >= 2")
         if self.tol <= 0:
             raise InputError("tolerance must be positive")
+        if self.samples < 1:
+            raise InputError("need samples >= 1")
         return self
 
 
@@ -215,13 +217,9 @@ def cmd_study(cfg: RunConfig) -> int:
 
 def cmd_probe_qye(cfg: RunConfig) -> int:
     preset, out_dir = _setup(cfg, "-qye")
-    rng = np.random.default_rng(cfg.seed)
-    dim = preset.system.dim
     r_eff = effective_potential(preset.system)
-    samples = [
-        (rng.standard_normal(dim), rng.standard_normal(dim))
-        for _ in range(cfg.samples)
-    ]
+    # one draw: the pairs (v, xi) in the order of 2 * samples single draws
+    samples = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, r_eff.dim))
     fit = qye_probe(r_eff, samples, weights=preset.norm_weights)
     payload = {
         "model": cfg.model,

@@ -37,20 +37,31 @@ def accepts(f, f0, alpha, slope, armijo=ARMIJO):
     return f <= f0 + armijo * alpha * slope + _SLACK * (1.0 + abs(f0))
 
 
+def lapack_solve(H, b):
+    """H^-1 b for one system, or for each system of a stack.
+
+    The LAPACK gufunc behind ``np.linalg.solve`` solves it, called without
+    that function's per-call checks, so a finite solution is the same bits.
+    A singular H leaves NaN where ``np.linalg.solve`` raises, and so does
+    every system when numpy lacks the gufunc.  Call it under
+    ``np.errstate(all="ignore")``.
+    """
+    if _solve1 is None:  # pragma: no cover
+        return np.full(np.shape(b), math.nan)
+    return _solve1(H, b, signature="dd->d")
+
+
 def _step(H, g):
     """The Newton step -H^-1 g; a singular H is regularised by a growing
     multiple of the identity, and the gradient step is the last resort.
 
-    The step is first solved by the LAPACK gufunc behind ``np.linalg.solve``,
-    called without that function's per-call checks; a finite result is the
-    same bits.  Otherwise (a singular H leaves NaN) ``np.linalg.solve`` and
-    its regularisation decide.
+    A finite step of :func:`lapack_solve` is taken as it is.  Otherwise
+    ``np.linalg.solve`` and its regularisation decide.
     """
-    if _solve1 is not None:
-        with np.errstate(all="ignore"):
-            step = _solve1(H, -g, signature="dd->d")
-            if math.isfinite(step.dot(step)):
-                return step
+    with np.errstate(all="ignore"):
+        step = lapack_solve(H, -g)
+        if math.isfinite(step.dot(step)):
+            return step
     bump = 0.0
     for _ in range(8):
         try:

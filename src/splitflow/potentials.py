@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .newton import ARMIJO, accepts
+from .newton import ARMIJO, accepts, lapack_solve
 
 __all__ = [
     "Potential",
@@ -610,8 +610,9 @@ def _singular_curvature(R):
     return isinstance(R, PowerNorm) and R.p < 2.0
 
 
-# Rows per batched Newton solve.  The stacked Hessians of a block take
-# rows * dim**2 floats, so the block size bounds the memory of a large batch.
+# Rows per batched Newton solve.  A block holds one stack of Hessians at a
+# time, rows * dim**2 floats, so the block size bounds the memory of a large
+# batch.
 _NEWTON_BLOCK = 64
 
 
@@ -623,7 +624,8 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
     complementary block indicators.  A smooth pair runs one damped Newton
     iteration over each block of rows; a pair with a shrinkage member runs
     an accelerated proximal-gradient iteration per row.  Both stop once a
-    row's Fenchel duality gap drops below ``tol``.
+    row's Fenchel duality gap drops below ``tol``.  A row that repeats the
+    row before it bit for bit is decomposed once with it.
     """
     if not isinstance(P, InfConvolution):
         raise InputError("inf_conv_decompose requires an InfConvolution potential")
@@ -642,10 +644,20 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
         solve, size = _decompose_newton, _NEWTON_BLOCK
     else:
         solve, size = _decompose_fista, 1
-    v1, v2, gap = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows))
-    for i in range(0, len(rows), size):
+    # the first row of each run of rows equal bit for bit (so 0.0 and -0.0
+    # differ); a batch without repeats keeps its rows and blocks
+    bits = rows.view(np.uint64)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    distinct = rows if first.all() else rows[first]
+    v1, v2 = np.empty_like(distinct), np.empty_like(distinct)
+    gap = np.empty(len(distinct))
+    for i in range(0, len(distinct), size):
         block = slice(i, i + size)
-        v1[block], v2[block], gap[block] = solve(R1, R2, rows[block], tol)
+        v1[block], v2[block], gap[block] = solve(R1, R2, distinct[block], tol)
+    if distinct is not rows:
+        run = np.cumsum(first) - 1
+        v1, v2, gap = v1[run], v2[run], gap[run]
     value = R1(v1) + R2(v2)
     if v.ndim == 1:
         return Decomposition(v1[0], v2[0], float(value[0]), float(gap[0]))
@@ -675,11 +687,10 @@ def _closed_form_split(P, v):
     return v1, v - v1
 
 
-def _duality_gap(R1, R2, v, v1, xi):
-    """Duality gap and primal value of the split v1, for one row or each row."""
-    primal = R1(v1) + R2(v - v1)
-    dual = np.sum(xi * v, axis=-1) - R1.conjugate(xi) - R2.conjugate(xi)
-    return primal - dual, primal
+def _dual_value(R1, R2, v, xi):
+    """The Fenchel dual objective at xi, for one row or each row: a lower
+    bound of every split's primal value R1(v1) + R2(v - v1)."""
+    return np.sum(xi * v, axis=-1) - R1.conjugate(xi) - R2.conjugate(xi)
 
 
 def _decompose_fista(R1, R2, rows, tol, max_iter=20000):
@@ -721,7 +732,7 @@ def _decompose_fista(R1, R2, rows, tol, max_iter=20000):
         y = x_new + (t_mom - 1.0) / t_new * (x_new - x)
         x, t_mom = x_new, t_new
         if it % 8 == 0 or it == max_iter - 1:
-            gap, _ = _duality_gap(R1, R2, v, x, R1.grad(x))
+            gap = objective(x) - _dual_value(R1, R2, v, R1.grad(x))
             if gap <= tol:
                 return (v - x, x, gap) if swapped else (x, v - x, gap)
     raise NumericalError("inf-convolution minimization stagnated", gap=gap, best=x)
@@ -738,28 +749,38 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
     v1 = 0.5 * v
     gap = np.full(n, math.inf)
     active = np.arange(n)
-    ridge = 1e-12 * np.eye(dim)
     singular = _singular_curvature(R1) or _singular_curvature(R2)
     armijo = _SINGULAR_ARMIJO if singular else ARMIJO
+    # the Hessians' constant parts and the ridge, summed at the first step
+    # (rows that all start within tolerance take none)
+    constant = primal = None
+    diagonal = np.arange(dim)
     for _ in range(max_iter):
         va, x = v[active], v1[active]
         xi = R2.grad(va - x)
-        row_gap, f0 = _duality_gap(R1, R2, va, x, xi)
+        if primal is None:
+            primal = R1(x) + R2(va - x)
+        row_gap = primal - _dual_value(R1, R2, va, xi)
         if singular:
             # Every dual point bounds the gap from above.  As v2 -> 0 the dual
             # point R2'(v2) of a member with p < 2 stalls while R1'(v1)
             # converges, so a row stops at the better of the two.
-            row_gap = np.fmin(row_gap, _duality_gap(R1, R2, va, x, R1.grad(x))[0])
+            row_gap = np.fmin(row_gap, primal - _dual_value(R1, R2, va, R1.grad(x)))
         gap[active] = row_gap
         going = ~(row_gap <= tol)  # a NaN gap keeps its row going
         active = active[going]
         if not active.size:
             return v1, v - v1, gap
-        va, x, xi, f0 = va[going], x[going], xi[going], f0[going]
+        va, x, xi, f0 = va[going], x[going], xi[going], primal[going]
         g = R1.grad(x) - xi
-        step = _newton_steps(R1.hess(x) + R2.hess(va - x) + ridge, g)
+        if constant is None:
+            constant = R1.hess_constant() + R2.hess_constant() + 1e-12 * np.eye(dim)
+        # R1.hess(x) + R2.hess(va - x) + ridge, entry by entry, in one stack
+        H = np.repeat(constant[None], len(x), axis=0)
+        H[:, diagonal, diagonal] = (R1._hess_diagonal(x) + R2._hess_diagonal(va - x)) + 1e-12
+        step = _newton_steps(H, g)
         slope = np.sum(g * step, axis=-1)
-        v1[active] = _line_search(R1, R2, va, x, step, f0, slope, armijo)
+        v1[active], primal = _line_search(R1, R2, va, x, step, f0, slope, armijo)
     worst = active[np.argmax(gap[active])]
     raise NumericalError(
         "inf-convolution newton stagnated",
@@ -768,13 +789,27 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
 
 
 def _newton_steps(H, g):
-    """The Newton step -H^-1 g of each row; a singular row steps along -g."""
+    """The Newton step -H^-1 g of each row; a singular row steps along -g.
+
+    Rows are solved by :func:`newton.lapack_solve`; a row whose step is not
+    finite is solved again by ``np.linalg.solve``.
+    """
+    with np.errstate(all="ignore"):
+        step = lapack_solve(H, -g)
+    redo = ~np.isfinite(step).all(axis=-1)
+    if redo.any():
+        step[redo] = _linalg_steps(H[redo], g[redo])
+    return step
+
+
+def _linalg_steps(H, g):
+    """The Newton steps of ``np.linalg.solve``; a singular row steps along -g."""
     try:
         return np.linalg.solve(H, -g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(g) == 1:
             return -g
-        return np.concatenate([_newton_steps(H[i : i + 1], g[i : i + 1])
+        return np.concatenate([_linalg_steps(H[i : i + 1], g[i : i + 1])
                                for i in range(len(g))])
 
 
@@ -783,7 +818,9 @@ def _line_search(R1, R2, v, x, step, f0, slope, armijo):
 
     Rows are accepted by the shared test :func:`newton.accepts` with the
     constant ``armijo``; a row whose search runs out takes the full step,
-    since its objective differences are then below rounding.
+    since its objective differences are then below rounding.  Returns the
+    new rows and, when every row takes its full step, their objective
+    values (None otherwise).
     """
     new = x + step
     alpha = np.ones(len(x))
@@ -792,12 +829,16 @@ def _line_search(R1, R2, v, x, step, f0, slope, armijo):
         trial = x[todo] + alpha[todo, None] * step[todo]
         f = R1(trial) + R2(v[todo] - trial)
         ok = accepts(f, f0[todo], alpha[todo], slope[todo], armijo)
+        if len(todo) == len(x) and ok.all():
+            # the next iteration evaluates these rows, in this order: only a
+            # whole batch, since a matrix product may round a row by its batch
+            return trial, f
         new[todo[ok]] = trial[ok]
         todo = todo[~ok]
         if not todo.size:
             break
         alpha[todo] *= 0.5
-    return new
+    return new, None
 
 
 @dataclass(frozen=True)
@@ -812,17 +853,25 @@ class QyeFit:
 def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     """Fit the largest c and smallest C >= 0 valid on the sample.
 
-    The offset C is taken from a small quantile (1%) of the violation
-    distribution at c = 0 (identically zero for nonnegative potentials).
+    ``samples`` is an array of shape (n, 2, dim) holding the pairs (v, xi),
+    or a sequence of such pairs.  The offset C is taken from a small
+    quantile (1%) of the violation distribution at c = 0 (identically zero
+    for nonnegative potentials).
     Then c is the largest value, at least 0, for which every sampled pair
     satisfies R(v) + R*(xi) + C >= c ||v|| ||xi||_* up to a rounding
     tolerance of 1e-14 (1 + |R(v) + R*(xi)|).
     """
-    pairs = [(np.asarray(v, float), np.asarray(xi, float)) for v, xi in samples]
-    if not pairs:
+    if isinstance(samples, np.ndarray):
+        pairs = np.asarray(samples, dtype=float)
+        if pairs.ndim != 3 or pairs.shape[1:] != (2, P.dim):
+            raise InputError(
+                f"qye_probe samples have shape {pairs.shape}, expected (n, 2, {P.dim})")
+    else:
+        pairs = np.array([(_as_vector(v, P.dim, "v"), _as_vector(xi, P.dim, "xi"))
+                          for v, xi in samples]).reshape(-1, 2, P.dim)
+    if not len(pairs):
         raise InputError("qye_probe needs a nonempty sample list")
-    V = np.array([_as_vector(v, P.dim, "v") for v, _ in pairs])
-    Xi = np.array([_as_vector(xi, P.dim, "xi") for _, xi in pairs])
+    V, Xi = pairs[:, 0], pairs[:, 1]
     s_vals = P(V) + P.conjugate(Xi)
     g_vals = weighted_norm(V, weights) * weighted_dual_norm(Xi, weights)
     if np.all(g_vals == 0.0):
@@ -836,8 +885,8 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     ratios = (s + C_est) / g
     c_est = max(0.0, float(np.min((s + C_est + 1e-14 * (1.0 + np.abs(s))) / g)))
 
-    worst_pair = pairs[np.flatnonzero(mask)[np.argmin(ratios)]]
-    return QyeFit(float(c_est), C_est, worst_pair)
+    worst = np.flatnonzero(mask)[np.argmin(ratios)]
+    return QyeFit(float(c_est), C_est, (V[worst], Xi[worst]))
 
 
 @dataclass

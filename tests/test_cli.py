@@ -107,6 +107,38 @@ def test_probe_qye(tmp_path, capsys):
     assert data["seed"] == 3
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_non_positive_sample_count_exits_one_with_one_line(tmp_path, capsys, samples):
+    code = run_cli(["probe-qye", "--model", "allen-cahn-1d", "--samples", samples,
+                    "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_probe_qye_draws_the_pairs_of_single_draws(tmp_path, capsys, seed):
+    # the pairs (v, xi) of 2 * samples single draws, fitted from a list
+    from splitflow.models import make_model
+    from splitflow.potentials import qye_probe
+    from splitflow.solvers import effective_potential
+
+    out_dir = tmp_path / "qye"
+    assert run_cli(["probe-qye", "--model", "allen-cahn-1d", "--override", "p=3",
+                    "--samples", "120", "--seed", str(seed), "--out", str(out_dir)]) == 0
+    preset = make_model("allen-cahn-1d", p=3)
+    r_eff = effective_potential(preset.system)
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.standard_normal(r_eff.dim), rng.standard_normal(r_eff.dim))
+             for _ in range(120)]
+    fit = qye_probe(r_eff, pairs, weights=preset.norm_weights)
+    data = json.loads((out_dir / "qye.json").read_text())
+    assert (data["c_est"], data["C_est"]) == (fit.c_est, fit.C_est)
+    assert data["worst_pair"] == [fit.worst_pair[0].tolist(), fit.worst_pair[1].tolist()]
+
+
 def _written_files(out_dir):
     """The bytes of every file in ``out_dir``, with ``config.json``'s ``out``
     taken out: it names the directory."""

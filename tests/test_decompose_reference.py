@@ -1,0 +1,331 @@
+"""The Newton inf-convolution decomposition against a reference, bit for bit.
+
+The reference is the decomposition as it was before repeated rows were
+merged, the Hessian stack was built once per iteration and the line search
+handed its values on: one Hessian per member plus a ridge matrix, the
+primal value taken anew at every duality gap, blocks of 64 over all rows,
+and every stacked Newton step through ``np.linalg.solve``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from splitflow import cli
+from splitflow import potentials as pt
+from splitflow.errors import InputError, NumericalError
+from splitflow.models import make_model
+from splitflow.newton import ARMIJO, accepts
+from splitflow.solvers import effective_potential
+
+
+def _gap_reference(R1, R2, v, v1, xi):
+    primal = R1(v1) + R2(v - v1)
+    dual = np.sum(xi * v, axis=-1) - R1.conjugate(xi) - R2.conjugate(xi)
+    return primal - dual, primal
+
+
+def _steps_reference(H, g):
+    try:
+        return np.linalg.solve(H, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return -g
+        return np.concatenate([_steps_reference(H[i : i + 1], g[i : i + 1])
+                               for i in range(len(g))])
+
+
+def _line_search_reference(R1, R2, v, x, step, f0, slope, armijo):
+    new = x + step
+    alpha = np.ones(len(x))
+    todo = np.arange(len(x))
+    for _ in range(40):
+        trial = x[todo] + alpha[todo, None] * step[todo]
+        f = R1(trial) + R2(v[todo] - trial)
+        ok = accepts(f, f0[todo], alpha[todo], slope[todo], armijo)
+        new[todo[ok]] = trial[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        alpha[todo] *= 0.5
+    return new
+
+
+def _newton_reference(R1, R2, v, tol, max_iter=200):
+    n, dim = v.shape
+    v1 = 0.5 * v
+    gap = np.full(n, math.inf)
+    active = np.arange(n)
+    ridge = 1e-12 * np.eye(dim)
+    singular = pt._singular_curvature(R1) or pt._singular_curvature(R2)
+    armijo = pt._SINGULAR_ARMIJO if singular else ARMIJO
+    for _ in range(max_iter):
+        va, x = v[active], v1[active]
+        xi = R2.grad(va - x)
+        row_gap, f0 = _gap_reference(R1, R2, va, x, xi)
+        if singular:
+            row_gap = np.fmin(row_gap, _gap_reference(R1, R2, va, x, R1.grad(x))[0])
+        gap[active] = row_gap
+        going = ~(row_gap <= tol)
+        active = active[going]
+        if not active.size:
+            return v1, v - v1, gap
+        va, x, xi, f0 = va[going], x[going], xi[going], f0[going]
+        g = R1.grad(x) - xi
+        step = _steps_reference(R1.hess(x) + R2.hess(va - x) + ridge, g)
+        slope = np.sum(g * step, axis=-1)
+        v1[active] = _line_search_reference(R1, R2, va, x, step, f0, slope, armijo)
+    worst = active[np.argmax(gap[active])]
+    raise NumericalError("inf-convolution newton stagnated",
+                         gap=float(gap[worst]), iterations=max_iter, best=v1[worst])
+
+
+def _decompose_reference(P, rows, tol=1e-10):
+    R1, R2 = P.left, P.right
+    v1, v2, gap = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows))
+    for i in range(0, len(rows), 64):
+        block = slice(i, i + 64)
+        v1[block], v2[block], gap[block] = _newton_reference(R1, R2, rows[block], tol)
+    return v1, v2, R1(v1) + R2(v2), gap
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _power(rng, dim, below_two):
+    p = rng.uniform(1.1, 1.95) if below_two else rng.uniform(2.05, 4.0)
+    return pt.PowerNorm(p, rng.uniform(0.2, 3.0, dim))
+
+
+def _partner(kind, rng, dim):
+    if kind == "quadratic":
+        B = rng.standard_normal((dim, dim))
+        return pt.QuadraticForm(B @ B.T + dim * np.eye(dim))
+    if kind == "dual-quadratic":
+        return pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim))
+    if kind == "rescaled-power":
+        return pt.Rescaled(pt.PowerNorm(rng.uniform(1.5, 3.5), rng.uniform(0.2, 3.0, dim)))
+    return pt.Rescaled(pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim)))
+
+
+_PARTNERS = ["quadratic", "dual-quadratic", "rescaled-power", "rescaled-dual-quadratic"]
+
+
+def _assert_same_outcome(reference, decompose):
+    """Both return the same bits, or both raise the same certificate; True
+    when they raise."""
+    try:
+        expected = reference()
+    except NumericalError as err:
+        with pytest.raises(NumericalError) as info:
+            decompose()
+        got, want = info.value, err
+        assert (got.iterations, _bits(got.best)) == (want.iterations, _bits(want.best))
+        assert _bits(got.gap) == _bits(want.gap)
+        return True
+    for got, want in zip(decompose(), expected):
+        assert _bits(got) == _bits(want)
+    return False
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("power_left", [True, False])
+@pytest.mark.parametrize("kind", _PARTNERS)
+@pytest.mark.parametrize("below_two", [True, False])
+def test_decomposition_equals_the_reference_bit_for_bit(below_two, kind, power_left, seed):
+    rng = np.random.default_rng([seed, len(kind), below_two, power_left])
+    dim = int(rng.choice([1, 2, 3, 5, 16]))
+    n = int(rng.integers(1, 201))
+    power, partner = _power(rng, dim, below_two), _partner(kind, rng, dim)
+    if below_two and rng.random() < 0.5:
+        power = pt.Rescaled(power)
+    P = pt.InfConvolution(*((power, partner) if power_left else (partner, power)))
+    rows = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0)
+
+    def decompose():
+        dec = pt.inf_conv_decompose(P, rows, 1e-10)
+        return dec.v1, dec.v2, dec.value, dec.gap
+
+    _assert_same_outcome(lambda: _decompose_reference(P, rows), decompose)
+
+
+@pytest.mark.parametrize("seed", [11, 73, 116, 157])
+def test_wide_quadratic_pairs_below_p_two_equal_the_reference_bit_for_bit(seed):
+    # line searches that backtrack on pairs whose matrix product rounds a
+    # row by its batch: values of a smaller batch would change the gaps
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([9, 16, 24, 33]))
+    p = float(rng.choice([1.2, 1.5, 1.8, 3.0]))
+    power = pt.PowerNorm(p, rng.uniform(0.2, 3.0, dim))
+    B = rng.standard_normal((dim, dim))
+    quadratic = pt.QuadraticForm(B @ B.T + dim * np.eye(dim))
+    rows = rng.standard_normal((int(rng.integers(1, 100)), dim)) * 10.0 ** rng.uniform(-3, 1)
+    P = pt.InfConvolution(power, quadratic) if seed % 2 else pt.InfConvolution(quadratic, power)
+
+    def decompose():
+        dec = pt.inf_conv_decompose(P, rows, 1e-10)
+        return dec.v1, dec.v2, dec.value, dec.gap
+
+    _assert_same_outcome(lambda: _decompose_reference(P, rows), decompose)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_failing_rows_below_p_two_carry_the_reference_certificate(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    R1 = _power(rng, dim, below_two=True)
+    R2 = _partner(_PARTNERS[seed % 4], rng, dim)
+    rows = rng.standard_normal((int(rng.integers(2, 80)), dim))
+    raised = [
+        _assert_same_outcome(lambda: _newton_reference(R1, R2, rows, 1e-10, max_iter),
+                             lambda: pt._decompose_newton(R1, R2, rows, 1e-10, max_iter))
+        for max_iter in (1, 2, 4, 200)
+    ]
+    assert raised[0]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_nan_rows_carry_the_reference_certificate(p):
+    R1, R2 = pt.PowerNorm(p, [1.0, 2.0]), pt.QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
+    rows = np.array([[1.0, 0.5], [math.nan, 0.0], [0.3, -0.2], [0.0, math.nan]])
+    with pytest.raises(NumericalError) as info:
+        pt.inf_conv_decompose(pt.InfConvolution(R1, R2), rows, 1e-10)
+    assert math.isnan(info.value.gap)
+    assert _assert_same_outcome(
+        lambda: _newton_reference(R1, R2, rows, 1e-10),
+        lambda: pt.inf_conv_decompose(pt.InfConvolution(R1, R2), rows, 1e-10))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 33])
+def test_newton_steps_equal_linalg_solve_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((40, dim, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1, 1))
+    H = M @ np.swapaxes(M, 1, 2) + 1e-3 * np.eye(dim)
+    H[1::2] = M[1::2] + np.swapaxes(M[1::2], 1, 2)  # indefinite
+    H[[3, 17, 30]] = 0.0  # singular rows: the gradient step
+    H[22] = np.outer(np.ones(dim), np.arange(dim))  # rank one
+    g = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))
+    g[9, 0] = math.nan
+    assert _bits(pt._newton_steps(H, g)) == _bits(_steps_reference(H, g))
+    keep = np.setdiff1d(np.arange(40), [3, 9, 17, 22, 30])
+    assert _bits(pt._newton_steps(H[keep], g[keep])) == _bits(np.linalg.solve(
+        H[keep], -g[keep][..., None])[..., 0])
+
+
+# -- repeated rows -------------------------------------------------------------
+
+
+def _elementwise_pair(p):
+    return pt.InfConvolution(pt.PowerNorm(p, [0.7, 1.3, 2.0]),
+                             pt.Rescaled(pt.AnisotropicDualQuadratic([1.5, 0.4, 2.2])))
+
+
+def _counted_rows(monkeypatch):
+    rows = []
+    decompose = pt._decompose_newton
+
+    def counted(R1, R2, v, tol, max_iter=200):
+        rows.append(len(v))
+        return decompose(R1, R2, v, tol, max_iter)
+
+    monkeypatch.setattr(pt, "_decompose_newton", counted)
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_repeated_rows_equal_their_rows_decomposed_one_at_a_time(p, monkeypatch):
+    # members without a matrix product round a row the same in every batch
+    P = _elementwise_pair(p)
+    rng = np.random.default_rng(7)
+    distinct = rng.standard_normal((50, 3))
+    counts = rng.integers(1, 6, len(distinct))
+    rows = np.repeat(distinct, counts, axis=0)
+    sent = _counted_rows(monkeypatch)
+    dec = pt.inf_conv_decompose(P, rows, 1e-10)
+    assert sent == [50]
+    monkeypatch.undo()
+    for i, row in enumerate(rows):
+        single = pt.inf_conv_decompose(P, row, 1e-10)
+        assert _bits(dec.v1[i]) == _bits(single.v1)
+        assert _bits(dec.v2[i]) == _bits(single.v2)
+        assert _bits(dec.value[i]) == _bits(single.value)
+        assert _bits(dec.gap[i]) == _bits(single.gap)
+
+
+def test_signed_zero_rows_are_not_merged(monkeypatch):
+    P = _elementwise_pair(3.0)
+    rows = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])
+    sent = _counted_rows(monkeypatch)
+    dec = pt.inf_conv_decompose(P, rows, 1e-10)
+    assert sent == [2]
+    monkeypatch.undo()
+    for i, row in enumerate(rows):
+        assert _bits(dec.v1[i]) == _bits(pt.inf_conv_decompose(P, row, 1e-10).v1)
+
+
+def test_repeated_nan_rows_fail_like_one_nan_row():
+    P = _elementwise_pair(3.0)
+    nan_row = [math.nan, 1.0, 0.0]
+    one = np.array([[1.0, 0.0, 0.0], nan_row])
+    many = np.array([[1.0, 0.0, 0.0], nan_row, nan_row])
+    assert _assert_same_outcome(lambda: pt.inf_conv_decompose(P, one, 1e-10),
+                                lambda: pt.inf_conv_decompose(P, many, 1e-10))
+
+
+def test_effective_audit_decomposes_each_repeated_rate_once(tmp_path, monkeypatch):
+    # within a step, consecutive cells of the effective run often share their
+    # rate bit for bit; the audit's 1,024 cell rates hold 480 runs
+    sent = _counted_rows(monkeypatch)
+    code = cli.main(["run", "--model", "allen-cahn-1d", "--override", "p=3",
+                     "--scheme", "effective", "--N", "64", "--out", str(tmp_path / "e")])
+    assert code == 0
+    assert sum(sent) == 480 and len(sent) == 8
+
+
+# -- qye_probe on arrays ----------------------------------------------------------
+
+
+def _qye_reference(P, pairs, weights):
+    """The fit from contiguous rows, one per pair."""
+    V = np.array([v for v, _ in pairs])
+    Xi = np.array([xi for _, xi in pairs])
+    s = P(V) + P.conjugate(Xi)
+    g = pt.weighted_norm(V, weights) * pt.weighted_dual_norm(Xi, weights)
+    C = float(np.quantile(np.maximum(0.0, -s), 0.99))
+    mask = g > 0.0
+    c = max(0.0, float(np.min((s[mask] + C + 1e-14 * (1.0 + np.abs(s[mask]))) / g[mask])))
+    return c, C, pairs[np.flatnonzero(mask)[np.argmin((s[mask] + C) / g[mask])]]
+
+
+@pytest.mark.parametrize("model, params", [
+    ("allen-cahn-1d", {"p": 3.0}), ("allen-cahn-1d", {"p": 1.5, "m": 8}),
+    ("counterexample", {}), ("visco-plasticity-1d", {"m": 4}),
+])
+def test_qye_probe_fits_arrays_and_lists_alike(model, params):
+    preset = make_model(model, **params)
+    P = effective_potential(preset.system)
+    samples = np.random.default_rng(5).standard_normal((300, 2, P.dim))
+    pairs = [(v, xi) for v, xi in samples]
+    from_array = pt.qye_probe(P, samples, weights=preset.norm_weights)
+    from_list = pt.qye_probe(P, pairs, weights=preset.norm_weights)
+    c, C, worst = _qye_reference(P, pairs, preset.norm_weights)
+    for fit in (from_array, from_list):
+        assert (_bits(fit.c_est), _bits(fit.C_est)) == (_bits(c), _bits(C))
+        assert _bits(fit.worst_pair) == _bits(worst)
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (10, 3, 2, 1), (10, 3, 3), (10, 2, 4), (0, 2, 3)])
+def test_malformed_sample_array_raises_one_line(shape):
+    with pytest.raises(InputError) as info:
+        pt.qye_probe(pt.PowerNorm(3.0, [1.0, 1.0, 1.0]), np.ones(shape))
+    assert len(str(info.value).splitlines()) == 1
+
+
+def test_one_draw_gives_the_pairs_of_single_draws():
+    dim, n = 16, 40
+    one = np.random.default_rng(11).standard_normal((n, 2, dim))
+    rng = np.random.default_rng(11)
+    single = [(rng.standard_normal(dim), rng.standard_normal(dim)) for _ in range(n)]
+    assert _bits(one) == _bits(np.array(single))
