@@ -168,7 +168,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out = solve(preset.system, cfg.scheme, P, preset.u0, cfg.tol, cfg.inner_steps)
     _write(out_dir, {"trajectory.csv": out.u_linear, "forces.csv": out.xi})
 
-    report = edb_audit(out, preset.system, form=out.audit_form)
+    report = edb_audit(out, preset.system)
     summary = {
         "model": cfg.model,
         "scheme": cfg.scheme,

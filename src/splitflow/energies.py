@@ -40,7 +40,6 @@ __all__ = [
     "MaxNormEnergy",
     "AllenCahn1DEnergy",
     "DoubleWell",
-    "partial_subdiff",
 ]
 
 
@@ -521,10 +520,3 @@ class AllenCahn1DEnergy(EnergySpec):
     def l2_weights(self):
         """Diagonal weights of the discrete L2 norm, sqrt(h) per node."""
         return np.full(self.m, math.sqrt(self.h))
-
-
-def partial_subdiff(E: EnergySpec, t, y, z, block) -> SubdiffSet:
-    """Partial subdifferential of a block energy; singleton gradients here."""
-    if not isinstance(E, QuadraticBlockEnergy):
-        raise InputError("partial_subdiff requires a block energy")
-    return SubdiffSet.singleton(E.partial_grad(t, y, z, block))

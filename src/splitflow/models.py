@@ -23,7 +23,6 @@ import numpy as np
 from .energies import (
     AllenCahn1DEnergy,
     DoubleWell,
-    Load,
     MaxNormEnergy,
     QuadraticBlockEnergy,
 )

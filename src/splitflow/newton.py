@@ -80,14 +80,17 @@ def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_it
     so that the objective's derivative along a step s is ``chain * g @ s``.
     ``objective(x)`` is evaluated only once a step is taken.  A line search
     that runs out takes the full step: its objective differences are then
-    below rounding.  Returns ``(x, held, iterations, residual)``; after
-    ``max_iter`` steps raises :class:`NumericalError` with the message
-    ``failure`` and the last iterate as ``best``.
+    below rounding.  Returns ``(x, held, iterations, residual)``; at a
+    residual that is not finite, or after ``max_iter`` steps, raises
+    :class:`NumericalError` with the message ``failure`` and the iterate as
+    ``best``.
     """
     f = None
     for it in range(max_iter):
         g, held = gradient(x)
         res = math.sqrt(g.dot(g))
+        if not math.isfinite(res):  # an infinite tol would take it
+            raise NumericalError(failure, iterations=it, best=x)
         if res <= tol:
             return x, held, it, res
         step = _step(hessian(x, held), g)

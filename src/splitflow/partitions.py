@@ -22,9 +22,7 @@ __all__ = [
     "RefinedGrid",
     "SampledCurve",
     "build_partition",
-    "chi",
     "repetition_apply",
-    "integrate",
 ]
 
 DEFAULT_INNER_FACTOR = 8
@@ -77,24 +75,6 @@ class Partition:
     def N(self):
         return self.nodes.size - 1
 
-    @property
-    def max_step(self):
-        return float(np.max(self.taus))
-
-    def step_index(self, t):
-        """k with t in (t^{k-1}, t^k]; t = 0 maps to the first step."""
-        t = float(t)
-        if t < 0.0 or t > self.T:
-            raise InputError(f"time {t} outside [0, {self.T}]")
-        if t == 0.0:
-            return 1
-        return int(np.searchsorted(self.nodes, t, side="left"))
-
-    def in_left_semi(self, t):
-        """True iff t lies in a left semi-interval (t^{k-1}, t^{k-1/2}]."""
-        k = self.step_index(t)
-        return t <= self.midpoints[k - 1]
-
     def refine(self, inner_factor=DEFAULT_INNER_FACTOR):
         return RefinedGrid(self, inner_factor)
 
@@ -111,14 +91,6 @@ def build_partition(T, N=None, nodes=None) -> Partition:
     if T <= 0:
         raise InputError("horizon T must be positive")
     return Partition(np.linspace(0.0, T, N + 1))
-
-
-def chi(P: Partition, t) -> int:
-    """Characteristic function of the union of left semi-intervals."""
-    t = float(t)
-    if not 0.0 < t < P.T:
-        raise InputError(f"time {t} outside (0, {P.T})")
-    return 1 if P.in_left_semi(t) else 0
 
 
 class RefinedGrid:
@@ -143,6 +115,7 @@ class RefinedGrid:
         steps = np.repeat(np.arange(1, partition.N + 1), 2 * M)
         steps.setflags(write=False)
         self.cell_steps = steps
+        # the characteristic function of the left semi-intervals, per cell
         left = np.tile(np.concatenate([np.ones(M), np.zeros(M)]), partition.N)
         left = left.astype(bool)
         left.setflags(write=False)
@@ -151,15 +124,6 @@ class RefinedGrid:
     @property
     def n_nodes(self):
         return self.n_cells + 1
-
-    def cell_index(self, t):
-        """i with t in (times[i], times[i+1]]; t = 0 maps to the first cell."""
-        t = float(t)
-        if t < 0.0 or t > self.partition.T:
-            raise InputError(f"time {t} outside [0, {self.partition.T}]")
-        if t == 0.0:
-            return 0
-        return int(np.searchsorted(self.times, t, side="left")) - 1
 
     def cell_midpoints(self):
         return 0.5 * (self.times[:-1] + self.times[1:])
@@ -236,8 +200,14 @@ class SampledCurve:
     def with_values(self, values, kind=None):
         return SampledCurve(self.grid, values, kind or self.kind)
 
-    def l1_norm(self, interval=None):
-        return integrate(self, lambda v: float(np.linalg.norm(v)), interval)
+    def l1_norm(self):
+        """The L^1 norm over [0, T] by the composite midpoint rule; the value
+        of a piecewise-linear curve at a cell midpoint is the mean of the
+        cell's two nodes."""
+        cells = self.cell_values
+        if self.kind == "piecewise-linear":
+            cells = 0.5 * (self.values[:-1] + cells)
+        return float(self.grid.cell_widths @ np.linalg.norm(cells, axis=1))
 
     def to_csv(self, path):
         """Write the curve as CSV: a kind line, a header, then one ``%.16e`` row
@@ -408,45 +378,3 @@ def repetition_apply(j, P: Partition, g: SampledCurve) -> SampledCurve:
     values[1:].reshape(cells.shape)[:] = cells[:, j - 1 : j]
     return SampledCurve(grid, values, g.kind)
 
-
-def integrate(curve: SampledCurve, f, interval=None) -> float:
-    """Composite midpoint quadrature of f(curve(t)) over [s, t].
-
-    Partial cells at the interval ends are split exactly.  For piecewise
-    constant curves the rule integrates cell values exactly; for piecewise
-    linear kinds the integrand is evaluated at cell midpoints.
-    """
-    grid = curve.grid
-    T = grid.partition.T
-    if interval is None:
-        s, t = 0.0, T
-    else:
-        s, t = float(interval[0]), float(interval[1])
-    if s > t:
-        raise InputError(f"empty or reversed interval [{s}, {t}]")
-    if s < 0.0 or t > T:
-        raise InputError(f"interval [{s}, {t}] outside [0, {T}]")
-    if s == t:
-        return 0.0
-
-    times = grid.times
-    total = 0.0
-    i0 = grid.cell_index(s) if s > 0 else 0
-    # s may sit exactly on a node; start from the first cell whose right node
-    # exceeds s.
-    while times[i0 + 1] <= s:
-        i0 += 1
-    i = i0
-    while i < grid.n_cells and times[i] < t:
-        a = max(times[i], s)
-        b = min(times[i + 1], t)
-        if b <= a:
-            i += 1
-            continue
-        if curve.kind == "piecewise-linear":
-            val = curve.at(0.5 * (a + b))
-        else:
-            val = curve.values[i + 1]
-        total += (b - a) * float(f(val))
-        i += 1
-    return total

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "GradientSystem",
     "SCHEMES",
     "SchemeOutput",
-    "Segment",
     "SegmentArrays",
     "prox_step",
     "substep_flow",
@@ -102,25 +100,12 @@ class GradientSystem:
         return slice(0, n_y), slice(n_y, n_y + n_z)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One affine piece of an exactly solved flow."""
-
-    t0: float
-    t1: float
-    u0: np.ndarray
-    velocity: np.ndarray
-    xi: np.ndarray
-    mechanism: str
-
-    def state(self, t):
-        return self.u0 + (t - self.t0) * self.velocity
-
-
-class SegmentArrays(NamedTuple):
-    """The segments of an exact flow as arrays, one row per segment; ``first``
-    flags the segments of mechanism 1.  The segments follow each other in
-    time, so ``t0`` and ``t1`` are increasing."""
+@dataclass(frozen=True, eq=False)
+class SegmentArrays:
+    """The affine segments of an exactly solved flow, one row per segment:
+    on [t0, t1] the state is u0 + (t - t0) velocity and the force xi;
+    ``first`` flags the segments of mechanism 1.  The segments follow each
+    other in time, so ``t0`` and ``t1`` are increasing."""
 
     t0: np.ndarray
     t1: np.ndarray
@@ -129,13 +114,8 @@ class SegmentArrays(NamedTuple):
     xi: np.ndarray
     first: np.ndarray
 
-
-def _segment_arrays(segments):
-    return SegmentArrays(
-        *(np.array([getattr(seg, name) for seg in segments], dtype=float)
-          for name in ("t0", "t1", "u0", "velocity", "xi")),
-        np.array([seg.mechanism == "1" for seg in segments], dtype=bool),
-    )
+    def __len__(self):
+        return len(self.t0)
 
 
 @dataclass
@@ -145,8 +125,7 @@ class SchemeOutput:
     ``step_cells`` is the number of grid cells that each prox step holds (1
     for exact flows), so cell i belongs to the step that started from node
     ``i - i % step_cells``, its anchor.  An exact flow also carries its
-    ``segments``, and ``segment_arrays`` holds them as arrays (built from
-    ``segments`` when not given).
+    ``segments``; for every other run they are None.
     """
 
     scheme: str
@@ -157,13 +136,8 @@ class SchemeOutput:
     u_linear: SampledCurve
     xi: SampledCurve
     step_cells: int = 1
-    segments: list = None
+    segments: SegmentArrays = None
     stats: dict = field(default_factory=dict)
-    segment_arrays: SegmentArrays = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.segments is not None and self.segment_arrays is None:
-            self.segment_arrays = _segment_arrays(self.segments)
 
     @property
     def inner_tol(self):
@@ -178,13 +152,6 @@ class SchemeOutput:
         inequality.
         """
         return self.scheme in ("amm", "block-amm")
-
-    @property
-    def audit_form(self):
-        """The form of the EDB the run satisfies: exact piecewise-affine flows
-        the balance, minimizing-movement realizations only the one-sided
-        estimate."""
-        return "balance" if self.segments is not None else "inequality"
 
     @cached_property
     def rate(self):
@@ -325,10 +292,12 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
             d != 0.0, gs + sigma_w * np.sign(d), np.maximum(np.abs(gs) - sigma_w, 0.0)
         )
         res = float(np.linalg.norm(res_vec))
+        if not math.isfinite(res):  # an infinite scale would take it
+            break
         if res <= tol * scale:
             u = anchor + d
             return u, E._grad(t, u), _ProxStats(it + 1, res, "shrinkage-fista")
-    raise NumericalError("shrinkage prox stagnated", iterations=max_iter, best=anchor + d)
+    raise NumericalError("shrinkage prox stagnated", iterations=it + 1, best=anchor + d)
 
 
 def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
@@ -472,18 +441,19 @@ def _regime_classify(u, tol):
     return "axis1" if abs(u1) > abs(u2) else "axis2"
 
 
-def _regime_flow(dual_weights, t0, t1, u0, mechanism):
+def _regime_flow(dual_weights, t0, t1, u0, rows):
     """Piecewise-affine flow of u' = -dR*(xi), xi in dE(u), on [t0, t1].
 
     ``dual_weights`` are the dual weights (alpha, beta) of the potential
     actually driving the flow (already rescaled for split sub-steps).
+    Appends one row ``(t0, t1, u0, velocity, xi)`` per affine segment to
+    ``rows`` and returns the end state.
     """
     alpha, beta = float(dual_weights[0]), float(dual_weights[1])
     gamma = alpha * beta / (alpha + beta)
     theta = beta / (alpha + beta)
     u = np.array(u0, dtype=float)
     t = float(t0)
-    segments = []
     scale = max(1.0, float(np.max(np.abs(u))))
     while t < t1 - _TIME_TOL:
         kind = _regime_classify(u, _ZERO_TOL * scale)
@@ -510,9 +480,8 @@ def _regime_flow(dual_weights, t0, t1, u0, mechanism):
             t_next = min(t1, t + abs(u[0]) / gamma)
         if t_next <= t:
             t_next = t1
-        seg = Segment(t, t_next, np.array(u), vel, xi, mechanism)
-        segments.append(seg)
-        u = seg.state(t_next)
+        rows.append((t, t_next, u, vel, xi))
+        u = u + (t_next - t) * vel
         # snap onto the invariant manifold reached at the crossing
         if t_next < t1:
             if kind == "axis1":
@@ -522,7 +491,7 @@ def _regime_flow(dual_weights, t0, t1, u0, mechanism):
             else:
                 u = np.zeros(2)
         t = t_next
-    return u, segments
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -533,31 +502,33 @@ def _regime_flow(dual_weights, t0, t1, u0, mechanism):
 def _exact_flows(times, u0, pieces):
     """Concatenated exact regime flows, sampled on a cell grid.
 
-    Each piece ``(t0, t1, weights, label)`` flows from where the previous one
-    ended.  Returns the states at ``times``, the cell forces, the segments
-    and their ``SegmentArrays``.  A cell takes the first segment that ends
-    within ``_TIME_TOL`` before its right end or later (the last segment if
-    none does), and that segment's force, the force every prox path
-    evaluates at the state of the cell's right end.
+    Each piece ``(t0, t1, weights, first)`` flows from where the previous
+    one ended; ``first`` says whether mechanism 1 drives it.  Returns the
+    states at ``times``, the cell forces and the ``SegmentArrays``.  A cell
+    takes the first segment that ends within ``_TIME_TOL`` before its right
+    end or later (the last segment if none does), and that segment's force,
+    the force every prox path evaluates at the state of the cell's right end.
     """
     # the loop of _regime_flow emits a segment only under this condition
     if any(t0 >= t1 - _TIME_TOL for t0, t1, _, _ in pieces):
         raise InputError(f"exact flows need semi-intervals longer than {_TIME_TOL:g}")
-    u, segments = u0, []
-    for t0, t1, weights, label in pieces:
-        u, segs = _regime_flow(weights, t0, t1, u, label)
-        segments += segs
-    seg = _segment_arrays(segments)
+    u, rows, first = u0, [], []
+    for t0, t1, weights, is_first in pieces:
+        n = len(rows)
+        u = _regime_flow(weights, t0, t1, u, rows)
+        first += [is_first] * (len(rows) - n)
+    seg = SegmentArrays(*(np.array(col, dtype=float) for col in zip(*rows)),
+                        np.array(first, dtype=bool))
     b = times[1:]
-    si = np.minimum(np.searchsorted(seg.t1, b - _TIME_TOL), len(segments) - 1)
-    # Segment.state, one row per cell
+    si = np.minimum(np.searchsorted(seg.t1, b - _TIME_TOL), len(seg) - 1)
+    # the state of each cell's segment at the cell's right end
     nodes = np.empty((len(times), u0.size))
     nodes[0] = u0
     dt = np.minimum(b, seg.t1[si]) - seg.t0[si]
     nodes[1:] = seg.u0[si] + dt[:, None] * seg.velocity[si]
     forces = seg.xi[si]
     _require_finite(nodes, forces, 1)
-    return nodes, forces, segments, seg
+    return nodes, forces, seg
 
 
 def _require_finite(nodes, forces, n):
@@ -668,7 +639,7 @@ def substep_flow(sys: GradientSystem, which, interval, u_init, inner_steps=None)
     u0 = np.asarray(u_init, dtype=float).reshape(-1)
     if _is_exact_pair(sys.energy, R):
         weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
-        piece = (cell_times[0], cell_times[-1], weights, str(which))
+        piece = (cell_times[0], cell_times[-1], weights, which == 1)
         values = _exact_flows(cell_times, u0, [piece])[0]
     else:
         plan = _cell_plan(sys, cell_times, [which] * grid.n_cells)
@@ -706,7 +677,7 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
         "scheme": scheme,
         "argmin_selection": "deterministic-from-anchor",
         **{k: v for k, v in record.items()
-           if k not in ("segments", "segment_arrays", "step_cells")},
+           if k not in ("segments", "step_cells")},
     }
     return SchemeOutput(
         scheme=scheme,
@@ -720,7 +691,6 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
         xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
         step_cells=record.get("step_cells", 1),
         segments=record.get("segments"),
-        segment_arrays=record.get("segment_arrays"),
         stats=stats,
     )
 
@@ -770,10 +740,9 @@ def split_step_solve(
         ends = grid.times[:: grid.M]
         # dual weights of R~* = 2 R*
         weights = [2.0 * _unscaled(R).dual_weights for R in (sys.r1, sys.r2)]
-        pieces = [(float(a), float(b), weights[j % 2], str(1 + j % 2))
+        pieces = [(float(a), float(b), weights[j % 2], j % 2 == 0)
                   for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
-        values, forces, record["segments"], record["segment_arrays"] = _exact_flows(
-            grid.times, u0, pieces)
+        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
     else:
         plan = _cell_plan(sys, grid.times, np.where(grid.cell_is_left, 1, 2))
         _, values, forces = _movements(grid, u0, plan, tol, record)
@@ -829,9 +798,8 @@ def effective_solve(
 
     if sys.r2 is not None and _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
         weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
-        pieces = [(0.0, P.T, weights, "eff")]
-        values, forces, record["segments"], record["segment_arrays"] = _exact_flows(
-            grid.times, u0, pieces)
+        pieces = [(0.0, P.T, weights, False)]
+        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
         return _assemble_output(
             "effective", sys, grid, values, values, forces, record, tol
         )
@@ -893,12 +861,12 @@ def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_
         u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
         u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
         res, xi = _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts)
-        if res <= tol * scale:
+        if not math.isfinite(res):  # an infinite scale would take it
             break
-    else:
-        raise NumericalError("joint block prox stagnated", iterations=max_sweeps, best=u)
-    # the residual's energy gradient at the accepted state is the force
-    return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
+        if res <= tol * scale:
+            # the residual's energy gradient at the accepted state is the force
+            return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
+    raise NumericalError("joint block prox stagnated", iterations=sweeps, best=u)
 
 
 def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
@@ -985,8 +953,8 @@ def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100):
 
 def time_to_zero(out: SchemeOutput, tol=1e-9):
     """First time the trajectory reaches the origin (within tol), or None."""
-    if out.segments:
-        seg = out.segment_arrays
+    seg = out.segments
+    if seg is not None:
         norms0 = np.max(np.abs(seg.u0), axis=1)
         speed = np.max(np.abs(seg.velocity), axis=1)
         end_states = seg.u0 + (seg.t1 - seg.t0)[:, None] * seg.velocity

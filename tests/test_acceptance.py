@@ -151,7 +151,7 @@ def test_criterion_5_edb_audits():
         for i in range(0, P.N + 1, 2):
             for j in range(i + 1, P.N + 1, 2):
                 rep = dg.edb_audit(out, sysd, (P.nodes[i], P.nodes[j]),
-                                   form="inequality", with_decomposition=False)
+                                   with_decomposition=False)
                 worst_gap = max(worst_gap, rep.residual - rep.slack)
                 ok = ok and rep.passed
         details.append(f"{scheme} worst res-slack={worst_gap:.2e}")

@@ -13,6 +13,7 @@ from splitflow.energies import Load
 from splitflow.models import make_model
 from splitflow.partitions import build_partition, repetition_apply
 from splitflow.solvers import SCHEMES, effective_potential, solve
+from test_exact_reference import segment_rows
 
 
 def clip_cells(grid, interval):
@@ -37,7 +38,7 @@ def rate_reference(out, pair, interval):
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2)(seg.velocity)
-            for seg, a, b in segment_pieces(out.segments, interval)
+            for seg, a, b in segment_pieces(segment_rows(out.segments), interval)
         )
     cells = out.u_linear.derivative().cell_values
     return sum(
@@ -51,7 +52,7 @@ def slope_reference(out, pair, interval):
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2).conjugate(-seg.xi)
-            for seg, a, b in segment_pieces(out.segments, interval)
+            for seg, a, b in segment_pieces(segment_rows(out.segments), interval)
         )
     cells = out.xi.cell_values
     return sum(
@@ -62,7 +63,7 @@ def slope_reference(out, pair, interval):
 
 def effective_reference(out, r_eff, interval):
     if out.segments is not None:
-        pieces = list(segment_pieces(out.segments, interval))
+        pieces = list(segment_pieces(segment_rows(out.segments), interval))
         return (
             sum((b - a) * r_eff(seg.velocity) for seg, a, b in pieces),
             sum((b - a) * r_eff.conjugate(-seg.xi) for seg, a, b in pieces),
@@ -160,7 +161,7 @@ def test_edb_audit_matches_per_cell_reference(preset, scheme, interval):
     model = make_model(name, **overrides)
     sys = model.system
     out = solve(sys, scheme, build_partition(1.0, N=8), model.u0, 1e-10, 8)
-    report = dg.edb_audit(out, sys, interval=interval, form="inequality")
+    report = dg.edb_audit(out, sys, interval=interval)
 
     if out.scheme == "effective":
         d_rate, d_slope = effective_reference(out, effective_potential(sys), interval)

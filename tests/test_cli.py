@@ -294,7 +294,8 @@ def test_run_whose_solve_overflows_exits_3_at_the_first_bad_step(tmp_path, capsy
                         "--N", "4", "--override", f"u0={u0}", "--out", str(out_dir)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "numerical failure: non-finite state or force at step 1 of 64\n"
+    # the first prox meets an overflowed residual and stops there
+    assert err == "numerical failure: incremental minimization diverged (after 0 iterations)\n"
     assert not (out_dir / "trajectory.csv").exists()
 
 

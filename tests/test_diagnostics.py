@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -112,7 +111,7 @@ def test_quadratic_sanity_amm_step_balances():
     # U1 = 1/2, U2 = 1/4: rates -1 and -1/2, forces 1/2 and 1/4
     assert d_rate == pytest.approx(0.5 * (2 * 0.125) + 0.5 * (2 * 0.03125), rel=1e-12)
     assert d_slope == pytest.approx(0.5 * (0.25) + 0.5 * (0.0625), rel=1e-12)
-    report = dg.edb_audit(out, sys, form="inequality")
+    report = dg.edb_audit(out, sys)
     drop = E.eval(1.0, [0.25]) - E.eval(0.0, [1.0])
     assert report.residual == pytest.approx(drop + d_rate + d_slope, rel=1e-12)
     assert report.residual == pytest.approx(-5.0 / 32.0, rel=1e-12)
@@ -152,7 +151,7 @@ def test_edb_amm_inequality_allen_cahn():
     nodes = list(P.nodes)
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes), 3):
-            rep = dg.edb_audit(out, sys, (nodes[i], nodes[j]), form="inequality")
+            rep = dg.edb_audit(out, sys, (nodes[i], nodes[j]))
             assert rep.residual <= rep.slack
             assert rep.passed
 
@@ -182,6 +181,26 @@ def test_edb_report_serialization():
     assert "v1" not in data and "v2" not in data
 
 
+AUDIT_FORM_CASES = [
+    (model, scheme)
+    for model in ("counterexample", "allen-cahn-1d", "visco-plasticity-1d")
+    for scheme in sv.SCHEMES
+    if model == "visco-plasticity-1d" or not scheme.startswith("block-")
+]
+
+
+@pytest.mark.parametrize("model, scheme", AUDIT_FORM_CASES)
+def test_audit_form_is_the_balance_exactly_for_exact_flows(model, scheme):
+    preset = make_model(model)
+    P = pa.build_partition(preset.horizon, N=8)
+    out = sv.solve(preset.system, scheme, P, preset.u0, 1e-10, 8)
+    # only the counterexample's split and effective flows are solved exactly
+    exact = model == "counterexample" and scheme in ("split", "effective")
+    assert (out.segments is not None) == exact
+    form = dg.edb_audit(out, preset.system).form
+    assert (form == "balance") == exact and form in ("balance", "inequality")
+
+
 def test_split_with_one_exact_mechanism_is_audited_over_the_whole_run():
     # r1 pairs exactly with the max-norm energy, r2 does not; the run must
     # dissipate through both mechanisms, not through mechanism 1 alone
@@ -192,7 +211,7 @@ def test_split_with_one_exact_mechanism_is_audited_over_the_whole_run():
     out = sv.split_step_solve(sys, P, [2.0, 1.0])
     assert out.segments is None
     assert len(out.stats["inner_iterations"]) == out.grid.n_cells
-    rep = dg.edb_audit(out, sys, form="inequality")
+    rep = dg.edb_audit(out, sys)
     drop = rep.energy_start - rep.energy_end
     assert rep.d_rate == pytest.approx(0.5 * drop, rel=1e-3)
     assert rep.passed
@@ -279,7 +298,7 @@ def test_autonomous_is_exactly_a_vanishing_power(m, N, data, seed):
     preset = make_model("allen-cahn-1d", m=m, load=ac)
     P = pa.build_partition(1.0, N=N)
     out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, pa.DEFAULT_INNER_FACTOR)
-    report = dg.edb_audit(out, preset.system, form="inequality")
+    report = dg.edb_audit(out, preset.system)
     assert report.passed
     assert report.power_integral == 0.0 or not ac_const
 
@@ -308,7 +327,7 @@ def test_audits_pass_under_drawn_time_dependent_loads(model, load_key, scheme):
         sys = preset.system
         for N in (16, 64):
             out = sv.solve(sys, scheme, pa.build_partition(1.0, N=N), preset.u0, 1e-10, 8)
-            report = dg.edb_audit(out, sys, form=out.audit_form)
+            report = dg.edb_audit(out, sys)
             assert report.power_integral != 0.0
             if not report.passed:
                 failed.append((draw, N, report.residual, report.slack))

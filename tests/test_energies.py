@@ -148,20 +148,6 @@ def test_maxnorm_subdiff_elements_are_convex_subgradients():
 # ---------------------------------------------------------------------------
 
 
-def test_partial_subdiff_identity_blocks():
-    E = quad_block_identity()
-    s = en.partial_subdiff(E, 0.0, [1.0], [2.0], "y")
-    np.testing.assert_allclose(s.a, [1.0])
-    s = en.partial_subdiff(E, 0.0, [1.0], [2.0], "z")
-    np.testing.assert_allclose(s.a, [2.0])
-
-
-def test_partial_subdiff_with_coupling():
-    E = en.QuadraticBlockEnergy(A=np.eye(1), B=np.array([[1.0]]), G=np.eye(1))
-    s = en.partial_subdiff(E, 0.0, [1.0], [1.0], "z")
-    np.testing.assert_allclose(s.a, [2.0])
-
-
 def test_cross_product_identity():
     rng = np.random.default_rng(4)
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -177,11 +163,6 @@ def test_cross_product_identity():
         pz = E.partial_grad(t, y, z, "z")
         np.testing.assert_array_equal(full[:2], py)
         np.testing.assert_array_equal(full[2:], pz)
-
-
-def test_partial_subdiff_rejects_non_block():
-    with pytest.raises(InputError):
-        en.partial_subdiff(en.MaxNormEnergy(), 0.0, [1.0], [1.0], "y")
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """The counterexample's exact flows, time to zero and max-norm prox against
 the per-cell code they replaced.
 
-The references below sample an exact flow one cell at a time, with a pointer
-over the segments and ``Segment.state``; find the time to zero and the state
-at a time with loops over the segments; and build the max-norm prox from a
-numpy vector per regime, evaluated through the checked potential.  The
-solvers take the same arithmetic per element as array expressions, so every
-result must agree bit for bit.  The CLI test pins the SHA-256 of the
+The references below build an exact flow as a list of ``Segment`` objects,
+one per regime; sample it one cell at a time, with a pointer over the
+segments and ``Segment.state``; find the time to zero and the state at a
+time with loops over the segments; and build the max-norm prox from a numpy
+vector per regime, evaluated through the checked potential.  The solvers
+take the same arithmetic per element as array expressions, so every result
+must agree bit for bit.  The CLI test pins the SHA-256 of the
 counterexample's outputs as the per-cell code wrote them.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -37,6 +38,108 @@ def same_bits(a, b):
 # ---------------------------------------------------------------------------
 # references: the per-cell and per-segment code
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One affine piece of an exactly solved flow."""
+
+    t0: float
+    t1: float
+    u0: np.ndarray
+    velocity: np.ndarray
+    xi: np.ndarray
+    mechanism: str
+
+    def state(self, t):
+        return self.u0 + (t - self.t0) * self.velocity
+
+
+def segment_rows(segments):
+    """The rows of a run's ``SegmentArrays`` as ``Segment`` objects; a row
+    not of mechanism 1 is labelled "2"."""
+    return [Segment(*row, "1" if first else "2")
+            for *row, first in zip(segments.t0, segments.t1, segments.u0,
+                                   segments.velocity, segments.xi, segments.first)]
+
+
+def regime_flow_reference(dual_weights, t0, t1, u0, mechanism):
+    """The flow of one piece, one ``Segment`` per regime."""
+    alpha, beta = float(dual_weights[0]), float(dual_weights[1])
+    gamma = alpha * beta / (alpha + beta)
+    theta = beta / (alpha + beta)
+    u = np.array(u0, dtype=float)
+    t = float(t0)
+    segments = []
+    scale = max(1.0, float(np.max(np.abs(u))))
+    while t < t1 - sv._TIME_TOL:
+        kind = sv._regime_classify(u, sv._ZERO_TOL * scale)
+        if kind == "zero":
+            u = np.zeros(2)
+            vel = np.zeros(2)
+            xi = np.zeros(2)
+            t_next = t1
+        elif kind == "axis1":
+            s = math.copysign(1.0, u[0])
+            xi = np.array([s, 0.0])
+            vel = np.array([-alpha * s, 0.0])
+            t_next = min(t1, t + (abs(u[0]) - abs(u[1])) / alpha)
+        elif kind == "axis2":
+            s = math.copysign(1.0, u[1])
+            xi = np.array([0.0, s])
+            vel = np.array([0.0, -beta * s])
+            t_next = min(t1, t + (abs(u[1]) - abs(u[0])) / beta)
+        else:
+            s = math.copysign(1.0, u[0])
+            sign2 = 1.0 if kind == "diag" else -1.0
+            xi = np.array([s * theta, sign2 * s * (1.0 - theta)])
+            vel = np.array([-gamma * s, -sign2 * gamma * s])
+            t_next = min(t1, t + abs(u[0]) / gamma)
+        if t_next <= t:
+            t_next = t1
+        seg = Segment(t, t_next, np.array(u), vel, xi, mechanism)
+        segments.append(seg)
+        u = seg.state(t_next)
+        # snap onto the invariant manifold reached at the crossing
+        if t_next < t1:
+            if kind == "axis1":
+                u[0] = math.copysign(abs(u[1]), u[0]) if abs(u[1]) > 0 else 0.0
+            elif kind == "axis2":
+                u[1] = math.copysign(abs(u[0]), u[1]) if abs(u[0]) > 0 else 0.0
+            else:
+                u = np.zeros(2)
+        t = t_next
+    return u, segments
+
+
+def exact_flow_reference(sys, scheme, grid, u0):
+    """The segments of an exact split or effective run of ``sys`` on ``grid``:
+    mechanism 1 on the left semi-intervals and 2 on the right ones, each with
+    the dual weights of R~* = 2 R*, or one effective piece."""
+    r1, r2 = sys.r1.dual_weights, sys.r2.dual_weights
+    if scheme == "split":
+        ends = grid.times[:: grid.M]
+        pieces = [(float(a), float(b), 2.0 * (r1, r2)[j % 2], str(1 + j % 2))
+                  for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    else:
+        pieces = [(0.0, grid.partition.T, r1 + r2, "eff")]
+    u, segments = u0, []
+    for t0, t1, weights, label in pieces:
+        u, segs = regime_flow_reference(weights, t0, t1, u, label)
+        segments += segs
+    return segments
+
+
+def assert_segments_are(out, segments):
+    """The run's ``SegmentArrays`` hold the reference segments bit for bit."""
+    arrays = out.segments
+    assert len(arrays) == len(segments)
+    assert same_bits(arrays.t0, [seg.t0 for seg in segments])
+    assert same_bits(arrays.t1, [seg.t1 for seg in segments])
+    for name in ("u0", "velocity", "xi"):
+        assert same_bits(getattr(arrays, name), [getattr(seg, name) for seg in segments])
+    assert arrays.first.dtype == bool
+    assert arrays.first.tolist() == [seg.mechanism == "1" for seg in segments]
 
 
 def sample_reference(times, u0, segments):
@@ -188,19 +291,16 @@ def counterexample_system(weights):
 @given(u0=states(), P=partitions(), weights=st.lists(weight, min_size=4, max_size=4),
        M=st.sampled_from([2, 4, 8]), scheme=st.sampled_from(["split", "effective"]))
 def test_exact_runs_match_the_per_cell_sampler(u0, P, weights, M, scheme):
-    out = sv.solve(counterexample_system(weights), scheme, P, u0, 1e-10, M)
-    segs = out.segments
+    sys = counterexample_system(weights)
+    out = sv.solve(sys, scheme, P, u0, 1e-10, M)
+    segs = exact_flow_reference(sys, scheme, out.grid, u0)
+    assert_segments_are(out, segs)
     nodes, forces = sample_reference(out.grid.times, u0, segs)
     assert same_bits(out.u_linear.values, nodes)
     assert same_bits(out.u_const.values, nodes)
     assert same_bits(out.xi.values[1:], forces)
 
-    arrays = out.segment_arrays
-    assert same_bits(arrays.t0, [seg.t0 for seg in segs])
-    assert same_bits(arrays.t1, [seg.t1 for seg in segs])
-    for name in ("u0", "velocity", "xi"):
-        assert same_bits(getattr(arrays, name), [getattr(seg, name) for seg in segs])
-    assert arrays.first.tolist() == [seg.mechanism == "1" for seg in segs]
+    arrays = out.segments
 
     for tol in (1e-9, 1e-6, 0.0):
         got, ref = sv.time_to_zero(out, tol), time_to_zero_reference(segs, tol)
@@ -224,10 +324,12 @@ def test_a_crossing_just_before_a_cell_end_matches_the_per_cell_sampler(
     # less a few ulps: within _TIME_TOL of it up to 16 ulps, beyond it from 32
     offset = ulps * 2.0**-54
     u0 = np.array([0.25 + alpha * (0.25 - offset), 0.25])
-    out = sv.solve(counterexample_system([1.0, 3.0, 3.0, 1.0]), scheme,
-                   build_partition(1.0, N=N), u0, 1e-10, M)
-    assert out.segments[0].t1 == 0.25 - offset
-    nodes, forces = sample_reference(out.grid.times, u0, out.segments)
+    sys = counterexample_system([1.0, 3.0, 3.0, 1.0])
+    out = sv.solve(sys, scheme, build_partition(1.0, N=N), u0, 1e-10, M)
+    assert out.segments.t1[0] == 0.25 - offset
+    segs = exact_flow_reference(sys, scheme, out.grid, u0)
+    assert_segments_are(out, segs)
+    nodes, forces = sample_reference(out.grid.times, u0, segs)
     assert same_bits(out.u_linear.values, nodes)
     assert same_bits(out.xi.values[1:], forces)
 
@@ -241,10 +343,7 @@ def test_time_to_zero_of_the_preset_runs_is_the_paper_anchor():
     assert sv.time_to_zero(effective) == 0.75
     assert sv.time_to_zero(split) == pytest.approx(0.25 + 2.0 / 3.0, abs=1.0 / 64)
     for out in (effective, split):
-        assert sv.time_to_zero(out) == time_to_zero_reference(out.segments)
-    # an output made from the segments alone builds the same arrays
-    rebuilt = dataclasses.replace(split, segment_arrays=None).segment_arrays
-    assert all(same_bits(a, b) for a, b in zip(rebuilt, split.segment_arrays))
+        assert sv.time_to_zero(out) == time_to_zero_reference(segment_rows(out.segments))
 
 
 # ---------------------------------------------------------------------------

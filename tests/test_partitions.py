@@ -35,14 +35,6 @@ def test_uniform_partition_nodes_and_midpoints():
 def test_explicit_partition_steps():
     P = pa.build_partition(1.0, nodes=[0.0, 0.3, 1.0])
     np.testing.assert_allclose(P.taus, [0.3, 0.7])
-    assert P.max_step == pytest.approx(0.7)
-
-
-def test_single_step_semi_intervals():
-    P = pa.build_partition(1.0, N=1)
-    assert P.in_left_semi(0.25)
-    assert P.in_left_semi(0.5)
-    assert not P.in_left_semi(0.75)
 
 
 def test_non_monotone_nodes_rejected():
@@ -89,23 +81,19 @@ def test_refined_grid_times_equal_the_per_semi_interval_loop(widths, uniform, M)
 
 
 # ---------------------------------------------------------------------------
-# chi
+# the semi-interval indicator
 # ---------------------------------------------------------------------------
 
 
-def test_chi_values():
-    P = pa.build_partition(1.0, N=1)
-    assert pa.chi(P, 0.25) == 1
-    assert pa.chi(P, 0.75) == 0
-    assert pa.chi(P, 0.5) == 1  # left semi-intervals are right-closed
-
-
-def test_chi_outside_domain():
-    P = pa.build_partition(1.0, N=1)
-    with pytest.raises(InputError):
-        pa.chi(P, -0.1)
-    with pytest.raises(InputError):
-        pa.chi(P, 1.5)
+def test_single_step_semi_intervals():
+    grid = pa.build_partition(1.0, N=1).refine(2)
+    # cells (0, 0.25], (0.25, 0.5], (0.5, 0.75], (0.75, 1]
+    assert grid.cell_is_left.tolist() == [True, True, False, False]
+    # a cell holds its right end, so the left semi-interval is right-closed:
+    # the cell ending at the midpoint 0.5 is a left cell, the next is not
+    ends = grid.times[1:]
+    assert ends[1] == 0.5 and grid.cell_is_left[1] and not grid.cell_is_left[2]
+    assert grid.cell_is_left.tolist() == (ends <= 0.5).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +206,16 @@ def test_integrate_constant_curve():
     P = pa.build_partition(1.0, N=2)
     grid = P.refine(2)
     g = curve_from_cells(grid, np.full(grid.n_cells, 2.0))
-    assert pa.integrate(g, lambda v: float(v[0])) == pytest.approx(2.0)
+    assert g.l1_norm() == pytest.approx(2.0)
 
 
-def test_integrate_square_of_linear_curve():
+def test_l1_norm_of_a_linear_curve_takes_cell_midpoints():
     P = pa.build_partition(1.0, N=512)
     grid = P.refine(2)  # 2048 cells
-    vals = grid.times.copy()  # v(t) = t sampled at nodes
-    g = pa.SampledCurve(grid, vals, "piecewise-linear")
-    got = pa.integrate(g, lambda v: float(v[0]) ** 2)
-    assert got == pytest.approx(1.0 / 3.0, abs=1e-5)
-
-
-def test_integrate_empty_interval():
-    P = pa.build_partition(1.0, N=2)
-    grid = P.refine(2)
-    g = curve_from_cells(grid, np.ones(grid.n_cells))
-    assert pa.integrate(g, lambda v: 1.0, (0.3, 0.3)) == 0.0
-
-
-def test_integrate_partial_cells_split_exactly():
-    P = pa.build_partition(1.0, N=1)
-    grid = P.refine(2)
-    g = curve_from_cells(grid, [1.0, 2.0, 3.0, 4.0])
-    # [0.1, 0.3] covers 0.15 of cell 1 (value 1) and 0.05 of cell 2 (value 2)
-    got = pa.integrate(g, lambda v: float(v[0]), (0.1, 0.3))
-    assert got == pytest.approx(0.15 * 1.0 + 0.05 * 2.0)
-
-
-def test_integrate_reversed_interval_rejected():
-    P = pa.build_partition(1.0, N=1)
-    grid = P.refine(2)
-    g = curve_from_cells(grid, np.ones(grid.n_cells))
-    with pytest.raises(InputError):
-        pa.integrate(g, lambda v: 1.0, (0.5, 0.2))
+    # v(t) = (t, t) sampled at nodes: |v(t)| = sqrt(2) t is linear, so the
+    # midpoint rule integrates it to rounding
+    g = pa.SampledCurve(grid, np.column_stack([grid.times, grid.times]), "piecewise-linear")
+    assert g.l1_norm() == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

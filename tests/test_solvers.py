@@ -426,7 +426,7 @@ def test_block_amm_with_a_drawn_load_has_exact_end_nodes_and_passes_its_audit():
             # z is frozen on the left half steps, y on the right ones
             assert (halves[:, 0][..., idx_z] == linear[:-1 : 2 * M, None, idx_z]).all()
             assert (halves[:, 1][..., idx_y] == linear[M :: 2 * M, None, idx_y]).all()
-            report = dg.edb_audit(out, sys, form="inequality")
+            report = dg.edb_audit(out, sys)
             assert math.isfinite(report.d_rate)
             assert report.passed
 
@@ -554,6 +554,37 @@ def test_joint_block_stagnation_carries_the_last_sweep():
     assert not np.array_equal(best, preset.u0)
 
 
+def test_a_non_finite_residual_never_counts_as_converged():
+    # |anchor| above about 1.3e154 overflows the tolerance scale 1 + |anchor|
+    # to inf, which every residual, inf included, would pass
+    ac = make_model("allen-cahn-1d", p=3.0)
+    anchor = np.zeros(ac.system.dim)
+    anchor[0] = 1e200
+    R = pt.Rescaled(ac.system.r1)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="incremental minimization diverged") as failure:
+        sv._prox(ac.system.energy, R, 0.1, anchor, 0.05, 1e-10)
+    assert failure.value.iterations == 0
+    np.testing.assert_array_equal(failure.value.best, anchor)
+
+    vp = make_model("visco-plasticity-1d", m=6)
+    step = sv._joint_block_step(vp.system)
+    anchor = np.array(vp.u0)
+    anchor[0] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="joint block prox stagnated") as failure:
+        step(0.5, anchor, 0.25, 1e-10)
+    assert failure.value.iterations == 1
+    assert failure.value.best.shape == (vp.system.dim,)
+
+    E = en.QuadraticBlockEnergy(A=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="shrinkage prox stagnated") as failure:
+        sv._prox(E, pt.OneHomPlusQuad(0.3, 1.0, dim=2), 0.0, np.array([1e200, 0.0]),
+                 0.2, 1e-12)
+    assert failure.value.iterations == 1
+
+
 def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     hessians = []
@@ -636,11 +667,12 @@ def test_exact_cell_force_is_taken_at_the_cell_right_end(solve, u0):
     P = pa.build_partition(1.0, N=4)  # 64 cells of width 1/64
     out = solve(sys, P, u0)
     # the first regime switch lies in the second half of cell 6
-    assert out.segments[0].t1 == pytest.approx(6.75 / 64, abs=1e-15)
-    np.testing.assert_array_equal(out.xi.cell_values[6], out.segments[1].xi)
+    seg = out.segments
+    assert seg.t1[0] == pytest.approx(6.75 / 64, abs=1e-15)
+    np.testing.assert_array_equal(out.xi.cell_values[6], seg.xi[1])
     for b, xi in zip(out.grid.times[1:], out.xi.cell_values):
-        seg = next(seg for seg in out.segments if seg.t1 >= b - 1e-15)
-        np.testing.assert_array_equal(xi, seg.xi)
+        k = next(k for k, t1 in enumerate(seg.t1) if t1 >= b - 1e-15)
+        np.testing.assert_array_equal(xi, seg.xi[k])
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +754,7 @@ def test_amm_inequality_on_non_uniform_partition():
     for i in range(P.N):
         for j in range(i + 1, P.N + 1):
             rep = dg.edb_audit(out, sys, (P.nodes[i], P.nodes[j]),
-                               form="inequality", with_decomposition=False)
+                               with_decomposition=False)
             assert rep.passed
 
 
