@@ -108,7 +108,7 @@ def _load_config(path):
 
 def _apply_flags(cfg: RunConfig, args):
     for attr in ("model", "scheme", "inner_steps", "tol", "out", "seed", "samples"):
-        val = getattr(args, attr.replace("-", "_"), None)
+        val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
     if getattr(args, "N", None) is not None:

@@ -110,9 +110,6 @@ class Load:
         return self.c1 + self.amp * self.omega * np.cos(self.omega * t + self.phase)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _dot(a, b):
     """<a, b> for two vectors, else row by row (a single vector broadcasts)."""
     if a.ndim == b.ndim == 1:
@@ -185,24 +182,12 @@ def _auto_shift(energy, radius=4.0, n_samples=128, seed=0):
     """1 + max(0, -min sampled energy): makes E positive on the sample ball.
 
     The 144 states are drawn in one call, which gives the numbers of one
-    draw per state, and evaluated as one batch.  A batched value may differ
-    from its single-state value in the last bits, so the minimum is not
-    taken from the batch.  But when every batched value exceeds its rounding
-    bound (``_eval_scale``), every single-state value is positive and the
-    shift is exactly 1.0; otherwise the states are evaluated one at a time.
+    draw per state, and evaluated as one batch.
     """
     rng = np.random.default_rng(seed)
     times = np.repeat(np.linspace(0.0, 1.0, 9), n_samples // 8)
     states = rng.standard_normal((times.size, energy.dim)) * radius
-    scale = energy._eval_scale(times, states)
-    # twice the rounding of a batched and of a single-state value, and more
-    if scale is not None and np.all(
-            energy.eval(times, states) > 8.0 * (energy.dim + 8) * _EPS * scale):
-        return 1.0
-    lo = math.inf
-    for t, u in zip(times, states):
-        lo = min(lo, energy.eval(t, u))
-    return 1.0 + max(0.0, -lo)
+    return 1.0 + max(0.0, -float(energy.eval(times, states).min()))
 
 
 class EnergySpec:
@@ -259,12 +244,6 @@ class EnergySpec:
 
     def _grad(self, t, u):
         raise NotImplementedError(f"{type(self).__name__} has no smooth gradient")
-
-    def _eval_scale(self, t, u):
-        """Per row of a batch, the sum of the magnitudes of the terms that
-        ``_eval`` adds, the shift aside: ``_eval`` rounds by less than
-        (2 dim + 8) eps times it.  None when a family states no such bound."""
-        return None
 
     def _block_grad(self, t, y, z, block):
         """The ``y`` or ``z`` block of the gradient at the state (y, z),
@@ -340,14 +319,6 @@ class QuadraticBlockEnergy(EnergySpec):
         y, z = u[..., : self.n_y], u[..., self.n_y :]
         return -_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z)
 
-    def _eval_scale(self, t, u):
-        a = np.abs(u)
-        scale = 0.5 * _dot(a @ np.abs(self._H), a)
-        if self._loaded:
-            scale += _dot(np.abs(self.f.value(t)), a[..., : self.n_y])
-            scale += _dot(np.abs(self.g.value(t)), a[..., self.n_y :])
-        return scale
-
     def _grad(self, t, u):
         y, z = u[: self.n_y], u[self.n_y :]
         return np.concatenate([self._block_grad(t, y, z, block) for block in "yz"])
@@ -396,10 +367,6 @@ class MaxNormEnergy(EnergySpec):
 
     def _power(self, t, u):
         return 0.0 if u.ndim == 1 else np.zeros(len(u))
-
-    def _eval_scale(self, t, u):
-        # abs and max are exact: no rounding to cover
-        return np.zeros(u.shape[:-1])
 
     def grad(self, t, u):
         # the one family whose gradient reads its set-valued subdifferential
@@ -497,13 +464,6 @@ class AllenCahn1DEnergy(EnergySpec):
 
     def _power(self, t, u):
         return -self.h * _dot(self.load.derivative(t), u)
-
-    def _eval_scale(self, t, u):
-        a = np.abs(u)
-        scale = 0.5 * _dot(a @ np.abs(self.K), a) + self.h * np.abs(self.well(u)).sum(axis=-1)
-        if self._loaded:
-            scale += self.h * _dot(np.abs(self.load.value(t)), a)
-        return scale
 
     def _grad(self, t, u):
         d1 = self.well.d1(u)

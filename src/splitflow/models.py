@@ -60,9 +60,7 @@ class ModelPreset:
     params: dict
     system: GradientSystem
     u0: np.ndarray
-    recommended_Ns: tuple = (8, 16, 32, 64)
     horizon: float = 1.0
-    has_closed_reference: bool = False
     norm_weights: np.ndarray = None
     extras: dict = field(default_factory=dict)
 
@@ -134,9 +132,7 @@ def _make_counterexample(a1=1.0, b1=3.0, a2=3.0, b2=1.0, u0=(2.0, 1.0), T=1.0):
         params=params,
         system=system,
         u0=np.asarray(u0, dtype=float),
-        recommended_Ns=(16, 32, 64, 128, 256),
         horizon=float(T),
-        has_closed_reference=True,
     )
 
 
@@ -173,10 +169,9 @@ def _make_allen_cahn(m=16, p=2.0, well_scale=1.0, well_pos=1.0, load=None,
         params=params,
         system=system,
         u0=u0,
-        recommended_Ns=(8, 16, 32, 64),
         horizon=float(T),
         norm_weights=np.full(m, math.sqrt(h)),
-        extras={"mesh_x": x, "mesh_h": h},
+        extras={"mesh_h": h},
     )
 
 
@@ -236,9 +231,8 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
         params=params,
         system=system,
         u0=np.concatenate([y0, z0]),
-        recommended_Ns=(8, 16, 32, 64),
         horizon=float(T),
-        extras={"mesh_h": h, "n_elements": n_el},
+        extras={"mesh_h": h},
     )
 
 

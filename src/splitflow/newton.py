@@ -37,38 +37,32 @@ def accepts(f, f0, alpha, slope, armijo=ARMIJO):
     return f <= f0 + armijo * alpha * slope + _SLACK * (1.0 + abs(f0))
 
 
-def lapack_solve(H, b):
-    """H^-1 b for one system, or for each system of a stack.
+def newton_step(H, g):
+    """The Newton step -H^-1 g for one system, or for each system of a stack.
 
-    The LAPACK gufunc behind ``np.linalg.solve`` solves it, called without
-    that function's per-call checks, so a finite solution is the same bits.
-    A singular H leaves NaN where ``np.linalg.solve`` raises, and so does
-    every system when numpy lacks the gufunc.  Call it under
-    ``np.errstate(all="ignore")``.
+    The LAPACK gufunc behind ``np.linalg.solve`` solves every system, called
+    without that function's per-call checks, so a finite step is the same
+    bits.  A singular H leaves a step that is not finite, and so does every
+    system when numpy lacks the gufunc: such a system is solved again by
+    ``np.linalg.solve``, and one that it finds singular steps along -g.
     """
     if _solve1 is None:  # pragma: no cover
-        return np.full(np.shape(b), math.nan)
-    return _solve1(H, b, signature="dd->d")
+        step = np.full(np.shape(g), math.nan)
+    else:
+        with np.errstate(all="ignore"):
+            step = _solve1(H, -g, signature="dd->d")
+    if g.ndim == 1:
+        return step if math.isfinite(step.dot(step)) else _solve_or_gradient_step(H, g)
+    for i in np.flatnonzero(~np.isfinite(step).all(axis=-1)):
+        step[i] = _solve_or_gradient_step(H[i], g[i])
+    return step
 
 
-def _step(H, g):
-    """The Newton step -H^-1 g; a singular H is regularised by a growing
-    multiple of the identity, and the gradient step is the last resort.
-
-    A finite step of :func:`lapack_solve` is taken as it is.  Otherwise
-    ``np.linalg.solve`` and its regularisation decide.
-    """
-    with np.errstate(all="ignore"):
-        step = lapack_solve(H, -g)
-        if math.isfinite(step.dot(step)):
-            return step
-    bump = 0.0
-    for _ in range(8):
-        try:
-            return np.linalg.solve(H + bump * np.eye(len(g)) if bump else H, -g)
-        except np.linalg.LinAlgError:
-            bump = max(1e-10, 10.0 * bump)
-    return -g
+def _solve_or_gradient_step(H, g):
+    try:
+        return np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return -g
 
 
 def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_iter=100):
@@ -93,7 +87,7 @@ def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_it
             raise NumericalError(failure, iterations=it, best=x)
         if res <= tol:
             return x, held, it, res
-        step = _step(hessian(x, held), g)
+        step = newton_step(hessian(x, held), g)
         if f is None:
             f = objective(x)
         slope = chain * float(g @ step)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .newton import ARMIJO, accepts, lapack_solve
+from .newton import ARMIJO, accepts, newton_step
 
 __all__ = [
     "Potential",
@@ -778,7 +778,7 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         # R1.hess(x) + R2.hess(va - x) + ridge, entry by entry, in one stack
         H = np.repeat(constant[None], len(x), axis=0)
         H[:, diagonal, diagonal] = (R1._hess_diagonal(x) + R2._hess_diagonal(va - x)) + 1e-12
-        step = _newton_steps(H, g)
+        step = newton_step(H, g)
         slope = np.sum(g * step, axis=-1)
         v1[active], primal = _line_search(R1, R2, va, x, step, f0, slope, armijo)
     worst = active[np.argmax(gap[active])]
@@ -786,31 +786,6 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         "inf-convolution newton stagnated",
         gap=float(gap[worst]), iterations=max_iter, best=v1[worst],
     )
-
-
-def _newton_steps(H, g):
-    """The Newton step -H^-1 g of each row; a singular row steps along -g.
-
-    Rows are solved by :func:`newton.lapack_solve`; a row whose step is not
-    finite is solved again by ``np.linalg.solve``.
-    """
-    with np.errstate(all="ignore"):
-        step = lapack_solve(H, -g)
-    redo = ~np.isfinite(step).all(axis=-1)
-    if redo.any():
-        step[redo] = _linalg_steps(H[redo], g[redo])
-    return step
-
-
-def _linalg_steps(H, g):
-    """The Newton steps of ``np.linalg.solve``; a singular row steps along -g."""
-    try:
-        return np.linalg.solve(H, -g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(g) == 1:
-            return -g
-        return np.concatenate([_linalg_steps(H[i : i + 1], g[i : i + 1])
-                               for i in range(len(g))])
 
 
 def _line_search(R1, R2, v, x, step, f0, slope, armijo):
@@ -853,22 +828,22 @@ class QyeFit:
 def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     """Fit the largest c and smallest C >= 0 valid on the sample.
 
-    ``samples`` is an array of shape (n, 2, dim) holding the pairs (v, xi),
-    or a sequence of such pairs.  The offset C is taken from a small
-    quantile (1%) of the violation distribution at c = 0 (identically zero
-    for nonnegative potentials).
+    ``samples`` holds the pairs (v, xi): an array of shape (n, 2, dim), or
+    what ``np.asarray`` makes one of, such as a list of pairs.  The offset C
+    is taken from a small quantile (1%) of the violation distribution at
+    c = 0 (identically zero for nonnegative potentials).
     Then c is the largest value, at least 0, for which every sampled pair
     satisfies R(v) + R*(xi) + C >= c ||v|| ||xi||_* up to a rounding
     tolerance of 1e-14 (1 + |R(v) + R*(xi)|).
     """
-    if isinstance(samples, np.ndarray):
+    try:
         pairs = np.asarray(samples, dtype=float)
-        if pairs.ndim != 3 or pairs.shape[1:] != (2, P.dim):
-            raise InputError(
-                f"qye_probe samples have shape {pairs.shape}, expected (n, 2, {P.dim})")
-    else:
-        pairs = np.array([(_as_vector(v, P.dim, "v"), _as_vector(xi, P.dim, "xi"))
-                          for v, xi in samples]).reshape(-1, 2, P.dim)
+    except (TypeError, ValueError):  # ragged pairs, or entries that are not numbers
+        raise InputError(f"qye_probe samples must be pairs (v, xi) of {P.dim} numbers "
+                         "each") from None
+    if pairs.ndim != 3 or pairs.shape[1:] != (2, P.dim):
+        raise InputError(
+            f"qye_probe samples have shape {pairs.shape}, expected (n, 2, {P.dim})")
     if not len(pairs):
         raise InputError("qye_probe needs a nonempty sample list")
     V, Xi = pairs[:, 0], pairs[:, 1]

@@ -204,36 +204,41 @@ def _prox_kernel(E, R):
     the constant Hessian parts of R (or of its members) and E for Newton,
     and R's value, gradient and Hessian diagonal at v = 0.
     A block step's kernel may be called with another frozen view of the same
-    energy; the parts do not depend on the frozen values.
+    energy; the parts do not depend on the frozen values.  Kinds that no
+    method covers raise :class:`InputError`.
     """
     base = R.base if isinstance(R, Rescaled) else R
-    if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
-        if base is not R:
-            # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
-            R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
-        parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
-        return partial(_infconv_prox, R.left, R.right, parts)
+    try:
+        if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
+            if base is not R:
+                # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
+                R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
+            parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
+            return partial(_infconv_prox, R.left, R.right, parts)
 
-    if isinstance(E, MaxNormEnergy):
-        VR = R.quadratic_matrix()
-        if VR is None or not _is_diagonal(VR):
-            raise InputError("max-norm prox requires a diagonal quadratic potential")
-        # dual weights: dual_rate(xi) = c * xi
-        return partial(_prox_maxnorm, R, VR, (1.0 / np.diag(VR)).tolist())
+        if isinstance(E, MaxNormEnergy):
+            VR = R.quadratic_matrix()
+            if VR is None or not _is_diagonal(VR):
+                raise InputError("max-norm prox requires a diagonal quadratic potential")
+            # dual weights: dual_rate(xi) = c * xi
+            return partial(_prox_maxnorm, R, VR, (1.0 / np.diag(VR)).tolist())
 
-    if _energy_is_quadratic(E):
-        # the loads are linear, so one Hessian holds at every time and state
-        H = E.hess(0.0, np.zeros(E.dim))
-        VR = R.quadratic_matrix()
-        if VR is not None:
-            return partial(_prox_quadratic, VR, H, lhs_by_h={})
-        parts = R.shrinkage_parts()
-        if parts is not None:
-            return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
+        if _energy_is_quadratic(E):
+            # the loads are linear, so one Hessian holds at every time and state
+            H = E.hess(0.0, np.zeros(E.dim))
+            VR = R.quadratic_matrix()
+            if VR is not None:
+                return partial(_prox_quadratic, VR, H, lhs_by_h={})
+            parts = R.shrinkage_parts()
+            if parts is not None:
+                return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
 
-    zero = np.zeros(E.dim)
-    R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
-    return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero)
+        zero = np.zeros(E.dim)
+        R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
+        return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero)
+    except NotImplementedError as exc:  # a kind without the smooth parts Newton needs
+        raise InputError(f"no prox method for {type(R).__name__} on {type(E).__name__}: "
+                         f"{exc}") from None
 
 
 def _energy_is_quadratic(E):
@@ -673,9 +678,6 @@ def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
     u_const = SampledCurve(grid, const, "piecewise-constant")
     stats = {
         "tol": tol,
-        "inner_factor": grid.M,
-        "scheme": scheme,
-        "argmin_selection": "deterministic-from-anchor",
         **{k: v for k, v in record.items()
            if k not in ("segments", "step_cells")},
     }

@@ -6,10 +6,7 @@ checks its input and calls a core.  A kind that stated its own entry would
 check its input a second time, or not at all.
 """
 
-import importlib
 import inspect
-
-import pytest
 
 from splitflow import energies, potentials, solvers
 from splitflow.energies import EnergySpec, MaxNormEnergy
@@ -44,11 +41,3 @@ def test_energy_families_state_only_cores():
               if name in vars(kind) and (kind, name) not in ENERGY_EXCEPTIONS]
     assert stated == []
 
-
-@pytest.mark.parametrize("name", ["splitflow"] + [f"splitflow.{m}" for m in (
-    "cli", "diagnostics", "energies", "errors", "models", "newton", "partitions",
-    "potentials", "solvers")])
-def test_every_exported_name_resolves(name):
-    module = importlib.import_module(name)
-    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
-    assert missing == []

@@ -16,7 +16,7 @@ from splitflow import cli
 from splitflow import potentials as pt
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
-from splitflow.newton import ARMIJO, accepts
+from splitflow.newton import ARMIJO, accepts, newton_step
 from splitflow.solvers import effective_potential
 
 
@@ -208,9 +208,12 @@ def test_newton_steps_equal_linalg_solve_bit_for_bit(dim):
     H[22] = np.outer(np.ones(dim), np.arange(dim))  # rank one
     g = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))
     g[9, 0] = math.nan
-    assert _bits(pt._newton_steps(H, g)) == _bits(_steps_reference(H, g))
+    steps = newton_step(H, g)
+    assert _bits(steps) == _bits(_steps_reference(H, g))
+    for i in range(len(g)):  # each row is its one-system step
+        assert _bits(steps[i]) == _bits(newton_step(H[i], g[i]))
     keep = np.setdiff1d(np.arange(40), [3, 9, 17, 22, 30])
-    assert _bits(pt._newton_steps(H[keep], g[keep])) == _bits(np.linalg.solve(
+    assert _bits(newton_step(H[keep], g[keep])) == _bits(np.linalg.solve(
         H[keep], -g[keep][..., None])[..., 0])
 
 
@@ -316,10 +319,18 @@ def test_qye_probe_fits_arrays_and_lists_alike(model, params):
         assert _bits(fit.worst_pair) == _bits(worst)
 
 
-@pytest.mark.parametrize("shape", [(10, 3), (10, 3, 2, 1), (10, 3, 3), (10, 2, 4), (0, 2, 3)])
-def test_malformed_sample_array_raises_one_line(shape):
+@pytest.mark.parametrize("samples", [np.ones(shape) for shape in (
+    (10, 3), (10, 3, 2, 1), (10, 3, 3), (10, 2, 4), (0, 2, 3))] + [
+    [([1.0, 2.0, 3.0], [1.0, 2.0])],  # ragged
+    [([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), ([1.0], [1.0, 2.0, 3.0])],  # ragged
+    [([1.0, 2.0], [1.0, 2.0])],  # pairs of the wrong dimension
+    [([1.0, 2.0, 3.0],)],  # not a pair
+    [([1.0, 2.0, "x"], [1.0, 2.0, 3.0])],  # not numbers
+    [],
+])
+def test_malformed_samples_raise_one_line(samples):
     with pytest.raises(InputError) as info:
-        pt.qye_probe(pt.PowerNorm(3.0, [1.0, 1.0, 1.0]), np.ones(shape))
+        pt.qye_probe(pt.PowerNorm(3.0, [1.0, 1.0, 1.0]), samples)
     assert len(str(info.value).splitlines()) == 1
 
 

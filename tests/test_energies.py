@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from splitflow import energies as en
 from splitflow.errors import ConfigurationError, InputError
+from splitflow.models import make_model
 
 
 def quad_block_identity():
@@ -298,14 +299,11 @@ def test_batch_rows_equal_single_calls(E, exact, rows, times, one_time):
 
 
 def auto_shift_reference(energy, radius=4.0, n_samples=128, seed=0):
-    """The shift from one draw and one checked ``eval`` per state."""
+    """1 + max(0, -min) of one batched ``eval`` of the states of single draws."""
     rng = np.random.default_rng(seed)
-    lo = math.inf
-    for t in np.linspace(0.0, 1.0, 9):
-        for _ in range(n_samples // 8):
-            u = rng.standard_normal(energy.dim) * radius
-            lo = min(lo, energy.eval(t, u))
-    return 1.0 + max(0.0, -lo)
+    times = [t for t in np.linspace(0.0, 1.0, 9) for _ in range(n_samples // 8)]
+    states = [rng.standard_normal(energy.dim) * radius for _ in times]
+    return 1.0 + max(0.0, -float(np.min(energy.eval(np.array(times), np.array(states)))))
 
 
 def _drawn_load(rng, dim, size):
@@ -330,17 +328,26 @@ def _drawn_loaded_energy(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["allen-cahn", "quadratic-block"])
-def test_auto_shift_equals_the_shift_of_single_state_evaluations(kind):
+def test_auto_shift_is_one_plus_the_negative_part_of_the_batched_minimum(kind):
     rng = np.random.default_rng(16)
     shifts = []
     for _ in range(60):
         E = _drawn_loaded_energy(rng, kind)
         shifts.append(auto_shift_reference(E))
         assert en._auto_shift(E).hex() == shifts[-1].hex()
-    # both outcomes occur: a floor of exactly 1.0 from the one batched
-    # evaluation, and a negative sampled minimum from the per-state loop
+    # both outcomes occur: a floor of exactly 1.0, and a negative sampled minimum
     assert shifts.count(1.0) >= 10
     assert sum(s > 1.0 for s in shifts) >= 10
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("counterexample", {}), ("allen-cahn-1d", {}), ("allen-cahn-1d", {"p": 3.0}),
+    ("visco-plasticity-1d", {}), ("visco-plasticity-1d", {"m": 16}),
+])
+def test_every_preset_shift_is_exactly_one(name, overrides):
+    # every sampled preset energy is positive, at the defaults and at the
+    # bench's overrides: the shift, and so every output, keeps its bits
+    assert make_model(name, **overrides).system.energy.shift == 1.0
 
 
 def test_auto_shift_evaluates_the_single_draws_as_one_batch():
@@ -359,16 +366,3 @@ def test_auto_shift_evaluates_the_single_draws_as_one_batch():
               for t in np.linspace(0.0, 1.0, 9) for _ in range(16)]
     np.testing.assert_array_equal(times, [t for t, _ in single])
     np.testing.assert_array_equal(states, [u for _, u in single])
-
-
-def test_a_batched_value_inside_its_rounding_bound_takes_the_per_state_loop():
-    # a family whose batched values round up to just above 0 while each single
-    # state's value is below it: the batch may not decide the shift
-    class Rounded(en.MaxNormEnergy):
-        def _eval(self, t, u):
-            return np.full(len(u), 1e-16) if u.ndim == 2 else -1e-9
-
-        def _eval_scale(self, t, u):
-            return np.ones(len(u))
-
-    assert Rounded(shift="auto").shift == 1.0 + 1e-9

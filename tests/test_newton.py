@@ -9,14 +9,11 @@ from splitflow import newton
 
 
 def step_reference(H, g):
-    """The Newton step through ``np.linalg.solve`` and its regularisation."""
-    bump = 0.0
-    for _ in range(8):
-        try:
-            return np.linalg.solve(H + bump * np.eye(len(g)) if bump else H, -g)
-        except np.linalg.LinAlgError:
-            bump = max(1e-10, 10.0 * bump)
-    return -g
+    """The Newton step through ``np.linalg.solve``; a singular H steps along -g."""
+    try:
+        return np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return -g
 
 
 @pytest.mark.parametrize("dim", range(1, 34))
@@ -34,11 +31,11 @@ def test_step_equals_linalg_solve_bit_for_bit(dim, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", no_fallback)
     for H, g, expected in cases:
-        assert newton._step(H, g).tobytes() == expected.tobytes()
+        assert newton.newton_step(H, g).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("H, g", [
-    (np.zeros((3, 3)), np.array([1.0, -2.0, 0.5])),  # singular: the bump path
+    (np.zeros((3, 3)), np.array([1.0, -2.0, 0.5])),  # singular: the gradient step
     (np.ones((2, 2)), np.array([1.0, 0.0])),
     (np.array([[1e-300]]), np.array([1e300])),  # a solve that overflows
     (np.eye(2), np.array([np.nan, 1.0])),
@@ -47,4 +44,4 @@ def test_a_step_that_is_not_finite_takes_the_reference_path(H, g):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = step_reference(H, g)
-        assert newton._step(H, g).tobytes() == expected.tobytes()
+        assert newton.newton_step(H, g).tobytes() == expected.tobytes()

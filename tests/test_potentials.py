@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from splitflow import potentials as pt
 from splitflow.errors import ConfigurationError, InputError, NumericalError
+from splitflow.newton import newton_step
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +781,7 @@ def test_newton_decomposition_with_a_member_below_p_two_converges_on_random_pair
 def test_newton_step_of_a_singular_row_is_the_gradient_step():
     H = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2))])
     g = np.array([[2.0, 4.0], [1.0, -1.0]])
-    np.testing.assert_array_equal(pt._newton_steps(H, g), [[-1.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(newton_step(H, g), [[-1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_qye_probe_decomposes_the_whole_sample_in_one_call(monkeypatch):

@@ -881,3 +881,17 @@ def test_solve_rejects_unknown_scheme():
     P = pa.build_partition(1.0, N=2)
     with pytest.raises(InputError):
         sv.solve(counterexample_system(), "leapfrog", P, [2.0, 1.0], 1e-10, 8)
+
+
+def test_effective_scheme_with_a_yield_member_and_no_blocks_is_an_input_error():
+    # the pair's inf-convolution has no smooth Hessian, and no block layout
+    # gives it the joint block step; split and AMM prox each member alone
+    sys = sv.GradientSystem(en.QuadraticBlockEnergy(np.eye(2)), pt.QuadraticForm(np.eye(2)),
+                            pt.OneHomPlusQuad(0.3, 1.0, dim=2))
+    P = pa.build_partition(1.0, N=4)
+    for scheme in ("split", "amm"):
+        sv.solve(sys, scheme, P, [1.0, -0.5], 1e-10, 2)
+    with pytest.raises(InputError) as info:
+        sv.solve(sys, "effective", P, [1.0, -0.5], 1e-10, 2)
+    assert str(info.value) == ("no prox method for InfConvolution on QuadraticBlockEnergy: "
+                               "OneHomPlusQuad has no smooth Hessian")
