@@ -107,16 +107,11 @@ def _load_config(path):
 
 
 def _apply_flags(cfg: RunConfig, args):
-    for attr in ("model", "scheme", "inner_steps", "tol", "out", "seed", "samples"):
+    for attr in ("model", "scheme", "N", "nodes", "inner_steps", "tol", "out", "seed",
+                 "samples", "study"):
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
-    if getattr(args, "N", None) is not None:
-        cfg.N = args.N
-    if getattr(args, "nodes", None):
-        cfg.nodes = args.nodes
-    if getattr(args, "study", None):
-        cfg.study = args.study
     if getattr(args, "override", None):
         cfg.overrides.update(args.override)
     return cfg

@@ -203,7 +203,7 @@ def _anchored_power(E, out, interval):
     A step from anchor a with eval time t_k is minimal, so it bounds
     E(t_k, u_k) + ... by E(t_k, a) = E(t_{k-1}, a) + int d_t E(r, a) dr.
     At a fixed state the integral is an energy difference, exact with no
-    quadrature, and exactly 0 for an autonomous energy.
+    quadrature, and exactly 0 for an energy that does not depend on time.
     """
     cells, lo, hi = _clip_cells(out.grid, interval)
     i = np.arange(cells.start, cells.stop)
@@ -274,8 +274,9 @@ def edb_audit(
     n_steps = max(
         1, int(np.sum((out.partition.nodes[1:] > s) & (out.partition.nodes[:-1] < t)))
     )
-    # prox solves per step: 2 half-steps, or 2 * inner factor cells per step
-    per_step = 2.0 if out.is_movement else 2.0 * out.grid.M
+    # the prox solves the run made per step: none for an exact flow, one for
+    # an effective run, 2 half-steps for AMM, one per cell for a split run
+    per_step = len(out.stats.get("inner_iterations", ())) / out.partition.N
     inner_budget = per_step * n_steps * out.inner_tol
     scale = 1.0 + abs(e_start) + abs(e_end)
     slack = SLACK_FACTOR * inner_budget + 1e-11 * scale
@@ -315,7 +316,7 @@ def edb_audit(
         remainder_bound=remainder_bound,
     )
 
-    if with_decomposition and sys.r2 is not None and out.scheme != "effective":
+    if with_decomposition and out.scheme != "effective":
         r_eff = effective_potential(sys)
         v1, v2, defect, gap = _decomposition(out, sys, interval, r_eff)
         report.v1, report.v2 = v1, v2

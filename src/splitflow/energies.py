@@ -1,4 +1,4 @@
-"""Time-dependent driving energies with power derivative and subdifferential.
+"""Time-dependent driving energies with gradient and subdifferential.
 
 Three families are provided:
 
@@ -15,11 +15,13 @@ Three families are provided:
 All subdifferentials are taken in the plain Euclidean pairing; mesh factors
 are folded into the discrete functionals.
 
-``eval`` and ``power`` take one state and return a float, or a batch of
-states as rows of shape (n, dim), with one time per row or one time for
-all, and return one value per row.  :class:`EnergySpec` owns these checked
-entries and ``grad``: each checks the state once and calls the family's
-core (``_eval``, ``_power``, ``_grad``), so a family states only its cores.
+``eval`` takes one state and returns a float, or a batch of states as
+rows of shape (n, dim), with one time per row or one time for all, and
+returns one value per row.  Time enters only through ``eval`` (and the
+gradient): the audit takes the power integral as an exact energy
+difference.  :class:`EnergySpec` owns the checked entries ``eval`` and
+``grad``: each checks the state once and calls the family's core (``_eval``,
+``_grad``), so a family states only its cores.
 """
 
 from __future__ import annotations
@@ -49,11 +51,7 @@ def _is_time_array(t):
 
 @dataclass(frozen=True)
 class Load:
-    """Closed-form load c0 + c1 t + amp sin(omega t + phase), per coordinate.
-
-    Keeping loads in closed form makes the power term exact, which the
-    energy-dissipation audit relies on.
-    """
+    """Closed-form load c0 + c1 t + amp sin(omega t + phase), per coordinate."""
 
     c0: np.ndarray
     c1: np.ndarray
@@ -73,22 +71,9 @@ class Load:
         object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "phase", float(phase))
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(np.zeros(dim))
-
-    @classmethod
-    def constant(cls, c):
-        return cls(c)
-
     @property
     def dim(self):
         return self.c0.size
-
-    @property
-    def is_constant(self):
-        """True when l'(t) = 0 for every t: no drift, and no oscillation."""
-        return not self.c1.any() and (not self.amp.any() or self.omega == 0.0)
 
     @property
     def is_zero(self):
@@ -102,13 +87,6 @@ class Load:
         t = t[:, None]
         return self.c0 + self.c1 * t + self.amp * np.sin(self.omega * t + self.phase)
 
-    def derivative(self, t):
-        """l'(t); one row per time for a one-dimensional array of times."""
-        if not _is_time_array(t):
-            return self.c1 + self.amp * self.omega * math.cos(self.omega * t + self.phase)
-        t = t[:, None]
-        return self.c1 + self.amp * self.omega * np.cos(self.omega * t + self.phase)
-
 
 def _dot(a, b):
     """<a, b> for two vectors, else row by row (a single vector broadcasts)."""
@@ -119,11 +97,9 @@ def _dot(a, b):
 
 def _as_load(obj, dim, name):
     if obj is None:
-        return Load.zero(dim)
+        return Load(np.zeros(dim))
     if not isinstance(obj, Load):
-        raise ConfigurationError(
-            f"{name} must be a Load descriptor with analytic derivative"
-        )
+        raise ConfigurationError(f"{name} must be a Load descriptor")
     if obj.dim != dim:
         raise ConfigurationError(f"{name} has dimension {obj.dim}, expected {dim}")
     return obj
@@ -196,8 +172,6 @@ class EnergySpec:
     dim: int
     shift: float
     lambda_convexity: float
-    # True when d_t E = 0 identically; the power integral then vanishes
-    autonomous = False
 
     def _resolve_shift(self, shift):
         """Numeric shifts pass through; 'auto' samples for a positive floor."""
@@ -213,10 +187,6 @@ class EnergySpec:
         """E(t, u): a float for one state, one value per row for an (n, dim)
         batch, with ``t`` one time for all rows or one time per row."""
         return _value(self._eval(t, self._batch(u, "state")))
-
-    def power(self, t, u):
-        """The power d_t E(t, u), for one state or a batch like ``eval``."""
-        return _value(self._power(t, self._batch(u, "state")))
 
     def grad(self, t, u) -> np.ndarray:
         """The gradient at (t, u) of a differentiable energy."""
@@ -237,9 +207,6 @@ class EnergySpec:
     # -- cores: unchecked, called by the entries above and the Newton kernels --
 
     def _eval(self, t, u):
-        raise NotImplementedError
-
-    def _power(self, t, u):
         raise NotImplementedError
 
     def _grad(self, t, u):
@@ -301,10 +268,6 @@ class QuadraticBlockEnergy(EnergySpec):
     def dim(self):
         return self.n_y + self.n_z
 
-    @property
-    def autonomous(self):
-        return self.f.is_constant and self.g.is_constant
-
     def _eval(self, t, u):
         y, z = u[..., : self.n_y], u[..., self.n_y :]
         # B y for one state; for a batch, the rows y B^T (equal to rounding)
@@ -314,10 +277,6 @@ class QuadraticBlockEnergy(EnergySpec):
         if self._loaded:
             val -= _dot(self.f.value(t), y) + _dot(self.g.value(t), z)
         return val + self.shift
-
-    def _power(self, t, u):
-        y, z = u[..., : self.n_y], u[..., self.n_y :]
-        return -_dot(self.f.derivative(t), y) - _dot(self.g.derivative(t), z)
 
     def _grad(self, t, u):
         y, z = u[: self.n_y], u[self.n_y :]
@@ -356,7 +315,6 @@ class MaxNormEnergy(EnergySpec):
     """
 
     dim = 2
-    autonomous = True
 
     def __init__(self, shift=0.0):
         self.lambda_convexity = 0.0
@@ -364,9 +322,6 @@ class MaxNormEnergy(EnergySpec):
 
     def _eval(self, t, u):
         return np.abs(u).max(axis=-1) + self.shift
-
-    def _power(self, t, u):
-        return 0.0 if u.ndim == 1 else np.zeros(len(u))
 
     def grad(self, t, u):
         # the one family whose gradient reads its set-valued subdifferential
@@ -452,18 +407,11 @@ class AllenCahn1DEnergy(EnergySpec):
     def dim(self):
         return self.m
 
-    @property
-    def autonomous(self):
-        return self.load.is_constant
-
     def _eval(self, t, u):
         val = 0.5 * _dot(u @ self.K, u) + self.h * self.well(u).sum(axis=-1)
         if self._loaded:
             val = val - self.h * _dot(self.load.value(t), u)
         return val + self.shift
-
-    def _power(self, t, u):
-        return -self.h * _dot(self.load.derivative(t), u)
 
     def _grad(self, t, u):
         d1 = self.well.d1(u)
@@ -476,7 +424,3 @@ class AllenCahn1DEnergy(EnergySpec):
 
     def _hess_diagonal(self, t, u):
         return self._K_diagonal + self.h * self.well.d2(u)
-
-    def l2_weights(self):
-        """Diagonal weights of the discrete L2 norm, sqrt(h) per node."""
-        return np.full(self.m, math.sqrt(self.h))

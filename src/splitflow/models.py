@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class ModelPreset:
     u0: np.ndarray
     horizon: float = 1.0
     norm_weights: np.ndarray = None
-    extras: dict = field(default_factory=dict)
 
 
 def make_model(name, **overrides) -> ModelPreset:
@@ -171,7 +170,6 @@ def _make_allen_cahn(m=16, p=2.0, well_scale=1.0, well_pos=1.0, load=None,
         u0=u0,
         horizon=float(T),
         norm_weights=np.full(m, math.sqrt(h)),
-        extras={"mesh_h": h},
     )
 
 
@@ -212,7 +210,6 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
         energy=energy,
         r1=BlockIndicator(Ry, idx_y, dim),
         r2=BlockIndicator(Rz, idx_z, dim),
-        block_layout=(m, n_el),
     )
     x = np.linspace(0.0, 1.0, m + 2)[1:-1]
     y0 = 0.3 * np.sin(math.pi * x) if y0 is None else np.asarray(y0, dtype=float)
@@ -232,7 +229,6 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
         system=system,
         u0=np.concatenate([y0, z0]),
         horizon=float(T),
-        extras={"mesh_h": h},
     )
 
 

@@ -58,7 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GradientSystem:
-    """Energy plus one or two dissipation potentials, optionally blocked.
+    """Energy plus two dissipation potentials.
+
+    ``block_layout`` is read off the pair once: ``(n_y, n_z)`` when ``r1``
+    is a :class:`BlockIndicator` active on ``0..n_y-1`` and ``r2`` one active
+    on ``n_y..dim-1``, else None.  Split and AMM runs of a system with a
+    block layout are the staggered block schemes.
 
     Systems hash and compare by identity: their potentials hold arrays, and
     two systems built alike are still two systems.
@@ -66,29 +71,14 @@ class GradientSystem:
 
     energy: EnergySpec
     r1: Potential
-    r2: Potential = None
-    block_layout: tuple = None
+    r2: Potential
+    block_layout: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.r1.dim != self.energy.dim:
-            raise ConfigurationError("r1 dimension disagrees with the energy")
-        if self.r2 is not None and self.r2.dim != self.energy.dim:
-            raise ConfigurationError("r2 dimension disagrees with the energy")
-        if self.block_layout is not None:
-            n_y, n_z = self.block_layout
-            if n_y + n_z != self.energy.dim:
-                raise ConfigurationError("block layout does not cover the state")
-            blocks = self.block_indices()
-            for r, name, block in zip((self.r1, self.r2), ("r1", "r2"), blocks):
-                if not isinstance(r, BlockIndicator):
-                    raise ConfigurationError(
-                        f"{name} must be a BlockIndicator for block systems"
-                    )
-                # a block step moves the layout's block under r's potential
-                if not np.array_equal(r.active, np.arange(block.start, block.stop)):
-                    raise ConfigurationError(
-                        f"{name} is not active on its block of the layout"
-                    )
+        for r, name in ((self.r1, "r1"), (self.r2, "r2")):
+            if r.dim != self.energy.dim:
+                raise ConfigurationError(f"{name} dimension disagrees with the energy")
+        object.__setattr__(self, "block_layout", _block_layout(self.r1, self.r2))
 
     @property
     def dim(self):
@@ -98,6 +88,18 @@ class GradientSystem:
         """The index ranges of the blocks y and z, as slices."""
         n_y, n_z = self.block_layout
         return slice(0, n_y), slice(n_y, n_y + n_z)
+
+
+def _block_layout(r1, r2):
+    """``(n_y, n_z)`` when r1 and r2 are block indicators on the contiguous
+    blocks y = 0..n_y-1 and z = n_y..dim-1 of the state, else None."""
+    if not (isinstance(r1, BlockIndicator) and isinstance(r2, BlockIndicator)):
+        return None
+    n_y = r1.active.size
+    blocks = np.arange(n_y), np.arange(n_y, r1.dim)
+    if not all(np.array_equal(r.active, b) for r, b in zip((r1, r2), blocks)):
+        return None
+    return n_y, r2.active.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +295,23 @@ def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
         y = d_new + (t_mom - 1.0) / t_new * (d_new - d)
         d, t_mom = d_new, t_new
         gs = E._grad(t, anchor + d) + quad_w * d / h
-        res_vec = np.where(
-            d != 0.0, gs + sigma_w * np.sign(d), np.maximum(np.abs(gs) - sigma_w, 0.0)
-        )
-        res = float(np.linalg.norm(res_vec))
+        res = _shrinkage_residual(gs, d, sigma_w)
         if not math.isfinite(res):  # an infinite scale would take it
             break
         if res <= tol * scale:
             u = anchor + d
             return u, E._grad(t, u), _ProxStats(it + 1, res, "shrinkage-fista")
     raise NumericalError("shrinkage prox stagnated", iterations=it + 1, best=anchor + d)
+
+
+def _shrinkage_residual(smooth, d, sigma_w):
+    """Optimality residual at d of sum_i sigma_i |d_i| plus a smooth part
+    whose gradient at d is ``smooth``: the distance of -smooth from the
+    subdifferential of the weighted l1 term."""
+    res_vec = np.where(
+        d != 0.0, smooth + sigma_w * np.sign(d), np.maximum(np.abs(smooth) - sigma_w, 0.0)
+    )
+    return float(np.linalg.norm(res_vec))
 
 
 def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
@@ -732,8 +741,6 @@ def split_step_solve(
     sys: GradientSystem, P: Partition, u0, inner_steps=DEFAULT_INNER_FACTOR, tol=1e-10
 ):
     """Concatenated single-mechanism flows on alternating semi-intervals."""
-    if sys.r2 is None:
-        raise InputError("split stepping needs both dissipation mechanisms")
     grid = P.refine(inner_steps)
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     record = {}
@@ -764,8 +771,6 @@ def amm_solve(
     the first mechanism at the midpoint time from the previous endpoint, the
     second at the node time from the intermediate state.
     """
-    if sys.r2 is None:
-        raise InputError("alternating minimizing movements need both mechanisms")
     grid = P.refine(inner_factor)
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     first, second = _half_step(sys, 1), _half_step(sys, 2)
@@ -780,8 +785,6 @@ def amm_solve(
 
 def effective_potential(sys: GradientSystem) -> Potential:
     """The inf-convolution of the system's two dissipation potentials."""
-    if sys.r2 is None:
-        return sys.r1
     return InfConvolution(sys.r1, sys.r2)
 
 
@@ -798,7 +801,7 @@ def effective_solve(
     E = sys.energy
     record = {}
 
-    if sys.r2 is not None and _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
+    if _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
         weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
         pieces = [(0.0, P.T, weights, False)]
         values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
@@ -886,12 +889,7 @@ def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
     if z_parts is not None:
         sigma_w, quad_w = z_parts
         smooth = quad_w * vz + gz
-        rz_vec = np.where(
-            vz != 0.0,
-            smooth + sigma_w * np.sign(vz),
-            np.maximum(np.abs(smooth) - sigma_w, 0.0),
-        )
-        rz = float(np.linalg.norm(rz_vec))
+        rz = _shrinkage_residual(smooth, vz, sigma_w)
     else:
         rz = float(np.linalg.norm(sys.r2.base.grad(vz) + gz))
     return math.hypot(ry, rz), g

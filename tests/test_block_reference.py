@@ -175,8 +175,7 @@ def block_system(n_y, n_z, rng):
     Ry = pt.QuadraticForm(np.diag(rng.uniform(0.5, 2.0, n_y)))
     Rz = pt.OneHomPlusQuad(0.1, 1.0, rng.uniform(0.5, 2.0, n_z))
     return sv.GradientSystem(E, pt.BlockIndicator(Ry, np.arange(n_y), n),
-                             pt.BlockIndicator(Rz, np.arange(n_y, n), n),
-                             block_layout=(n_y, n_z))
+                             pt.BlockIndicator(Rz, np.arange(n_y, n), n))
 
 
 @pytest.mark.parametrize("layout", [(2, 0), (0, 3), (2, 3)])

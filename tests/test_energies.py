@@ -42,7 +42,7 @@ def test_allen_cahn_eval_zero_state():
 
 
 def test_allen_cahn_eval_matches_direct_sum():
-    E = en.AllenCahn1DEnergy(m=5, load=en.Load.constant(np.full(5, 0.3)))
+    E = en.AllenCahn1DEnergy(m=5, load=en.Load(np.full(5, 0.3)))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(5)
     ext = np.concatenate([[0.0], u, [0.0]])
@@ -56,32 +56,6 @@ def test_allen_cahn_eval_matches_direct_sum():
 def test_eval_dimension_mismatch():
     with pytest.raises(InputError):
         allen_cahn_3().eval(0.0, np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
-# power
-# ---------------------------------------------------------------------------
-
-
-def test_maxnorm_power_is_zero():
-    E = en.MaxNormEnergy()
-    assert E.power(0.7, [3.0, -1.0]) == 0.0
-
-
-def test_quadratic_block_power_linear_load():
-    E = en.QuadraticBlockEnergy(
-        A=np.eye(2),
-        B=np.zeros((1, 2)),
-        G=np.eye(1),
-        f=en.Load(c0=[0.0, 0.0], c1=[1.0, 0.0]),
-    )
-    u = np.array([2.0, 0.0, 0.0])
-    assert E.power(0.3, u) == pytest.approx(-2.0)
-
-
-def test_allen_cahn_power_zero_load():
-    E = allen_cahn_3()
-    assert E.power(0.5, np.ones(3)) == 0.0
 
 
 def test_load_requires_descriptor():
@@ -198,20 +172,6 @@ def test_gradient_matches_central_differences(E):
             assert fd == pytest.approx(g[j], rel=1e-5, abs=1e-7)
 
 
-def test_power_matches_time_differences():
-    E = en.QuadraticBlockEnergy(
-        A=np.eye(1), G=np.eye(1), B=np.zeros((1, 1)),
-        f=en.Load([0.3], c1=[0.7], amp=[0.1], omega=3.0),
-        g=en.Load([0.0], c1=[-0.2]),
-    )
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        t = rng.uniform(0.1, 0.9)
-        u = rng.standard_normal(2)
-        fd = (E.eval(t + 1e-6, u) - E.eval(t - 1e-6, u)) / 2e-6
-        assert fd == pytest.approx(E.power(t, u), rel=1e-6, abs=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # lambda-convexity
 # ---------------------------------------------------------------------------
@@ -285,17 +245,16 @@ BATCH_ENERGIES = [
 def test_batch_rows_equal_single_calls(E, exact, rows, times, one_time):
     rows = np.array(rows)[:, : E.dim]
     ts = np.array(times[: len(rows)])
-    for method in (E.eval, E.power):
-        batch = method(ts[0] if one_time else ts, rows)
-        assert isinstance(batch, np.ndarray) and batch.shape == (len(rows),)
-        for t, row, value in zip(ts, rows, batch):
-            single = method(ts[0] if one_time else float(t), row)
-            assert type(single) is float
-            if exact:
-                assert value == single
-            else:
-                # the power sums load terms of both signs: an absolute floor too
-                assert math.isclose(value, single, rel_tol=1e-13, abs_tol=1e-13)
+    batch = E.eval(ts[0] if one_time else ts, rows)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(rows),)
+    for t, row, value in zip(ts, rows, batch):
+        single = E.eval(ts[0] if one_time else float(t), row)
+        assert type(single) is float
+        if exact:
+            assert value == single
+        else:
+            # the value sums load terms of both signs: an absolute floor too
+            assert math.isclose(value, single, rel_tol=1e-13, abs_tol=1e-13)
 
 
 def auto_shift_reference(energy, radius=4.0, n_samples=128, seed=0):

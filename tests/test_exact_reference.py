@@ -411,7 +411,7 @@ CLI_PINNED = {
     "preset/split": (0.9166666666666666, {
         "decomposition_v1.csv": "124f53332df76cda8ca2056b1dabc6a2bd7c99cd47b84ae066f2edd6f6156f27",
         "decomposition_v2.csv": "d456b4b10353c940ccf05ccb28332c4d8927abc9904a2c7a08d2f773db61162b",
-        "edb.json": "90aee6d91d7c20e65cbbbc4034885590885401e4e9f846dc51e921c462933d7e",
+        "edb.json": "43c5a7a967485fce7ab7a47e0c0b550a8472f7a8c05c2a27ebf9f2aa6419855c",
         "forces.csv": "fa1b707604f49d18a4422e0a14d143b9ed83aebee0fd40e25279780a26141724",
         "trajectory.csv": "e5047fcf1f2f7b78513d6b814b80d39fa5b5213561f2283d6e950b8e95f062c7",
     }),
@@ -423,14 +423,14 @@ CLI_PINNED = {
         "trajectory.csv": "572868552770fd7f64d152c0203efeb764113a017adbd822a7cc5a28b0839511",
     }),
     "preset/effective": (0.75, {
-        "edb.json": "896704220b49ca5fd69b29bb05fd0462a2a091af72671f9e2ebde6aa298a0255",
+        "edb.json": "20049821f7ad6d68cdb8e3bebad28196a7d48781a42a8563392e14225b765397",
         "forces.csv": "de9785013bda179d97663a6689ef321532083f127b9fa48f373a9593a6185455",
         "trajectory.csv": "0819201929c32674916b1efd3dd564f9a1e03693a1cd96ec7735c214c5449788",
     }),
     "anti-face/split": (0.4666666666666666, {
         "decomposition_v1.csv": "17ec41d2e440cfead3754a9c52eb7dffba877b688c19a9505b4d0e039aba62e0",
         "decomposition_v2.csv": "a9e173f9774f169ec0c6a194893d445ee854af47f372bf29231bdca889173035",
-        "edb.json": "668045c02136aa77de3c8679fb6d53a33dc607090d0a4de5c13181c64f57861d",
+        "edb.json": "57bca77bf09310e22acf8fb02fb313ac9b3b0a73ec6bf064a51c04417ff418b2",
         "forces.csv": "3f022415eb4cbb4368f1349020a1c28201f3312dddbd110f03de688f5629a6ef",
         "trajectory.csv": "556d733e7ddbbe1cc0afe58a79a00d612f66fc76f74e87d3b717fb8dd08678d4",
     }),
@@ -442,14 +442,14 @@ CLI_PINNED = {
         "trajectory.csv": "8e58e0e579e4c20603b9b8ca0aba4e8f86b718fad8258f218c1c145093244ec2",
     }),
     "anti-face/effective": (0.35, {
-        "edb.json": "796310090207a31690ea22257a307197dbb82ea0a26052fbfab641fbfaf5a93f",
+        "edb.json": "2b412062bb92216d3d767a333fd188c3fda5d1c3fb8d2d64fca650cfbf3a7179",
         "forces.csv": "4832bb06a5e4b96c743a342f99b75d2c2467d9e1d9fc462cee134606f8eb083e",
         "trajectory.csv": "0adbc8aaef97141370d01c45ec5c03152059535c9c9d17f7c0a37c4f97744b71",
     }),
     "zero-coordinate/split": (0.3999999999999999, {
         "decomposition_v1.csv": "565e474de7fb34dc2b876f159b4c854b9b81b68e7adea5b2182eddbee1c5ef62",
         "decomposition_v2.csv": "18d19a252fcabe25d514f1ae3c2aa2164782c9b15acea370d54e3efd032f5504",
-        "edb.json": "4b98dd20bc0f95e53aec827faf785455b19444e4ea7ca7e11d9657c4e993c78b",
+        "edb.json": "9f7e4372fd92e852a6a901356c68eaf8656da6d5ddc5e08e4c51fdaa6918485b",
         "forces.csv": "4654def3577b1ae55c69ee22de6bfcc1ed75fe21dafaa670ea106e903a4ed42d",
         "trajectory.csv": "286af8404929b0c4caad29b35fe44c46552534fe685188297c13c7d9a2b5dde0",
     }),
@@ -461,7 +461,7 @@ CLI_PINNED = {
         "trajectory.csv": "396d7858346fe70d0633d37e19dff0b030c6d52fecad4f1d1ce135d6d6e2ac55",
     }),
     "zero-coordinate/effective": (0.375, {
-        "edb.json": "89f9f16eebece58a876d5687b850c38b14ff3a553966d9e697597e95923d9f1c",
+        "edb.json": "9e33befd98791ab0fde0077fef89b69d6dc9c8ee12190c65b6b1ea6d7d6c7872",
         "forces.csv": "19c063cf142d371fda43986e52b5ea9948d13d1416c2d2605e2d44825a4a6df8",
         "trajectory.csv": "c3e8a97d36b12b99d1686f626053395688877d6c7d82dd9747ba050662604880",
     }),

@@ -34,10 +34,10 @@ ENERGIES = [
     ("quadratic-block", en.QuadraticBlockEnergy(
         A=_SPD3[:2, :2], B=[[0.3, -0.2]], G=[[1.0]],
         f=en.Load([0.1, -0.2], c1=[0.5, 0.0]), g=en.Load([0.3], amp=[0.2], omega=2.0)),
-     ("eval", "power", "grad")),
-    ("max-norm", en.MaxNormEnergy(), ("eval", "power", "grad")),
+     ("eval", "grad")),
+    ("max-norm", en.MaxNormEnergy(), ("eval", "grad")),
     ("allen-cahn", en.AllenCahn1DEnergy(3, load=en.Load([0.1, 0.0, -0.3], c1=[1.0, 0, 0])),
-     ("eval", "power", "grad", "hess")),
+     ("eval", "grad", "hess")),
 ]
 CASES = [(name, obj, meth, False) for name, obj, methods in POTENTIALS for meth in methods]
 CASES += [(name, obj, meth, True) for name, obj, methods in ENERGIES for meth in methods]

@@ -75,7 +75,7 @@ def test_allen_cahn_r2_conjugate_is_laplacian_solve():
     sys = preset.system
     K = sys.energy.K
     rng = np.random.default_rng(21)
-    h = preset.extras["mesh_h"]
+    h = sys.energy.h
     ratios = []
     for _ in range(200):
         xi = rng.standard_normal(16)

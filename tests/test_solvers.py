@@ -8,7 +8,7 @@ from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
-from splitflow.errors import ConfigurationError, InputError, NumericalError
+from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
 
 
@@ -376,19 +376,24 @@ def test_amm_energy_monotone_autonomous():
 # ---------------------------------------------------------------------------
 
 
-def test_block_layout_must_match_the_indicators():
-    # a block-split run of this system moved coordinates 0 and 1 under the
-    # potential of block [0, 2], and its audit read d_rate = inf
+def test_block_layout_is_read_off_the_indicators():
+    # a block-split run moving coordinates 0 and 1 under the potential of
+    # block [0, 2] read d_rate = inf in its audit: such a pair has no layout
     E = en.QuadraticBlockEnergy(np.eye(2), np.zeros((1, 2)), np.eye(1), f=en.Load([1.0, 0.5]))
-    r1 = pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 2], 3)
-    r2 = pt.BlockIndicator(pt.QuadraticForm(np.eye(1)), [1], 3)
-    with pytest.raises(ConfigurationError, match="r1 is not active on its block"):
-        sv.GradientSystem(E, r1, r2, block_layout=(2, 1))
-    y = pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 3)
-    with pytest.raises(ConfigurationError, match="r2 is not active on its block"):
-        sv.GradientSystem(E, y, r2, block_layout=(2, 1))
-    z = pt.BlockIndicator(pt.QuadraticForm(np.eye(1)), [2], 3)
-    assert sv.GradientSystem(E, y, z, block_layout=(2, 1)).block_indices()[1] == slice(2, 3)
+    P = pa.build_partition(1.0, N=2)
+
+    def indicator(active):
+        return pt.BlockIndicator(pt.QuadraticForm(np.eye(len(active))), active, 3)
+
+    y, z = indicator([0, 1]), indicator([2])
+    for r1, r2 in ((z, y), (indicator([0, 2]), indicator([1]))):  # wrong order, gaps
+        sys = sv.GradientSystem(E, r1, r2)
+        assert sys.block_layout is None
+        with pytest.raises(InputError, match="requires a system with a block layout"):
+            sv.solve(sys, "block-split", P, np.ones(3), 1e-10, 2)
+    sys = sv.GradientSystem(E, y, z)
+    assert sys.block_layout == (2, 1)
+    assert sys.block_indices() == (slice(0, 2), slice(2, 3))
 
 
 def test_block_y_half_step_is_linear_solve():
