@@ -621,10 +621,12 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
 
     ``v`` is one vector, or a batch of rows of shape (n, dim) that is
     decomposed row by row.  Closed forms cover quadratic pairs and
-    complementary block indicators.  A smooth pair runs one damped Newton
-    iteration over each block of rows; a pair with a shrinkage member runs
-    an accelerated proximal-gradient iteration per row.  Both stop once a
-    row's Fenchel duality gap drops below ``tol``.  A row that repeats the
+    complementary block indicators.  A pair of separable members splits
+    coordinate by coordinate at the root of the summed dual rates (see
+    :func:`_decompose_dual_root`).  Any other smooth pair runs one damped
+    Newton iteration over each block of rows; a pair with a shrinkage member
+    runs an accelerated proximal-gradient iteration per row.  Both stop once
+    a row's Fenchel duality gap drops below ``tol``.  A row that repeats the
     row before it bit for bit is decomposed once with it.
     """
     if not isinstance(P, InfConvolution):
@@ -638,6 +640,9 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
         v1, v2 = split
         gap = 0.0 if v.ndim == 1 else np.zeros(len(v))
         return Decomposition(v1, v2, R1(v1) + R2(v2), gap)
+    rates = _coordinate_dual_rate(R1), _coordinate_dual_rate(R2)
+    if None not in rates:
+        return _decompose_dual_root(R1, R2, rates, v, tol)
 
     rows = np.atleast_2d(v)
     if R1.shrinkage_parts() is None and R2.shrinkage_parts() is None:
@@ -685,6 +690,60 @@ def _closed_form_split(P, v):
     else:
         v1 = np.linalg.solve(V1 + V2, V2 @ v.T).T
     return v1, v - v1
+
+
+def _coordinate_dual_rate(R):
+    """The dual rate of a separable member, applied entry by entry to an
+    array whose last axis is the state; None for a member that couples its
+    coordinates or has a yield part."""
+    if isinstance(R, Rescaled):
+        base = _coordinate_dual_rate(R.base)
+        return None if base is None else lambda xi: 2.0 * base(xi)
+    if isinstance(R, (PowerNorm, AnisotropicDualQuadratic)):
+        return R._dual_rate
+    if isinstance(R, QuadraticForm) and not np.count_nonzero(R.V - np.diag(R._V_diagonal)):
+        c = 1.0 / R._V_diagonal
+        return lambda xi: c * xi
+    return None
+
+
+def _decompose_dual_root(R1, R2, rates, v, tol):
+    """The split of v, one vector or a batch of rows, for separable members
+    whose coordinate dual rates are ``rates``.
+
+    Coordinate i decouples: its dual point xi solves r1*'(xi) + r2*'(xi) =
+    v_i, and then v1_i = r1*'(xi).  The rates are odd and increasing, so
+    |xi| is bracketed by doubling from 1 and found by bisection on its float
+    bits, down to adjacent floats, of which the one nearer the root is kept.
+    The gap is taken at xi.  A row whose gap is not within ``tol`` (a rate
+    that overflows, a NaN) raises :class:`NumericalError`.
+    """
+    def summed(xi):
+        return rates[0](xi) + rates[1](xi)
+
+    target = np.abs(v)
+    with np.errstate(over="ignore"):
+        hi = np.ones_like(target)
+        while (short := summed(hi) < target).any():
+            hi[short] *= 2.0  # the sum at inf is inf
+        lo, hi = np.zeros(target.shape, np.uint64), hi.view(np.uint64)
+        while (open_ := hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2
+            below = open_ & (summed(mid.view(float)) < target)
+            lo, hi = np.where(below, mid, lo), np.where(open_ & ~below, mid, hi)
+        lo, hi = lo.view(float), hi.view(float)
+        nearer = target - summed(lo) <= summed(hi) - target
+        xi = np.copysign(np.where(nearer, lo, hi), v)
+        v1 = rates[0](xi)
+    v2 = v - v1
+    value = R1(v1) + R2(v2)
+    gap = np.atleast_1d(value - _dual_value(R1, R2, v, xi))
+    missed = ~(gap <= tol)
+    if missed.any():
+        worst = int(np.argmax(np.where(missed, np.nan_to_num(gap, nan=math.inf), -math.inf)))
+        raise NumericalError("inf-convolution dual root missed the gap tolerance",
+                             gap=float(gap[worst]), best=np.atleast_2d(v1)[worst])
+    return Decomposition(v1, v2, value, float(gap[0]) if v.ndim == 1 else gap)
 
 
 def _dual_value(R1, R2, v, xi):

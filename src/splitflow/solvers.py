@@ -208,6 +208,13 @@ def _prox_kernel(E, R):
     A block step's kernel may be called with another frozen view of the same
     energy; the parts do not depend on the frozen values.  Kinds that no
     method covers raise :class:`InputError`.
+
+    A Newton kernel whose potential is not quadratic is warm: it keeps the
+    rate of its last solve and starts the next solve from it (see
+    :func:`_prox_newton`), so one kernel serves one sequence of solves of a
+    run.  A quadratic R, and every kernel's first solve, start cold at the
+    anchor, where ``R_at_zero`` holds.  :func:`prox_step` builds a fresh
+    kernel per call and so always starts cold.
     """
     base = R.base if isinstance(R, Rescaled) else R
     try:
@@ -216,7 +223,7 @@ def _prox_kernel(E, R):
                 # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
                 R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
             parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
-            return partial(_infconv_prox, R.left, R.right, parts)
+            return partial(_infconv_prox, R.left, R.right, parts, warm=[None])
 
         if isinstance(E, MaxNormEnergy):
             VR = R.quadratic_matrix()
@@ -237,7 +244,10 @@ def _prox_kernel(E, R):
 
         zero = np.zeros(E.dim)
         R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
-        return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero)
+        # a quadratic R starts cold: R_at_zero costs less than the steps saved
+        warm = None if R.quadratic_matrix() is not None else [None]
+        return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero,
+                       warm=warm)
     except NotImplementedError as exc:  # a kind without the smooth parts Newton needs
         raise InputError(f"no prox method for {type(R).__name__} on {type(E).__name__}: "
                          f"{exc}") from None
@@ -314,7 +324,7 @@ def _shrinkage_residual(smooth, d, sigma_w):
     return float(np.linalg.norm(res_vec))
 
 
-def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
+def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100, warm=None):
     """Damped Newton on u for h R((u - anchor)/h) + E(t, u).
 
     ``parts`` are the constant Hessian parts of R and E.  Every Hessian of
@@ -322,9 +332,19 @@ def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
     once and each step writes its diagonal ``R_ii / h + E_ii``.  Values,
     gradients and diagonals come from the unchecked cores of R and E.
 
+    ``warm`` is None for a kernel that always starts cold, at the anchor.
+    Otherwise it holds the rate v of the kernel's last solve, and Newton
+    starts at ``anchor + h v``: along a smooth trajectory one step's rate is
+    a close guess of the next one's.  A solve that took no Newton step
+    stores None, so the next solve starts at the anchor: at rest, a start
+    that is accepted within the tolerance would otherwise be accepted again
+    step after step, and the state would drift.  A warm solve that fails is
+    solved again from the anchor (:func:`_warm_or_cold`).
+
     ``R_at_zero`` holds R's value, gradient and Hessian diagonal at v = 0,
-    taken once per kernel: Newton starts at a finite anchor, where v is
-    exactly +0.  A trial's v is kept for the gradient at the same state.
+    taken once per kernel, for the solves that start at a finite anchor,
+    where v is exactly +0.  A trial's v is kept for the gradient at the
+    same state.
     """
     H = parts[0] / h + parts[1]
     diagonal = H.reshape(-1)[:: len(H) + 1]
@@ -356,10 +376,36 @@ def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100):
             return h * R_at_zero[0] + E._eval(t, u)
         return h * R._eval(rate(u)) + E._eval(t, u)
 
-    u, (_, xi), it, res = newton.minimize(
-        start, gradient, hessian, objective, tol * (1.0 + norm),
-        max_iter=max_iter, failure="incremental minimization diverged")
+    def solve(x):
+        return newton.minimize(x, gradient, hessian, objective, tol * (1.0 + norm),
+                               max_iter=max_iter, failure="incremental minimization diverged")
+
+    u, (v, xi), it, res = _warm_or_cold(solve, warm, lambda v: anchor + h * v, start)
     return u, xi, _ProxStats(it, res, "newton")
+
+
+def _warm_or_cold(solve, warm, start_at, cold):
+    """``solve(x)`` from the start the kernel state ``warm`` gives, else
+    from ``cold``; returns its ``(x, held, iterations, residual)``.
+
+    A warm start is ``start_at(v)`` for the kept v.  If the solve from it
+    fails, the solve from ``cold`` decides, and the iterations of both count:
+    a Newton step across the kink of a p < 2 member at 0 can jump back and
+    forth until the iteration limit.  Then the kernel keeps the held v of a
+    solve that took a step (``held[0]``, or None), else None.
+    """
+    spent, result = 0, None
+    if warm is not None and warm[0] is not None:
+        try:
+            result = solve(start_at(warm[0]))
+        except NumericalError as exc:
+            spent = exc.iterations
+    if result is None:
+        x, held, it, res = solve(cold)
+        result = x, held, it + spent, res
+    if warm is not None:
+        warm[0] = result[1][0] if result[2] else None
+    return result
 
 
 def _prox_maxnorm(R, VR, c, E, t, anchor, h, tol):
@@ -903,10 +949,13 @@ def _has_grad(R):
         return False
 
 
-def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100):
+def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100, warm=None):
     """Newton on the joint split variables w = (v1, v2) for a smooth
     inf-convolution of R1 and R2: minimize
     tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
+
+    Newton starts at w = 0, or at the kernel's last w that ``warm`` holds,
+    under the rules of :func:`_prox_newton`.
 
     Gradient and Hessian are taken divided by tau; the chain factor tau
     restores the objective's slope in the line search.  With He the energy's
@@ -945,9 +994,14 @@ def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100):
         return tau * (R1._eval(w[:n]) + R2._eval(w[n:])) + E._eval(t, state(w))
 
     scale = 1.0 + float(np.linalg.norm(anchor))
-    _, (u, xi), it, res = newton.minimize(
-        np.zeros(2 * n), gradient, hessian, objective, tol * scale, chain=tau,
-        max_iter=max_iter, failure="effective prox stagnated")
+
+    def solve(w):
+        w, (u, xi), it, res = newton.minimize(
+            w, gradient, hessian, objective, tol * scale, chain=tau,
+            max_iter=max_iter, failure="effective prox stagnated")
+        return w, (w, u, xi), it, res
+
+    _, (_, u, xi), it, res = _warm_or_cold(solve, warm, np.array, np.zeros(2 * n))
     return u, xi, _ProxStats(it, res, "infconv-newton")
 
 

@@ -94,6 +94,14 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+@pytest.fixture
+def newton_path(monkeypatch):
+    """Send every smooth pair to Newton.  A pair of separable members (every
+    pair below but those with a dense quadratic form) would otherwise split
+    at its dual root, which this reference does not replay."""
+    monkeypatch.setattr(pt, "_coordinate_dual_rate", lambda R: None)
+
+
 def _power(rng, dim, below_two):
     p = rng.uniform(1.1, 1.95) if below_two else rng.uniform(2.05, 4.0)
     return pt.PowerNorm(p, rng.uniform(0.2, 3.0, dim))
@@ -134,7 +142,8 @@ def _assert_same_outcome(reference, decompose):
 @pytest.mark.parametrize("power_left", [True, False])
 @pytest.mark.parametrize("kind", _PARTNERS)
 @pytest.mark.parametrize("below_two", [True, False])
-def test_decomposition_equals_the_reference_bit_for_bit(below_two, kind, power_left, seed):
+def test_decomposition_equals_the_reference_bit_for_bit(below_two, kind, power_left, seed,
+                                                       newton_path):
     rng = np.random.default_rng([seed, len(kind), below_two, power_left])
     dim = int(rng.choice([1, 2, 3, 5, 16]))
     n = int(rng.integers(1, 201))
@@ -238,7 +247,7 @@ def _counted_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_repeated_rows_equal_their_rows_decomposed_one_at_a_time(p, monkeypatch):
+def test_repeated_rows_equal_their_rows_decomposed_one_at_a_time(p, monkeypatch, newton_path):
     # members without a matrix product round a row the same in every batch
     P = _elementwise_pair(p)
     rng = np.random.default_rng(7)
@@ -248,7 +257,6 @@ def test_repeated_rows_equal_their_rows_decomposed_one_at_a_time(p, monkeypatch)
     sent = _counted_rows(monkeypatch)
     dec = pt.inf_conv_decompose(P, rows, 1e-10)
     assert sent == [50]
-    monkeypatch.undo()
     for i, row in enumerate(rows):
         single = pt.inf_conv_decompose(P, row, 1e-10)
         assert _bits(dec.v1[i]) == _bits(single.v1)
@@ -257,18 +265,17 @@ def test_repeated_rows_equal_their_rows_decomposed_one_at_a_time(p, monkeypatch)
         assert _bits(dec.gap[i]) == _bits(single.gap)
 
 
-def test_signed_zero_rows_are_not_merged(monkeypatch):
+def test_signed_zero_rows_are_not_merged(monkeypatch, newton_path):
     P = _elementwise_pair(3.0)
     rows = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])
     sent = _counted_rows(monkeypatch)
     dec = pt.inf_conv_decompose(P, rows, 1e-10)
     assert sent == [2]
-    monkeypatch.undo()
     for i, row in enumerate(rows):
         assert _bits(dec.v1[i]) == _bits(pt.inf_conv_decompose(P, row, 1e-10).v1)
 
 
-def test_repeated_nan_rows_fail_like_one_nan_row():
+def test_repeated_nan_rows_fail_like_one_nan_row(newton_path):
     P = _elementwise_pair(3.0)
     nan_row = [math.nan, 1.0, 0.0]
     one = np.array([[1.0, 0.0, 0.0], nan_row])
@@ -279,12 +286,19 @@ def test_repeated_nan_rows_fail_like_one_nan_row():
 
 def test_effective_audit_decomposes_each_repeated_rate_once(tmp_path, monkeypatch):
     # within a step, consecutive cells of the effective run often share their
-    # rate bit for bit; the audit's 1,024 cell rates hold 480 runs
+    # rate bit for bit; the audit decomposes one row per run of equal rates
+    outputs = []
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda *args: outputs.append(solve(*args)) or outputs[-1])
     sent = _counted_rows(monkeypatch)
     code = cli.main(["run", "--model", "allen-cahn-1d", "--override", "p=3",
                      "--scheme", "effective", "--N", "64", "--out", str(tmp_path / "e")])
     assert code == 0
-    assert sum(sent) == 480 and len(sent) == 8
+    (out,) = outputs
+    bits = out.rate.cell_values.view(np.uint64)
+    runs = 1 + int(np.count_nonzero(np.any(bits[1:] != bits[:-1], axis=1)))
+    assert len(bits) == 1024 and runs < len(bits)
+    assert sum(sent) == runs and len(sent) == -(-runs // 64)
 
 
 # -- qye_probe on arrays ----------------------------------------------------------

@@ -778,6 +778,91 @@ def test_newton_decomposition_with_a_member_below_p_two_converges_on_random_pair
     assert dec.value <= min(pair.left(v), pair.right(v)) + 1e-10
 
 
+_SEPARABLE_REPROS = [
+    # both stagnated in Newton ("inf-convolution newton stagnated", gaps 7.3e-9
+    # and 1.3e-8): p near 1.1 on both members, the first with subnormal entries
+    (pt.PowerNorm(1.109375, [2.0, 2.0, 0.25]), pt.PowerNorm(1.109375, [0.25, 1.0, 2.0]),
+     np.array([6.48e-297, 1.0, 6.48e-297]) / np.linalg.norm([6.48e-297, 1.0, 6.48e-297])),
+    (pt.PowerNorm(1.109375, [1.0, 3.0, 0.25]), pt.PowerNorm(1.1015625, [1.0, 0.25, 2.0]),
+     1e-6 * np.ones(3) / math.sqrt(3.0)),
+]
+
+
+@pytest.mark.parametrize("R1, R2, v", _SEPARABLE_REPROS)
+def test_separable_pairs_near_p_one_split_at_their_dual_root(R1, R2, v, monkeypatch):
+    monkeypatch.setattr(pt, "_decompose_newton", None)  # the dual root decides
+    pair = pt.InfConvolution(R1, R2)
+    dec = pt.inf_conv_decompose(pair, v, 1e-10)
+    assert dec.gap <= 1e-10
+    np.testing.assert_array_equal(dec.v2, v - dec.v1)
+    assert dec.value <= min(R1(v), R2(v)) + 1e-10
+    # the duality gap certifies the value from below at the dual point of R1
+    xi = R1.grad(dec.v1)
+    assert float(xi @ v) - pair.conjugate(xi) <= dec.value
+
+
+def _separable_member(rng, dim, kind):
+    w = rng.uniform(0.2, 3.0, dim)
+    if kind == 0:
+        member = pt.PowerNorm(rng.uniform(1.1, 4.0), w)
+    elif kind == 1:
+        member = pt.PowerNorm(rng.uniform(1.1, 1.99), w)
+    elif kind == 2:
+        member = pt.AnisotropicDualQuadratic(w)
+    else:
+        member = pt.QuadraticForm(np.diag(w))
+    return pt.Rescaled(member) if rng.random() < 0.3 else member
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_dual_root_agrees_with_newton_to_the_gap_tolerance(seed, monkeypatch):
+    rng = np.random.default_rng([seed, 21])
+    dim = int(rng.choice([1, 2, 3, 5]))
+    # a power member, so that the pair has no closed form
+    R1, R2 = _separable_member(rng, dim, seed % 2), _separable_member(rng, dim, seed % 4)
+    pair = pt.InfConvolution(R1, R2) if seed % 3 else pt.InfConvolution(R2, R1)
+    rows = rng.standard_normal((int(rng.integers(1, 120)), dim)) * 10.0 ** rng.uniform(-4, 1)
+    sent = []
+    monkeypatch.setattr(pt, "_decompose_newton", lambda *args: sent.append(args))
+    dec = pt.inf_conv_decompose(pair, rows, 1e-10)
+    monkeypatch.undo()
+    assert not sent  # separable members never reach Newton
+    assert np.all(dec.gap <= 1e-10)
+    try:
+        v1, v2, gap = pt._decompose_newton(pair.left, pair.right, rows, 1e-10)
+    except NumericalError:
+        return  # Newton stagnates on some pairs below p = 2; the root does not
+    # each value lies above the optimum by at most its own gap, up to rounding
+    newton_value = pair.left(v1) + pair.right(v2)
+    rounding = 1e-13 * (1.0 + np.abs(newton_value))
+    assert np.all(dec.value <= newton_value + dec.gap + rounding)
+    assert np.all(newton_value <= dec.value + gap + rounding)
+    for i, row in enumerate(rows):  # a row splits alone as in its batch
+        single = pt.inf_conv_decompose(pair, row, 1e-10)
+        assert single.v1.tobytes() == dec.v1[i].tobytes()
+
+
+def test_only_separable_smooth_members_take_the_dual_root():
+    dense = pt.QuadraticForm(_SPD3)
+    assert pt._coordinate_dual_rate(dense) is None
+    assert pt._coordinate_dual_rate(pt.Rescaled(dense)) is None
+    assert pt._coordinate_dual_rate(pt.OneHomPlusQuad(0.5, 1.0, _W3)) is None
+    assert pt._coordinate_dual_rate(pt.InfConvolution(pt.PowerNorm(3.0, _W3), dense)) is None
+    xi = np.array([[0.3, -1.2, 2.0], [-0.0, 4.0, -0.5]])
+    for member in (pt.PowerNorm(1.5, _W3), pt.AnisotropicDualQuadratic(_W3),
+                   pt.QuadraticForm(np.diag(_W3)), pt.Rescaled(pt.PowerNorm(3.0, _W3))):
+        rates = pt._coordinate_dual_rate(member)(xi)
+        for i, row in enumerate(xi):
+            np.testing.assert_allclose(rates[i], member.dual_rate(row), rtol=1e-15)
+
+
+def test_a_nan_row_misses_the_dual_roots_gap():
+    pair = pt.InfConvolution(pt.PowerNorm(1.5, [1.0, 2.0]), pt.AnisotropicDualQuadratic([1.7, 0.4]))
+    with pytest.raises(NumericalError, match="dual root") as info:
+        pt.inf_conv_decompose(pair, np.array([[1.0, 0.5], [math.nan, 0.0]]), 1e-10)
+    assert math.isnan(info.value.gap) and info.value.best.shape == (2,)
+
+
 def test_newton_step_of_a_singular_row_is_the_gradient_step():
     H = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2))])
     g = np.array([[2.0, 4.0], [1.0, -1.0]])

@@ -8,6 +8,10 @@ kernels take the constant Hessian parts once and write only the diagonal
 per step, through the unchecked cores.  The arithmetic of every entry is the
 same, so the results must agree bit for bit: the state, the force, the
 iteration count and the residual.
+
+A kernel of a run starts each solve where the run's last solve of that
+kernel left it (see ``solvers._prox_newton``); the references take that
+start as ``start``, and the runs below replay it cell by cell.
 """
 
 import numpy as np
@@ -44,7 +48,8 @@ def energy_hess(E, t, u):
     return np.block([[E.A, E.B.T], [E.B, E.G]]) if E.n_z else np.array(E.A)
 
 
-def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100):
+def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100, start=None):
+    """The prox from ``start``, by default the anchor."""
     def gradient(u):
         v = (u - anchor) / h
         xi = E.grad(t, u)
@@ -58,12 +63,14 @@ def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100):
 
     scale = 1.0 + float(np.linalg.norm(anchor))
     u, (_, xi), it, res = newton.minimize(
-        np.array(anchor), gradient, hessian, objective, tol * scale,
-        max_iter=max_iter, failure="incremental minimization diverged")
+        np.array(anchor if start is None else start), gradient, hessian, objective,
+        tol * scale, max_iter=max_iter, failure="incremental minimization diverged")
     return u, xi, it, res
 
 
-def infconv_prox_reference(E, R_eff, t, anchor, tau, tol, max_iter=100):
+def infconv_prox_reference(E, R_eff, t, anchor, tau, tol, max_iter=100, start=None):
+    """The effective prox from the split ``start`` = (v1, v2), by default 0;
+    returns the prox's outcome and then the split it reached."""
     R1, R2 = R_eff.left, R_eff.right
     n = E.dim
 
@@ -84,10 +91,10 @@ def infconv_prox_reference(E, R_eff, t, anchor, tau, tol, max_iter=100):
         return tau * (R1(w[:n]) + R2(w[n:])) + E.eval(t, state(w))
 
     scale = 1.0 + float(np.linalg.norm(anchor))
-    _, (u, xi), it, res = newton.minimize(
-        np.zeros(2 * n), gradient, hessian, objective, tol * scale, chain=tau,
-        max_iter=max_iter, failure="effective prox stagnated")
-    return u, xi, it, res
+    w, (u, xi), it, res = newton.minimize(
+        np.zeros(2 * n) if start is None else start, gradient, hessian, objective,
+        tol * scale, chain=tau, max_iter=max_iter, failure="effective prox stagnated")
+    return u, xi, it, res, w
 
 
 class FrozenReference(EnergySpec):
@@ -115,7 +122,7 @@ class FrozenReference(EnergySpec):
 def _outcome(solve):
     """``(u, xi, iterations, residual)`` as bytes, or the failure's message."""
     try:
-        u, xi, it, res = solve()
+        u, xi, it, res = solve()[:4]
     except NumericalError as exc:
         return str(exc)
     return u.tobytes(), xi.tobytes(), it, np.float64(res).tobytes()
@@ -231,6 +238,19 @@ def test_infconv_prox_matches_the_block_assembly(p, other, m, data):
         lambda: infconv_prox_reference(E, R_eff, t, anchor, tau, 1e-10))
 
 
+def _replay(R, E, t, anchor, h, last):
+    """One cell of a run through the Newton reference, started as the run's
+    kernel starts it: at ``anchor + h v`` with v the last rate of the same
+    kernel in ``last``, or at the anchor when ``last`` holds None (the first
+    solve, and the one after a solve that took no Newton step) or when R is
+    quadratic."""
+    start = None if last[0] is None else anchor + h * last[0]
+    u, xi, it, _ = prox_newton_reference(R, E, t, anchor, h, 1e-10, start=start)
+    if R.quadratic_matrix() is None:
+        last[0] = (u - anchor) / h if it else None
+    return u, xi, it
+
+
 @pytest.mark.parametrize("p", [3.0, 1.5])
 def test_a_split_run_matches_the_public_assembly_cell_by_cell(p):
     preset = make_model("allen-cahn-1d", m=6, p=p)
@@ -238,10 +258,32 @@ def test_a_split_run_matches_the_public_assembly_cell_by_cell(p):
     out = sv.solve(system, "split", build_partition(1.0, N=4), preset.u0, 1e-10, 4)
     grid = out.grid
     u = preset.u0
+    last = {True: [None], False: [None]}  # per mechanism
     for i in range(grid.n_cells):
-        R = pt.Rescaled(system.r1 if grid.cell_is_left[i] else system.r2)
+        left = bool(grid.cell_is_left[i])
+        R = pt.Rescaled(system.r1 if left else system.r2)
         a, b = grid.times[i], grid.times[i + 1]
-        u, xi, it, _ = prox_newton_reference(R, system.energy, b, u, b - a, 1e-10)
+        u, xi, it = _replay(R, system.energy, b, u, b - a, last[left])
         assert u.tobytes() == out.u_const.values[i + 1].tobytes()
         assert xi.tobytes() == out.xi.cell_values[i].tobytes()
         assert it == out.stats["inner_iterations"][i]
+    # at p = 3 the warm kernel, mechanism 1's, also restarts after zero-step solves
+    assert p == 1.5 or 0 in np.array(out.stats["inner_iterations"])[grid.cell_is_left]
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_an_effective_run_matches_the_block_assembly_step_by_step(p):
+    preset = make_model("allen-cahn-1d", m=6, p=p)
+    system, P = preset.system, build_partition(1.0, N=16)
+    out = sv.solve(system, "effective", P, preset.u0, 1e-10, 4)
+    R_eff, n = sv.effective_potential(system), out.step_cells
+    assert sv._prox_kernel(system.energy, R_eff).func is sv._infconv_prox
+    u, w = preset.u0, None
+    for k in range(P.N):
+        u, xi, it, _, w_new = infconv_prox_reference(
+            system.energy, R_eff, P.nodes[k + 1], u, P.taus[k], 1e-10, start=w)
+        w = w_new if it else None
+        assert u.tobytes() == out.u_const.values[(k + 1) * n].tobytes()
+        assert xi.tobytes() == out.xi.cell_values[k * n].tobytes()
+        assert it == out.stats["inner_iterations"][k]
+    assert p == 1.5 or 0 in out.stats["inner_iterations"]
