@@ -52,8 +52,10 @@ class RunConfig:
             raise InputError("need N >= 1 or an explicit node list")
         if self.inner_steps < 2 or self.inner_steps % 2:
             raise InputError("inner steps must be an even count >= 2")
-        if self.tol <= 0:
-            raise InputError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InputError(f"tolerance must be a positive finite number, not {self.tol}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, not {self.seed}")
         if self.samples < 1:
             raise InputError("need samples >= 1")
         return self

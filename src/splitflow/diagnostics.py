@@ -282,10 +282,8 @@ def edb_audit(
     slack = SLACK_FACTOR * inner_budget + 1e-11 * scale
 
     form = "balance" if out.segments is not None else "inequality"
-    remainder = remainder_bound = None
-    if out.u_delayed is not None:
-        remainder, remainder_bound = remainder_term(out, E, interval)
-    if form == "inequality" and out.scheme != "amm" and remainder_bound is not None:
+    remainder, remainder_bound = remainder_term(out, E, interval)
+    if form == "inequality" and out.scheme != "amm":
         # the one-sided estimate of a prox step carries the convexity-defect
         # remainder on its right-hand side; an amm run is audited without it
         # (README, "The AMM slack rule")
@@ -298,7 +296,7 @@ def edb_audit(
     # fail closed: an infinite slack or a non-finite term would pass anything
     terms = (d_rate, d_slope, power, e_start, e_end, residual, slack,
              remainder, remainder_bound)
-    passed = passed and all(x is None or math.isfinite(x) for x in terms)
+    passed = passed and all(map(math.isfinite, terms))
 
     report = EDBReport(
         interval=interval,

@@ -4,7 +4,8 @@ inf-convolution decomposition.
 Every Newton loop of the package accepts a step by one Armijo test,
 :func:`accepts`.  Its slack absorbs the rounding of the objective: close to
 a minimizer the decrease still owed falls below the rounding of f, where a
-test without slack would backtrack to a zero step.
+test without slack would backtrack to a zero step.  Each loop takes the
+constant of that test from its potentials once, by :func:`armijo_constant`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,27 @@ except ImportError:  # pragma: no cover
 _SLACK = float(16.0 * np.finfo(float).eps)
 ARMIJO = 1e-4
 _BACKTRACKS = 40
+
+# Armijo constant of a loop over a potential whose curvature is unbounded at
+# 0, a PowerNorm with p < 2.  A Newton step on |x|^p jumps across the kink (to
+# -x at p = 1.5), and with the default constant the iterates jump back and
+# forth; asking for a quarter of the predicted decrease halves such a step
+# instead.  Potentials of bounded curvature keep the default and its iterates.
+_SINGULAR_ARMIJO = 0.25
+
+
+def _singular_curvature(R):
+    """True for a PowerNorm with p < 2, rescaled or not."""
+    from .potentials import PowerNorm, Rescaled  # potentials imports this module
+
+    while isinstance(R, Rescaled):
+        R = R.base
+    return isinstance(R, PowerNorm) and R.p < 2.0
+
+
+def armijo_constant(*potentials):
+    """The Armijo constant of a Newton loop over ``potentials``."""
+    return _SINGULAR_ARMIJO if any(map(_singular_curvature, potentials)) else ARMIJO
 
 
 def accepts(f, f0, alpha, slope, armijo=ARMIJO):
@@ -65,14 +87,16 @@ def _solve_or_gradient_step(H, g):
         return -g
 
 
-def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_iter=100):
+def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_iter=100,
+             armijo=ARMIJO):
     """Damped Newton from ``x`` until the gradient's norm is at most ``tol``.
 
     ``gradient(x)`` returns ``(g, held)``: the gradient divided by the
     positive factor ``chain``, and whatever the caller wants back at the
     solution.  ``hessian(x, held)`` returns the Hessian divided by ``chain``,
     so that the objective's derivative along a step s is ``chain * g @ s``.
-    ``objective(x)`` is evaluated only once a step is taken.  A line search
+    ``objective(x)`` is evaluated only once a step is taken.  Steps are
+    accepted by :func:`accepts` with the constant ``armijo``; a line search
     that runs out takes the full step: its objective differences are then
     below rounding.  Returns ``(x, held, iterations, residual)``; at a
     residual that is not finite, or after ``max_iter`` steps, raises
@@ -95,7 +119,7 @@ def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_it
         for _ in range(_BACKTRACKS):
             trial = x + alpha * step
             f_trial = objective(trial)
-            if accepts(f_trial, f, alpha, slope):
+            if accepts(f_trial, f, alpha, slope, armijo):
                 x, f = trial, f_trial
                 break
             alpha *= 0.5

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .newton import ARMIJO, accepts, newton_step
+from .newton import ARMIJO, accepts, armijo_constant, newton_step
 
 __all__ = [
     "Potential",
@@ -594,22 +594,6 @@ def fenchel_young_residual(P: Potential, v, xi) -> float:
     return val + P.conjugate(xi) - float(xi @ v)
 
 
-# Armijo constant of a pair with a member whose curvature is unbounded at 0,
-# a PowerNorm with p < 2.  A Newton step on |x|^p jumps across the kink (to -x
-# at p = 1.5), and with the default constant the iterates jump back and forth
-# while the gap shrinks by a few percent per step; asking for a quarter of the
-# predicted decrease halves such a step instead.  Pairs of members with bounded
-# curvature keep the default, and with it every iterate.
-_SINGULAR_ARMIJO = 0.25
-
-
-def _singular_curvature(R):
-    """True for a PowerNorm with p < 2, rescaled or not."""
-    while isinstance(R, Rescaled):
-        R = R.base
-    return isinstance(R, PowerNorm) and R.p < 2.0
-
-
 # Rows per batched Newton solve.  A block holds one stack of Hessians at a
 # time, rows * dim**2 floats, so the block size bounds the memory of a large
 # batch.
@@ -808,8 +792,8 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
     v1 = 0.5 * v
     gap = np.full(n, math.inf)
     active = np.arange(n)
-    singular = _singular_curvature(R1) or _singular_curvature(R2)
-    armijo = _SINGULAR_ARMIJO if singular else ARMIJO
+    armijo = armijo_constant(R1, R2)
+    singular = armijo != ARMIJO  # a member with p < 2
     # the Hessians' constant parts and the ridge, summed at the first step
     # (rows that all start within tolerance take none)
     constant = primal = None

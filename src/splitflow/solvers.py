@@ -209,12 +209,10 @@ def _prox_kernel(E, R):
     energy; the parts do not depend on the frozen values.  Kinds that no
     method covers raise :class:`InputError`.
 
-    A Newton kernel whose potential is not quadratic is warm: it keeps the
-    rate of its last solve and starts the next solve from it (see
-    :func:`_prox_newton`), so one kernel serves one sequence of solves of a
-    run.  A quadratic R, and every kernel's first solve, start cold at the
-    anchor, where ``R_at_zero`` holds.  :func:`prox_step` builds a fresh
-    kernel per call and so always starts cold.
+    Every Newton kernel is warm (see :func:`_prox_newton`), so one kernel
+    serves one sequence of solves of a run; its Armijo constant is taken
+    from its potentials here.  :func:`prox_step` builds a fresh kernel per
+    call and so always starts cold.
     """
     base = R.base if isinstance(R, Rescaled) else R
     try:
@@ -223,7 +221,8 @@ def _prox_kernel(E, R):
                 # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
                 R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
             parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
-            return partial(_infconv_prox, R.left, R.right, parts, warm=[None])
+            return partial(_infconv_prox, R.left, R.right, parts,
+                           newton.armijo_constant(R.left, R.right), [None])
 
         if isinstance(E, MaxNormEnergy):
             VR = R.quadratic_matrix()
@@ -244,10 +243,8 @@ def _prox_kernel(E, R):
 
         zero = np.zeros(E.dim)
         R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
-        # a quadratic R starts cold: R_at_zero costs less than the steps saved
-        warm = None if R.quadratic_matrix() is not None else [None]
         return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero,
-                       warm=warm)
+                       newton.armijo_constant(R), [None])
     except NotImplementedError as exc:  # a kind without the smooth parts Newton needs
         raise InputError(f"no prox method for {type(R).__name__} on {type(E).__name__}: "
                          f"{exc}") from None
@@ -324,27 +321,28 @@ def _shrinkage_residual(smooth, d, sigma_w):
     return float(np.linalg.norm(res_vec))
 
 
-def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100, warm=None):
+def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_iter=100):
     """Damped Newton on u for h R((u - anchor)/h) + E(t, u).
 
     ``parts`` are the constant Hessian parts of R and E.  Every Hessian of
     the solve is ``R_c / h + E_c`` off the diagonal, so that matrix is made
     once and each step writes its diagonal ``R_ii / h + E_ii``.  Values,
     gradients and diagonals come from the unchecked cores of R and E.
+    ``armijo`` is the constant of the line search.
 
-    ``warm`` is None for a kernel that always starts cold, at the anchor.
-    Otherwise it holds the rate v of the kernel's last solve, and Newton
-    starts at ``anchor + h v``: along a smooth trajectory one step's rate is
-    a close guess of the next one's.  A solve that took no Newton step
-    stores None, so the next solve starts at the anchor: at rest, a start
-    that is accepted within the tolerance would otherwise be accepted again
-    step after step, and the state would drift.  A warm solve that fails is
-    solved again from the anchor (:func:`_warm_or_cold`).
+    ``warm`` holds the rate v of the kernel's last solve, and Newton starts
+    at ``anchor + h v``: along a smooth trajectory one step's rate is a
+    close guess of the next one's.  It holds None before the first solve
+    and after a solve that took no Newton step, and then Newton starts at
+    the anchor: at rest, a start that is accepted within the tolerance would
+    otherwise be accepted again step after step, and the state would drift.
+    A warm solve that fails is solved again from the anchor
+    (:func:`_warm_or_cold`).
 
     ``R_at_zero`` holds R's value, gradient and Hessian diagonal at v = 0,
     taken once per kernel, for the solves that start at a finite anchor,
-    where v is exactly +0.  A trial's v is kept for the gradient at the
-    same state.
+    where v is exactly +0: the first solve, every solve at rest and every
+    retry.  A trial's v is kept for the gradient at the same state.
     """
     H = parts[0] / h + parts[1]
     diagonal = H.reshape(-1)[:: len(H) + 1]
@@ -378,7 +376,8 @@ def _prox_newton(R, parts, R_at_zero, E, t, anchor, h, tol, max_iter=100, warm=N
 
     def solve(x):
         return newton.minimize(x, gradient, hessian, objective, tol * (1.0 + norm),
-                               max_iter=max_iter, failure="incremental minimization diverged")
+                               max_iter=max_iter, armijo=armijo,
+                               failure="incremental minimization diverged")
 
     u, (v, xi), it, res = _warm_or_cold(solve, warm, lambda v: anchor + h * v, start)
     return u, xi, _ProxStats(it, res, "newton")
@@ -388,14 +387,13 @@ def _warm_or_cold(solve, warm, start_at, cold):
     """``solve(x)`` from the start the kernel state ``warm`` gives, else
     from ``cold``; returns its ``(x, held, iterations, residual)``.
 
-    A warm start is ``start_at(v)`` for the kept v.  If the solve from it
-    fails, the solve from ``cold`` decides, and the iterations of both count:
-    a Newton step across the kink of a p < 2 member at 0 can jump back and
-    forth until the iteration limit.  Then the kernel keeps the held v of a
-    solve that took a step (``held[0]``, or None), else None.
+    A warm start is ``start_at(warm[0])``; None there starts cold.  If the
+    warm solve fails, the solve from ``cold`` decides, and the iterations
+    of both count.  Then ``warm[0]`` keeps the held v of a solve that took
+    a step (``held[0]``, or None), else None.
     """
     spent, result = 0, None
-    if warm is not None and warm[0] is not None:
+    if warm[0] is not None:
         try:
             result = solve(start_at(warm[0]))
         except NumericalError as exc:
@@ -403,8 +401,7 @@ def _warm_or_cold(solve, warm, start_at, cold):
     if result is None:
         x, held, it, res = solve(cold)
         result = x, held, it + spent, res
-    if warm is not None:
-        warm[0] = result[1][0] if result[2] else None
+    warm[0] = result[1][0] if result[2] else None
     return result
 
 
@@ -891,15 +888,16 @@ def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
 
 def _joint_block_step(sys):
     """The joint step of a block system, ``step(t, anchor, tau, tol)``.  The
-    prox methods of both blocks, the smoothness probe of the y potential and
-    the shrinkage parts of the z potential are taken here, once per run."""
-    Ry, Rz = sys.r1.base, sys.r2.base
+    prox methods and the shrinkage parts of both blocks' potentials are
+    taken here, once per run."""
+    potentials = sys.r1.base, sys.r2.base
     kernels = [_prox_kernel(_FrozenBlockEnergy(sys.energy, block, np.zeros(sys.dim)), R)
-               for block, R in zip(sys.block_indices(), (Ry, Rz))]
-    return partial(_joint_block_prox, sys, kernels, _has_grad(Ry), Rz.shrinkage_parts())
+               for block, R in zip(sys.block_indices(), potentials)]
+    parts = [R.shrinkage_parts() for R in potentials]
+    return partial(_joint_block_prox, sys, kernels, parts)
 
 
-def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_sweeps=200):
+def _joint_block_prox(sys, kernels, parts, t, anchor, tau, tol, max_sweeps=200):
     """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps."""
     idx_y, idx_z = sys.block_indices()
     ky, kz = kernels
@@ -911,7 +909,7 @@ def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_
     for sweeps in range(1, max_sweeps + 1):
         u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
         u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
-        res, xi = _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts)
+        res, xi = _joint_block_residual(sys, t, anchor, u, tau, parts)
         if not math.isfinite(res):  # an infinite scale would take it
             break
         if res <= tol * scale:
@@ -920,42 +918,31 @@ def _joint_block_prox(sys, kernels, y_smooth, z_parts, t, anchor, tau, tol, max_
     raise NumericalError("joint block prox stagnated", iterations=sweeps, best=u)
 
 
-def _joint_block_residual(sys, t, anchor, u, tau, y_smooth, z_parts):
+def _joint_block_residual(sys, t, anchor, u, tau, parts):
     """Optimality residual of the joint block step and the energy gradient
-    it took at u; ``y_smooth`` says whether the y potential has a gradient
-    (without one its block counts as solved) and ``z_parts`` are the z
-    potential's shrinkage parts, or None."""
-    idx_y, idx_z = sys.block_indices()
+    it took at u.  Both blocks follow one rule: a block whose potential has
+    shrinkage parts (its entry of ``parts``) is measured by
+    :func:`_shrinkage_residual`, any other by its potential's gradient."""
     g = sys.energy.grad(t, u)
-    gy = g[idx_y]
-    vy = (u[idx_y] - anchor[idx_y]) / tau
-    ry = float(np.linalg.norm(sys.r1.base.grad(vy) + gy)) if y_smooth else 0.0
-    gz = g[idx_z]
-    vz = (u[idx_z] - anchor[idx_z]) / tau
-    if z_parts is not None:
-        sigma_w, quad_w = z_parts
-        smooth = quad_w * vz + gz
-        rz = _shrinkage_residual(smooth, vz, sigma_w)
-    else:
-        rz = float(np.linalg.norm(sys.r2.base.grad(vz) + gz))
-    return math.hypot(ry, rz), g
+    residuals = []
+    for idx, R, block_parts in zip(sys.block_indices(), (sys.r1.base, sys.r2.base), parts):
+        v = (u[idx] - anchor[idx]) / tau
+        if block_parts is None:
+            residuals.append(float(np.linalg.norm(R.grad(v) + g[idx])))
+        else:
+            sigma_w, quad_w = block_parts
+            residuals.append(_shrinkage_residual(quad_w * v + g[idx], v, sigma_w))
+    return math.hypot(*residuals), g
 
 
-def _has_grad(R):
-    try:
-        R.grad(np.zeros(R.dim))
-        return True
-    except NotImplementedError:
-        return False
-
-
-def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100, warm=None):
+def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=100):
     """Newton on the joint split variables w = (v1, v2) for a smooth
     inf-convolution of R1 and R2: minimize
     tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
 
-    Newton starts at w = 0, or at the kernel's last w that ``warm`` holds,
-    under the rules of :func:`_prox_newton`.
+    Newton starts at the kernel's last w that ``warm`` holds, or at w = 0,
+    under the rules of :func:`_prox_newton`; ``armijo`` is the constant of
+    the line search.
 
     Gradient and Hessian are taken divided by tau; the chain factor tau
     restores the objective's slope in the line search.  With He the energy's
@@ -998,7 +985,7 @@ def _infconv_prox(R1, R2, parts, E, t, anchor, tau, tol, max_iter=100, warm=None
     def solve(w):
         w, (u, xi), it, res = newton.minimize(
             w, gradient, hessian, objective, tol * scale, chain=tau,
-            max_iter=max_iter, failure="effective prox stagnated")
+            max_iter=max_iter, armijo=armijo, failure="effective prox stagnated")
         return w, (w, u, xi), it, res
 
     _, (_, u, xi), it, res = _warm_or_cold(solve, warm, np.array, np.zeros(2 * n))

@@ -231,6 +231,31 @@ def test_bad_flags_exit_nonzero(tmp_path, capsys):
                     "--inner-steps", "3", "--out", str(tmp_path / "y")]) == 1
 
 
+_BAD_VALUES = [("tol", "inf", "Infinity"), ("tol", "nan", "NaN"), ("tol", "-inf", "-Infinity"),
+               ("tol", "0", "0"), ("seed", "-1", "-1")]
+
+
+@pytest.mark.parametrize("field, flag_value, json_value", _BAD_VALUES)
+@pytest.mark.parametrize("argv", [
+    ["study", "--model", "allen-cahn-1d", "--scheme", "amm", "--study", "2,4"],
+    ["run", "--model", "visco-plasticity-1d", "--scheme", "effective", "--N", "4"],
+    ["probe-qye", "--model", "allen-cahn-1d", "--samples", "10"],
+], ids=["study", "run", "probe-qye"])
+def test_a_tolerance_that_is_not_positive_and_finite_or_a_negative_seed_exits_one(
+        tmp_path, capsys, argv, field, flag_value, json_value):
+    # argparse takes "--tol inf" and "--tol nan" as floats; the config holds JSON's
+    # NaN and Infinity literals
+    out = ["--out", str(tmp_path / "x")]
+    assert run_cli(argv + [f"--{field}={flag_value}"] + out) == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"{field}": {json_value}}}')
+    assert run_cli(argv + ["--config", str(cfg_path)] + out) == 1
+    err = capsys.readouterr().err.splitlines()
+    word = {"tol": "tolerance", "seed": "seed"}[field]
+    assert len(err) == 2 and all(line.startswith(f"error: {word} must") for line in err)
+    assert not (tmp_path / "x").exists()  # rejected before any output
+
+
 @pytest.mark.parametrize(
     "override",
     ["foo=1", "u0=[NaN,1.0]", "u0=[0.1,0.2,0.3]", 'a1="x"', 'u0=[1,"a"]'],

@@ -16,7 +16,7 @@ from splitflow import cli
 from splitflow import potentials as pt
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
-from splitflow.newton import ARMIJO, accepts, newton_step
+from splitflow.newton import ARMIJO, accepts, armijo_constant, newton_step
 from splitflow.solvers import effective_potential
 
 
@@ -58,8 +58,8 @@ def _newton_reference(R1, R2, v, tol, max_iter=200):
     gap = np.full(n, math.inf)
     active = np.arange(n)
     ridge = 1e-12 * np.eye(dim)
-    singular = pt._singular_curvature(R1) or pt._singular_curvature(R2)
-    armijo = pt._SINGULAR_ARMIJO if singular else ARMIJO
+    armijo = armijo_constant(R1, R2)
+    singular = armijo != ARMIJO
     for _ in range(max_iter):
         va, x = v[active], v1[active]
         xi = R2.grad(va - x)

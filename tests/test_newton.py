@@ -1,4 +1,5 @@
-"""The Newton step's LAPACK path against ``np.linalg.solve``, bit for bit."""
+"""The Newton step's LAPACK path against ``np.linalg.solve``, bit for bit,
+and the Armijo constant each Newton loop takes from its potentials."""
 
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from splitflow import newton
+from splitflow import potentials as pt
 
 
 def step_reference(H, g):
@@ -45,3 +47,15 @@ def test_a_step_that_is_not_finite_takes_the_reference_path(H, g):
         warnings.simplefilter("error")
         expected = step_reference(H, g)
         assert newton.newton_step(H, g).tobytes() == expected.tobytes()
+
+
+def test_only_a_power_below_two_asks_for_a_quarter_of_the_decrease():
+    singular = pt.PowerNorm(1.5, np.ones(2))
+    smooth = [pt.PowerNorm(2.0, np.ones(2)), pt.PowerNorm(3.0, np.ones(2)),
+              pt.QuadraticForm(np.eye(2)), pt.AnisotropicDualQuadratic(np.ones(2))]
+    for R in (singular, pt.Rescaled(singular), pt.Rescaled(pt.Rescaled(singular))):
+        assert newton.armijo_constant(R) == 0.25
+        assert newton.armijo_constant(smooth[0], R) == 0.25
+    for R in smooth:
+        assert newton.armijo_constant(R) == newton.ARMIJO == 1e-4
+    assert newton.armijo_constant(*smooth) == newton.ARMIJO

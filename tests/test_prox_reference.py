@@ -11,7 +11,8 @@ iteration count and the residual.
 
 A kernel of a run starts each solve where the run's last solve of that
 kernel left it (see ``solvers._prox_newton``); the references take that
-start as ``start``, and the runs below replay it cell by cell.
+start as ``start``, and the runs below replay it cell by cell.  Both take
+the Armijo constant of their potentials from ``newton.armijo_constant``.
 """
 
 import numpy as np
@@ -64,7 +65,8 @@ def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100, start=None):
     scale = 1.0 + float(np.linalg.norm(anchor))
     u, (_, xi), it, res = newton.minimize(
         np.array(anchor if start is None else start), gradient, hessian, objective,
-        tol * scale, max_iter=max_iter, failure="incremental minimization diverged")
+        tol * scale, max_iter=max_iter, armijo=newton.armijo_constant(R),
+        failure="incremental minimization diverged")
     return u, xi, it, res
 
 
@@ -93,7 +95,8 @@ def infconv_prox_reference(E, R_eff, t, anchor, tau, tol, max_iter=100, start=No
     scale = 1.0 + float(np.linalg.norm(anchor))
     w, (u, xi), it, res = newton.minimize(
         np.zeros(2 * n) if start is None else start, gradient, hessian, objective,
-        tol * scale, chain=tau, max_iter=max_iter, failure="effective prox stagnated")
+        tol * scale, chain=tau, max_iter=max_iter, armijo=newton.armijo_constant(R1, R2),
+        failure="effective prox stagnated")
     return u, xi, it, res, w
 
 
@@ -238,16 +241,14 @@ def test_infconv_prox_matches_the_block_assembly(p, other, m, data):
         lambda: infconv_prox_reference(E, R_eff, t, anchor, tau, 1e-10))
 
 
-def _replay(R, E, t, anchor, h, last):
+def replay_cell(R, E, t, anchor, h, last, tol=1e-10):
     """One cell of a run through the Newton reference, started as the run's
     kernel starts it: at ``anchor + h v`` with v the last rate of the same
     kernel in ``last``, or at the anchor when ``last`` holds None (the first
-    solve, and the one after a solve that took no Newton step) or when R is
-    quadratic."""
+    solve, and the one after a solve that took no Newton step)."""
     start = None if last[0] is None else anchor + h * last[0]
-    u, xi, it, _ = prox_newton_reference(R, E, t, anchor, h, 1e-10, start=start)
-    if R.quadratic_matrix() is None:
-        last[0] = (u - anchor) / h if it else None
+    u, xi, it, _ = prox_newton_reference(R, E, t, anchor, h, tol, start=start)
+    last[0] = (u - anchor) / h if it else None
     return u, xi, it
 
 
@@ -263,7 +264,7 @@ def test_a_split_run_matches_the_public_assembly_cell_by_cell(p):
         left = bool(grid.cell_is_left[i])
         R = pt.Rescaled(system.r1 if left else system.r2)
         a, b = grid.times[i], grid.times[i + 1]
-        u, xi, it = _replay(R, system.energy, b, u, b - a, last[left])
+        u, xi, it = replay_cell(R, system.energy, b, u, b - a, last[left])
         assert u.tobytes() == out.u_const.values[i + 1].tobytes()
         assert xi.tobytes() == out.xi.cell_values[i].tobytes()
         assert it == out.stats["inner_iterations"][i]

@@ -10,6 +10,7 @@ from splitflow import potentials as pt
 from splitflow import solvers as sv
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
+from test_prox_reference import replay_cell
 
 
 def scalar_quadratic_energy():
@@ -217,15 +218,18 @@ def test_substep_velocity_second_mechanism():
 
 
 def test_substep_prox_branch_is_a_loop_of_prox_steps():
-    # allen-cahn pairs no mechanism exactly: one prox step of R~_1 per cell
+    # allen-cahn pairs no mechanism exactly: one prox step of R~_1 per cell,
+    # each started where the one before left its kernel
     sys = make_model("allen-cahn-1d", m=4).system
     u = np.array([0.3, 0.5, -0.2, 0.1])
     curve = sv.substep_flow(sys, 1, (0.25, 0.75), u, inner_steps=4)
     times = 0.25 + curve.grid.times
-    expected = [u]
+    expected, last, warm = [u], [None], 0
     for a, b in zip(times[:-1], times[1:]):
-        u, _ = sv.prox_step(sys.energy, pt.Rescaled(sys.r1), b, u, b - a)
+        warm += last[0] is not None
+        u = replay_cell(pt.Rescaled(sys.r1), sys.energy, b, u, b - a, last)[0]
         expected.append(u)
+    assert warm
     np.testing.assert_array_equal(curve.values, np.array(expected))
 
 
@@ -519,32 +523,60 @@ def test_effective_block_is_simultaneous_implicit_step():
 def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     system = preset.system
-    grads, probes = [], []
-    grad, has_grad = en.QuadraticBlockEnergy.grad, sv._has_grad
+    grads, seen = [], []
+    grad, residual = en.QuadraticBlockEnergy.grad, sv._joint_block_residual
 
     def counted_grad(self, t, u):
         grads.append(t)
         return grad(self, t, u)
 
-    def counted_probe(R):
-        probes.append(R)
-        return has_grad(R)
+    def recorded_residual(sys, t, anchor, u, tau, parts):
+        seen.append(parts)
+        return residual(sys, t, anchor, u, tau, parts)
 
     monkeypatch.setattr(en.QuadraticBlockEnergy, "grad", counted_grad)
-    monkeypatch.setattr(sv, "_has_grad", counted_probe)
-    parts = system.r2.base.shrinkage_parts()
+    parts = [None, system.r2.base.shrinkage_parts()]
     u = preset.u0 + 0.01
-    res, g = sv._joint_block_residual(system, 0.5, preset.u0, u, 0.1, True, parts)
+    res, g = sv._joint_block_residual(system, 0.5, preset.u0, u, 0.1, parts)
     assert len(grads) == 1 and res > 0.0
     np.testing.assert_array_equal(g, grad(system.energy, 0.5, u))
-    # the smoothness of the y potential is probed once per run, not per step or sweep
+    # the shrinkage parts of both blocks are taken once per run, not per step or sweep
     grads.clear()
+    monkeypatch.setattr(sv, "_joint_block_residual", recorded_residual)
     out = sv.effective_solve(system, pa.build_partition(1.0, N=4), preset.u0, tol=1e-12)
     assert len(out.stats["inner_iterations"]) == 4
     assert min(out.stats["inner_iterations"]) > 1
-    assert len(probes) == 1
+    assert all(p is seen[0] for p in seen)
     # one gradient per sweep's residual, and the last one is the step's force
-    assert len(grads) == sum(out.stats["inner_iterations"])
+    assert len(grads) == len(seen) == sum(out.stats["inner_iterations"])
+
+
+def test_a_joint_block_step_measures_a_shrinkage_y_block():
+    # a y potential with a yield term and no gradient, a quadratic z potential
+    rng = np.random.default_rng(7)
+    M = rng.uniform(-1.0, 1.0, (5, 5))
+    H = M @ M.T + 5.0 * np.eye(5)
+    f = en.Load(rng.uniform(-1.0, 1.0, 3), amp=np.full(3, 0.4), omega=2.0)
+    E = en.QuadraticBlockEnergy(H[:3, :3], H[3:, :3], H[3:, 3:], f=f)
+    Ry, Rz = pt.OneHomPlusQuad(0.3, 1.0, dim=3), pt.QuadraticForm(np.diag([1.0, 2.0]))
+    system = sv.GradientSystem(E, pt.BlockIndicator(Ry, np.arange(3), 5),
+                               pt.BlockIndicator(Rz, np.arange(3, 5), 5))
+    P = pa.build_partition(1.0, N=8)
+    u0 = rng.uniform(-1.0, 1.0, 5)
+    out = sv.effective_solve(system, P, u0, tol=1e-10)
+    nodes = out.node_states()
+    for k in range(P.N):
+        anchor, u = nodes[k], nodes[k + 1]
+        v = (u - anchor) / P.taus[k]
+        g = E.grad(P.nodes[k + 1], u)
+        sigma_w, quad_w = Ry.shrinkage_parts()
+        smooth = quad_w * v[:3] + g[:3]
+        ry = np.where(v[:3] != 0.0, smooth + sigma_w * np.sign(v[:3]),
+                      np.maximum(np.abs(smooth) - sigma_w, 0.0))
+        rz = Rz.grad(v[3:]) + g[3:]
+        assert np.hypot(np.linalg.norm(ry), np.linalg.norm(rz)) <= (
+            1e-10 * (1.0 + np.linalg.norm(anchor)))
+    assert min(out.stats["inner_iterations"]) > 1
 
 
 def test_joint_block_stagnation_carries_the_last_sweep():

@@ -1,17 +1,20 @@
 """Warm starts of the Newton prox kernels of a run.
 
-A run's Newton kernel for a potential that is not quadratic starts each
-solve at the rate of its last solve, and at the anchor after a solve that
-took no Newton step (``solvers._prox_newton``, ``solvers._infconv_prox``).
-A warm start moves the result only within the prox tolerance, so these
-tests replay every solve of a run cold, from the run's own anchor, through
-the references of ``test_prox_reference``: the states and forces agree
-within the tolerance and the warm run takes fewer Newton steps.
+Every Newton kernel of a run starts each solve at the rate of its last
+solve, and at the anchor for its first solve and after a solve that took no
+Newton step (``solvers._prox_newton``, ``solvers._infconv_prox``).  A warm
+start moves the result only within the prox tolerance, so these tests
+replay every solve of a run cold, from the run's own anchor, through the
+references of ``test_prox_reference``: the states and forces agree within
+the tolerance and the warm run takes fewer Newton steps.  Every loop over a
+member with p < 2 asks for a quarter of the predicted decrease
+(``newton.armijo_constant``), so the drawn p = 1.5 runs below finish.
 """
 
 import numpy as np
 import pytest
 
+from splitflow import diagnostics as dg
 from splitflow import newton
 from splitflow import potentials as pt
 from splitflow import solvers as sv
@@ -19,7 +22,7 @@ from splitflow.energies import AllenCahn1DEnergy, Load
 from splitflow.errors import NumericalError
 from splitflow.models import make_model
 from splitflow.partitions import build_partition
-from test_prox_reference import infconv_prox_reference, prox_newton_reference
+from test_prox_reference import infconv_prox_reference, prox_newton_reference, replay_cell
 
 TOL = 1e-10
 
@@ -63,56 +66,71 @@ def _solves(scheme, system, P, inner):
 
 
 def _cold(R, E, t, anchor, h):
-    if isinstance(R, pt.InfConvolution):
+    if isinstance(R, pt.InfConvolution) and R.quadratic_matrix() is None:
         return infconv_prox_reference(E, R, t, anchor, h, TOL)[:3]
     return prox_newton_reference(R, E, t, anchor, h, TOL)[:3]
 
 
 @pytest.mark.parametrize("drawn", [False, True], ids=["preset", "drawn"])
 @pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_warm_runs_agree_with_their_cold_replay_within_the_prox_tolerance(p, scheme, drawn):
     system, u0 = _system(p, drawn)
     P = build_partition(1.0, N=64)
-    solves = _solves(scheme, system, P, 4)
-    try:
-        out = sv.solve(system, scheme, P, u0, TOL, 4)
-    except NumericalError:
-        # a warm run fails only where the cold run fails as well (the drawn
-        # p = 1.5 split run: Newton stalls on a member with p < 2)
-        with pytest.raises(NumericalError):
-            u = u0
-            for R, t, h, _ in solves:
-                u = _cold(R, system.energy, t, u, h)[0]
-        return
+    out = sv.solve(system, scheme, P, u0, TOL, 4)
     n, nodes, forces = out.step_cells, out.u_const.values, out.xi.cell_values
-    cold_steps = 0
-    for R, t, h, j in solves:
+    warm_steps = cold_steps = stalled = 0
+    for k, (R, t, h, j) in enumerate(_solves(scheme, system, P, 4)):
         anchor = nodes[j * n]
-        u, xi, it = _cold(R, system.energy, t, anchor, h)
+        try:
+            u, xi, it = _cold(R, system.energy, t, anchor, h)
+        except NumericalError:
+            # a cold start at v = 0, where the Hessian of |v|^1.5 is clamped,
+            # can stall where the warm start converged: no reference there
+            stalled += 1
+            continue
+        warm_steps += out.stats["inner_iterations"][k]
         cold_steps += it
         # both stop within tol (1 + |anchor|) of stationarity
         bound = TOL * (1.0 + np.linalg.norm(anchor))
         assert np.linalg.norm(nodes[(j + 1) * n] - u) <= bound
         assert np.linalg.norm(forces[j * n] - xi) <= bound
-    assert sum(out.stats["inner_iterations"]) < cold_steps
+    assert warm_steps < cold_steps
+    # the drawn p = 1.5 split run: 13 of its 512 cold replays stall
+    assert stalled <= (20 if (p, scheme, drawn) == (1.5, "split", True) else 0)
 
 
-def test_a_warm_start_that_stalls_gives_way_to_the_cold_start():
+@pytest.mark.parametrize("N", [32, 64, 128])
+@pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
+def test_the_drawn_p15_runs_finish_with_a_passing_audit(scheme, N):
+    # Newton jumped across the kink of |v|^1.5 at 0 here until the iteration
+    # limit while the prox asked for the default share of the decrease
     system, u0 = _system(1.5, drawn=True)
-    P = build_partition(1.0, N=64)
-    out = sv.solve(system, "amm", P, u0, TOL, 4)
-    iterations = np.array(out.stats["inner_iterations"])
-    stalled = np.flatnonzero(iterations > 100)  # 100 steps from the warm start
-    assert stalled.size
-    n, solves = out.step_cells, _solves("amm", system, P, 4)
-    for k in stalled:
-        R, t, h, j = solves[k]
-        u, xi, it, _ = prox_newton_reference(R, system.energy, t, out.u_const.values[j * n],
-                                             h, TOL)
-        assert _bits(u) == _bits(out.u_const.values[(j + 1) * n])
-        assert _bits(xi) == _bits(out.xi.cell_values[j * n])
-        assert 100 + it == iterations[k]
+    out = sv.solve(system, scheme, build_partition(1.0, N=N), u0, TOL, 4)
+    assert max(out.stats["inner_iterations"]) < 100
+    assert dg.edb_audit(out, system).passed
+
+
+def test_a_warm_solve_that_fails_gives_way_to_the_cold_start(monkeypatch):
+    preset = make_model("allen-cahn-1d", m=6, p=3.0)
+    R, E = pt.Rescaled(preset.system.r1), preset.system.energy
+    kernel = sv._prox_kernel(E, R)
+    first = kernel(E, 0.1, preset.u0, 0.05, TOL)[0]
+    minimize, starts = newton.minimize, []
+
+    def warm_fails(x, *args, **kwargs):
+        starts.append(np.array(x))
+        if _bits(x) != _bits(first):  # not the cold start at the anchor
+            raise NumericalError("forced", iterations=7, best=x)
+        return minimize(x, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "minimize", warm_fails)
+    u, xi, st = kernel(E, 0.2, first, 0.05, TOL)
+    assert len(starts) == 2 and _bits(starts[1]) == _bits(first)
+    monkeypatch.undo()
+    cold = prox_newton_reference(R, E, 0.2, first, 0.05, TOL)
+    assert _bits(u) == _bits(cold[0]) and _bits(xi) == _bits(cold[1])
+    assert st.iterations == 7 + cold[2]
 
 
 def test_the_p3_split_run_comes_to_rest_bit_for_bit():
@@ -145,7 +163,7 @@ def test_a_warm_kernel_at_a_converged_anchor_returns_the_anchor(effective):
 
 def _recorded_kernel(monkeypatch, name):
     """Wrap the kernel function ``name`` of ``solvers``; returns the list of
-    its warm calls as (kernel state, anchor, start, iterations)."""
+    its calls as (kernel state, anchor, start, iterations)."""
     calls, starts = [], []
     minimize = newton.minimize
 
@@ -155,11 +173,11 @@ def _recorded_kernel(monkeypatch, name):
 
     kernel = getattr(sv, name)
 
-    def recorded(*args, warm=None, **kwargs):
-        anchor = args[5]  # after the parts the kernel binds: E, t, anchor
-        result = kernel(*args, warm=warm, **kwargs)
-        if warm is not None:
-            calls.append((warm, anchor, starts[-1], result[2].iterations))
+    def recorded(*args, **kwargs):
+        # the parts the kernel binds end in its state; then E, t, anchor
+        warm, anchor = args[4], args[7]
+        result = kernel(*args, **kwargs)
+        calls.append((warm, anchor, starts[-1], result[2].iterations))
         return result
 
     monkeypatch.setattr(newton, "minimize", start_recorded)
@@ -174,8 +192,10 @@ def test_a_solve_after_a_zero_step_solve_starts_at_its_anchor(monkeypatch, schem
     preset = make_model("allen-cahn-1d", p=3.0)
     sv.solve(preset.system, scheme, build_partition(1.0, N=64), preset.u0, TOL, 8)
     restarts = warm = 0
-    for (state, _, _, it), (next_state, anchor, start, _) in zip(calls, calls[1:]):
-        assert next_state is state  # one kernel per mechanism, and one warm mechanism
+    # one kernel per mechanism; the p = 3 mechanism's solves come to rest
+    kernel = calls[0][0]
+    calls = [call for call in calls if call[0] is kernel]
+    for (_, _, _, it), (_, anchor, start, _) in zip(calls, calls[1:]):
         cold = np.zeros(2 * len(anchor)) if name == "_infconv_prox" else anchor
         if it == 0:
             restarts += 1
@@ -186,21 +206,25 @@ def test_a_solve_after_a_zero_step_solve_starts_at_its_anchor(monkeypatch, schem
 
 
 @pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
-def test_kernels_of_a_quadratic_potential_start_cold(scheme):
+def test_kernels_of_a_quadratic_potential_start_warm(scheme):
     # at p = 2 both members, and their inf-convolution, are quadratic
     preset = make_model("allen-cahn-1d", m=6, p=2.0)
     system, E = preset.system, preset.system.energy
     for R in (pt.Rescaled(system.r1), pt.Rescaled(system.r2), sv.effective_potential(system)):
         kernel = sv._prox_kernel(E, R)
-        assert kernel.func is sv._prox_newton and kernel.keywords["warm"] is None
+        assert kernel.func is sv._prox_newton and kernel.args[4] == [None]
     P = build_partition(1.0, N=8)
     out = sv.solve(system, scheme, P, preset.u0, TOL, 4)
     n, nodes = out.step_cells, out.u_const.values
+    last, warm = {}, 0  # the state of each mechanism's kernel
     for k, (R, t, h, j) in enumerate(_solves(scheme, system, P, 4)):
-        u, xi, it, _ = prox_newton_reference(R, E, t, nodes[j * n], h, TOL)
+        state = last.setdefault(id(getattr(R, "base", R)), [None])
+        warm += state[0] is not None
+        u, xi, it = replay_cell(R, E, t, nodes[j * n], h, state, TOL)
         assert _bits(u) == _bits(nodes[(j + 1) * n])
         assert _bits(xi) == _bits(out.xi.cell_values[j * n])
         assert it == out.stats["inner_iterations"][k]
+    assert warm
 
 
 def test_the_public_prox_step_starts_cold():
