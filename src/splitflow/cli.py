@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,21 +26,40 @@ from .potentials import qye_probe
 from .solvers import SCHEMES, effective_potential, solve, time_to_zero
 
 
-@dataclass
-class RunConfig:
-    """Validated description of one batch run."""
+# every config field with its default and its kind, as its flag's argparse
+# type gives it: a (kind, element kind) pair for lists, and None allowed where
+# it is the default.  Each config gets its own copy of a dict default
+_FIELDS = {
+    "model": ("counterexample", str),
+    "overrides": ({}, dict),
+    "scheme": ("split", str),
+    "N": (64, int),
+    "nodes": (None, (list, float)),
+    "inner_steps": (8, int),
+    "tol": (1e-10, float),
+    "out": (None, str),
+    "seed": (0, int),
+    "study": (None, (list, int)),
+    "samples": (1000, int),
+}
+_KIND_NAMES = {
+    str: "a string", dict: "an object", int: "an integer", float: "a number",
+    (list, float): "a non-empty list of numbers",
+    (list, int): "a non-empty list of integers",
+}
+# the most float64 values an array sized by a count may hold: 2**45 values
+# take 256 TiB, more than any machine's memory and far inside numpy's index
+# range, so a count past it is bad input, not a numerical failure
+_MAX_VALUES = 2**45
 
-    model: str = "counterexample"
-    overrides: dict = field(default_factory=dict)
-    scheme: str = "split"
-    N: int = 64
-    nodes: list = None
-    inner_steps: int = 8
-    tol: float = 1e-10
-    out: str = None
-    seed: int = 0
-    study: list = None
-    samples: int = 1000
+
+class RunConfig:
+    """Validated description of one batch run: one attribute per field of
+    ``_FIELDS``, at its default until set."""
+
+    def __init__(self):
+        for name, (default, _) in _FIELDS.items():
+            setattr(self, name, default.copy() if isinstance(default, dict) else default)
 
     def validate(self):
         if self.model not in MODEL_NAMES:
@@ -58,25 +76,20 @@ class RunConfig:
             raise InputError(f"seed must be nonnegative, not {self.seed}")
         if self.samples < 1:
             raise InputError("need samples >= 1")
+        # a grid has 2 * inner steps cells per step; a probe draws 2 * samples vectors
+        steps = [("N", self.N) if self.nodes is None else ("node steps", len(self.nodes) - 1)]
+        steps += [("study N", n) for n in self.study or ()]
+        for name, n in steps:
+            if 2 * n * self.inner_steps > _MAX_VALUES:
+                raise InputError(f"{name} = {n} and inner steps = {self.inner_steps} "
+                                 "make more than 2**45 grid cells")
+        if 2 * self.samples > _MAX_VALUES:
+            raise InputError(f"samples = {self.samples} make more than 2**45 vectors")
         return self
 
 
 def _default_out_root():
     return os.environ.get("SPLITFLOW_OUT", os.path.join(os.getcwd(), "splitflow-out"))
-
-
-# the kind of each config field, as its flag's argparse type gives it: a
-# (kind, element kind) pair for lists, and None allowed where it is the default
-_FIELD_KINDS = {
-    "model": str, "scheme": str, "out": str, "overrides": dict,
-    "N": int, "inner_steps": int, "seed": int, "samples": int, "tol": float,
-    "nodes": (list, float), "study": (list, int),
-}
-_KIND_NAMES = {
-    str: "a string", dict: "an object", int: "an integer", float: "a number",
-    (list, float): "a non-empty list of numbers",
-    (list, int): "a non-empty list of integers",
-}
 
 
 def _is_kind(val, kind):
@@ -98,10 +111,10 @@ def _load_config(path):
         raise InputError(f"config {path} must hold a JSON object of fields")
     cfg = RunConfig()
     for key, val in data.items():
-        kind = _FIELD_KINDS.get(key)
-        if kind is None:
+        if key not in _FIELDS:
             raise InputError(f"unknown config field {key!r}")
-        if not (_is_kind(val, kind) or (val is None and getattr(cfg, key) is None)):
+        default, kind = _FIELDS[key]
+        if not (_is_kind(val, kind) or (val is None and default is None)):
             raise InputError(f"config field {key!r} must be {_KIND_NAMES[kind]}, "
                              f"not {json.dumps(val)}")
         setattr(cfg, key, val)
@@ -155,7 +168,8 @@ def _setup(cfg: RunConfig, suffix):
     preset = make_model(cfg.model, **cfg.overrides)
     out_dir = cfg.out or os.path.join(_default_out_root(), f"{cfg.model}{suffix}")
     os.makedirs(out_dir, exist_ok=True)
-    _write(out_dir, {"config.json": {"version": __version__, "config": asdict(cfg)}})
+    echo = {name: getattr(cfg, name) for name in _FIELDS}
+    _write(out_dir, {"config.json": {"version": __version__, "config": echo}})
     return preset, out_dir
 
 
@@ -319,6 +333,10 @@ def main(argv=None) -> int:
         except NumericalError as exc:
             print(f"numerical failure: {exc}{_certificate(exc)}", file=_sys.stderr)
             return 3
+        except MemoryError as exc:
+            # a size within _MAX_VALUES can still ask for more than this machine has
+            print(f"error: out of memory: {exc}", file=_sys.stderr)
+            return 1
         except (np.linalg.LinAlgError, OverflowError) as exc:
             # arithmetic broke down, e.g. on model parameters whose products overflow
             print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -18,7 +18,6 @@ inequality form satisfied by the minimizing-movement schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -152,34 +151,45 @@ def slope_term(out: SchemeOutput, pair, interval=None) -> float:
     return chi_val
 
 
-@dataclass
 class EDBReport:
-    """All terms of one energy-dissipation audit."""
+    """All terms of one energy-dissipation audit, and the decomposition
+    curves ``v1`` and ``v2`` when they were taken."""
 
-    interval: tuple
-    form: str
-    d_rate: float
-    d_slope: float
-    power_integral: float
-    energy_start: float
-    energy_end: float
-    residual: float
-    slack: float
-    passed: bool
-    remainder: float = None
-    remainder_bound: float = None
-    decomposition_defect: float = None
-    decomposition_value_gap: float = None
-    # the power is exact, so no quadrature error; kept as a key of edb.json
-    quadrature_error: float = 0.0
-    inner_budget: float = 0.0
-    v1: SampledCurve = field(default=None, repr=False)
-    v2: SampledCurve = field(default=None, repr=False)
+    # the scalar terms, the keys of edb.json
+    _TERMS = ("interval", "form", "d_rate", "d_slope", "power_integral", "energy_start",
+             "energy_end", "residual", "slack", "passed", "remainder", "remainder_bound",
+             "decomposition_defect", "decomposition_value_gap", "quadrature_error",
+             "inner_budget")
+
+    def __init__(self, interval, form, d_rate, d_slope, power_integral, energy_start,
+                 energy_end, residual, slack, passed, remainder=None, remainder_bound=None,
+                 decomposition_defect=None, decomposition_value_gap=None,
+                 quadrature_error=0.0, inner_budget=0.0, v1: SampledCurve = None,
+                 v2: SampledCurve = None):
+        self.interval = interval
+        self.form = form
+        self.d_rate = d_rate
+        self.d_slope = d_slope
+        self.power_integral = power_integral
+        self.energy_start = energy_start
+        self.energy_end = energy_end
+        self.residual = residual
+        self.slack = slack
+        self.passed = passed
+        self.remainder = remainder
+        self.remainder_bound = remainder_bound
+        self.decomposition_defect = decomposition_defect
+        self.decomposition_value_gap = decomposition_value_gap
+        # the power is exact, so no quadrature error; kept as a key of edb.json
+        self.quadrature_error = quadrature_error
+        self.inner_budget = inner_budget
+        self.v1 = v1
+        self.v2 = v2
 
     def to_dict(self):
         """Every scalar term that was computed; the curves are left out."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("v1", "v2") and getattr(self, f.name) is not None}
+        return {name: getattr(self, name) for name in self._TERMS
+                if getattr(self, name) is not None}
 
 
 def _trajectory_state(out, t):

@@ -27,11 +27,10 @@ difference.  :class:`EnergySpec` owns the checked entries ``eval`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, Frozen, InputError
 from .potentials import Potential, _value
 
 __all__ = [
@@ -49,15 +48,8 @@ def _is_time_array(t):
     return isinstance(t, np.ndarray) and t.ndim == 1
 
 
-@dataclass(frozen=True)
-class Load:
+class Load(Frozen):
     """Closed-form load c0 + c1 t + amp sin(omega t + phase), per coordinate."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    amp: np.ndarray
-    omega: float = 0.0
-    phase: float = 0.0
 
     def __init__(self, c0, c1=None, amp=None, omega=0.0, phase=0.0):
         c0 = np.atleast_1d(np.asarray(c0, dtype=float))
@@ -105,17 +97,16 @@ def _as_load(obj, dim, name):
     return obj
 
 
-@dataclass(frozen=True)
-class SubdiffSet:
+class SubdiffSet(Frozen):
     """Exact geometric description of a Frechet subdifferential.
 
     kind is one of 'singleton', 'segment' (endpoints a, b), or 'box'
     (per-coordinate lower/upper bounds).
     """
 
-    kind: str
-    a: np.ndarray
-    b: np.ndarray = None
+    def __init__(self, kind, a, b=None):
+        for name, val in (("kind", kind), ("a", a), ("b", b)):
+            object.__setattr__(self, name, val)
 
     @classmethod
     def singleton(cls, xi):
@@ -345,16 +336,16 @@ class MaxNormEnergy(EnergySpec):
         return SubdiffSet.segment([s, 0.0], [0.0, -s])
 
 
-@dataclass(frozen=True)
-class DoubleWell:
+class DoubleWell(Frozen):
     """Quartic well W(u) = scale (u^2 - pos^2)^2 / 4 with analytic bounds.
 
     Satisfies W'' >= -C1, W >= -C2 and |W'| <= C3 (1 + |r|^3) with
     C1 = scale pos^2, C2 = 0, C3 = 2 scale.
     """
 
-    scale: float = 1.0
-    pos: float = 1.0
+    def __init__(self, scale=1.0, pos=1.0):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "pos", pos)
 
     def __call__(self, u):
         return self.scale * (u**2 - self.pos**2) ** 2 / 4.0

@@ -1,4 +1,24 @@
-"""Exception taxonomy shared across the library."""
+"""Exception taxonomy shared across the library, and the guard of its
+immutable records."""
+
+
+class Frozen:
+    """Instances reject assigning and deleting attributes.
+
+    A constructor sets its attributes through ``object.__setattr__``.  The
+    guard acts on instances only: methods of the classes can still be
+    replaced.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r} of an immutable "
+                             f"{type(self).__name__}")
 
 
 class SplitflowError(Exception):

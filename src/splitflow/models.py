@@ -16,7 +16,6 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +51,17 @@ MODEL_NAMES = ("counterexample", "allen-cahn-1d", "visco-plasticity-1d")
 _STATE_PARAMS = ("u0", "y0", "z0")
 
 
-@dataclass
 class ModelPreset:
     """A configured model: system, initial state, and reference metadata."""
 
-    name: str
-    params: dict
-    system: GradientSystem
-    u0: np.ndarray
-    horizon: float = 1.0
-    norm_weights: np.ndarray = None
+    def __init__(self, name: str, params: dict, system: GradientSystem, u0: np.ndarray,
+                 horizon: float = 1.0, norm_weights: np.ndarray = None):
+        self.name = name
+        self.params = params
+        self.system = system
+        self.u0 = u0
+        self.horizon = horizon
+        self.norm_weights = norm_weights
 
 
 def make_model(name, **overrides) -> ModelPreset:

@@ -11,11 +11,9 @@ rewriting identities hold to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InputError
+from .errors import Frozen, InputError
 
 __all__ = [
     "Partition",
@@ -41,20 +39,15 @@ _CSV_BLOCK_BYTES = 32 * 34 * 25
 _SORT_CHUNK = 16384
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Strictly increasing nodes 0 = t^0 < ... < t^N = T with midpoints.
 
     The step lengths ``taus`` and the ``midpoints`` are read-only arrays
     computed once, with the nodes.
     """
 
-    nodes: np.ndarray
-    taus: np.ndarray = field(init=False, repr=False, compare=False)
-    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, dtype=float).reshape(-1)
         if nodes.size < 2:
             raise InputError("a partition needs at least two nodes")
         if nodes[0] != 0.0:

@@ -35,11 +35,10 @@ Kinds provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, Frozen, InputError, NumericalError
 from .newton import ARMIJO, accepts, armijo_constant, newton_step
 
 __all__ = [
@@ -109,7 +108,7 @@ def weighted_dual_norm(xi, weights=None):
     return _norm(xi if weights is None else xi / np.asarray(weights))
 
 
-class Potential:
+class Potential(Frozen):
     """Common interface of all dissipation-potential kinds.
 
     Instances are immutable after construction and all methods are pure,
@@ -200,14 +199,11 @@ def _freeze(a):
     return a
 
 
-@dataclass(frozen=True)
 class QuadraticForm(Potential):
     """R(v) = <Vv, v>/2 for a symmetric positive definite matrix V."""
 
-    V: np.ndarray
-
-    def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.V, dtype=float))
+    def __init__(self, V):
+        V = np.atleast_2d(np.asarray(V, dtype=float))
         if V.shape[0] != V.shape[1]:
             raise ConfigurationError("quadratic form matrix must be square")
         if not np.allclose(V, V.T, atol=1e-12):
@@ -245,16 +241,12 @@ class QuadraticForm(Potential):
         return np.array(self.V)
 
 
-@dataclass(frozen=True)
 class PowerNorm(Potential):
     """R(v) = (1/p) sum_i w_i |v_i|^p with p > 1 and positive weights.
 
     With w_i the quadrature weights of a 1D mesh this is the discrete
     (1/p)||v||_{L^p}^p dissipation.
     """
-
-    p: float
-    weights: np.ndarray
 
     def __init__(self, p, weights=None, dim=None):
         if p <= 1:
@@ -307,15 +299,12 @@ class PowerNorm(Potential):
         return None
 
 
-@dataclass(frozen=True)
 class AnisotropicDualQuadratic(Potential):
     """Potential defined through its conjugate R*(xi) = sum_i c_i xi_i^2 / 2.
 
     The primal is R(v) = sum_i v_i^2 / (2 c_i); for two coordinates the dual
     weights are conventionally written (a, b).
     """
-
-    dual_weights: np.ndarray
 
     def __init__(self, dual_weights):
         c = np.asarray(dual_weights, dtype=float).reshape(-1)
@@ -350,17 +339,12 @@ class AnisotropicDualQuadratic(Potential):
         return np.diag(self._curvature)
 
 
-@dataclass(frozen=True)
 class OneHomPlusQuad(Potential):
     """R(v) = sum_i w_i (sigma |v_i| + rho v_i^2 / 2): yield plus viscosity.
 
     Conjugate and dual rate are the classical shrinkage formulas: the dual
     rate is sign(s) max(|s| - sigma, 0)/rho with s = xi_i / w_i.
     """
-
-    sigma: float
-    rho: float
-    weights: np.ndarray
 
     def __init__(self, sigma, rho, weights=None, dim=None):
         if sigma < 0:
@@ -397,7 +381,6 @@ class OneHomPlusQuad(Potential):
         return self.sigma * self.weights, self.rho * self.weights
 
 
-@dataclass(frozen=True)
 class BlockIndicator(Potential):
     """Base potential on an active block; the complementary block is frozen.
 
@@ -405,10 +388,6 @@ class BlockIndicator(Potential):
     ignores the frozen dual components entirely (the sup over a frozen rate
     is taken at 0), and the dual rate is 0 there.
     """
-
-    base: Potential
-    active: np.ndarray
-    total_dim: int
 
     def __init__(self, base, active, total_dim):
         idx = np.asarray(active, dtype=int).reshape(-1)
@@ -445,7 +424,6 @@ class BlockIndicator(Potential):
         return out
 
 
-@dataclass(frozen=True)
 class Rescaled(Potential):
     """R~(v) = 2 R(v/2); the conjugate doubles, R~*(xi) = 2 R*(xi).
 
@@ -453,7 +431,8 @@ class Rescaled(Potential):
     step of R~ over half an interval moves like a full step of R.
     """
 
-    base: Potential
+    def __init__(self, base):
+        object.__setattr__(self, "base", base)
 
     @property
     def dim(self):
@@ -490,7 +469,6 @@ class Rescaled(Potential):
         return np.array(sigma_w), 0.5 * np.array(quad_w)
 
 
-@dataclass(frozen=True)
 class InfConvolution(Potential):
     """Infimal convolution of two potentials sharing one state space.
 
@@ -499,14 +477,13 @@ class InfConvolution(Potential):
     dual rates.
     """
 
-    left: Potential
-    right: Potential
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim:
+    def __init__(self, left, right):
+        if left.dim != right.dim:
             raise ConfigurationError("inf-convolution members must share a dimension")
-        V1 = self.left.quadratic_matrix()
-        V2 = self.right.quadratic_matrix()
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        V1 = left.quadratic_matrix()
+        V2 = right.quadratic_matrix()
         V = None
         if V1 is not None and V2 is not None:
             V = _freeze(np.linalg.inv(np.linalg.inv(V1) + np.linalg.inv(V2)))
@@ -570,18 +547,16 @@ class InfConvolution(Potential):
         return None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Optimal split v = v1 + v2 realizing an inf-convolution value.
 
     For a batch of rows, ``v1`` and ``v2`` hold the splits row by row and
     ``value`` and ``gap`` hold one entry per row.
     """
 
-    v1: np.ndarray
-    v2: np.ndarray
-    value: float
-    gap: float = 0.0
+    def __init__(self, v1, v2, value, gap=0.0):
+        for name, val in (("v1", v1), ("v2", v2), ("value", value), ("gap", gap)):
+            object.__setattr__(self, name, val)
 
 
 def fenchel_young_residual(P: Potential, v, xi) -> float:
@@ -859,13 +834,12 @@ def _line_search(R1, R2, v, x, step, f0, slope, armijo):
     return new, None
 
 
-@dataclass(frozen=True)
-class QyeFit:
+class QyeFit(Frozen):
     """Fitted constants of the estimate R(v) + R*(xi) >= c ||v|| ||xi||_* - C."""
 
-    c_est: float
-    C_est: float
-    worst_pair: tuple
+    def __init__(self, c_est, C_est, worst_pair):
+        for name, val in (("c_est", c_est), ("C_est", C_est), ("worst_pair", worst_pair)):
+            object.__setattr__(self, name, val)
 
 
 def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
@@ -907,7 +881,6 @@ def qye_probe(P: Potential, samples, weights=None) -> QyeFit:
     return QyeFit(float(c_est), C_est, (V[worst], Xi[worst]))
 
 
-@dataclass
 class PsiMinorant:
     """Piecewise-linear lower envelope Psi(r) = max_K (K r - S_K).
 
@@ -915,9 +888,10 @@ class PsiMinorant:
     are certified only on the sampled ball, whose radius is recorded.
     """
 
-    K_grid: np.ndarray
-    S_values: np.ndarray
-    sample_radius: float
+    def __init__(self, K_grid, S_values, sample_radius):
+        self.K_grid = K_grid
+        self.S_values = S_values
+        self.sample_radius = sample_radius
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

@@ -18,14 +18,13 @@ crossing times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
 from . import newton
 from .energies import EnergySpec, MaxNormEnergy, QuadraticBlockEnergy
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, Frozen, InputError, NumericalError
 from .partitions import (
     DEFAULT_INNER_FACTOR,
     Partition,
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GradientSystem:
+class GradientSystem(Frozen):
     """Energy plus two dissipation potentials.
 
     ``block_layout`` is read off the pair once: ``(n_y, n_z)`` when ``r1``
@@ -69,16 +67,13 @@ class GradientSystem:
     two systems built alike are still two systems.
     """
 
-    energy: EnergySpec
-    r1: Potential
-    r2: Potential
-    block_layout: tuple = field(init=False)
-
-    def __post_init__(self):
-        for r, name in ((self.r1, "r1"), (self.r2, "r2")):
-            if r.dim != self.energy.dim:
+    def __init__(self, energy: EnergySpec, r1: Potential, r2: Potential):
+        for r, name in ((r1, "r1"), (r2, "r2")):
+            if r.dim != energy.dim:
                 raise ConfigurationError(f"{name} dimension disagrees with the energy")
-        object.__setattr__(self, "block_layout", _block_layout(self.r1, self.r2))
+        for name, val in (("energy", energy), ("r1", r1), ("r2", r2),
+                          ("block_layout", _block_layout(r1, r2))):
+            object.__setattr__(self, name, val)
 
     @property
     def dim(self):
@@ -102,25 +97,21 @@ def _block_layout(r1, r2):
     return n_y, r2.active.size
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentArrays:
+class SegmentArrays(Frozen):
     """The affine segments of an exactly solved flow, one row per segment:
     on [t0, t1] the state is u0 + (t - t0) velocity and the force xi;
     ``first`` flags the segments of mechanism 1.  The segments follow each
     other in time, so ``t0`` and ``t1`` are increasing."""
 
-    t0: np.ndarray
-    t1: np.ndarray
-    u0: np.ndarray
-    velocity: np.ndarray
-    xi: np.ndarray
-    first: np.ndarray
+    def __init__(self, t0, t1, u0, velocity, xi, first):
+        for name, val in (("t0", t0), ("t1", t1), ("u0", u0), ("velocity", velocity),
+                          ("xi", xi), ("first", first)):
+            object.__setattr__(self, name, val)
 
     def __len__(self):
         return len(self.t0)
 
 
-@dataclass
 class SchemeOutput:
     """Interpolants, forces, and statistics of one scheme run.
 
@@ -130,16 +121,20 @@ class SchemeOutput:
     ``segments``; for every other run they are None.
     """
 
-    scheme: str
-    partition: Partition
-    grid: RefinedGrid
-    u_const: SampledCurve
-    u_delayed: SampledCurve
-    u_linear: SampledCurve
-    xi: SampledCurve
-    step_cells: int = 1
-    segments: SegmentArrays = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, scheme: str, partition: Partition, grid: RefinedGrid,
+                 u_const: SampledCurve, u_delayed: SampledCurve, u_linear: SampledCurve,
+                 xi: SampledCurve, step_cells: int = 1, segments: SegmentArrays = None,
+                 stats: dict = None):
+        self.scheme = scheme
+        self.partition = partition
+        self.grid = grid
+        self.u_const = u_const
+        self.u_delayed = u_delayed
+        self.u_linear = u_linear
+        self.xi = xi
+        self.step_cells = step_cells
+        self.segments = segments
+        self.stats = {} if stats is None else stats
 
     @property
     def inner_tol(self):
@@ -170,11 +165,13 @@ class SchemeOutput:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _ProxStats:
-    iterations: int = 0
-    residual: float = 0.0
-    method: str = ""
+    __slots__ = ("iterations", "residual", "method")
+
+    def __init__(self, iterations, residual, method):
+        self.iterations = iterations
+        self.residual = residual
+        self.method = method
 
 
 def prox_step(E: EnergySpec, R: Potential, t_eval, anchor, h, tol=1e-10):

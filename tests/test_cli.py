@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -141,14 +140,13 @@ def test_probe_qye_draws_the_pairs_of_single_draws(tmp_path, capsys, seed):
 
 def _written_files(out_dir):
     """The bytes of every file in ``out_dir``, with ``config.json``'s ``out``
-    taken out: it names the directory."""
+    replaced: it names the directory."""
     files = {}
     for path in sorted(out_dir.iterdir()):
         data = path.read_bytes()
         if path.name == "config.json":
-            echo = json.loads(data)
-            assert echo["config"].pop("out") == str(out_dir)
-            data = json.dumps(echo, sort_keys=True).encode()
+            assert json.loads(data)["config"]["out"] == str(out_dir)
+            data = data.replace(json.dumps(str(out_dir)).encode(), b'"OUT"')
         files[path.name] = data
     return files
 
@@ -156,6 +154,8 @@ def _written_files(out_dir):
 _REUSE_CALLS = [
     ["run", "--model", "allen-cahn-1d", "--scheme", "amm", "--N", "4",
      "--override", "p=3", "--override", "m=6"],
+    ["run", "--model", "allen-cahn-1d", "--scheme", "amm", "--N", "4",
+     "--override", "well_scale=2.0"],
     ["run", "--model", "allen-cahn-1d", "--scheme", "amm", "--N", "4"],
     ["study", "--model", "allen-cahn-1d", "--scheme", "amm", "--study", "2,4"],
     ["probe-qye", "--model", "allen-cahn-1d", "--samples", "50", "--seed", "3"],
@@ -163,7 +163,8 @@ _REUSE_CALLS = [
 
 
 def test_calls_in_one_process_write_what_a_fresh_process_writes(tmp_path):
-    # main keeps one parser for the process; no call may leave state in it
+    # main keeps one parser for the process, and each config its own
+    # overrides; no call may leave state in either
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     script = "import sys; from splitflow import cli; sys.exit(cli.main(sys.argv[1:]))"
     assert cli._parser() is cli._parser()
@@ -175,6 +176,51 @@ def test_calls_in_one_process_write_what_a_fresh_process_writes(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli(argv + ["--out", str(reused)]) == 0
         assert _written_files(reused) == _written_files(fresh)
+
+
+def test_configs_do_not_share_their_overrides():
+    first, second = cli.RunConfig(), cli.RunConfig()
+    first.overrides["p"] = 3.0
+    assert second.overrides == {} and cli.RunConfig().overrides == {}
+
+
+def test_importing_the_cli_leaves_dataclasses_unimported():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    script = "import sys, splitflow.cli; sys.exit('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+
+
+# sizes past np.intp: numpy would refuse them before allocating anything
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--N", "100000000000000000000000"], "N = 100000000000000000000000"),
+    (["run", "--inner-steps", "1000000000000000000000"],
+     "inner steps = 1000000000000000000000"),
+    (["run", "--nodes", "0,1", "--inner-steps", "1000000000000000000000"],
+     "inner steps = 1000000000000000000000"),
+    (["probe-qye", "--samples", "1000000000000000000000"],
+     "samples = 1000000000000000000000"),
+    (["study", "--study", "4,1000000000000000000000"], "study N = 1000000000000000000000"),
+])
+def test_an_oversized_count_exits_one_with_one_line_naming_it(tmp_path, capsys, argv,
+                                                              field):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--model", "counterexample", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
+    assert not out.exists()  # rejected before the config echo
+
+
+def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    assert run_cli(["run", "--model", "counterexample", "--N", "4",
+                    "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
 
 
 def test_env_var_out_root(tmp_path, monkeypatch):
@@ -213,7 +259,12 @@ def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, text):
 
 
 def test_every_config_field_has_a_kind(tmp_path):
-    assert set(cli._FIELD_KINDS) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    # a config has one attribute per field of the list, and each has a kind
+    # that the --config check can name and that its default is of, if not None
+    assert set(vars(cli.RunConfig())) == set(cli._FIELDS)
+    for name, (default, kind) in cli._FIELDS.items():
+        assert kind in cli._KIND_NAMES, name
+        assert default is None or cli._is_kind(default, kind), name
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "model": "counterexample", "overrides": {"u0": [1.0, 0.5]}, "scheme": "amm",

@@ -170,23 +170,29 @@ def test_edb_stationary_all_terms_zero():
     assert rep.energy_end - rep.energy_start == 0.0
 
 
-def test_edb_report_serialization():
-    sys = make_model("counterexample").system
-    P = pa.build_partition(1.0, N=8)
-    out = sv.split_step_solve(sys, P, [2.0, 1.0])
-    rep = dg.edb_audit(out, sys)
-    data = json.loads(json.dumps(rep.to_dict()))
-    for key in ("d_rate", "d_slope", "residual", "slack", "passed", "interval"):
-        assert key in data
-    assert "v1" not in data and "v2" not in data
-
-
 AUDIT_FORM_CASES = [
     (model, scheme)
     for model in ("counterexample", "allen-cahn-1d", "visco-plasticity-1d")
     for scheme in sv.SCHEMES
     if model == "visco-plasticity-1d" or not scheme.startswith("block-")
 ]
+
+# the keys of edb.json: every scalar term, the decomposition's two only
+# where the run is not of the effective flow itself
+EDB_TERMS = {"interval", "form", "d_rate", "d_slope", "power_integral", "energy_start",
+             "energy_end", "residual", "slack", "passed", "remainder", "remainder_bound",
+             "quadrature_error", "inner_budget"}
+
+
+@pytest.mark.parametrize("model, scheme", AUDIT_FORM_CASES)
+def test_edb_report_serialization(model, scheme):
+    preset = make_model(model)
+    P = pa.build_partition(preset.horizon, N=4)
+    out = sv.solve(preset.system, scheme, P, preset.u0, 1e-10, 2)
+    data = json.loads(json.dumps(dg.edb_audit(out, preset.system).to_dict()))
+    decomposed = set() if scheme == "effective" else {
+        "decomposition_defect", "decomposition_value_gap"}
+    assert set(data) == EDB_TERMS | decomposed
 
 
 @pytest.mark.parametrize("model, scheme", AUDIT_FORM_CASES)
