@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import convergence_study, edb_audit
 from .errors import InputError, NumericalError, SplitflowError
-from .models import MODEL_NAMES, make_model
+from .models import _MAX_VALUES, MODEL_NAMES, make_model
 from .partitions import build_partition
 from .potentials import qye_probe
 from .solvers import SCHEMES, effective_potential, solve, time_to_zero
@@ -47,10 +47,6 @@ _KIND_NAMES = {
     (list, float): "a non-empty list of numbers",
     (list, int): "a non-empty list of integers",
 }
-# the most float64 values an array sized by a count may hold: 2**45 values
-# take 256 TiB, more than any machine's memory and far inside numpy's index
-# range, so a count past it is bad input, not a numerical failure
-_MAX_VALUES = 2**45
 
 
 class RunConfig:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .partitions import DEFAULT_INNER_FACTOR, SampledCurve, build_partition, repetition_apply
-from .potentials import Potential, Rescaled
 from .solvers import (
     GradientSystem,
     SchemeOutput,
+    _tilde,
     effective_potential,
     effective_solve,
     solve,
@@ -44,10 +44,6 @@ __all__ = [
 
 SLACK_FACTOR = 10.0
 REPETITION_RTOL = 1e-10
-
-
-def _tilde(R: Potential) -> Potential:
-    return R if isinstance(R, Rescaled) else Rescaled(R)
 
 
 def _clip_cells(grid, interval):
@@ -417,7 +413,7 @@ def convergence_study(
     T=1.0,
     reference_factor=16,
     tol=1e-10,
-    inner=None,
+    inner=DEFAULT_INNER_FACTOR,
 ) -> StudyTable:
     """Refinement study of a scheme against the effective reference.
 
@@ -428,9 +424,8 @@ def convergence_study(
     N_list = list(N_list)
     if any(n2 <= n1 for n1, n2 in zip(N_list, N_list[1:])):
         raise InputError("N list must be increasing")
-    inner = DEFAULT_INNER_FACTOR if inner is None else inner
     ref_P = build_partition(T, N=reference_factor * max(N_list))
-    ref_out = effective_solve(sys, ref_P, u0, tol=tol, inner_factor=2)
+    ref_out = effective_solve(sys, ref_P, u0, tol, 2)
     ref_rate_int, ref_slope_int = _effective_terms(
         ref_out, effective_potential(sys), (0.0, ref_P.T)
     )

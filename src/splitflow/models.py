@@ -49,6 +49,10 @@ MODEL_NAMES = ("counterexample", "allen-cahn-1d", "visco-plasticity-1d")
 
 # builder parameters that take a state vector (their defaults may be None)
 _STATE_PARAMS = ("u0", "y0", "z0")
+# the most float64 values an array sized by a count may hold: 2**45 values
+# take 256 TiB, more than any machine's memory and far inside numpy's index
+# range, so a count past it is bad input, not a numerical failure
+_MAX_VALUES = 2**45
 
 
 class ModelPreset:
@@ -82,6 +86,10 @@ def make_model(name, **overrides) -> ModelPreset:
         )
     for key, value in overrides.items():
         _check_override_kind(key, value, allowed[key].default)
+        # both mesh models build dense m x m matrices
+        if key == "m" and value > math.isqrt(_MAX_VALUES):
+            raise ConfigurationError(f"m = {value} makes m x m matrices of more than "
+                                     "2**45 values")
     preset = builders[name](**overrides)
     dim = preset.system.dim
     if preset.u0.shape != (dim,):

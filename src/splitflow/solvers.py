@@ -174,17 +174,27 @@ class _ProxStats:
         self.method = method
 
 
+def _unscaled(R):
+    return R.base if isinstance(R, Rescaled) else R
+
+
+def _tilde(R):
+    """The rescaled potential R~ of R; R itself when it is one already."""
+    return R if isinstance(R, Rescaled) else Rescaled(R)
+
+
 def prox_step(E: EnergySpec, R: Potential, t_eval, anchor, h, tol=1e-10):
     """One incremental minimization u in Argmin h R((u - anchor)/h) + E(t, u).
 
     Returns (u, xi) with xi the Euler-Lagrange force, an element of
     dE(t_eval, u) whose negative lies in dR((u - anchor)/h).
     """
-    u, xi, _ = _prox(E, R, t_eval, np.asarray(anchor, dtype=float), float(h), tol)
-    return u, xi
+    return _prox(E, R, t_eval, anchor, h, tol)[:2]
 
 
 def _prox(E, R, t, anchor, h, tol):
+    """The checked prox: ``(u, xi, stats)`` of one solve by a fresh kernel."""
+    h = float(h)
     if h <= 0:
         raise InputError("prox step size must be positive")
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
@@ -211,7 +221,7 @@ def _prox_kernel(E, R):
     from its potentials here.  :func:`prox_step` builds a fresh kernel per
     call and so always starts cold.
     """
-    base = R.base if isinstance(R, Rescaled) else R
+    base = _unscaled(R)
     try:
         if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
             if base is not R:
@@ -476,16 +486,6 @@ _ZERO_TOL = 1e-13
 _TIME_TOL = 1e-15
 
 
-def _unscaled(R):
-    return R.base if isinstance(R, Rescaled) else R
-
-
-def _is_exact_pair(energy, potential):
-    return isinstance(energy, MaxNormEnergy) and isinstance(
-        _unscaled(potential), AnisotropicDualQuadratic
-    )
-
-
 def _regime_classify(u, tol):
     u1, u2 = u
     if abs(u1) <= tol and abs(u2) <= tol:
@@ -553,24 +553,24 @@ def _regime_flow(dual_weights, t0, t1, u0, rows):
 # ---------------------------------------------------------------------------
 
 
-def _exact_flows(times, u0, pieces):
+def _exact_flows(times, u0, legs, weights):
     """Concatenated exact regime flows, sampled on a cell grid.
 
-    Each piece ``(t0, t1, weights, first)`` flows from where the previous
-    one ended; ``first`` says whether mechanism 1 drives it.  Returns the
+    Each leg ``(t0, t1, mechanism)`` flows from where the previous one
+    ended, with the dual weights ``weights[mechanism]``.  Returns the
     states at ``times``, the cell forces and the ``SegmentArrays``.  A cell
     takes the first segment that ends within ``_TIME_TOL`` before its right
     end or later (the last segment if none does), and that segment's force,
     the force every prox path evaluates at the state of the cell's right end.
     """
     # the loop of _regime_flow emits a segment only under this condition
-    if any(t0 >= t1 - _TIME_TOL for t0, t1, _, _ in pieces):
+    if any(t0 >= t1 - _TIME_TOL for t0, t1, _ in legs):
         raise InputError(f"exact flows need semi-intervals longer than {_TIME_TOL:g}")
     u, rows, first = u0, [], []
-    for t0, t1, weights, is_first in pieces:
+    for t0, t1, m in legs:
         n = len(rows)
-        u = _regime_flow(weights, t0, t1, u, rows)
-        first += [is_first] * (len(rows) - n)
+        u = _regime_flow(weights[m], t0, float(t1), u, rows)
+        first += [m == 1] * (len(rows) - n)
     seg = SegmentArrays(*(np.array(col, dtype=float) for col in zip(*rows)),
                         np.array(first, dtype=bool))
     b = times[1:]
@@ -580,9 +580,7 @@ def _exact_flows(times, u0, pieces):
     nodes[0] = u0
     dt = np.minimum(b, seg.t1[si]) - seg.t0[si]
     nodes[1:] = seg.u0[si] + dt[:, None] * seg.velocity[si]
-    forces = seg.xi[si]
-    _require_finite(nodes, forces, 1)
-    return nodes, forces, seg
+    return nodes, seg.xi[si], seg
 
 
 def _require_finite(nodes, forces, n):
@@ -596,30 +594,6 @@ def _require_finite(nodes, forces, n):
         )
 
 
-def _cell_plan(sys, times, which):
-    """Step plan of one prox step per cell of ``times``: mechanism
-    ``which[i]`` on cell i, over the cell's width, evaluated at its right end."""
-    step = {j: _half_step(sys, j) for j in sorted(set(map(int, which)))}
-    return [(step[j], b, b - a) for j, a, b in zip(which, times[:-1], times[1:])]
-
-
-def _half_step(sys, which):
-    """The prox step of the rescaled potential R~_which, on its block if
-    blocked: ``step(t_eval, anchor, h, tol) -> (u, xi, stats)``.
-
-    The wrapper and the prox method are built here, once per run.  Block
-    systems move only the active block; the other block stays frozen in the
-    energy and keeps its anchor values exactly.
-    """
-    R = sys.r1 if which == 1 else sys.r2
-    if sys.block_layout is None:
-        R_tilde = R if isinstance(R, Rescaled) else Rescaled(R)
-        return partial(_prox_kernel(sys.energy, R_tilde), sys.energy)
-    active = sys.block_indices()[which - 1]
-    frozen = _FrozenBlockEnergy(sys.energy, active, np.zeros(sys.dim))
-    return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))
-
-
 def _block_step(sys, active, kernel, t_eval, anchor, h, tol):
     """Move the ``active`` block by ``kernel``, with the other block frozen."""
     E_step = _FrozenBlockEnergy(sys.energy, active, anchor)
@@ -629,12 +603,6 @@ def _block_step(sys, active, kernel, t_eval, anchor, h, tol):
     xi = np.zeros(sys.dim)
     xi[active] = xi_act
     return u, xi, st
-
-
-def _record_prox(record, st):
-    """One entry per prox solve, in solve order."""
-    record.setdefault("inner_iterations", []).append(st.iterations)
-    record.setdefault("inner_residuals", []).append(st.residual)
 
 
 class _FrozenBlockEnergy(EnergySpec):
@@ -679,148 +647,173 @@ class _FrozenBlockEnergy(EnergySpec):
 # ---------------------------------------------------------------------------
 
 
-def substep_flow(sys: GradientSystem, which, interval, u_init, inner_steps=None):
-    """Single-mechanism flow on one interval, returned as a sampled curve."""
-    s, t = float(interval[0]), float(interval[1])
-    if not 0.0 <= s < t:
-        raise InputError("substep interval must be nondegenerate and nonnegative")
-    R = {1: sys.r1, 2: sys.r2}.get(which)
-    if R is None:
-        raise InputError(f"system has no mechanism {which}")
-    M = DEFAULT_INNER_FACTOR if inner_steps is None else int(inner_steps)
-    grid = Partition(np.array([0.0, t - s])).refine(M)
-    cell_times = s + grid.times
-    u0 = np.asarray(u_init, dtype=float).reshape(-1)
-    if _is_exact_pair(sys.energy, R):
-        weights = 2.0 * _unscaled(R).dual_weights  # dual weights of R~* = 2 R*
-        piece = (cell_times[0], cell_times[-1], weights, which == 1)
-        values = _exact_flows(cell_times, u0, [piece])[0]
-    else:
-        plan = _cell_plan(sys, cell_times, [which] * grid.n_cells)
-        _, values, _ = _movements(grid, u0, plan, 1e-10, {})
-    return SampledCurve(grid, values, "piecewise-linear")
+# the mechanism of the effective flow, the inf-convolution R1 # R2, beside
+# the mechanisms 1 and 2 of a step plan
+_EFFECTIVE = 0
 
 
-def _delayed_values(u_const: SampledCurve, grid: RefinedGrid, u0):
-    """Node values of the half-step-delayed interpolant of ``u_const``."""
-    t_src = grid.times[1:] - 0.5 * grid.partition.taus[grid.cell_steps - 1]
-    later = t_src > 0.0
-    vals = np.empty_like(u_const.values)
-    vals[0] = u0
-    cells = vals[1:]
-    cells[~later] = u0
-    cells[later] = u_const.at(t_src[later])
-    return vals
+def _dual_weights(sys, mechanism):
+    """The dual weights of the potential that drives ``mechanism``'s exact
+    flow, or None when it has none.
 
-
-def _assemble_output(scheme, sys, grid, linear, const, forces, record, tol):
-    """Build the ``SchemeOutput`` of a run; every scheme ends here.
-
-    ``linear`` and ``const`` are the node values of the two interpolants
-    (one array for flows sampled at their nodes), ``forces`` has one row
-    per cell, and ``record`` holds what the run recorded.  Split and AMM
-    runs of a block system are the staggered block schemes and take the
-    ``block-`` prefix.
+    Only the max-norm energy with anisotropic dual-quadratic potentials has
+    exact flows.  Mechanism j flows with R~_j, whose dual weights are twice
+    those of R_j (R~* = 2 R*); the effective mechanism flows with R1 # R2,
+    whose dual weights are the sum of both ((R1 # R2)* = R1* + R2*).
     """
+    pair = {1: (sys.r1,), 2: (sys.r2,), _EFFECTIVE: (sys.r1, sys.r2)}[mechanism]
+    bases = [_unscaled(R) for R in pair]
+    if not (isinstance(sys.energy, MaxNormEnergy)
+            and all(isinstance(R, AnisotropicDualQuadratic) for R in bases)):
+        return None
+    if mechanism == _EFFECTIVE:
+        return bases[0].dual_weights + bases[1].dual_weights
+    return 2.0 * bases[0].dual_weights
+
+
+def _step(sys, mechanism):
+    """The prox step of ``mechanism``: ``step(t_eval, anchor, h, tol) -> (u,
+    xi, stats)``.
+
+    Mechanism j in (1, 2) steps with the rescaled potential R~_j, on its
+    block if the system has a block layout: the other block stays frozen in
+    the energy and keeps its anchor values exactly.  The effective mechanism
+    steps with R1 # R2, both blocks jointly if blocked.  The wrappers and
+    the prox method are built here, once per run.
+    """
+    E = sys.energy
+    if mechanism == _EFFECTIVE:
+        if sys.block_layout is not None:
+            return _joint_block_step(sys)
+        return partial(_prox_kernel(E, effective_potential(sys)), E)
+    R = sys.r1 if mechanism == 1 else sys.r2
+    if sys.block_layout is None:
+        return partial(_prox_kernel(E, _tilde(R)), E)
+    active = sys.block_indices()[mechanism - 1]
+    frozen = _FrozenBlockEnergy(E, active, np.zeros(sys.dim))
+    return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))
+
+
+def _run(scheme, sys, grid, u0, tol, legs, steps, offset=0.0):
+    """Run the plan of ``scheme`` on ``grid``; every run ends here.
+
+    A plan has two parts.  ``legs`` are the exact legs ``(t0, t1,
+    mechanism)``: when there are legs and every leg's mechanism has an exact
+    flow, the legs are flowed one from where the one before ended and
+    sampled on the grid, whose first node sits at time ``offset``.
+    Otherwise ``steps``, an iterable of ``(mechanism, t_eval, h)``, are the
+    prox steps (:func:`_movements`).  A mechanism is 1, 2 or ``_EFFECTIVE``.
+
+    Split and AMM runs of a block system are the staggered block schemes
+    and take the ``block-`` prefix.
+    """
+    u0 = np.asarray(u0, dtype=float).reshape(-1)
+    weights = {m: _dual_weights(sys, m) for m in {leg[2] for leg in legs}}
+    stats, segments = {"tol": tol}, None
+    if weights and all(w is not None for w in weights.values()):
+        const, forces, segments = _exact_flows(offset + grid.times, u0, legs, weights)
+        n = 1
+    else:
+        const, forces, n = _movements(sys, grid, u0, list(steps), tol, stats)
+    _require_finite(const, forces, n)
+    linear = const  # the nodes of a flow or of one step per cell
+    if n > 1:
+        # increment form keeps frozen block components exactly constant
+        lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
+        start, end = const[:-1:n, None], const[n::n, None]
+        linear = np.empty_like(const)
+        linear[0] = u0
+        linear[1:] = (start + lam * (end - start)).reshape(-1, u0.size)
+        # start + 1.0 * (end - start) need not round to end
+        linear[n::n] = const[n::n]
     if sys.block_layout is not None and scheme != "effective":
         scheme = f"block-{scheme}"
     u_const = SampledCurve(grid, const, "piecewise-constant")
-    stats = {
-        "tol": tol,
-        **{k: v for k, v in record.items()
-           if k not in ("segments", "step_cells")},
-    }
+    # the half-step-delayed interpolant, u0 at every time up to 0
+    t_src = grid.times[1:] - 0.5 * grid.partition.taus[grid.cell_steps - 1]
+    delayed = np.vstack([u0, u_const.at(np.maximum(t_src, 0.0))])
     return SchemeOutput(
         scheme=scheme,
         partition=grid.partition,
         grid=grid,
         u_const=u_const,
-        u_delayed=SampledCurve(
-            grid, _delayed_values(u_const, grid, const[0]), "delayed-constant"
-        ),
+        u_delayed=SampledCurve(grid, delayed, "delayed-constant"),
         u_linear=SampledCurve(grid, linear, "piecewise-linear"),
         xi=SampledCurve(grid, np.vstack([forces[:1], forces]), "piecewise-constant"),
-        step_cells=record.get("step_cells", 1),
-        segments=record.get("segments"),
+        step_cells=n,
+        segments=segments,
         stats=stats,
     )
 
 
-def _movements(grid, u0, plan, tol, record):
-    """Minimizing movements along a step plan.
+def _movements(sys, grid, u0, plan, tol, stats):
+    """Minimizing movements along the prox steps ``plan``.
 
-    Each plan entry ``(step, t_eval, h)`` solves one incremental problem
-    ``step(t_eval, anchor, h, tol)`` from the previous state and holds its
-    result on the next ``n`` cells, the same ``n`` for every entry; ``n``
-    goes into ``record`` as ``step_cells``.  Returns the node values of the
-    linear and the constant interpolant and the cell forces.
+    Each entry ``(mechanism, t_eval, h)`` solves one incremental problem by
+    the mechanism's step (:func:`_step`, built once per run) from the
+    previous state, and holds its result on the next ``n`` cells, the same
+    ``n`` for every entry.  Each solve's iterations and residual go into
+    ``stats``.  Returns the node values of the constant interpolant, the
+    cell forces and ``n``.
     """
-    n = record["step_cells"] = grid.n_cells // len(plan)
+    step = {m: _step(sys, m) for m in dict.fromkeys(m for m, _, _ in plan)}
+    n = grid.n_cells // len(plan)
     const = np.empty((grid.n_nodes, u0.size))
     const[0] = u0
     forces = np.empty((grid.n_cells, u0.size))
+    iterations, residuals = [], []
+    stats.update(inner_iterations=iterations, inner_residuals=residuals)
     u = u0
-    for k, (step, t_eval, h) in enumerate(plan):
-        u, xi, st = step(t_eval, u, h, tol)
-        _record_prox(record, st)
+    for k, (m, t_eval, h) in enumerate(plan):
+        u, xi, st = step[m](t_eval, u, h, tol)
+        iterations.append(st.iterations)
+        residuals.append(st.residual)
         const[k * n + 1 : (k + 1) * n + 1] = u
         forces[k * n : (k + 1) * n] = xi
-    _require_finite(const, forces, n)
-    # increment form keeps frozen block components exactly constant
-    lam = np.linspace(0.0, 1.0, n + 1)[1:, None]
-    start, end = const[:-1:n, None], const[n::n, None]
-    linear = np.empty_like(const)
-    linear[0] = u0
-    linear[1:] = (start + lam * (end - start)).reshape(-1, u0.size)
-    # start + 1.0 * (end - start) need not round to end
-    linear[n::n] = const[n::n]
-    return linear, const, forces
+    return const, forces, n
 
 
-def split_step_solve(
-    sys: GradientSystem, P: Partition, u0, inner_steps=DEFAULT_INNER_FACTOR, tol=1e-10
-):
-    """Concatenated single-mechanism flows on alternating semi-intervals."""
-    grid = P.refine(inner_steps)
-    u0 = np.asarray(u0, dtype=float).reshape(-1)
-    record = {}
-    # mechanism 1 on left semi-intervals, 2 on right ones
-    if _is_exact_pair(sys.energy, sys.r1) and _is_exact_pair(sys.energy, sys.r2):
-        ends = grid.times[:: grid.M]
-        # dual weights of R~* = 2 R*
-        weights = [2.0 * _unscaled(R).dual_weights for R in (sys.r1, sys.r2)]
-        pieces = [(float(a), float(b), weights[j % 2], j % 2 == 0)
-                  for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
-        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
-    else:
-        plan = _cell_plan(sys, grid.times, np.where(grid.cell_is_left, 1, 2))
-        _, values, forces = _movements(grid, u0, plan, tol, record)
-    return _assemble_output("split", sys, grid, values, values, forces, record, tol)
+def substep_flow(sys: GradientSystem, which, interval, u_init, inner=DEFAULT_INNER_FACTOR):
+    """Single-mechanism flow on one interval, one leg of a split run,
+    returned as a sampled curve on [0, t - s]."""
+    s, t = float(interval[0]), float(interval[1])
+    if not 0.0 <= s < t:
+        raise InputError("substep interval must be nondegenerate and nonnegative")
+    if which not in (1, 2):
+        raise InputError(f"system has no mechanism {which}")
+    which = int(which)
+    grid = Partition(np.array([0.0, t - s])).refine(inner)
+    times = s + grid.times
+    steps = zip([which] * grid.n_cells, times[1:], np.diff(times))
+    out = _run("split", sys, grid, u_init, 1e-10, [(times[0], times[-1], which)], steps, s)
+    return out.u_linear
 
 
-def amm_solve(
-    sys: GradientSystem,
-    P: Partition,
-    u0,
-    tol=1e-10,
-    inner_factor=DEFAULT_INNER_FACTOR,
-):
+def split_step_solve(sys: GradientSystem, P: Partition, u0, tol=1e-10,
+                     inner=DEFAULT_INNER_FACTOR):
+    """Concatenated single-mechanism flows on alternating semi-intervals,
+    mechanism 1 on left ones and 2 on right ones: exact flows, else one
+    rescaled prox step per cell."""
+    grid = P.refine(inner)
+    ends = grid.times[:: grid.M]
+    legs = [(a, b, 1 + j % 2) for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    steps = zip(np.where(grid.cell_is_left, 1, 2), grid.times[1:], grid.cell_widths)
+    return _run("split", sys, grid, u0, tol, legs, steps)
+
+
+def amm_solve(sys: GradientSystem, P: Partition, u0, tol=1e-10,
+              inner=DEFAULT_INNER_FACTOR):
     """Alternating minimizing movements over the partition.
 
     Each step solves two incremental problems with the rescaled potentials:
     the first mechanism at the midpoint time from the previous endpoint, the
-    second at the node time from the intermediate state.
+    second at the node time from the intermediate state, each over half the
+    step length.
     """
-    grid = P.refine(inner_factor)
-    u0 = np.asarray(u0, dtype=float).reshape(-1)
-    first, second = _half_step(sys, 1), _half_step(sys, 2)
-    plan = []
-    for k in range(P.N):
-        h = P.taus[k] / 2.0
-        plan += [(first, P.midpoints[k], h), (second, P.nodes[k + 1], h)]
-    record = {}
-    linear, const, forces = _movements(grid, u0, plan, tol, record)
-    return _assemble_output("amm", sys, grid, linear, const, forces, record, tol)
+    steps = ((m, t_eval, h)
+             for mid, node, h in zip(P.midpoints, P.nodes[1:], P.taus / 2.0)
+             for m, t_eval in ((1, mid), (2, node)))
+    return _run("amm", sys, P.refine(inner), u0, tol, (), steps)
 
 
 def effective_potential(sys: GradientSystem) -> Potential:
@@ -828,59 +821,35 @@ def effective_potential(sys: GradientSystem) -> Potential:
     return InfConvolution(sys.r1, sys.r2)
 
 
-def effective_solve(
-    sys: GradientSystem,
-    P: Partition,
-    u0,
-    tol=1e-10,
-    inner_factor=DEFAULT_INNER_FACTOR,
-):
-    """Minimizing movements for the effective (inf-convolution) system."""
-    grid = P.refine(inner_factor)
-    u0 = np.asarray(u0, dtype=float).reshape(-1)
-    E = sys.energy
-    record = {}
-
-    if _is_exact_pair(E, sys.r1) and _is_exact_pair(E, sys.r2):
-        weights = _unscaled(sys.r1).dual_weights + _unscaled(sys.r2).dual_weights
-        pieces = [(0.0, P.T, weights, False)]
-        values, forces, record["segments"] = _exact_flows(grid.times, u0, pieces)
-        return _assemble_output(
-            "effective", sys, grid, values, values, forces, record, tol
-        )
-
-    # one minimizing movement of the effective potential per full step
-    R_eff = effective_potential(sys)
-    if sys.block_layout is not None:
-        step = _joint_block_step(sys)
-    else:
-        step = partial(_prox_kernel(E, R_eff), E)
-    plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
-    linear, const, forces = _movements(grid, u0, plan, tol, record)
-    return _assemble_output("effective", sys, grid, linear, const, forces, record, tol)
+def effective_solve(sys: GradientSystem, P: Partition, u0, tol=1e-10,
+                    inner=DEFAULT_INNER_FACTOR):
+    """Minimizing movements for the effective (inf-convolution) system: its
+    exact flow over [0, T], else one prox step per full step."""
+    steps = ((_EFFECTIVE, t_eval, tau) for t_eval, tau in zip(P.nodes[1:], P.taus))
+    return _run("effective", sys, P.refine(inner), u0, tol, [(0.0, P.T, _EFFECTIVE)], steps)
 
 
 SCHEMES = ("split", "amm", "effective", "block-split", "block-amm")
 
 
-def solve(sys: GradientSystem, scheme, P: Partition, u0, tol, inner):
+def solve(sys: GradientSystem, scheme, P: Partition, u0, tol=1e-10,
+          inner=DEFAULT_INNER_FACTOR):
     """Run the scheme named ``scheme``; one of ``SCHEMES``.
 
     The ``block-`` names are the staggered block schemes: split and AMM on
     a system with a block layout, where y moves on left semi-intervals with
-    z frozen and z on right ones with y frozen.  The entry points are
+    z frozen and z on right ones with y frozen.  ``inner`` is the number of
+    grid cells per semi-interval.  Every entry point takes the same
+    arguments and states only its plan for the one run path.  They are
     looked up by name at call time, so wrapping one of them (as a profiler
     does) also wraps this dispatch.
     """
-    if scheme in ("block-split", "block-amm") and sys.block_layout is None:
+    if scheme not in SCHEMES:
+        raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
+    if scheme.startswith("block-") and sys.block_layout is None:
         raise InputError(f"scheme {scheme!r} requires a system with a block layout")
-    if scheme in ("split", "block-split"):
-        return split_step_solve(sys, P, u0, inner_steps=inner, tol=tol)
-    if scheme in ("amm", "block-amm"):
-        return amm_solve(sys, P, u0, tol=tol, inner_factor=inner)
-    if scheme == "effective":
-        return effective_solve(sys, P, u0, tol=tol, inner_factor=inner)
-    raise InputError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
+    entry = {"split": split_step_solve, "amm": amm_solve, "effective": effective_solve}
+    return entry[scheme.removeprefix("block-")](sys, P, u0, tol, inner)
 
 
 def _joint_block_step(sys):

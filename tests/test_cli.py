@@ -212,6 +212,22 @@ def test_an_oversized_count_exits_one_with_one_line_naming_it(tmp_path, capsys, 
     assert not out.exists()  # rejected before the config echo
 
 
+# meshes whose m x m matrices numpy refuses before allocating anything
+@pytest.mark.parametrize("model, m", [
+    ("visco-plasticity-1d", 10**10),
+    ("visco-plasticity-1d", 10**20),
+    ("allen-cahn-1d", 10**20),
+])
+def test_an_oversized_mesh_override_exits_one_with_one_line_naming_it(tmp_path, capsys,
+                                                                      model, m):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--model", model, "--override", f"m={m}",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and f"m = {m}" in err
+    assert not out.exists()  # rejected before the config echo
+
+
 def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 8.00 TiB for an array")

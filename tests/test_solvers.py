@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -205,14 +206,14 @@ def test_counterexample_amm_scores_no_lone_max_norm_candidate(monkeypatch):
 
 def test_substep_velocity_first_mechanism():
     sys = counterexample_system()
-    curve = sv.substep_flow(sys, 1, (0.0, 0.25), [2.0, 1.0], inner_steps=2)
+    curve = sv.substep_flow(sys, 1, (0.0, 0.25), [2.0, 1.0], inner=2)
     rate = (curve.at(0.25) - curve.at(0.0)) / 0.25
     np.testing.assert_allclose(rate, [-2.0, 0.0], atol=1e-12)
 
 
 def test_substep_velocity_second_mechanism():
     sys = counterexample_system()
-    curve = sv.substep_flow(sys, 2, (0.0, 0.1), [2.0, 1.0], inner_steps=2)
+    curve = sv.substep_flow(sys, 2, (0.0, 0.1), [2.0, 1.0], inner=2)
     rate = (curve.at(0.1) - curve.at(0.0)) / 0.1
     np.testing.assert_allclose(rate, [-6.0, 0.0], atol=1e-12)
 
@@ -222,7 +223,7 @@ def test_substep_prox_branch_is_a_loop_of_prox_steps():
     # each started where the one before left its kernel
     sys = make_model("allen-cahn-1d", m=4).system
     u = np.array([0.3, 0.5, -0.2, 0.1])
-    curve = sv.substep_flow(sys, 1, (0.25, 0.75), u, inner_steps=4)
+    curve = sv.substep_flow(sys, 1, (0.25, 0.75), u, inner=4)
     times = 0.25 + curve.grid.times
     expected, last, warm = [u], [None], 0
     for a, b in zip(times[:-1], times[1:]):
@@ -879,7 +880,7 @@ def test_regime_flow_matches_fine_prox_stepping():
     steps, dt = 4000, 1.0 / 4000
     for k in range(steps):
         u, _ = sv.prox_step(E, R, (k + 1) * dt, u, dt)
-    exact = sv.substep_flow(sys, 1, (0.0, 1.0), [1.4, 1.0], inner_steps=2)
+    exact = sv.substep_flow(sys, 1, (0.0, 1.0), [1.4, 1.0], inner=2)
     np.testing.assert_allclose(u, exact.at(1.0), atol=5e-3)
 
 
@@ -894,11 +895,11 @@ def test_solve_dispatch_matches_entry_points():
     P = pa.build_partition(1.0, N=4)
     tol, inner = 1e-11, 4
     direct = {
-        "split": sv.split_step_solve(ce, P, [2.0, 1.0], inner_steps=inner, tol=tol),
-        "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
-        "effective": sv.effective_solve(ce, P, [2.0, 1.0], tol=tol, inner_factor=inner),
-        "block-split": sv.split_step_solve(vp.system, P, vp.u0, inner_steps=inner, tol=tol),
-        "block-amm": sv.amm_solve(vp.system, P, vp.u0, tol=tol, inner_factor=inner),
+        "split": sv.split_step_solve(ce, P, [2.0, 1.0], inner=inner, tol=tol),
+        "amm": sv.amm_solve(ce, P, [2.0, 1.0], tol=tol, inner=inner),
+        "effective": sv.effective_solve(ce, P, [2.0, 1.0], tol=tol, inner=inner),
+        "block-split": sv.split_step_solve(vp.system, P, vp.u0, inner=inner, tol=tol),
+        "block-amm": sv.amm_solve(vp.system, P, vp.u0, tol=tol, inner=inner),
     }
     assert set(direct) == set(sv.SCHEMES)
     for name, ref in direct.items():
@@ -912,6 +913,26 @@ def test_solve_dispatch_matches_entry_points():
     for name in ("block-split", "block-amm"):
         with pytest.raises(InputError):
             sv.solve(ce, name, P, [2.0, 1.0], tol, inner)
+
+
+def test_every_entry_point_takes_tol_then_inner_positionally():
+    ce = counterexample_system()
+    vp = make_model("visco-plasticity-1d", m=4)
+    P = pa.build_partition(1.0, N=2)
+    tol, inner = 1e-9, 4
+    for name in sv.SCHEMES:
+        sys, u0 = (vp.system, vp.u0) if name.startswith("block-") else (ce, [2.0, 1.0])
+        out = sv.solve(sys, name, P, u0, tol, inner)
+        assert out.inner_tol == tol and out.grid.M == inner
+    for entry in (sv.split_step_solve, sv.amm_solve, sv.effective_solve):
+        out = entry(ce, P, [2.0, 1.0], tol, inner)
+        assert out.inner_tol == tol and out.grid.M == inner
+    params = [list(inspect.signature(f).parameters.values())
+              for f in (sv.split_step_solve, sv.amm_solve, sv.effective_solve)]
+    dispatch = [p for p in inspect.signature(sv.solve).parameters.values()
+                if p.name != "scheme"]
+    assert params[0] == params[1] == params[2] == dispatch
+    assert [p.name for p in dispatch] == ["sys", "P", "u0", "tol", "inner"]
 
 
 def test_solve_rejects_unknown_scheme():
