@@ -189,7 +189,7 @@ def cmd_run(cfg: RunConfig) -> int:
     if ttz is not None:
         summary["time_to_zero"] = ttz
     files = {"edb.json": report.to_dict(), "summary.json": summary}
-    if report.v1 is not None:
+    if report.decomposition_defect is not None:
         files.update({"decomposition_v1.csv": report.v1, "decomposition_v2.csv": report.v2})
     _write(out_dir, files)
     if not report.passed:

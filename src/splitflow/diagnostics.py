@@ -4,7 +4,8 @@ The rate term integrates the rescaled primal potentials along the scheme
 rate, alternating between the two mechanisms on left/right semi-intervals;
 the slope term does the same with the conjugates at the negative force.
 Both admit an equivalent rewriting through the repetition operators, which
-holds exactly on the shared cell grid and is asserted on every call.
+holds exactly on the shared cell grid and is asserted wherever a term is
+taken over the cells of a node-aligned interval.
 
 An audit report combines those terms with the energy drop and the power
 integral into the balance residual
@@ -23,14 +24,8 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .partitions import DEFAULT_INNER_FACTOR, SampledCurve, build_partition, repetition_apply
-from .solvers import (
-    GradientSystem,
-    SchemeOutput,
-    _tilde,
-    effective_potential,
-    effective_solve,
-    solve,
-)
+from .potentials import Rescaled
+from .solvers import GradientSystem, SchemeOutput, effective_potential, effective_solve, solve
 
 __all__ = [
     "EDBReport",
@@ -46,13 +41,21 @@ SLACK_FACTOR = 10.0
 REPETITION_RTOL = 1e-10
 
 
+def _audit_interval(out, interval):
+    """The audited interval (s, t) as floats: [0, T] for None; any other
+    interval must lie inside [0, T]."""
+    T = out.partition.T
+    s, t = (0.0, T) if interval is None else (float(interval[0]), float(interval[1]))
+    if not 0.0 <= s <= t <= T:
+        raise InputError(f"audit interval ({s}, {t}) is not inside [0, {T}]")
+    return s, t
+
+
 def _clip_cells(grid, interval):
     """(cells, lo, hi): the cells overlapping [s, t] and their ends clipped to
     it.  The overlapping cells are contiguous, so ``cells`` is a slice and
     selecting rows with it copies nothing."""
-    s, t = float(interval[0]), float(interval[1])
-    if s > t:
-        raise InputError("reversed audit interval")
+    s, t = interval
     lo = np.maximum(grid.times[:-1], s)
     hi = np.minimum(grid.times[1:], t)
     idx = np.flatnonzero(hi > lo)
@@ -60,10 +63,15 @@ def _clip_cells(grid, interval):
     return cells, lo[cells], hi[cells]
 
 
-def _segment_pieces(out, interval):
-    """(widths, first, velocities, forces) of the pieces of the run's segments
-    inside ``interval``; ``first`` flags the pieces of mechanism 1."""
+def _pieces(out, interval):
+    """(widths, first, rates, forces) of the run inside ``interval``: one row
+    per clipped segment of an exact flow, else per clipped grid cell;
+    ``first`` flags the rows of mechanism 1."""
     seg = out.segments
+    if seg is None:
+        cells, lo, hi = _clip_cells(out.grid, interval)
+        forces = None if out.xi is None else out.xi.cell_values[cells]
+        return hi - lo, out.grid.cell_is_left[cells], out.rate.cell_values[cells], forces
     s, t = interval
     lo = np.maximum(seg.t0, s)
     hi = np.minimum(seg.t1, t)
@@ -80,82 +88,56 @@ def _by_mechanism(widths, first, rows, f1, f2):
     return float(widths @ vals)
 
 
-def _is_node_aligned(P, interval, tol=1e-12):
-    s, t = interval
-    return bool(
-        np.any(np.abs(P.nodes - s) <= tol) and np.any(np.abs(P.nodes - t) <= tol)
-    )
+def _dissipation(out, pair, interval, dual):
+    """chi R~_1(U') + (1 - chi) R~_2(U') integrated over the run's pieces, or
+    with ``dual`` chi R~_1*(-xi) + (1 - chi) R~_2*(-xi).
 
+    On a node-aligned interval of a run held on the grid cells, the value is
+    checked against the repetition form R_1(T1 U'/2) + R_2(T2 U'/2), or
+    R_1*(-T1 xi) + R_2*(-T2 xi), which equals it exactly on the cells.  An
+    exact flow is integrated over its segments, which are not cells.
+    """
+    interval = _audit_interval(out, interval)
+    widths, first, rates, forces = _pieces(out, interval)
+    tilde = [Rescaled(R) for R in pair]
+    if dual:
+        pair, tilde = [R.conjugate for R in pair], [R.conjugate for R in tilde]
+        rows, curve, scale = -forces, out.xi, -1.0
+    else:
+        rows, curve, scale = rates, out.rate, 0.5
+    value = _by_mechanism(widths, first, rows, *tilde)
 
-def _check_repetition(chi_val, rep_val):
-    if not math.isclose(chi_val, rep_val, rel_tol=REPETITION_RTOL, abs_tol=1e-12):
-        raise InvariantError(f"repetition identity violated: {chi_val} vs {rep_val}")
+    nodes = out.partition.nodes
+    if out.segments is None and all(np.any(np.abs(nodes - x) <= 1e-12) for x in interval):
+        cells = _clip_cells(out.grid, interval)[0]
+        rep = [R(scale * repetition_apply(j, out.partition, curve).cell_values[cells])
+               for j, R in zip((1, 2), pair)]
+        rep_value = float(widths @ (rep[0] + rep[1]))
+        if not math.isclose(value, rep_value, rel_tol=REPETITION_RTOL, abs_tol=1e-12):
+            raise InvariantError(f"repetition identity violated: {value} vs {rep_value}")
+    return value
 
 
 def rate_term(out: SchemeOutput, pair, interval=None) -> float:
     """Dissipation-rate integral: chi R~_1(U') + (1 - chi) R~_2(U').
 
     Also evaluates the repetition-operator form R_1(T1 U'/2) + R_2(T2 U'/2)
-    on node-aligned intervals and asserts agreement to quadrature exactness.
+    on node-aligned intervals of a run held on the grid cells and asserts
+    agreement to quadrature exactness.
     """
-    r1, r2 = pair
-    t1, t2 = _tilde(r1), _tilde(r2)
-    interval = (0.0, out.partition.T) if interval is None else interval
-    rate = out.rate
-
-    cells, lo, hi = _clip_cells(out.grid, interval)
-    widths = hi - lo
-    chi_val = _by_mechanism(
-        widths, out.grid.cell_is_left[cells], rate.cell_values[cells], t1, t2
-    )
-
-    if _is_node_aligned(out.partition, interval):
-        v1 = repetition_apply(1, out.partition, rate).cell_values[cells]
-        v2 = repetition_apply(2, out.partition, rate).cell_values[cells]
-        _check_repetition(chi_val, float(widths @ (r1(0.5 * v1) + r2(0.5 * v2))))
-
-    if out.segments is not None:
-        widths, first, vel, _ = _segment_pieces(out, interval)
-        return _by_mechanism(widths, first, vel, t1, t2)
-    return chi_val
+    return _dissipation(out, pair, interval, dual=False)
 
 
 def slope_term(out: SchemeOutput, pair, interval=None) -> float:
     """Dual-dissipation integral: chi R~_1*(-xi) + (1 - chi) R~_2*(-xi)."""
-    r1, r2 = pair
-    t1, t2 = _tilde(r1), _tilde(r2)
-    interval = (0.0, out.partition.T) if interval is None else interval
     if out.xi is None:
         raise InputError("scheme output carries no force curve")
-
-    cells, lo, hi = _clip_cells(out.grid, interval)
-    widths = hi - lo
-    chi_val = _by_mechanism(
-        widths, out.grid.cell_is_left[cells], -out.xi.cell_values[cells],
-        t1.conjugate, t2.conjugate,
-    )
-
-    if _is_node_aligned(out.partition, interval):
-        x1 = repetition_apply(1, out.partition, out.xi).cell_values[cells]
-        x2 = repetition_apply(2, out.partition, out.xi).cell_values[cells]
-        rep_val = float(widths @ (r1.conjugate(-x1) + r2.conjugate(-x2)))
-        _check_repetition(chi_val, rep_val)
-
-    if out.segments is not None:
-        widths, first, _, xi = _segment_pieces(out, interval)
-        return _by_mechanism(widths, first, -xi, t1.conjugate, t2.conjugate)
-    return chi_val
+    return _dissipation(out, pair, interval, dual=True)
 
 
 class EDBReport:
     """All terms of one energy-dissipation audit, and the decomposition
     curves ``v1`` and ``v2`` when they were taken."""
-
-    # the scalar terms, the keys of edb.json
-    _TERMS = ("interval", "form", "d_rate", "d_slope", "power_integral", "energy_start",
-             "energy_end", "residual", "slack", "passed", "remainder", "remainder_bound",
-             "decomposition_defect", "decomposition_value_gap", "quadrature_error",
-             "inner_budget")
 
     def __init__(self, interval, form, d_rate, d_slope, power_integral, energy_start,
                  energy_end, residual, slack, passed, remainder=None, remainder_bound=None,
@@ -183,9 +165,10 @@ class EDBReport:
         self.v2 = v2
 
     def to_dict(self):
-        """Every scalar term that was computed; the curves are left out."""
-        return {name: getattr(self, name) for name in self._TERMS
-                if getattr(self, name) is not None}
+        """Every scalar term that was computed, the keys of edb.json; the
+        curves are left out."""
+        return {name: value for name, value in vars(self).items()
+                if value is not None and name not in ("v1", "v2")}
 
 
 def _trajectory_state(out, t):
@@ -217,11 +200,9 @@ def _anchored_power(E, out, interval):
     return float(np.sum(E.eval(hi, anchors) - E.eval(lo, anchors)))
 
 
-def _decomposition(out, sys, interval, r_eff):
-    v1 = repetition_apply(1, out.partition, out.rate)
-    v1 = v1.with_values(0.5 * v1.values)
-    v2 = repetition_apply(2, out.partition, out.rate)
-    v2 = v2.with_values(0.5 * v2.values)
+def _decomposition(out, sys, interval, r_eff, v1, v2):
+    """The defect and the value gap of the decomposition (v1, v2) of the
+    rate against the effective potential."""
     cells, lo, hi = _clip_cells(out.grid, interval)
     widths = hi - lo
     # the node-to-node affine interpolant has one rate per step, so the
@@ -233,18 +214,13 @@ def _decomposition(out, sys, interval, r_eff):
     defect = widths @ np.linalg.norm(c1 + c2 - step_rates[step_of_cell], axis=1)
     rep_value = widths @ (sys.r1(c1) + sys.r2(c2))
     eff_value = widths @ r_eff(step_rates)[step_of_cell]
-    return v1, v2, defect, rep_value - eff_value
+    return defect, rep_value - eff_value
 
 
 def _effective_terms(out, r_eff, interval):
     """Rate and slope integrals of the effective potential along a run."""
-    if out.segments is not None:
-        widths, _, rates, xi = _segment_pieces(out, interval)
-    else:
-        cells, lo, hi = _clip_cells(out.grid, interval)
-        widths = hi - lo
-        rates, xi = out.rate.cell_values[cells], out.xi.cell_values[cells]
-    return float(widths @ r_eff(rates)), float(widths @ r_eff.conjugate(-xi))
+    widths, _, rates, forces = _pieces(out, interval)
+    return float(widths @ r_eff(rates)), float(widths @ r_eff.conjugate(-forces))
 
 
 def edb_audit(
@@ -253,17 +229,14 @@ def edb_audit(
     interval=None,
     with_decomposition=True,
 ) -> EDBReport:
-    """Full energy-dissipation audit of a scheme output on an interval.
+    """Full energy-dissipation audit of a scheme output on an interval
+    inside [0, T], by default all of it.
 
     An exact flow (one with ``segments``) is audited as the balance, every
     other run as the one-sided inequality of the minimizing movements.
     """
     E = sys.energy
-    interval = (0.0, out.partition.T) if interval is None else (
-        float(interval[0]),
-        float(interval[1]),
-    )
-    s, t = interval
+    s, t = interval = _audit_interval(out, interval)
 
     if out.scheme == "effective":
         d_rate, d_slope = _effective_terms(out, effective_potential(sys), interval)
@@ -320,12 +293,16 @@ def edb_audit(
         remainder_bound=remainder_bound,
     )
 
-    if with_decomposition and out.scheme != "effective":
-        r_eff = effective_potential(sys)
-        v1, v2, defect, gap = _decomposition(out, sys, interval, r_eff)
-        report.v1, report.v2 = v1, v2
-        report.decomposition_defect = float(defect)
-        report.decomposition_value_gap = float(gap)
+    if with_decomposition:
+        # the halved repetitions v_j = T_j U'/2; the run of the effective flow
+        # is not scored against its own potential
+        repeated = [repetition_apply(j, out.partition, out.rate) for j in (1, 2)]
+        report.v1, report.v2 = (curve.with_values(0.5 * curve.values) for curve in repeated)
+        if out.scheme != "effective":
+            defect, gap = _decomposition(out, sys, interval, effective_potential(sys),
+                                         report.v1, report.v2)
+            report.decomposition_defect = float(defect)
+            report.decomposition_value_gap = float(gap)
     return report
 
 
@@ -338,7 +315,7 @@ def remainder_term(out: SchemeOutput, E, interval=None, weights=None):
     """
     if out.u_delayed is None:
         raise InputError("remainder needs the delayed interpolant")
-    interval = (0.0, out.partition.T) if interval is None else interval
+    interval = _audit_interval(out, interval)
     P = out.partition
     cells, lo, hi = _clip_cells(out.grid, interval)
     widths = hi - lo
@@ -439,12 +416,9 @@ def convergence_study(
             for i, tn in enumerate(P.nodes)
         ]
         report = edb_audit(out, sys)
-        v1 = repetition_apply(1, P, out.rate).cell_values
-        v2 = repetition_apply(2, P, out.rate).cell_values
+        halves = report.v1.cell_values + report.v2.cell_values
         ref_rate = _reference_rate(ref_out, out.grid.cell_midpoints())
-        defect = float(
-            out.grid.cell_widths @ np.linalg.norm(0.5 * (v1 + v2) - ref_rate, axis=1)
-        )
+        defect = float(out.grid.cell_widths @ np.linalg.norm(halves - ref_rate, axis=1))
         return {
             "N": N,
             "sup_error": max(errs),

@@ -174,15 +174,6 @@ class _ProxStats:
         self.method = method
 
 
-def _unscaled(R):
-    return R.base if isinstance(R, Rescaled) else R
-
-
-def _tilde(R):
-    """The rescaled potential R~ of R; R itself when it is one already."""
-    return R if isinstance(R, Rescaled) else Rescaled(R)
-
-
 def prox_step(E: EnergySpec, R: Potential, t_eval, anchor, h, tol=1e-10):
     """One incremental minimization u in Argmin h R((u - anchor)/h) + E(t, u).
 
@@ -221,15 +212,18 @@ def _prox_kernel(E, R):
     from its potentials here.  :func:`prox_step` builds a fresh kernel per
     call and so always starts cold.
     """
-    base = _unscaled(R)
+    base, rescalings = R, 0
+    while isinstance(base, Rescaled):
+        base, rescalings = base.base, rescalings + 1
     try:
         if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
-            if base is not R:
-                # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
-                R = InfConvolution(Rescaled(base.left), Rescaled(base.right))
-            parts = (R.left.hess_constant(), R.right.hess_constant(), E.hess_constant())
-            return partial(_infconv_prox, R.left, R.right, parts,
-                           newton.armijo_constant(R.left, R.right), [None])
+            # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
+            left, right = base.left, base.right
+            for _ in range(rescalings):
+                left, right = Rescaled(left), Rescaled(right)
+            parts = (left.hess_constant(), right.hess_constant(), E.hess_constant())
+            return partial(_infconv_prox, left, right, parts,
+                           newton.armijo_constant(left, right), [None])
 
         if isinstance(E, MaxNormEnergy):
             VR = R.quadratic_matrix()
@@ -661,14 +655,19 @@ def _dual_weights(sys, mechanism):
     those of R_j (R~* = 2 R*); the effective mechanism flows with R1 # R2,
     whose dual weights are the sum of both ((R1 # R2)* = R1* + R2*).
     """
-    pair = {1: (sys.r1,), 2: (sys.r2,), _EFFECTIVE: (sys.r1, sys.r2)}[mechanism]
-    bases = [_unscaled(R) for R in pair]
-    if not (isinstance(sys.energy, MaxNormEnergy)
-            and all(isinstance(R, AnisotropicDualQuadratic) for R in bases)):
+    if not isinstance(sys.energy, MaxNormEnergy):
         return None
-    if mechanism == _EFFECTIVE:
-        return bases[0].dual_weights + bases[1].dual_weights
-    return 2.0 * bases[0].dual_weights
+    pair = {1: (Rescaled(sys.r1),), 2: (Rescaled(sys.r2),),
+            _EFFECTIVE: (sys.r1, sys.r2)}[mechanism]
+    total = 0.0
+    for R in pair:
+        scale = 1.0  # a Rescaled has twice the dual weights of its base
+        while isinstance(R, Rescaled):
+            R, scale = R.base, 2.0 * scale
+        if not isinstance(R, AnisotropicDualQuadratic):
+            return None
+        total = total + scale * R.dual_weights
+    return total
 
 
 def _step(sys, mechanism):
@@ -688,7 +687,7 @@ def _step(sys, mechanism):
         return partial(_prox_kernel(E, effective_potential(sys)), E)
     R = sys.r1 if mechanism == 1 else sys.r2
     if sys.block_layout is None:
-        return partial(_prox_kernel(E, _tilde(R)), E)
+        return partial(_prox_kernel(E, Rescaled(R)), E)
     active = sys.block_indices()[mechanism - 1]
     frozen = _FrozenBlockEnergy(E, active, np.zeros(sys.dim))
     return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))

@@ -12,6 +12,7 @@ from splitflow import diagnostics as dg
 from splitflow.energies import Load
 from splitflow.models import make_model
 from splitflow.partitions import build_partition, repetition_apply
+from splitflow.potentials import Rescaled
 from splitflow.solvers import SCHEMES, effective_potential, solve
 from test_exact_reference import segment_rows
 
@@ -34,7 +35,7 @@ def segment_pieces(segments, interval):
 
 
 def rate_reference(out, pair, interval):
-    t1, t2 = dg._tilde(pair[0]), dg._tilde(pair[1])
+    t1, t2 = Rescaled(pair[0]), Rescaled(pair[1])
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2)(seg.velocity)
@@ -48,7 +49,7 @@ def rate_reference(out, pair, interval):
 
 
 def slope_reference(out, pair, interval):
-    t1, t2 = dg._tilde(pair[0]), dg._tilde(pair[1])
+    t1, t2 = Rescaled(pair[0]), Rescaled(pair[1])
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2).conjugate(-seg.xi)

@@ -11,7 +11,7 @@ from splitflow import energies as en
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
-from splitflow.errors import InvariantError
+from splitflow.errors import InputError, InvariantError
 from splitflow.models import make_model
 
 
@@ -238,6 +238,64 @@ def test_split_with_one_exact_mechanism_is_audited_over_the_whole_run():
     assert rep.passed
 
 
+@pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
+def test_a_rescaled_member_runs_and_audits_as_its_doubled_weights(scheme):
+    # Rescaled(ADQ([1, 3])) is ADQ([2, 6]): its rescaling R~ doubles it once
+    # more, and its dual weights are twice its base's
+    P = pa.build_partition(1.0, N=64)
+    systems = [
+        sv.GradientSystem(en.MaxNormEnergy(shift="auto"), r1,
+                          pt.AnisotropicDualQuadratic([3.0, 1.0]))
+        for r1 in (pt.Rescaled(pt.AnisotropicDualQuadratic([1.0, 3.0])),
+                   pt.AnisotropicDualQuadratic([2.0, 6.0]))
+    ]
+    runs = [sv.solve(sys, scheme, P, [2.0, 1.0]) for sys in systems]
+    np.testing.assert_allclose(runs[0].node_states(), runs[1].node_states(),
+                               rtol=0.0, atol=1e-12)
+    assert sv.time_to_zero(runs[0]) == pytest.approx(sv.time_to_zero(runs[1]), abs=1e-12)
+    rescaled, doubled = (dg.edb_audit(out, sys) for out, sys in zip(runs, systems))
+    assert rescaled.passed and doubled.passed
+    for term in ("d_rate", "d_slope", "residual"):
+        assert getattr(rescaled, term) == pytest.approx(getattr(doubled, term), abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
+def test_intervals_not_inside_the_run_are_rejected(scheme):
+    sys = make_model("counterexample").system
+    out = sv.solve(sys, scheme, pa.build_partition(1.0, N=16), [2.0, 1.0])
+    pair = (sys.r1, sys.r2)
+    audits = (
+        lambda iv: dg.edb_audit(out, sys, iv),
+        lambda iv: dg.rate_term(out, pair, iv),
+        lambda iv: dg.slope_term(out, pair, iv),
+        lambda iv: dg.remainder_term(out, sys.energy, iv),
+    )
+    for interval in ((-0.5, 1.0), (0.0, 2.0), (0.75, 0.25), (0.0, math.nan)):
+        for audit in audits:
+            with pytest.raises(InputError, match="not inside"):
+                audit(interval)
+
+
+def test_the_audit_calls_its_terms_through_the_module(monkeypatch):
+    # the bench tracer times each term by wrapping these module attributes
+    calls = {}
+
+    def counted(name):
+        term = getattr(dg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return term(*args, **kwargs)
+        return wrapper
+
+    for name in ("rate_term", "slope_term", "remainder_term"):
+        monkeypatch.setattr(dg, name, counted(name))
+    sys = make_model("counterexample").system
+    out = sv.split_step_solve(sys, pa.build_partition(1.0, N=16), [2.0, 1.0])
+    dg.edb_audit(out, sys)
+    assert calls == {"rate_term": 1, "slope_term": 1, "remainder_term": 1}
+
+
 def test_edb_decomposition_counterexample():
     sys = make_model("counterexample").system
     P = pa.build_partition(1.0, N=128)
@@ -434,6 +492,13 @@ def test_study_table_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("N,sup_error")
     assert len(lines) == 3
+
+
+def test_study_of_the_effective_scheme_matches_its_exact_reference():
+    sys = make_model("counterexample").system
+    table = dg.convergence_study(sys, [2.0, 1.0], "effective", [4, 8])
+    assert table.column("sup_error") == [0.0, 0.0]
+    assert table.column("decomposition_defect") == [0.0, 0.0]
 
 
 def test_rate_term_dominates_effective_rate_smooth_system():

@@ -169,6 +169,22 @@ def test_prox_of_a_smooth_inf_convolution_runs_newton_on_the_split(rescaled):
     np.testing.assert_allclose(R.grad((u - anchor) / 0.1) + xi, 0.0, atol=1e-7)
 
 
+def test_prox_of_a_twice_rescaled_inf_convolution_is_that_of_its_rescaled_members():
+    # 2 (R1 # R2)(v/2) = R~1 # R~2 at every level of rescaling
+    E = en.AllenCahn1DEnergy(m=4)
+    left, right = pt.PowerNorm(3.0, dim=4), pt.QuadraticForm(E.K)
+
+    def twice(R):
+        return pt.Rescaled(pt.Rescaled(R))
+
+    anchor = np.array([0.5, -0.2, 0.3, 0.1])
+    u, xi = sv.prox_step(E, twice(pt.InfConvolution(left, right)), 0.0, anchor, 0.1, 1e-12)
+    u_ref, xi_ref = sv.prox_step(E, pt.InfConvolution(twice(left), twice(right)), 0.0,
+                                 anchor, 0.1, 1e-12)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(xi, xi_ref)
+
+
 def test_prox_positive_step_required():
     with pytest.raises(InputError):
         sv.prox_step(scalar_quadratic_energy(), quad_identity(), 0.0, [1.0], 0.0)
