@@ -172,6 +172,16 @@ class EnergySpec:
         else:
             self.shift = float(shift)
 
+    # whether a load is set; a family that does not say is taken to have one
+    _loaded = True
+
+    @property
+    def depends_on_time(self):
+        """True unless E(t, u) is the same at every time t for each state u.
+        Time enters only through a load, so this is True when a load is set,
+        also a constant one."""
+        return self._loaded
+
     # -- checked entries: each checks the state once and calls a core -------
 
     def eval(self, t, u):
@@ -306,6 +316,7 @@ class MaxNormEnergy(EnergySpec):
     """
 
     dim = 2
+    _loaded = False
 
     def __init__(self, shift=0.0):
         self.lambda_convexity = 0.0

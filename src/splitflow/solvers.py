@@ -223,7 +223,7 @@ def _prox_kernel(E, R):
                 left, right = Rescaled(left), Rescaled(right)
             parts = (left.hess_constant(), right.hess_constant(), E.hess_constant())
             return partial(_infconv_prox, left, right, parts,
-                           newton.armijo_constant(left, right), [None])
+                           newton.armijo_constant(left, right), _Warm())
 
         if isinstance(E, MaxNormEnergy):
             VR = R.quadratic_matrix()
@@ -245,7 +245,7 @@ def _prox_kernel(E, R):
         zero = np.zeros(E.dim)
         R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
         return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero,
-                       newton.armijo_constant(R), [None])
+                       newton.armijo_constant(R), _Warm())
     except NotImplementedError as exc:  # a kind without the smooth parts Newton needs
         raise InputError(f"no prox method for {type(R).__name__} on {type(E).__name__}: "
                          f"{exc}") from None
@@ -331,20 +331,23 @@ def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_it
     gradients and diagonals come from the unchecked cores of R and E.
     ``armijo`` is the constant of the line search.
 
-    ``warm`` holds the rate v of the kernel's last solve, and Newton starts
-    at ``anchor + h v``: along a smooth trajectory one step's rate is a
-    close guess of the next one's.  It holds None before the first solve
-    and after a solve that took no Newton step, and then Newton starts at
-    the anchor: at rest, a start that is accepted within the tolerance would
+    ``warm`` is the kernel's state (:class:`_Warm`).  Newton starts at
+    ``anchor + h v`` with v the rate that state predicts for t, or at the
+    anchor before the first solve and after a solve that took no Newton
+    step: at rest, a start that is accepted within the tolerance would
     otherwise be accepted again step after step, and the state would drift.
-    A warm solve that fails is solved again from the anchor
-    (:func:`_warm_or_cold`).
+    A call that repeats a cold solve that took no step returns its result
+    again (:func:`_rest_key`).  A warm solve that fails is solved again
+    from the anchor (:func:`_warm_or_cold`).
 
     ``R_at_zero`` holds R's value, gradient and Hessian diagonal at v = 0,
     taken once per kernel, for the solves that start at a finite anchor,
     where v is exactly +0: the first solve, every solve at rest and every
     retry.  A trial's v is kept for the gradient at the same state.
     """
+    key, kept = warm.lookup(E, anchor, h, tol)
+    if kept is not None:
+        return kept
     H = parts[0] / h + parts[1]
     diagonal = H.reshape(-1)[:: len(H) + 1]
     start = np.array(anchor)
@@ -375,34 +378,107 @@ def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_it
             return h * R_at_zero[0] + E._eval(t, u)
         return h * R._eval(rate(u)) + E._eval(t, u)
 
-    def solve(x):
-        return newton.minimize(x, gradient, hessian, objective, tol * (1.0 + norm),
-                               max_iter=max_iter, armijo=armijo,
-                               failure="incremental minimization diverged")
+    def solve(x, limit=max_iter):
+        u, (v, xi), it, res = newton.minimize(
+            x, gradient, hessian, objective, tol * (1.0 + norm), max_iter=limit,
+            armijo=armijo, failure="incremental minimization diverged")
+        return v, u, xi, it, res
 
-    u, (v, xi), it, res = _warm_or_cold(solve, warm, lambda v: anchor + h * v, start)
-    return u, xi, _ProxStats(it, res, "newton")
+    return _warm_or_cold(solve, warm, t, key, lambda v: anchor + h * v, start, "newton")
 
 
-def _warm_or_cold(solve, warm, start_at, cold):
-    """``solve(x)`` from the start the kernel state ``warm`` gives, else
-    from ``cold``; returns its ``(x, held, iterations, residual)``.
+# The most Newton steps a warm solve may take before the cold start takes
+# over with the full limit, so that a warm start that stalls does not spend
+# that limit.  It stays well above the longest warm solve measured: 54 steps,
+# on a drawn p = 1.5 split run of the tests (N = 128, inner 4) whose cold
+# retry stalls; no other took more than 19, and none of the bench workloads
+# more than 4.
+_WARM_ITERATIONS = 80
 
-    A warm start is ``start_at(warm[0])``; None there starts cold.  If the
-    warm solve fails, the solve from ``cold`` decides, and the iterations
-    of both count.  Then ``warm[0]`` keeps the held v of a solve that took
-    a step (``held[0]``, or None), else None.
+
+class _Warm:
+    """What a Newton kernel keeps from the solves of its run.
+
+    ``rates`` holds ``(t, v)``, the eval time and the rate of each of the
+    kernel's last two solves since it last started cold, oldest first; it
+    is empty when the next solve starts cold.  ``rest`` holds ``(key,
+    result)`` when the last solve started cold and took no Newton step,
+    else None.
     """
-    spent, result = 0, None
-    if warm[0] is not None:
+
+    __slots__ = ("rates", "rest")
+
+    def __init__(self):
+        self.rates, self.rest = [], None
+
+    def lookup(self, E, anchor, h, tol):
+        """The rest key of a solve of E from ``anchor`` (:func:`_rest_key`),
+        and the result kept for that key, or None."""
+        key, rest = _rest_key(E, anchor, h, tol), self.rest
+        return key, (rest[1] if rest is not None and rest[0] == key else None)
+
+    def predict(self, t):
+        """The rate to start a solve at time t from: the last rate v_k moved
+        on along the last two, v_k + r (v_k - v_{k-1}), by the share
+        r = (t - t_k) / (t_k - t_{k-1}) clipped to [0, 1].  With one rate,
+        or at r = 0 (a repeated t among them), it is v_k itself."""
+        (t0, v0), (t1, v1) = self.rates[0], self.rates[-1]
+        r = min(max((t - t1) / (t1 - t0), 0.0), 1.0) if t1 > t0 else 0.0
+        return v1 + r * (v1 - v0) if r else v1
+
+
+def _rest_key(E, anchor, h, tol):
+    """What a solve that starts cold and takes no Newton step reads besides
+    its kernel's parts, or None when E depends on time.
+
+    Such a solve returns the state at the anchor and the energy's gradient
+    there, after one residual test of R's gradient at v = 0 (a part) plus
+    that gradient.  For an energy that does not depend on time these are
+    the same bits at every t, so the key holds the energy, the anchor's
+    bits, h and tol; for a frozen block view, the base energy, the block
+    and the frozen block's values, read at the call.
+    """
+    if E.depends_on_time:
+        return None
+    if isinstance(E, _FrozenBlockEnergy):
+        a, full = E.active, E.full
+        frozen = full[: a.start].tobytes() + full[a.stop :].tobytes()
+        return E.base, a.start, a.stop, frozen, anchor.tobytes(), h, tol
+    return E, anchor.tobytes(), h, tol
+
+
+def _warm_or_cold(solve, warm, t, key, start_at, cold, method):
+    """``(u, xi, stats)`` of ``solve`` from the start that the kernel state
+    ``warm`` predicts for time t, else from ``cold``, with ``method`` in the
+    stats; updates ``warm`` for the kernel's next solve.
+
+    ``solve(x, limit)`` runs Newton from x for at most ``limit`` steps, by
+    default the kernel's full limit, and returns ``(v, u, xi, iterations,
+    residual)``, v being the rate it held at u.  A warm start is
+    ``start_at(warm.predict(t))``, taken when ``warm.rates`` is not empty.
+    If the warm solve fails or needs more than ``_WARM_ITERATIONS`` steps,
+    the solve from ``cold`` decides with the full limit, and the iterations
+    of both count.
+
+    Then a solve that took a step adds its rate to the rates, which a cold
+    start empties first.  A solve that took none empties them, so the next
+    solve starts cold; if it started cold, ``warm.rest`` keeps its result
+    for ``key``, and else holds None.
+    """
+    spent, found, rates = 0, None, warm.rates
+    if rates:
         try:
-            result = solve(start_at(warm[0]))
+            found = solve(start_at(warm.predict(t)), _WARM_ITERATIONS)
         except NumericalError as exc:
             spent = exc.iterations
-    if result is None:
-        x, held, it, res = solve(cold)
-        result = x, held, it + spent, res
-    warm[0] = result[1][0] if result[2] else None
+    started_cold = found is None
+    if started_cold:
+        found, rates = solve(cold), []
+    v, u, xi, it, res = found
+    result = u, xi, _ProxStats(it + spent, res, method)
+    warm.rates = rates[-1:] + [(t, v)] if it else []
+    at_rest = started_cold and not (it + spent) and key is not None
+    warm.rest = (key, result) if at_rest else None
     return result
 
 
@@ -614,6 +690,10 @@ class _FrozenBlockEnergy(EnergySpec):
     @property
     def dim(self):
         return self.active.stop - self.active.start
+
+    @property
+    def depends_on_time(self):
+        return self.base.depends_on_time
 
     def _assemble(self, x):
         u = np.array(self.full)
@@ -905,9 +985,10 @@ def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=
     inf-convolution of R1 and R2: minimize
     tau (R1(v1) + R2(v2)) + E(t, anchor + tau (v1 + v2)).
 
-    Newton starts at the kernel's last w that ``warm`` holds, or at w = 0,
-    under the rules of :func:`_prox_newton`; ``armijo`` is the constant of
-    the line search.
+    Newton starts at the w = (v1, v2) that the kernel's state ``warm``
+    predicts, or at w = 0, and repeats a cold solve that took no step, under
+    the rules of :func:`_prox_newton`; ``armijo`` is the constant of the
+    line search.
 
     Gradient and Hessian are taken divided by tau; the chain factor tau
     restores the objective's slope in the line search.  With He the energy's
@@ -915,6 +996,9 @@ def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=
     ``parts`` (the constant parts of R1, R2 and E) fix it off the diagonals
     of its four blocks, and each step writes those diagonals.
     """
+    key, kept = warm.lookup(E, anchor, tau, tol)
+    if kept is not None:
+        return kept
     n = E.dim
     He = parts[2] * tau
     H = np.empty((2 * n, 2 * n))
@@ -947,14 +1031,13 @@ def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=
 
     scale = 1.0 + float(np.linalg.norm(anchor))
 
-    def solve(w):
+    def solve(w, limit=max_iter):
         w, (u, xi), it, res = newton.minimize(
             w, gradient, hessian, objective, tol * scale, chain=tau,
-            max_iter=max_iter, armijo=armijo, failure="effective prox stagnated")
-        return w, (w, u, xi), it, res
+            max_iter=limit, armijo=armijo, failure="effective prox stagnated")
+        return w, u, xi, it, res
 
-    _, (_, u, xi), it, res = _warm_or_cold(solve, warm, np.array, np.zeros(2 * n))
-    return u, xi, _ProxStats(it, res, "infconv-newton")
+    return _warm_or_cold(solve, warm, t, key, np.array, np.zeros(2 * n), "infconv-newton")
 
 
 def time_to_zero(out: SchemeOutput, tol=1e-9):

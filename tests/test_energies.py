@@ -63,6 +63,53 @@ def test_load_requires_descriptor():
         en.QuadraticBlockEnergy(A=np.eye(1), f=lambda t: [t])
 
 
+def _block(f=None, g=None):
+    return en.QuadraticBlockEnergy(np.eye(2), np.ones((1, 2)), np.eye(1), f=f, g=g)
+
+
+# an energy per case, whether it says it depends on time, and whether it does
+TIME_DEPENDENCE = {
+    "max-norm": (lambda: en.MaxNormEnergy(), False, False),
+    "quadratic-block": (lambda: _block(), False, False),
+    "quadratic-block, f": (lambda: _block(f=en.Load([0.0, 1.0], c1=[1.0, 0.0])), True, True),
+    "quadratic-block, g": (lambda: _block(g=en.Load([0.0], amp=[1.0], omega=2.0)), True, True),
+    # a constant load counts too
+    "quadratic-block, constant": (lambda: _block(f=en.Load([0.5, 0.0])), True, False),
+    "allen-cahn": (lambda: en.AllenCahn1DEnergy(3), False, False),
+    "allen-cahn, zero load": (lambda: en.AllenCahn1DEnergy(3, load=en.Load(np.zeros(3))),
+                              False, False),
+    "allen-cahn, load": (lambda: en.AllenCahn1DEnergy(3, load=en.Load(np.zeros(3),
+                                                                      c1=[0.0, 1.0, 0.0])),
+                         True, True),
+}
+
+
+@pytest.mark.parametrize("name", TIME_DEPENDENCE)
+def test_each_family_says_whether_it_depends_on_time(name):
+    build, says, moves = TIME_DEPENDENCE[name]
+    E = build()
+    assert E.depends_on_time is says
+    u = np.random.default_rng(5).standard_normal((4, E.dim))
+    assert bool((E.eval(0.0, u) != E.eval(0.75, u)).any()) == moves
+
+
+@pytest.mark.parametrize("name", [n for n in TIME_DEPENDENCE if n.startswith("quadratic")])
+def test_a_frozen_block_view_forwards_the_time_dependence(name):
+    from splitflow.solvers import _FrozenBlockEnergy
+
+    build, says, _ = TIME_DEPENDENCE[name]
+    E = build()
+    for active in (slice(0, 2), slice(2, 3)):
+        assert _FrozenBlockEnergy(E, active, np.ones(3)).depends_on_time is says
+
+
+def test_a_family_that_does_not_say_depends_on_time():
+    class Plain(en.EnergySpec):
+        dim = 1
+
+    assert Plain().depends_on_time is True
+
+
 # ---------------------------------------------------------------------------
 # subdifferential: max-norm five-case table
 # ---------------------------------------------------------------------------

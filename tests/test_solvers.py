@@ -11,7 +11,7 @@ from splitflow import potentials as pt
 from splitflow import solvers as sv
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
-from test_prox_reference import replay_cell
+from test_prox_reference import KernelReplay, replay_cell
 
 
 def scalar_quadratic_energy():
@@ -236,17 +236,17 @@ def test_substep_velocity_second_mechanism():
 
 def test_substep_prox_branch_is_a_loop_of_prox_steps():
     # allen-cahn pairs no mechanism exactly: one prox step of R~_1 per cell,
-    # each started where the one before left its kernel
+    # each started where the ones before left its kernel
     sys = make_model("allen-cahn-1d", m=4).system
     u = np.array([0.3, 0.5, -0.2, 0.1])
     curve = sv.substep_flow(sys, 1, (0.25, 0.75), u, inner=4)
     times = 0.25 + curve.grid.times
-    expected, last, warm = [u], [None], 0
+    expected, kernel, predicted = [u], KernelReplay(), 0
     for a, b in zip(times[:-1], times[1:]):
-        warm += last[0] is not None
-        u = replay_cell(pt.Rescaled(sys.r1), sys.energy, b, u, b - a, last)[0]
+        predicted += len(kernel.rates) == 2
+        u = replay_cell(pt.Rescaled(sys.r1), sys.energy, b, u, b - a, kernel)[0]
         expected.append(u)
-    assert warm
+    assert predicted
     np.testing.assert_array_equal(curve.values, np.array(expected))
 
 
