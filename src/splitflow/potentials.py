@@ -569,10 +569,13 @@ def fenchel_young_residual(P: Potential, v, xi) -> float:
     return val + P.conjugate(xi) - float(xi @ v)
 
 
-# Rows per batched Newton solve.  A block holds one stack of Hessians at a
-# time, rows * dim**2 floats, so the block size bounds the memory of a large
-# batch.
-_NEWTON_BLOCK = 64
+# Rows per Newton pass (arrays of rows * dim floats), per stack of a dense
+# pair's Hessians (rows * dim**2 floats), and the fewest active rows whose
+# tridiagonal steps are eliminated: below 30 rows at dim 16 the stacked solve
+# is faster.
+_NEWTON_BLOCK = 512
+_DENSE_BLOCK = 64
+_ELIMINATION_ROWS = 32
 
 
 def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decomposition:
@@ -583,15 +586,17 @@ def inf_conv_decompose(P: InfConvolution, v, tol: float = 1e-10) -> Decompositio
     complementary block indicators.  A pair of separable members splits
     coordinate by coordinate at the root of the summed dual rates (see
     :func:`_decompose_dual_root`).  Any other smooth pair runs one damped
-    Newton iteration over each block of rows; a pair with a shrinkage member
-    runs an accelerated proximal-gradient iteration per row.  Both stop once
-    a row's Fenchel duality gap drops below ``tol``.  A row that repeats the
-    row before it bit for bit is decomposed once with it.
+    Newton iteration over each block of rows (see :func:`_decompose_newton`;
+    a failure names a row of the first block that fails); a pair with a
+    shrinkage member runs an accelerated proximal-gradient iteration per
+    row.  Both stop once a row's Fenchel duality gap drops below ``tol``, a
+    positive finite number.  A row that repeats the row before it bit for
+    bit is decomposed once with it.
     """
     if not isinstance(P, InfConvolution):
         raise InputError("inf_conv_decompose requires an InfConvolution potential")
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tolerance must be a positive finite number, not {tol}")
     v = P._batch(v)
     R1, R2 = P.left, P.right
     split = _closed_form_split(P, v)
@@ -757,11 +762,19 @@ def _decompose_fista(R1, R2, rows, tol, max_iter=20000):
 
 
 def _decompose_newton(R1, R2, v, tol, max_iter=200):
-    """Damped Newton on v1 for a block of rows of a smooth pair.
+    """Damped Newton on v1 for the rows of a smooth pair.
 
-    The rows still active share one stacked solve per iteration; each has
+    The rows still active share one linear solve per iteration; each has
     its own line search and stops on its own duality gap.  Returns
-    (v1, v2, gap) with one row per row of ``v``.
+    (v1, v2, gap) with one row per row of ``v``.  The members' constant
+    Hessian parts are read at the first step: rows that all start within
+    tolerance need none, and a member without them raises
+    :class:`InputError`.  A tridiagonal sum takes all
+    rows in one pass, steps of many rows by :func:`_tridiagonal_steps`; a
+    dense one goes in blocks, each step by :func:`newton.newton_step`.
+    Running out of iterations raises :class:`NumericalError` naming the
+    active row of largest gap (NaN first) of the pass or of the first block
+    that fails.
     """
     n, dim = v.shape
     v1 = 0.5 * v
@@ -769,10 +782,7 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
     active = np.arange(n)
     armijo = armijo_constant(R1, R2)
     singular = armijo != ARMIJO  # a member with p < 2
-    # the Hessians' constant parts and the ridge, summed at the first step
-    # (rows that all start within tolerance take none)
-    constant = primal = None
-    diagonal = np.arange(dim)
+    constant = band = primal = None
     for _ in range(max_iter):
         va, x = v[active], v1[active]
         xi = R2.grad(va - x)
@@ -789,14 +799,20 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         active = active[going]
         if not active.size:
             return v1, v - v1, gap
+        if constant is None:
+            constant, band = _newton_parts(R1, R2)
+            if band is None and n > _DENSE_BLOCK:
+                blocks = [_decompose_newton(R1, R2, v[i : i + _DENSE_BLOCK], tol, max_iter)
+                          for i in range(0, n, _DENSE_BLOCK)]
+                return tuple(map(np.concatenate, zip(*blocks)))
         va, x, xi, f0 = va[going], x[going], xi[going], primal[going]
         g = R1.grad(x) - xi
-        if constant is None:
-            constant = R1.hess_constant() + R2.hess_constant() + 1e-12 * np.eye(dim)
-        # R1.hess(x) + R2.hess(va - x) + ridge, entry by entry, in one stack
-        H = np.repeat(constant[None], len(x), axis=0)
-        H[:, diagonal, diagonal] = (R1._hess_diagonal(x) + R2._hess_diagonal(va - x)) + 1e-12
-        step = newton_step(H, g)
+        # the diagonals of the Hessians R1.hess(x) + R2.hess(va - x) + ridge
+        d = (R1._hess_diagonal(x) + R2._hess_diagonal(va - x)) + 1e-12
+        if band is not None and len(x) >= _ELIMINATION_ROWS:
+            step = _tridiagonal_steps(band, constant, d, g)
+        else:
+            step = newton_step(_hessians(constant, d), g)
         slope = np.sum(g * step, axis=-1)
         v1[active], primal = _line_search(R1, R2, va, x, step, f0, slope, armijo)
     worst = active[np.argmax(gap[active])]
@@ -804,6 +820,52 @@ def _decompose_newton(R1, R2, v, tol, max_iter=200):
         "inf-convolution newton stagnated",
         gap=float(gap[worst]), iterations=max_iter, best=v1[worst],
     )
+
+
+def _newton_parts(R1, R2):
+    """The members' constant Hessian parts plus the ridge, and its
+    off-diagonals (lower, upper) if it is tridiagonal, else None."""
+    try:
+        C = R1.hess_constant() + R2.hess_constant() + 1e-12 * np.eye(R1.dim)
+    except NotImplementedError as exc:  # a kind without the parts Newton needs
+        raise InputError(f"no Newton decomposition for {type(R1).__name__} # "
+                         f"{type(R2).__name__}: {exc}") from None
+    lower, upper = C.diagonal(-1), C.diagonal(1)
+    if np.count_nonzero(C) > sum(map(np.count_nonzero, (C.diagonal(), lower, upper))):
+        return C, None
+    return C, (lower.tolist(), upper.tolist())
+
+
+def _hessians(constant, d):
+    """One copy of ``constant`` per row of ``d``, with that row as its diagonal."""
+    n = len(constant)
+    H = np.repeat(constant[None], len(d), axis=0)
+    H.reshape(len(d), n * n)[:, :: n + 1] = d
+    return H
+
+
+def _tridiagonal_steps(band, constant, d, g):
+    """The steps -H^-1 g of the rows of g, H being ``constant`` with the
+    row of ``d`` as diagonal: one elimination without pivoting (H is
+    positive definite) for all rows, on (dim, rows) arrays.  A step that is
+    not finite is taken by :func:`newton.newton_step` from the dense H."""
+    lower, upper = band
+    with np.errstate(all="ignore"):
+        x = np.negative(g.T, order="C")
+        pivot, r = list(d.T.copy()), list(x)  # row views, updated in place
+        for i in range(1, len(r)):
+            w = lower[i - 1] / pivot[i - 1]
+            pivot[i] -= w * upper[i - 1]
+            r[i] -= w * r[i - 1]
+        r[-1] /= pivot[-1]
+        for i in range(len(r) - 2, -1, -1):
+            r[i] -= upper[i] * r[i + 1]
+            r[i] /= pivot[i]
+    step = x.T.copy()
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        step[bad] = newton_step(_hessians(constant, d[bad]), g[bad])
+    return step
 
 
 def _line_search(R1, R2, v, x, step, f0, slope, armijo):

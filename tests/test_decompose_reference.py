@@ -2,15 +2,22 @@
 
 The reference is the decomposition as it was before repeated rows were
 merged, the Hessian stack was built once per iteration and the line search
-handed its values on: one Hessian per member plus a ridge matrix, the
-primal value taken anew at every duality gap, blocks of 64 over all rows,
-and every stacked Newton step through ``np.linalg.solve``.
+handed its values on: one Hessian per member plus a ridge matrix and the
+primal value taken anew at every duality gap, in passes of 512 rows.  A
+pair whose constant Hessian parts sum to a dense matrix goes in blocks of
+64 rows, every stacked Newton step through ``np.linalg.solve``.  In a pass
+of a tridiagonal pair, the steps of 32 or more active rows come from an
+elimination in Python floats, one row at a time, and a row whose
+elimination step is not finite, like every step of fewer rows, through
+``np.linalg.solve``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitflow import cli
 from splitflow import potentials as pt
@@ -52,7 +59,39 @@ def _line_search_reference(R1, R2, v, x, step, f0, slope, armijo):
     return new
 
 
-def _newton_reference(R1, R2, v, tol, max_iter=200):
+def _tridiagonal_step_reference(H, g):
+    """-H^-1 g by elimination without pivoting, in Python floats; None when
+    a pivot is zero or the step is not finite."""
+    lower, upper = np.diag(H, -1).tolist(), np.diag(H, 1).tolist()
+    pivot, x = np.diag(H).tolist(), (-g).tolist()
+    try:
+        for i in range(1, len(x)):
+            w = lower[i - 1] / pivot[i - 1]
+            pivot[i] = pivot[i] - w * upper[i - 1]
+            x[i] = x[i] - w * x[i - 1]
+        x[-1] = x[-1] / pivot[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = (x[i] - upper[i] * x[i + 1]) / pivot[i]
+    except ZeroDivisionError:
+        return None
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _eliminated_steps_reference(H, g):
+    steps = [_tridiagonal_step_reference(Hi, gi) for Hi, gi in zip(H, g)]
+    solved = [i for i, step in enumerate(steps) if step is None]
+    out = np.array([[0.0] * g.shape[1] if step is None else step for step in steps])
+    if solved:
+        out[solved] = _steps_reference(H[solved], g[solved])
+    return out
+
+
+def _is_tridiagonal(R1, R2):
+    C = R1.hess_constant() + R2.hess_constant()
+    return not (np.triu(C, 2).any() or np.tril(C, -2).any())
+
+
+def _pass_reference(R1, R2, v, tol, max_iter, tridiagonal):
     n, dim = v.shape
     v1 = 0.5 * v
     gap = np.full(n, math.inf)
@@ -73,7 +112,11 @@ def _newton_reference(R1, R2, v, tol, max_iter=200):
             return v1, v - v1, gap
         va, x, xi, f0 = va[going], x[going], xi[going], f0[going]
         g = R1.grad(x) - xi
-        step = _steps_reference(R1.hess(x) + R2.hess(va - x) + ridge, g)
+        H = R1.hess(x) + R2.hess(va - x) + ridge
+        if tridiagonal and len(x) >= 32:
+            step = _eliminated_steps_reference(H, g)
+        else:
+            step = _steps_reference(H, g)
         slope = np.sum(g * step, axis=-1)
         v1[active] = _line_search_reference(R1, R2, va, x, step, f0, slope, armijo)
     worst = active[np.argmax(gap[active])]
@@ -81,11 +124,27 @@ def _newton_reference(R1, R2, v, tol, max_iter=200):
                          gap=float(gap[worst]), iterations=max_iter, best=v1[worst])
 
 
+def _newton_reference(R1, R2, v, tol, max_iter=200):
+    """One pass of all rows for a tridiagonal pair, else blocks of 64 rows.
+    A dense pass of more than 64 rows takes its first gaps over all rows and
+    starts over block by block once a row needs a step."""
+    tridiagonal = _is_tridiagonal(R1, R2)
+    if tridiagonal or len(v) <= 64:
+        return _pass_reference(R1, R2, v, tol, max_iter, tridiagonal)
+    try:
+        return _pass_reference(R1, R2, v, tol, 1, False)
+    except NumericalError:
+        pass
+    blocks = [_pass_reference(R1, R2, v[i : i + 64], tol, max_iter, False)
+              for i in range(0, len(v), 64)]
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
 def _decompose_reference(P, rows, tol=1e-10):
     R1, R2 = P.left, P.right
     v1, v2, gap = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows))
-    for i in range(0, len(rows), 64):
-        block = slice(i, i + 64)
+    for i in range(0, len(rows), 512):
+        block = slice(i, i + 512)
         v1[block], v2[block], gap[block] = _newton_reference(R1, R2, rows[block], tol)
     return v1, v2, R1(v1) + R2(v2), gap
 
@@ -111,6 +170,9 @@ def _partner(kind, rng, dim):
     if kind == "quadratic":
         B = rng.standard_normal((dim, dim))
         return pt.QuadraticForm(B @ B.T + dim * np.eye(dim))
+    if kind == "tridiagonal":  # B B^T for a lower bidiagonal B, like a 1-D stiffness
+        B = np.diag(rng.uniform(0.5, 2.0, dim)) + np.diag(rng.uniform(-1.0, 1.0, dim - 1), -1)
+        return pt.QuadraticForm(B @ B.T)
     if kind == "dual-quadratic":
         return pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim))
     if kind == "rescaled-power":
@@ -118,7 +180,8 @@ def _partner(kind, rng, dim):
     return pt.Rescaled(pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim)))
 
 
-_PARTNERS = ["quadratic", "dual-quadratic", "rescaled-power", "rescaled-dual-quadratic"]
+_PARTNERS = ["quadratic", "dual-quadratic", "rescaled-power", "rescaled-dual-quadratic",
+             "tridiagonal"]
 
 
 def _assert_same_outcome(reference, decompose):
@@ -195,6 +258,64 @@ def test_failing_rows_below_p_two_carry_the_reference_certificate(seed):
     assert raised[0]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_failing_tridiagonal_rows_carry_the_reference_certificate(seed):
+    # enough rows that the first steps come from the elimination
+    rng = np.random.default_rng([seed, 27])
+    dim = int(rng.choice([2, 3, 16]))
+    R1, R2 = _power(rng, dim, below_two=seed % 2 == 0), _partner("tridiagonal", rng, dim)
+    if seed % 3 == 0:
+        R1, R2 = R2, R1
+    rows = rng.standard_normal((int(rng.integers(pt._ELIMINATION_ROWS, 150)), dim))
+    raised = [
+        _assert_same_outcome(lambda: _newton_reference(R1, R2, rows, 1e-10, max_iter),
+                             lambda: pt._decompose_newton(R1, R2, rows, 1e-10, max_iter))
+        for max_iter in (1, 2, 4, 200)
+    ]
+    assert raised[0] and not raised[-1]
+
+
+def _blocks_reference(R1, R2, v, tol):
+    """The decomposition before the elimination: blocks of 64 rows."""
+    blocks = [_pass_reference(R1, R2, v[i : i + 64], tol, 200, False)
+              for i in range(0, len(v), 64)]
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_nan_rows_of_a_tridiagonal_pass_carry_the_certificate_of_blocks(p):
+    # the Allen-Cahn pair: a NaN row's steps are the stacked dense solve's,
+    # and the first pass names its first NaN row, as the first block did
+    P = effective_potential(make_model("allen-cahn-1d", p=p).system)
+    rows = np.random.default_rng(3).standard_normal((700, P.dim))
+    rows[[5, 40]] = math.nan
+    rows[[90, 600], 3] = math.nan
+    with pytest.raises(NumericalError) as info:
+        pt.inf_conv_decompose(P, rows, 1e-10)
+    got = info.value
+    for reference in (lambda: _decompose_reference(P, rows),
+                      lambda: _blocks_reference(P.left, P.right, rows, 1e-10)):
+        with pytest.raises(NumericalError) as want:
+            reference()
+        assert math.isnan(got.gap) and math.isnan(want.value.gap)
+        assert (got.iterations, _bits(got.best)) == (want.value.iterations,
+                                                     _bits(want.value.best))
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 1500])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_the_probe_rows_of_the_allen_cahn_pair_equal_the_reference_bit_for_bit(p, n):
+    # 31 to 33 rows: the first step on either side of the elimination's threshold
+    P = effective_potential(make_model("allen-cahn-1d", p=p).system)
+    rows = np.random.default_rng(1).standard_normal((n, 2, P.dim))[:, 0]
+
+    def decompose():
+        dec = pt.inf_conv_decompose(P, rows, 1e-10)
+        return dec.v1, dec.v2, dec.value, dec.gap
+
+    assert not _assert_same_outcome(lambda: _decompose_reference(P, rows), decompose)
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_nan_rows_carry_the_reference_certificate(p):
     R1, R2 = pt.PowerNorm(p, [1.0, 2.0]), pt.QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
@@ -224,6 +345,55 @@ def test_newton_steps_equal_linalg_solve_bit_for_bit(dim):
     keep = np.setdiff1d(np.arange(40), [3, 9, 17, 22, 30])
     assert _bits(newton_step(H[keep], g[keep])) == _bits(np.linalg.solve(
         H[keep], -g[keep][..., None])[..., 0])
+
+
+# -- the batched tridiagonal elimination ----------------------------------------
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1500])
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 33])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0), clamps=st.floats(0.0, 1.0),
+       nan_rows=st.integers(0, 3))
+def test_the_elimination_equals_the_dense_step_to_rounding(dim, rows, seed, zeros, clamps,
+                                                            nan_rows):
+    rng = np.random.default_rng(seed)
+    # an SPD tridiagonal constant with the ridge: B B^T for a lower bidiagonal
+    # B, some of whose diagonal entries are zero
+    B = np.diag(rng.uniform(0.0, 2.0, dim) * (rng.random(dim) >= zeros))
+    B += np.diag(rng.uniform(-2.0, 2.0, dim - 1), -1)
+    C = 10.0 ** rng.uniform(-3.0, 3.0) * (B @ B.T) + 1e-12 * np.eye(dim)
+    # each row's diagonal adds member curvatures: zero, over 18 decades, or the clamp
+    curvature = 10.0 ** rng.uniform(-12.0, 6.0, (rows, dim))
+    draw = rng.random((rows, dim))
+    curvature[draw < clamps / 2] = 1e12
+    curvature[draw > 1.0 - zeros / 2] = 0.0
+    d = C.diagonal() + curvature
+    g = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-6.0, 6.0, (rows, 1))
+    nan = rng.choice(rows, min(nan_rows, rows), replace=False)
+    g[nan[::2], 0] = math.nan
+    d[nan[1::2], -1] = math.nan
+    H = np.repeat(C[None], rows, axis=0)
+    H[:, np.arange(dim), np.arange(dim)] = d
+    band = (C.diagonal(-1).tolist(), C.diagonal(1).tolist())
+
+    steps = pt._tridiagonal_steps(band, C, d, g)
+    dense = newton_step(H, g)
+    assert steps.shape == (rows, dim) and steps.flags.c_contiguous
+    # a NaN row takes the dense step, bits and all
+    assert _bits(steps[nan]) == _bits(dense[nan])
+    finite = np.setdiff1d(np.arange(rows), nan)
+    H, g, steps, dense = H[finite], g[finite], steps[finite], dense[finite]
+    assert np.isfinite(steps).all()
+    # the step solves a system within rounding of H, entry by entry ...
+    eps = np.finfo(float).eps
+    residual = np.abs(np.einsum("nij,nj->ni", H, steps) + g)
+    scale = np.einsum("nij,nj->ni", np.abs(H), np.abs(steps)) + np.abs(g)
+    assert np.all(residual <= 8.0 * eps * scale)
+    # ... and so lies within the condition number's rounding of the dense step
+    if len(finite):
+        bound = 8.0 * eps * np.linalg.cond(H, np.inf) * np.abs(dense).max(axis=1)
+        assert np.all(np.abs(steps - dense).max(axis=1) <= bound)
 
 
 # -- repeated rows -------------------------------------------------------------
@@ -286,7 +456,8 @@ def test_repeated_nan_rows_fail_like_one_nan_row(newton_path):
 
 def test_effective_audit_decomposes_each_repeated_rate_once(tmp_path, monkeypatch):
     # within a step, consecutive cells of the effective run often share their
-    # rate bit for bit; the audit decomposes one row per run of equal rates
+    # rate bit for bit; the audit decomposes one row per run of equal rates,
+    # in passes of 512 rows
     outputs = []
     solve = cli.solve
     monkeypatch.setattr(cli, "solve", lambda *args: outputs.append(solve(*args)) or outputs[-1])
@@ -298,7 +469,7 @@ def test_effective_audit_decomposes_each_repeated_rate_once(tmp_path, monkeypatc
     bits = out.rate.cell_values.view(np.uint64)
     runs = 1 + int(np.count_nonzero(np.any(bits[1:] != bits[:-1], axis=1)))
     assert len(bits) == 1024 and runs < len(bits)
-    assert sum(sent) == runs and len(sent) == -(-runs // 64)
+    assert sum(sent) == runs and len(sent) == -(-runs // 512)
 
 
 # -- qye_probe on arrays ----------------------------------------------------------

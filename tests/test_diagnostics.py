@@ -156,6 +156,19 @@ def test_edb_amm_inequality_allen_cahn():
             assert rep.passed
 
 
+def test_audit_of_a_nested_inf_convolution_is_an_input_error():
+    # the split run solves, but the audit's effective potential has a member
+    # without Hessian parts for the Newton decomposition
+    inner = pt.InfConvolution(pt.PowerNorm(1.5, [1.0, 1.0]), pt.PowerNorm(1.5, [2.0, 1.0]))
+    sys = sv.GradientSystem(en.QuadraticBlockEnergy(A=np.eye(2)), inner,
+                            pt.QuadraticForm(np.eye(2)))
+    out = sv.solve(sys, "split", pa.build_partition(1.0, N=8), [1.0, 0.5], 1e-10)
+    with pytest.raises(InputError) as info:
+        dg.edb_audit(out, sys)
+    assert len(str(info.value).splitlines()) == 1
+    assert "InfConvolution # QuadraticForm" in str(info.value)
+
+
 def test_edb_stationary_all_terms_zero():
     E = en.QuadraticBlockEnergy(A=np.eye(2))
     sys = sv.GradientSystem(

@@ -327,6 +327,43 @@ def test_infconv_requires_infconvolution_kind():
         pt.inf_conv_decompose(pt.PowerNorm(2.0, dim=1), [1.0], 1e-8)
 
 
+def _allen_cahn_pair(p=3.0, m=16):
+    K = (m + 1.0) * (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+    return pt.InfConvolution(pt.PowerNorm(p, np.full(m, 1.0 / (m + 1))), pt.QuadraticForm(K))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10, -math.inf])
+def test_a_tolerance_that_is_not_positive_and_finite_is_an_input_error(tol):
+    # at the parent, inf returned the start split v/2 with gaps near 2e3, and
+    # nan ran 200 iterations and then raised "stagnated"
+    P, v = _allen_cahn_pair(), np.random.default_rng(2).standard_normal((4, 16))
+    with pytest.raises(InputError) as info:
+        pt.inf_conv_decompose(P, v, tol)
+    assert str(info.value) == f"tolerance must be a positive finite number, not {tol}"
+
+
+def _nested_pair():
+    inner = pt.InfConvolution(pt.PowerNorm(1.5, [1.0, 1.0]), pt.PowerNorm(1.5, [2.0, 1.0]))
+    return pt.InfConvolution(inner, pt.QuadraticForm(np.eye(2)))
+
+
+def test_a_smooth_pair_with_a_member_without_hessian_parts_is_an_input_error():
+    with pytest.raises(InputError) as info:
+        pt.inf_conv_decompose(_nested_pair(), np.array([[1.0, 0.5], [0.2, -0.3]]))
+    assert str(info.value) == ("no Newton decomposition for InfConvolution # QuadraticForm: "
+                               "only a quadratic inf-convolution has Hessian parts")
+
+
+def test_rows_that_start_within_tolerance_need_no_hessian_parts(monkeypatch):
+    def unread(*args):
+        raise AssertionError("the Hessian parts were read")
+
+    monkeypatch.setattr(pt, "_newton_parts", unread)
+    dec = pt.inf_conv_decompose(_nested_pair(), np.zeros((3, 2)))
+    np.testing.assert_array_equal(dec.gap, np.zeros(3))
+    np.testing.assert_array_equal(dec.v1, np.zeros((3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # Fenchel-Young residual
 # ---------------------------------------------------------------------------
