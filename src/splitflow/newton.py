@@ -6,6 +6,13 @@ Every Newton loop of the package accepts a step by one Armijo test,
 a minimizer the decrease still owed falls below the rounding of f, where a
 test without slack would backtrack to a zero step.  Each loop takes the
 constant of that test from its potentials once, by :func:`armijo_constant`.
+
+:func:`minimize` stops on the gradient's norm, so it tests a descent step's
+full-step trial by its gradient first and ends there without the Armijo
+test, whose objective values it would not use.  The batched decomposition
+(``potentials._decompose_newton``) tests every step: its rows stop on a
+duality gap, which needs the objective at the accepted trial anyway, so the
+test costs it no evaluation.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ def _solve_or_gradient_step(H, g):
         return -g
 
 
-def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_iter=100,
+def minimize(x, gradient, hessian, objective, tol, *, name, chain=1.0, max_iter=100,
              armijo=ARMIJO):
     """Damped Newton from ``x`` until the gradient's norm is at most ``tol``.
 
@@ -95,35 +102,52 @@ def minimize(x, gradient, hessian, objective, tol, *, failure, chain=1.0, max_it
     positive factor ``chain``, and whatever the caller wants back at the
     solution.  ``hessian(x, held)`` returns the Hessian divided by ``chain``,
     so that the objective's derivative along a step s is ``chain * g @ s``.
-    ``objective(x)`` is evaluated only once a step is taken.  Steps are
-    accepted by :func:`accepts` with the constant ``armijo``; a line search
-    that runs out takes the full step: its objective differences are then
-    below rounding.  Returns ``(x, held, iterations, residual)``; at a
-    residual that is not finite, or after ``max_iter`` steps, raises
-    :class:`NumericalError` with the message ``failure`` and the iterate as
-    ``best``.
+
+    Each step first takes the gradient at the full Newton step: a descent
+    step whose trial is within ``tol`` ends the solve there, and
+    ``objective(x)`` is not evaluated.  Otherwise the step is accepted by
+    :func:`accepts` with the constant ``armijo``, backtracking from the full
+    step; a line search that runs out takes the full step: its objective
+    differences are then below rounding.  An accepted full step keeps the
+    gradient taken at its trial.  A solve that converges at ``x`` or at its
+    first full step thus evaluates no objective.  Returns ``(x, held,
+    iterations, residual)``; raises :class:`NumericalError` with the
+    iterate as ``best``, and the message ``name`` followed by "diverged" at
+    a residual that is not finite, or by "stagnated" after ``max_iter``
+    steps.
     """
-    f = None
+    f = g = None
     for it in range(max_iter):
-        g, held = gradient(x)
+        if g is None:
+            g, held = gradient(x)
         res = math.sqrt(g.dot(g))
         if not math.isfinite(res):  # an infinite tol would take it
-            raise NumericalError(failure, iterations=it, best=x)
+            raise NumericalError(f"{name} diverged", iterations=it, best=x)
         if res <= tol:
             return x, held, it, res
         step = newton_step(hessian(x, held), g)
+        slope = chain * float(g @ step)
+        full = trial = x + step
+        g = None
+        # the trial of the last step is not tested: the solve raises there
+        if slope < 0.0 and it + 1 < max_iter:
+            g, held = gradient(full)
+            res = math.sqrt(g.dot(g))
+            if res <= tol:  # a gradient that is not finite goes on to the search
+                return full, held, it + 1, res
         if f is None:
             f = objective(x)
-        slope = chain * float(g @ step)
         alpha = 1.0
         for _ in range(_BACKTRACKS):
-            trial = x + alpha * step
             f_trial = objective(trial)
             if accepts(f_trial, f, alpha, slope, armijo):
                 x, f = trial, f_trial
                 break
             alpha *= 0.5
+            trial = x + alpha * step
         else:
-            x = x + step
+            x = full
             f = objective(x)
-    raise NumericalError(failure, iterations=max_iter, best=x)
+        if x is not full:
+            g = None
+    raise NumericalError(f"{name} stagnated", iterations=max_iter, best=x)

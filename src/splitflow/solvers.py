@@ -200,9 +200,10 @@ def _prox_kernel(E, R):
 
     The choice depends only on the kinds, so a step plan resolves it once
     per run and calls the kernel on every cell.  What does not change from
-    cell to cell is taken here too: the Hessian of a quadratic energy, and
-    the constant Hessian parts of R (or of its members) and E for Newton,
-    and R's value, gradient and Hessian diagonal at v = 0.
+    cell to cell is taken here too: the Hessian of a quadratic energy and,
+    for FISTA, its spectral norm; the constant Hessian parts of R (or of
+    its members) and E for Newton, and R's value, gradient and Hessian
+    diagonal at v = 0.
     A block step's kernel may be called with another frozen view of the same
     energy; the parts do not depend on the frozen values.  Kinds that no
     method covers raise :class:`InputError`.
@@ -240,7 +241,9 @@ def _prox_kernel(E, R):
                 return partial(_prox_quadratic, VR, H, lhs_by_h={})
             parts = R.shrinkage_parts()
             if parts is not None:
-                return partial(_prox_shrinkage, parts, H, _is_diagonal(H))
+                # FISTA's step bound needs H's spectral norm, an SVD
+                spectral = None if _is_diagonal(H) else float(np.linalg.norm(H, 2))
+                return partial(_prox_shrinkage, parts, H, spectral)
 
         zero = np.zeros(E.dim)
         R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
@@ -278,19 +281,20 @@ def _is_diagonal(M):
     return not np.count_nonzero(M - np.diag(np.diag(M)))
 
 
-def _prox_shrinkage(parts, H, diag_only, E, t, anchor, h, tol, max_iter=10000):
+def _prox_shrinkage(parts, H, spectral, E, t, anchor, h, tol, max_iter=10000):
     """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d) for
-    an energy with Hessian H; ``diag_only`` says H is diagonal."""
+    an energy with Hessian H; ``spectral`` is H's spectral norm, or None
+    when H is diagonal and the minimizer is taken in closed form."""
     sigma_w, quad_w = parts
-    g_anchor = E._grad(t, anchor)
-    curv = np.diag(H) + quad_w / h
-    if diag_only:
+    if spectral is None:
+        g_anchor = E._grad(t, anchor)
+        curv = np.diag(H) + quad_w / h
         d = -np.sign(g_anchor) * np.maximum(np.abs(g_anchor) - sigma_w, 0.0) / curv
         u = anchor + d
         xi = E._grad(t, u)
         return u, xi, _ProxStats(1, 0.0, "shrinkage-exact")
 
-    L = float(np.linalg.norm(H, 2)) + float(np.max(quad_w)) / h
+    L = spectral + float(np.max(quad_w)) / h
     d = np.zeros_like(anchor)
     y = d.copy()
     t_mom = 1.0
@@ -381,7 +385,7 @@ def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_it
     def solve(x, limit=max_iter):
         u, (v, xi), it, res = newton.minimize(
             x, gradient, hessian, objective, tol * (1.0 + norm), max_iter=limit,
-            armijo=armijo, failure="incremental minimization diverged")
+            armijo=armijo, name="incremental minimization")
         return v, u, xi, it, res
 
     return _warm_or_cold(solve, warm, t, key, lambda v: anchor + h * v, start, "newton")
@@ -1034,7 +1038,7 @@ def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=
     def solve(w, limit=max_iter):
         w, (u, xi), it, res = newton.minimize(
             w, gradient, hessian, objective, tol * scale, chain=tau,
-            max_iter=limit, armijo=armijo, failure="effective prox stagnated")
+            max_iter=limit, armijo=armijo, name="effective prox")
         return w, u, xi, it, res
 
     return _warm_or_cold(solve, warm, t, key, np.array, np.zeros(2 * n), "infconv-newton")

@@ -68,8 +68,8 @@ def prox_reference(E, R, idx, t, anchor, h, full):
     VR = R.quadratic_matrix()
     if VR is not None:
         return sv._prox_quadratic(VR, H, view, t, anchor[idx], h, TOL)
-    return sv._prox_shrinkage(R.shrinkage_parts(), H, sv._is_diagonal(H), view, t,
-                              anchor[idx], h, TOL)
+    spectral = None if sv._is_diagonal(H) else float(np.linalg.norm(H, 2))
+    return sv._prox_shrinkage(R.shrinkage_parts(), H, spectral, view, t, anchor[idx], h, TOL)
 
 
 def block_step_reference(system, which, t, anchor, h):

@@ -391,6 +391,14 @@ def test_run_whose_solve_overflows_exits_3_at_the_first_bad_step(tmp_path, capsy
     assert not (out_dir / "trajectory.csv").exists()
 
 
+def test_a_tolerance_that_no_solve_reaches_exits_3_as_stagnated(tmp_path, capsys):
+    code = run_cli(["run", "--model", "allen-cahn-1d", "--override", "p=3", "--tol", "1e-300",
+                    "--N", "4", "--out", str(tmp_path / "unreachable")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: incremental minimization stagnated (after 100 iterations)\n"
+
+
 @pytest.mark.parametrize(
     "certificate, shown",
     [

@@ -67,7 +67,7 @@ def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100, start=None):
     u, (_, xi), it, res = newton.minimize(
         np.array(anchor if start is None else start), gradient, hessian, objective,
         tol * scale, max_iter=max_iter, armijo=newton.armijo_constant(R),
-        failure="incremental minimization diverged")
+        name="incremental minimization")
     return u, xi, it, res
 
 
@@ -97,7 +97,7 @@ def infconv_prox_reference(E, R_eff, t, anchor, tau, tol, max_iter=100, start=No
     w, (u, xi), it, res = newton.minimize(
         np.zeros(2 * n) if start is None else start, gradient, hessian, objective,
         tol * scale, chain=tau, max_iter=max_iter, armijo=newton.armijo_constant(R1, R2),
-        failure="effective prox stagnated")
+        name="effective prox")
     return u, xi, it, res, w
 
 

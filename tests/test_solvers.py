@@ -639,6 +639,47 @@ def test_a_non_finite_residual_never_counts_as_converged():
     assert failure.value.iterations == 1
 
 
+@pytest.mark.parametrize("effective", [False, True], ids=["newton", "infconv"])
+def test_a_newton_prox_that_runs_out_of_steps_stagnates(effective):
+    # no state of these solves has a residual within 1e-300 (1 + |anchor|):
+    # the solve runs out of steps with a finite residual, it does not diverge
+    ac = make_model("allen-cahn-1d", p=3.0)
+    if effective:
+        R, name = sv.effective_potential(ac.system), "effective prox"
+    else:
+        R, name = pt.Rescaled(ac.system.r1), "incremental minimization"
+    with pytest.raises(NumericalError, match=f"^{name} stagnated$") as failure:
+        sv._prox(ac.system.energy, R, 0.1, ac.u0, 0.05, 1e-300)
+    assert failure.value.iterations == 100
+    assert np.isfinite(failure.value.best).all()
+
+
+def test_a_shrinkage_kernel_takes_the_spectral_norm_once_per_run(monkeypatch):
+    A = np.array([[1.5, -0.6, 0.2], [-0.6, 1.2, 0.4], [0.2, 0.4, 2.0]])
+    system = sv.GradientSystem(en.QuadraticBlockEnergy(A=A),
+                               pt.OneHomPlusQuad(0.1, 1.0, dim=3), pt.QuadraticForm(np.eye(3)))
+    spectral, norm = [], np.linalg.norm
+    methods, shrinkage = [], sv._prox_shrinkage
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            spectral.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        result = shrinkage(*args, **kwargs)
+        methods.append(result[2].method)
+        return result
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(sv, "_prox_shrinkage", recorded)
+    sv.solve(system, "split", pa.build_partition(1.0, N=8), np.array([1.0, -0.5, 0.8]),
+             1e-10, 2)
+    assert methods == ["shrinkage-fista"] * 16
+    assert len(spectral) == 1
+    np.testing.assert_array_equal(spectral[0], A)
+
+
 def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     hessians = []
