@@ -3,20 +3,26 @@ arithmetic they replaced.
 
 The references below move a block the way the frozen-block view used to:
 assemble the full state, take the gradient of both blocks with one
-expression per block, and gather the active indices.  The joint step
-takes its prox methods and shrinkage parts on every step and reads the
-residual off the same full gradient.  The library's block steps compute
-only the block that moves, with the same expressions, so every node
-state, force, inner iteration count and residual must agree bit for bit.
+expression per block, and gather the active indices.  The joint step of
+these quadratic systems is the active-set step: its reference assembles
+K from the energy's blocks and the potentials on every step and reads the
+gradient and the residual off the same full gradient.  The library's block
+steps compute only the block that moves, with the same expressions, so
+every node state, force, inner iteration count and residual must agree bit
+for bit.  The Gauss-Seidel joint step that the active-set step replaced
+for them is kept as a reference too: the effective runs stay within 1e-9
+of its states.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from splitflow import diagnostics as dg
 from splitflow import potentials as pt
 from splitflow import solvers as sv
 from splitflow.energies import EnergySpec, Load, QuadraticBlockEnergy
@@ -110,8 +116,49 @@ def joint_step_reference(system, t, anchor, tau, max_sweeps=200):
     raise NumericalError("joint block prox stagnated")
 
 
+class ActiveSetReference:
+    """The active-set joint step, with K = H + M / tau assembled on every
+    step and the sign pattern carried from step to step."""
+
+    def __init__(self, system, max_solves=8):
+        self.system, self.max_solves, self.signs = system, max_solves, None
+
+    def __call__(self, t, anchor, tau):
+        system, E = self.system, self.system.energy
+        n = system.dim
+        M, sigma = np.zeros((n, n)), np.zeros(n)
+        for idx, R in zip(index_arrays(system), (system.r1.base, system.r2.base)):
+            parts = R.shrinkage_parts()
+            if parts is None:
+                M[np.ix_(idx, idx)] = R.quadratic_matrix()
+            else:
+                M[np.ix_(idx, idx)] = np.diag(parts[1])
+                sigma[idx] = parts[0]
+        K = np.block([[E.A, E.B.T], [E.B, E.G]]) + M / tau
+        c = full_grad(E, t, anchor)
+
+        def pattern(w):  # the sign of each coordinate-wise minimizer
+            return np.sign(w) * ((np.abs(w) > sigma) & (sigma > 0.0))
+
+        s = pattern(-c) if self.signs is None else self.signs
+        for solves in range(1, self.max_solves + 1):
+            free = (sigma == 0.0) | (s != 0.0)
+            d = np.zeros(n)
+            d[free] = -(np.linalg.inv(K[np.ix_(free, free)]) @ (c + sigma * s)[free])
+            last, s = s, pattern(np.diag(K) * d - (K @ d + c))
+            if np.array_equal(s, last):
+                break
+        else:
+            raise AssertionError("the sign pattern did not settle")
+        u = anchor + d
+        self.signs = s
+        return u, full_grad(E, t, u), solves, joint_residual_reference(system, t, anchor,
+                                                                        u, tau)
+
+
 def reference_run(system, scheme, P, u0, inner):
-    """``(states, forces, iterations, residuals)``, one entry per prox solve."""
+    """``(states, forces, iterations, residuals)``, one entry per prox solve;
+    the scheme ``"gauss-seidel"`` is the effective run by Gauss-Seidel sweeps."""
     if scheme == "block-split":
         grid = P.refine(inner)
         which = np.where(grid.cell_is_left, 1, 2)
@@ -126,8 +173,10 @@ def reference_run(system, scheme, P, u0, inner):
                      (lambda t, u, h: block_step_reference(system, 2, t, u, h),
                       P.nodes[k + 1], h)]
     else:
-        plan = [(lambda t, u, h: joint_step_reference(system, t, u, h), P.nodes[k + 1],
-                 P.taus[k]) for k in range(P.N)]
+        step = ActiveSetReference(system)
+        if scheme == "gauss-seidel":
+            step = partial(joint_step_reference, system)
+        plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
     u, entries = u0, []
     for step, t, h in plan:
         u, xi, it, res = step(t, u, h)
@@ -145,6 +194,12 @@ def assert_matches_reference(system, scheme, P, u0, inner):
     assert out.xi.cell_values.tobytes() == np.repeat(forces, n, axis=0).tobytes()
     assert out.stats["inner_iterations"] == iterations
     assert np.array(out.stats["inner_residuals"]).tobytes() == np.array(residuals).tobytes()
+    if scheme == "effective":
+        # every step passes the Gauss-Seidel acceptance test, near its states
+        anchors = np.vstack([u0[None], states[:-1]])
+        assert (np.array(residuals) <= TOL * (1.0 + np.linalg.norm(anchors, axis=1))).all()
+        sweeps = reference_run(system, "gauss-seidel", P, u0, inner)[0]
+        assert np.abs(np.array(states) - np.array(sweeps)).max() <= 1e-9
 
 
 def drawn_load(rng, dim):
@@ -185,3 +240,51 @@ def test_blocks_of_size_zero_run_and_match_the_reference(layout, scheme):
     system = block_system(*layout, rng)
     u0 = rng.standard_normal(system.dim)
     assert_matches_reference(system, scheme, build_partition(1.0, N=3), u0, 2)
+
+
+def spd(rng, n, shift):
+    M = rng.standard_normal((n, n))
+    return M @ M.T + shift * np.eye(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_y=st.integers(0, 5), n_z=st.integers(0, 5),
+       yields=st.sampled_from(["y", "z", "both", "neither"]), N=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_active_set_steps_settle_and_pass_the_audit(n_y, n_z, yields, N, seed):
+    """Drawn quadratic block systems whose block potentials yield or are
+    quadratic forms: every effective step settles without the Gauss-Seidel
+    fallback and passes its acceptance test, and the run passes its audit."""
+    n = n_y + n_z
+    assume(n > 0)
+    rng = np.random.default_rng(seed)
+    H = spd(rng, n, float(rng.uniform(0.1, n)))
+    E = QuadraticBlockEnergy(H[:n_y, :n_y], H[n_y:, :n_y], H[n_y:, n_y:],
+                             f=drawn_load(rng, n_y), g=drawn_load(rng, n_z))
+    blocks, yielding = [], 0
+    for size, name in ((n_y, "y"), (n_z, "z")):
+        if yields in (name, "both"):
+            yielding += size
+            blocks.append(pt.OneHomPlusQuad(float(rng.uniform(0.05, 1.0)),
+                                            float(rng.uniform(0.5, 2.0)),
+                                            rng.uniform(0.5, 2.0, size)))
+        else:
+            blocks.append(pt.QuadraticForm(spd(rng, size, 0.5)))
+    system = sv.GradientSystem(E, pt.BlockIndicator(blocks[0], np.arange(n_y), n),
+                               pt.BlockIndicator(blocks[1], np.arange(n_y, n), n))
+    u0 = rng.standard_normal(n)
+    P = build_partition(1.0, N=N)
+    assert sv._joint_block_step(system).func is sv._joint_active_set
+
+    def no_fallback(*args):
+        raise AssertionError("an active-set step fell back to Gauss-Seidel sweeps")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sv, "_gauss_seidel_step", no_fallback)
+        out = sv.solve(system, "effective", P, u0, TOL, 2)
+    anchors = out.node_states()[:-1]
+    residuals = np.array(out.stats["inner_residuals"])
+    assert (residuals <= TOL * (1.0 + np.linalg.norm(anchors, axis=1))).all()
+    if not yielding:  # each step is one linear solve
+        assert out.stats["inner_iterations"] == [1] * N
+    assert dg.edb_audit(out, system).passed

@@ -1,5 +1,6 @@
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from splitflow import solvers as sv
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
 from test_prox_reference import KernelReplay, replay_cell
+from test_warm_start import _coupled_power_blocks
 
 
 def scalar_quadratic_energy():
@@ -557,18 +559,26 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     res, g = sv._joint_block_residual(system, 0.5, preset.u0, u, 0.1, parts)
     assert len(grads) == 1 and res > 0.0
     np.testing.assert_array_equal(g, grad(system.energy, 0.5, u))
-    # the shrinkage parts of both blocks are taken once per run, not per step or sweep
-    grads.clear()
+    # the parts of both blocks are taken once per run, not per step or sweep;
+    # the Newton blocks step by Gauss-Seidel sweeps
     monkeypatch.setattr(sv, "_joint_block_residual", recorded_residual)
-    out = sv.effective_solve(system, pa.build_partition(1.0, N=4), preset.u0, tol=1e-12)
-    assert len(out.stats["inner_iterations"]) == 4
-    assert min(out.stats["inner_iterations"]) > 1
-    assert all(p is seen[0] for p in seen)
-    # one gradient per sweep's residual, and the last one is the step's force
-    assert len(grads) == len(seen) == sum(out.stats["inner_iterations"])
+    power, power_u0 = _coupled_power_blocks()
+    for system, u0, sweeps in ((power, power_u0, True), (system, preset.u0, False)):
+        grads.clear()
+        seen.clear()
+        out = sv.effective_solve(system, pa.build_partition(1.0, N=4), u0, tol=1e-12)
+        assert len(out.stats["inner_iterations"]) == 4
+        assert all(p is seen[0] for p in seen)
+        if sweeps:
+            assert min(out.stats["inner_iterations"]) > 1
+            # one gradient per sweep's residual, and the last one is the step's force
+            assert len(grads) == len(seen) == sum(out.stats["inner_iterations"])
+        else:
+            # the active-set step tests its solution once
+            assert len(grads) == len(seen) == 4
 
 
-def test_a_joint_block_step_measures_a_shrinkage_y_block():
+def test_a_joint_block_step_measures_a_shrinkage_y_block(monkeypatch):
     # a y potential with a yield term and no gradient, a quadratic z potential
     rng = np.random.default_rng(7)
     M = rng.uniform(-1.0, 1.0, (5, 5))
@@ -580,32 +590,72 @@ def test_a_joint_block_step_measures_a_shrinkage_y_block():
                                pt.BlockIndicator(Rz, np.arange(3, 5), 5))
     P = pa.build_partition(1.0, N=8)
     u0 = rng.uniform(-1.0, 1.0, 5)
-    out = sv.effective_solve(system, P, u0, tol=1e-10)
-    nodes = out.node_states()
-    for k in range(P.N):
-        anchor, u = nodes[k], nodes[k + 1]
-        v = (u - anchor) / P.taus[k]
-        g = E.grad(P.nodes[k + 1], u)
-        sigma_w, quad_w = Ry.shrinkage_parts()
-        smooth = quad_w * v[:3] + g[:3]
-        ry = np.where(v[:3] != 0.0, smooth + sigma_w * np.sign(v[:3]),
-                      np.maximum(np.abs(smooth) - sigma_w, 0.0))
-        rz = Rz.grad(v[3:]) + g[3:]
-        assert np.hypot(np.linalg.norm(ry), np.linalg.norm(rz)) <= (
-            1e-10 * (1.0 + np.linalg.norm(anchor)))
-    assert min(out.stats["inner_iterations"]) > 1
+    runs = [sv.effective_solve(system, P, u0, tol=1e-10)]
+    # the same run with every step handed to the Gauss-Seidel sweeps
+    joint = sv._joint_block_step
+    monkeypatch.setattr(sv, "_joint_block_step",
+                        lambda sys: partial(joint(sys), max_solves=0))
+    runs.append(sv.effective_solve(system, P, u0, tol=1e-10))
+    for out in runs:
+        nodes = out.node_states()
+        for k in range(P.N):
+            anchor, u = nodes[k], nodes[k + 1]
+            v = (u - anchor) / P.taus[k]
+            g = E.grad(P.nodes[k + 1], u)
+            sigma_w, quad_w = Ry.shrinkage_parts()
+            smooth = quad_w * v[:3] + g[:3]
+            ry = np.where(v[:3] != 0.0, smooth + sigma_w * np.sign(v[:3]),
+                          np.maximum(np.abs(smooth) - sigma_w, 0.0))
+            rz = Rz.grad(v[3:]) + g[3:]
+            assert np.hypot(np.linalg.norm(ry), np.linalg.norm(rz)) <= (
+                1e-10 * (1.0 + np.linalg.norm(anchor)))
+    assert min(runs[1].stats["inner_iterations"]) > 1
+    np.testing.assert_allclose(runs[0].node_states(), runs[1].node_states(), rtol=0,
+                               atol=1e-9)
 
 
 def test_joint_block_stagnation_carries_the_last_sweep():
-    preset = make_model("visco-plasticity-1d", m=6)
-    step = sv._joint_block_step(preset.system)
+    system, u0 = _coupled_power_blocks()
+    step = sv._joint_block_step(system)
     # this step takes more than one sweep to reach 1e-12
-    with pytest.raises(NumericalError, match="joint block prox stagnated") as failure:
-        step(0.5, preset.u0, 0.25, 1e-12, max_sweeps=1)
+    with pytest.raises(NumericalError, match="^joint block prox stagnated$") as failure:
+        step(0.5, u0, 0.25, 1e-12, max_sweeps=1)
     best = failure.value.best
     assert failure.value.iterations == 1
-    assert best.shape == (preset.system.dim,) and np.isfinite(best).all()
-    assert not np.array_equal(best, preset.u0)
+    assert best.shape == (system.dim,) and np.isfinite(best).all()
+    assert not np.array_equal(best, u0)
+
+
+def test_an_active_set_step_that_does_not_settle_is_the_gauss_seidel_step():
+    preset = make_model("visco-plasticity-1d", m=6)
+    step = sv._joint_block_step(preset.system)
+    assert step.func is sv._joint_active_set
+    parts = [R.shrinkage_parts() for R in (preset.system.r1.base, preset.system.r2.base)]
+    sweeps = sv._gauss_seidel_step(preset.system, parts)(0.5, preset.u0, 0.25, 1e-12)
+    for u, xi, st in (step(0.5, preset.u0, 0.25, 1e-12, max_solves=0), sweeps):
+        assert u.tobytes() == sweeps[0].tobytes() and xi.tobytes() == sweeps[1].tobytes()
+        assert (st.iterations, st.residual, st.method) == (
+            sweeps[2].iterations, sweeps[2].residual, "gauss-seidel")
+    assert sweeps[2].iterations > 1
+    # with the solves it may take, the step settles, in fewer solves than sweeps
+    u, xi, st = step(0.5, preset.u0, 0.25, 1e-12)
+    assert st.method == "active-set" and st.iterations < sweeps[2].iterations
+    np.testing.assert_allclose(u, sweeps[0], rtol=0, atol=1e-11)
+
+
+def test_a_step_size_whose_k_is_not_positive_definite_takes_gauss_seidel_sweeps():
+    # K = H + M / tau is positive definite for tau below about 0.48, not at 1
+    E = en.QuadraticBlockEnergy(A=[[-2.0]], B=[[0.5]], G=[[1.0]])
+    system = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm([[1.0]]), [0], 2),
+                               pt.BlockIndicator(pt.OneHomPlusQuad(0.1, 1.0), [1], 2))
+    step = sv._joint_block_step(system)
+    u0 = np.array([0.5, -0.3])
+    assert step(0.0, u0, 0.4, 1e-10)[2].method == "active-set"
+    u, xi, st = step(0.0, u0, 1.0, 1e-10)
+    parts = [None, system.r2.base.shrinkage_parts()]
+    sweeps = sv._gauss_seidel_step(system, parts)(0.0, u0, 1.0, 1e-10)
+    assert u.tobytes() == sweeps[0].tobytes() and xi.tobytes() == sweeps[1].tobytes()
+    assert (st.iterations, st.method) == (sweeps[2].iterations, "gauss-seidel")
 
 
 def test_a_non_finite_residual_never_counts_as_converged():
@@ -621,19 +671,29 @@ def test_a_non_finite_residual_never_counts_as_converged():
     assert failure.value.iterations == 0
     np.testing.assert_array_equal(failure.value.best, anchor)
 
+    # Gauss-Seidel sweeps: the quadratic y block's linear solve takes the
+    # anchor, and the Newton z block, uncoupled, converges
+    E = en.QuadraticBlockEnergy(np.array([[2.0, 0.3], [0.3, 1.5]]), np.zeros((2, 2)),
+                                np.array([[1.8, -0.2], [-0.2, 2.2]]))
+    mixed = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 4),
+                              pt.BlockIndicator(pt.PowerNorm(3.0, [1.5, 0.5]), [2, 3], 4))
     vp = make_model("visco-plasticity-1d", m=6)
-    step = sv._joint_block_step(vp.system)
     anchor = np.array(vp.u0)
     anchor[0] = 1e200
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericalError, match="joint block prox stagnated") as failure:
-        step(0.5, anchor, 0.25, 1e-10)
-    assert failure.value.iterations == 1
-    assert failure.value.best.shape == (vp.system.dim,)
+    for system, anchor, kernel in ((mixed, np.array([1e200, 0.0, 0.8, -0.6]),
+                                    sv._joint_block_prox),
+                                   (vp.system, anchor, sv._joint_active_set)):
+        step = sv._joint_block_step(system)
+        assert step.func is kernel
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^joint block prox diverged$") as failure:
+            step(0.5, anchor, 0.25, 1e-10)
+        assert failure.value.iterations == 1
+        assert failure.value.best.shape == (system.dim,)
 
     E = en.QuadraticBlockEnergy(A=np.array([[2.0, 0.5], [0.5, 1.0]]))
     with np.errstate(all="ignore"), pytest.raises(
-            NumericalError, match="shrinkage prox stagnated") as failure:
+            NumericalError, match="^shrinkage prox diverged$") as failure:
         sv._prox(E, pt.OneHomPlusQuad(0.3, 1.0, dim=2), 0.0, np.array([1e200, 0.0]),
                  0.2, 1e-12)
     assert failure.value.iterations == 1
@@ -701,19 +761,32 @@ def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
 @pytest.mark.parametrize("N", [4, 8])
 def test_effective_block_run_takes_the_energy_hessian_once_per_block(monkeypatch, N):
     preset = make_model("visco-plasticity-1d", m=6)
-    hessians = []
-    hess_constant = en.QuadraticBlockEnergy.hess_constant
+    power, u0 = _coupled_power_blocks()
+    hessians, matrices = [], []
+    hess_constant, matrix = en.QuadraticBlockEnergy.hess_constant, sv._ActiveSet.matrix
 
     def counted_hess(self):
         hessians.append(self)
         return hess_constant(self)
 
+    def recorded_matrix(self, tau):
+        result = matrix(self, tau)
+        matrices.append(result[0])
+        return result
+
     monkeypatch.setattr(en.QuadraticBlockEnergy, "hess_constant", counted_hess)
+    monkeypatch.setattr(sv._ActiveSet, "matrix", recorded_matrix)
+    # the Gauss-Seidel step builds the prox methods of both blocks once per run
+    out = sv.solve(power, "effective", pa.build_partition(1.0, N=N), u0, 1e-10, 4)
+    assert len(out.stats["inner_iterations"]) == N
+    assert len(hessians) == 2 and matrices == []
+    # the active-set step takes the Hessian once, and K once per step size
+    hessians.clear()
     out = sv.solve(preset.system, "effective", pa.build_partition(1.0, N=N),
                    preset.u0, 1e-10, 4)
-    # the joint step builds the prox methods of both blocks once per run
     assert len(out.stats["inner_iterations"]) == N
-    assert len(hessians) == 2
+    assert hessians == [preset.system.energy]
+    assert len(matrices) == N and all(K is matrices[0] for K in matrices)
 
 
 def test_effective_prox_of_a_quadratic_pair_decomposes_nothing(monkeypatch):
