@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -263,12 +265,13 @@ def _energy_is_quadratic(E):
 def _prox_quadratic(VR, H, E, t, anchor, h, tol, lhs_by_h=None):
     """Linear solve for a quadratic R with matrix VR and an energy with
     Hessian H; a run's kernel keeps the matrix VR / h + H of each step size
-    h it has met in ``lhs_by_h``."""
+    h it has met in ``lhs_by_h``, after one Cholesky test
+    (:func:`_positive_definite`)."""
     g0 = E._grad(t, np.zeros_like(anchor))
     lhs_by_h = {} if lhs_by_h is None else lhs_by_h
     lhs = lhs_by_h.get(h)
     if lhs is None:
-        lhs = lhs_by_h[h] = VR / h + H
+        lhs = lhs_by_h[h] = _positive_definite(VR / h + H, h)
     rhs = VR @ anchor / h - g0
     u = np.linalg.solve(lhs, rhs)
     xi = E._grad(t, u)
@@ -281,18 +284,41 @@ def _is_diagonal(M):
     return not np.count_nonzero(M - np.diag(np.diag(M)))
 
 
+def _positive_definite(K, h):
+    """K, the curvature of a prox step of size h, once it has shown positive
+    definite: a matrix by a Cholesky factorization, the diagonal of a
+    diagonal one entry by entry.  Otherwise the step's objective is
+    unbounded below or has no unique minimizer, and the step ends in a
+    one-line ``NumericalError`` that names h."""
+    if K.ndim == 1:
+        definite = bool((K > 0.0).all())
+    else:
+        try:
+            np.linalg.cholesky(K)
+            definite = True
+        except np.linalg.LinAlgError:
+            definite = False
+    if not definite:
+        raise NumericalError(f"prox step of size {h:.6g} has no unique minimizer: "
+                             "its curvature is not positive definite")
+    return K
+
+
 def _prox_shrinkage(parts, H, spectral, E, t, anchor, h, tol, max_iter=10000):
     """Minimize sum_i [sigma_i |d_i| + (q_i/2h) d_i^2] + E(t, anchor + d) for
     an energy with Hessian H; ``spectral`` is H's spectral norm, or None
-    when H is diagonal and the minimizer is taken in closed form."""
+    when H is diagonal and the minimizer is taken in closed form.  Both
+    report the residual :func:`_shrinkage_residual` measures at their
+    result."""
     sigma_w, quad_w = parts
     if spectral is None:
         g_anchor = E._grad(t, anchor)
-        curv = np.diag(H) + quad_w / h
+        curv = _positive_definite(np.diag(H) + quad_w / h, h)
         d = -np.sign(g_anchor) * np.maximum(np.abs(g_anchor) - sigma_w, 0.0) / curv
         u = anchor + d
         xi = E._grad(t, u)
-        return u, xi, _ProxStats(1, 0.0, "shrinkage-exact")
+        res = _shrinkage_residual(xi + quad_w * d / h, d, sigma_w)
+        return u, xi, _ProxStats(1, res, "shrinkage-exact")
 
     L = spectral + float(np.max(quad_w)) / h
     d = np.zeros_like(anchor)
@@ -320,10 +346,15 @@ def _shrinkage_residual(smooth, d, sigma_w):
     """Optimality residual at d of sum_i sigma_i |d_i| plus a smooth part
     whose gradient at d is ``smooth``: the distance of -smooth from the
     subdifferential of the weighted l1 term."""
-    res_vec = np.where(
-        d != 0.0, smooth + sigma_w * np.sign(d), np.maximum(np.abs(smooth) - sigma_w, 0.0)
-    )
-    return float(np.linalg.norm(res_vec))
+    return float(np.linalg.norm(_shrinkage_excess(smooth, d, sigma_w)))
+
+
+def _shrinkage_excess(smooth, d, sigma_w):
+    """The vector whose norm is :func:`_shrinkage_residual`, up to signs,
+    coordinate by coordinate, for one d or a batch of rows:
+    |smooth + sigma sign(d)| where d != 0, max(|smooth| - sigma, 0) where
+    d = 0, in one expression."""
+    return np.maximum(np.abs(smooth + sigma_w * np.sign(d)) - sigma_w * (d == 0.0), 0.0)
 
 
 def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_iter=100):
@@ -755,8 +786,10 @@ def _dual_weights(sys, mechanism):
 
 
 def _step(sys, mechanism):
-    """The prox step of ``mechanism``: ``step(t_eval, anchor, h, tol) -> (u,
-    xi, stats)``.
+    """The step of ``mechanism``: a per-step kernel ``step(t_eval, anchor,
+    h, tol) -> (u, xi, stats)``, or for a block whose kinds
+    :func:`_block_leg` covers, a leg kernel (:class:`_BlockLeg`) that steps
+    a whole leg per call.
 
     Mechanism j in (1, 2) steps with the rescaled potential R~_j, on its
     block if the system has a block layout: the other block stays frozen in
@@ -772,9 +805,150 @@ def _step(sys, mechanism):
     R = sys.r1 if mechanism == 1 else sys.r2
     if sys.block_layout is None:
         return partial(_prox_kernel(E, Rescaled(R)), E)
+    leg = _block_leg(sys, mechanism)
+    if leg is not None:
+        return leg
     active = sys.block_indices()[mechanism - 1]
     frozen = _FrozenBlockEnergy(E, active, np.zeros(sys.dim))
     return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))
+
+
+def _block_leg(sys, mechanism):
+    """The leg kernel of ``mechanism``'s block (:class:`_BlockLeg`), or None.
+
+    There is one when the energy is a :class:`QuadraticBlockEnergy` whose
+    blocks y and z are the system's, and the block potential has a
+    quadratic matrix, or has shrinkage parts on a block whose Hessian H_jj
+    is diagonal: the kinds that :func:`_prox_kernel` sends to
+    :func:`_prox_quadratic` and to the closed form of
+    :func:`_prox_shrinkage`.  The step of R~_j at h is the unrescaled one
+    at 2h, so the rescaled potential's matrix or parts serve.
+    """
+    E = sys.energy
+    if not (isinstance(E, QuadraticBlockEnergy) and E.n_y == sys.block_layout[0]):
+        return None
+    R = Rescaled((sys.r1, sys.r2)[mechanism - 1].base)
+    VR = R.quadratic_matrix()
+    parts = R.shrinkage_parts() if VR is None else None
+    if VR is None and (parts is None or not _is_diagonal((E.A, E.G)[mechanism - 1])):
+        return None
+    return _BlockLeg(sys, mechanism, VR, parts)
+
+
+class _BlockLeg:
+    """The leg kernel of block j of a quadratic block system, the other
+    block o frozen: ``leg(entries, anchor, states, forces, iterations,
+    residuals) -> u``.
+
+    A leg is a run of plan entries ``(mechanism, t_eval, h)`` of one
+    mechanism.  The kernel steps them from ``anchor``, writes step i's state
+    and its block's force into its ``n`` rows of ``states`` and ``forces``
+    (the leg's cells, whose forces of the frozen block are 0), appends each
+    step's iterations (one) and residual to the lists, and returns the
+    state the leg ends at.
+
+    In a leg the frozen block does not move, so the gradient of block j at
+    time t is H_jj x + r(t) with r(t) = C x_o - l(t): C is the coupling
+    block of the energy and l the block's load.  The kernel takes C x_o
+    once per leg and the load at the leg's times as one array, then steps
+    the block without a frozen view:
+
+    * a quadratic potential with matrix VR: x <- P x - K^-1 r(t), with
+      K = H_jj + VR / h and P = K^-1 VR / h, taken in the equal form
+      x - K^-1 (H_jj x + r(t)): the step moves by K^-1 times the gradient
+      at its anchor, so its rounding is that of the move, not of the state;
+    * shrinkage parts (sigma, q) on a diagonal H_jj: with g = H_jj x + r(t),
+      x <- x - sign(g) max(|g| - sigma, 0) / c, with c = diag(H_jj) + q / h,
+      taken as x + (clip(g, -sigma, sigma) - g) / c.
+
+    ``by_h`` keeps K^-1, or c, per step size h, built after the test that
+    the step has a unique minimizer (:func:`_positive_definite`).  The
+    energy's Hessian is taken once per kernel.  The forces H_jj x + r and
+    the residuals are taken for the whole leg in array expressions, the
+    residuals as :func:`_prox_quadratic` and :func:`_shrinkage_residual`
+    measure them.
+    """
+
+    __slots__ = ("active", "other", "H", "diagonal", "coupling", "load", "VR", "parts",
+                 "by_h")
+
+    def __init__(self, sys, mechanism, VR, parts):
+        E = sys.energy
+        blocks = sys.block_indices()
+        self.active, self.other = blocks[mechanism - 1], blocks[2 - mechanism]
+        self.H = E.hess_constant()[self.active, self.active]
+        self.diagonal = np.diag(self.H)
+        # the matrices of E's block core, so the coupling has its bits
+        self.coupling = E.B.T if mechanism == 1 else E.B
+        load = E.f if mechanism == 1 else E.g
+        self.load = load if E._loaded and not load.is_zero else None
+        if parts is not None:
+            parts = parts + (-parts[0],)  # sigma, q and the clip's lower bound
+        self.VR, self.parts, self.by_h = VR, parts, {}
+
+    def curvature(self, h):
+        """The curvature of a step of size h, taken once per h: K^-1 of a
+        quadratic block, diag(H_jj) + q / h of a shrinkage block."""
+        found = self.by_h.get(h)
+        if found is None:
+            if self.parts is None:
+                found = np.linalg.inv(_positive_definite(self.H + self.VR / h, h))
+            else:
+                found = _positive_definite(self.diagonal + self.parts[1] / h, h)
+            self.by_h[h] = found
+        return found
+
+    def __call__(self, entries, anchor, states, forces, iterations, residuals):
+        size = len(entries)
+        r = self.coupling @ anchor[self.other]
+        if self.load is None:
+            terms = [r] * size  # step i's r(t); the same row for every step
+        else:
+            r = terms = r - self.load.value(np.array([t for _, t, _ in entries]))
+        X = np.empty((size + 1, self.diagonal.size))  # the block's states, the anchor's first
+        X[0] = anchor[self.active]
+        steps = self._quadratic_steps if self.parts is None else self._shrinkage_steps
+        hs, k = [h for _, _, h in entries], 0
+        for h, run in groupby(hs):
+            stop = k + len(list(run))
+            steps(X, terms, k, stop, h)
+            k = stop
+        if hs.count(h) < size:  # more than one step size: one per row
+            h = np.array(hs)[:, None]
+        rows, D = X[1:], X[1:] - X[:-1]
+        if self.parts is None:
+            xi = rows @ self.H.T + r
+            excess = (D / h) @ self.VR.T + xi
+        else:
+            sigma_w, quad_w, _ = self.parts
+            xi = self.diagonal * rows + r
+            excess = _shrinkage_excess(xi + quad_w * D / h, D, sigma_w)
+        # step i holds rows i n to (i + 1) n - 1 of the leg's cells
+        shape = size, len(states) // size, len(anchor)
+        states, forces = states.reshape(shape), forces.reshape(shape)
+        states[:] = anchor
+        states[:, :, self.active] = rows[:, None]
+        forces[:, :, self.active] = xi[:, None]  # the frozen block's are 0
+        iterations.extend([1] * size)
+        # np.linalg.norm(excess, axis=1), without its call overhead
+        residuals.extend(np.sqrt(np.add.reduce(excess * excess, 1)).tolist())
+        return states[-1, 0]
+
+    def _quadratic_steps(self, X, terms, k, stop, h):
+        """Steps k to stop - 1 of a quadratic block, all of size h, from
+        ``X[k]``: each moves by -K^-1 times the gradient at its anchor."""
+        x, H, K_inv = X[k], self.H, self.curvature(h)
+        for i in range(k, stop):
+            x = X[i + 1] = x - K_inv @ (H @ x + terms[i])
+
+    def _shrinkage_steps(self, X, terms, k, stop, h):
+        """Steps k to stop - 1 of a shrinkage block, all of size h, from
+        ``X[k]``."""
+        x, diagonal, curv = X[k], self.diagonal, self.curvature(h)
+        sigma_w, _, low = self.parts
+        for i in range(k, stop):
+            g = diagonal * x + terms[i]
+            x = X[i + 1] = x + (np.minimum(np.maximum(g, low), sigma_w) - g) / curv
 
 
 def _run(scheme, sys, grid, u0, tol, legs, steps, offset=0.0):
@@ -832,27 +1006,41 @@ def _run(scheme, sys, grid, u0, tol, legs, steps, offset=0.0):
 def _movements(sys, grid, u0, plan, tol, stats):
     """Minimizing movements along the prox steps ``plan``.
 
-    Each entry ``(mechanism, t_eval, h)`` solves one incremental problem by
-    the mechanism's step (:func:`_step`, built once per run) from the
-    previous state, and holds its result on the next ``n`` cells, the same
-    ``n`` for every entry.  Each solve's iterations and residual go into
-    ``stats``.  Returns the node values of the constant interpolant, the
-    cell forces and ``n``.
+    Each entry ``(mechanism, t_eval, h)`` solves one incremental problem
+    from the previous state and holds its result on the next ``n`` cells,
+    the same ``n`` for every entry.  The plan is walked by legs, the
+    maximal runs of entries of one mechanism, with the mechanism's step
+    (:func:`_step`, built once per run): a leg kernel steps the whole leg
+    and writes its cells, a per-step kernel is called on each entry of the
+    leg in turn.  Each solve's iterations and residual go into ``stats``.
+    Returns the node values of the constant interpolant, the cell forces
+    and ``n``.
     """
-    step = {m: _step(sys, m) for m in dict.fromkeys(m for m, _, _ in plan)}
+    steps = {m: _step(sys, m) for m in dict.fromkeys(m for m, _, _ in plan)}
     n = grid.n_cells // len(plan)
     const = np.empty((grid.n_nodes, u0.size))
     const[0] = u0
-    forces = np.empty((grid.n_cells, u0.size))
+    # a leg kernel writes only its block's forces, the other block's stay 0
+    forces = np.zeros((grid.n_cells, u0.size))
     iterations, residuals = [], []
     stats.update(inner_iterations=iterations, inner_residuals=residuals)
-    u = u0
-    for k, (m, t_eval, h) in enumerate(plan):
-        u, xi, st = step[m](t_eval, u, h, tol)
-        iterations.append(st.iterations)
-        residuals.append(st.residual)
-        const[k * n + 1 : (k + 1) * n + 1] = u
-        forces[k * n : (k + 1) * n] = xi
+    u, k = u0, 0
+    for m, leg in groupby(plan, itemgetter(0)):
+        step = steps[m]
+        if isinstance(step, _BlockLeg):
+            leg = list(leg)
+            j = k + len(leg)
+            u = step(leg, u, const[k * n + 1 : j * n + 1], forces[k * n : j * n],
+                     iterations, residuals)
+            k = j
+            continue
+        for _, t_eval, h in leg:
+            u, xi, st = step(t_eval, u, h, tol)
+            iterations.append(st.iterations)
+            residuals.append(st.residual)
+            const[k * n + 1 : (k + 1) * n + 1] = u
+            forces[k * n : (k + 1) * n] = xi
+            k += 1
     return const, forces, n
 
 

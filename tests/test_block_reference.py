@@ -1,21 +1,29 @@
 """The staggered block schemes and the effective block step against the
 arithmetic they replaced.
 
-The references below move a block the way the frozen-block view used to:
-assemble the full state, take the gradient of both blocks with one
-expression per block, and gather the active indices.  The joint step of
-these quadratic systems is the active-set step: its reference assembles
-K from the energy's blocks and the potentials on every step and reads the
-gradient and the residual off the same full gradient.  The library's block
-steps compute only the block that moves, with the same expressions, so
-every node state, force, inner iteration count and residual must agree bit
-for bit.  The Gauss-Seidel joint step that the active-set step replaced
-for them is kept as a reference too: the effective runs stay within 1e-9
-of its states.
+A block step used to move its block through the frozen-block view: the
+per-step reference below does so the way that view used to, assembling the
+full state, taking the gradient of both blocks with one expression per
+block and gathering the active indices.  A block of a quadratic energy
+whose potential is quadratic, or yields on a diagonal Hessian block, now
+steps a whole leg (a run of steps of one mechanism) per call: its leg
+reference restates that kernel's arithmetic from the energy's blocks and
+the potentials, one leg at a time, and the library must match it bit for
+bit; the states stay within 1e-9 of the per-step reference, and every
+step's residual is within the tolerance.  Any other block (a yield block
+whose Hessian block is not diagonal) still steps one prox at a time and
+matches the per-step reference bit for bit.
+
+The joint step of these quadratic systems is the active-set step: its
+reference assembles K from the energy's blocks and the potentials on every
+step and reads the gradient and the residual off the same full gradient.
+The Gauss-Seidel joint step that the active-set step replaced for them is
+kept as a reference too: the effective runs stay within 1e-9 of its states.
 """
 
 import math
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -156,35 +164,112 @@ class ActiveSetReference:
                                                                         u, tau)
 
 
-def reference_run(system, scheme, P, u0, inner):
-    """``(states, forces, iterations, residuals)``, one entry per prox solve;
-    the scheme ``"gauss-seidel"`` is the effective run by Gauss-Seidel sweeps."""
+def has_leg_kernel(system, which):
+    """True when block ``which`` steps a whole leg per call: a quadratic
+    energy whose blocks are the system's, and a quadratic block potential,
+    or one with shrinkage parts on a diagonal Hessian block."""
+    E, R = system.energy, (system.r1, system.r2)[which - 1].base
+    if not isinstance(E, QuadraticBlockEnergy) or E.n_y != system.block_layout[0]:
+        return False
+    H = (E.A, E.G)[which - 1]
+    return R.quadratic_matrix() is not None or (
+        R.shrinkage_parts() is not None and not np.count_nonzero(H - np.diag(np.diag(H))))
+
+
+def leg_reference(system, which, leg, anchor):
+    """The steps of one leg of block ``which``, ``(t_eval, h)`` each, from
+    ``anchor``: one ``(state, force, iterations, residual)`` per step.
+
+    The other block stays at its anchor values, so block j's gradient is
+    H_jj x + r_k with r_k = C x_o - l(t_k).  A quadratic block moves by
+    x <- x - K^-1 (H_jj x + r_k), K = H_jj + V~ / h; a yield block takes the
+    shrinkage x <- x + (clip(g, -sigma, sigma) - g) / (diag(H_jj) + q~ / h)
+    at g = H_jj x + r_k.  Forces and residuals are taken over the leg."""
+    E = system.energy
+    idx, other = index_arrays(system)[which - 1], index_arrays(system)[2 - which]
+    H, C = (E.A, E.B.T) if which == 1 else (E.G, E.B)
+    load = E.f if which == 1 else E.g
+    R = pt.Rescaled((system.r1, system.r2)[which - 1].base)
+    V = R.quadratic_matrix()
+    times = np.array([t for t, _ in leg])
+    hs = np.array([h for _, h in leg])
+    r = np.empty((len(leg), len(idx)))
+    r[:] = C @ anchor[other]
+    if E._loaded and not load.is_zero:
+        r -= load.value(times)
+    x, X = anchor[idx], [anchor[idx]]
+    for r_k, h in zip(r, hs):
+        if V is not None:
+            K = H + V / h
+            np.linalg.cholesky(K)
+            x = x - np.linalg.inv(K) @ (H @ x + r_k)
+        else:
+            sigma_w, quad_w = R.shrinkage_parts()
+            g = np.diag(H) * x + r_k
+            clipped = np.minimum(np.maximum(g, -sigma_w), sigma_w)
+            x = x + (clipped - g) / (np.diag(H) + quad_w / h)
+        X.append(x)
+    X = np.array(X)
+    D = X[1:] - X[:-1]
+    # one step size for the leg divides as a scalar, like the library's
+    h = hs[0] if (hs == hs[0]).all() else hs[:, None]
+    if V is not None:
+        xi = X[1:] @ H.T + r
+        excess = (D / h) @ V.T + xi
+    else:
+        xi = np.diag(H) * X[1:] + r
+        smooth = xi + quad_w * D / h
+        excess = np.where(D != 0.0, smooth + sigma_w * np.sign(D),
+                          np.maximum(np.abs(smooth) - sigma_w, 0.0))
+    steps = []
+    for x_k, xi_k, res in zip(X[1:], xi, np.linalg.norm(excess, axis=1)):
+        u, force = np.array(anchor), np.zeros(system.dim)
+        u[idx], force[idx] = x_k, xi_k
+        steps.append((u, force, 1, float(res)))
+    return steps
+
+
+def block_plan(P, scheme, inner):
+    """The steps ``(which, t_eval, h)`` of a block-split or block-amm run."""
     if scheme == "block-split":
         grid = P.refine(inner)
         which = np.where(grid.cell_is_left, 1, 2)
-        plan = [(lambda t, u, h, j=j: block_step_reference(system, j, t, u, h), b, b - a)
-                for j, a, b in zip(which, grid.times[:-1], grid.times[1:])]
-    elif scheme == "block-amm":
-        plan = []
-        for k in range(P.N):
-            h = P.taus[k] / 2.0
-            plan += [(lambda t, u, h: block_step_reference(system, 1, t, u, h),
-                      P.midpoints[k], h),
-                     (lambda t, u, h: block_step_reference(system, 2, t, u, h),
-                      P.nodes[k + 1], h)]
-    else:
-        step = ActiveSetReference(system)
-        if scheme == "gauss-seidel":
-            step = partial(joint_step_reference, system)
-        plan = [(step, P.nodes[k + 1], P.taus[k]) for k in range(P.N)]
+        return list(zip(which, grid.times[1:], grid.times[1:] - grid.times[:-1]))
+    return [(j, t, P.taus[k] / 2.0) for k in range(P.N)
+            for j, t in ((1, P.midpoints[k]), (2, P.nodes[k + 1]))]
+
+
+def reference_run(system, scheme, P, u0, inner, per_step=False):
+    """``(states, forces, iterations, residuals)``, one entry per prox solve.
+
+    A block-split or block-amm run takes its legs from :func:`leg_reference`
+    where the block has a leg kernel, else (or with ``per_step``) one step
+    at a time from :func:`block_step_reference`.  The scheme
+    ``"gauss-seidel"`` is the effective run by Gauss-Seidel sweeps."""
     u, entries = u0, []
-    for step, t, h in plan:
-        u, xi, it, res = step(t, u, h)
+    if scheme.startswith("block-"):
+        for which, leg in groupby(block_plan(P, scheme, inner), lambda step: step[0]):
+            leg = [(t, h) for _, t, h in leg]
+            if has_leg_kernel(system, which) and not per_step:
+                steps = leg_reference(system, which, leg, u)
+                entries += steps
+                u = steps[-1][0]
+                continue
+            for t, h in leg:
+                u, xi, it, res = block_step_reference(system, which, t, u, h)
+                entries.append((u, xi, it, res))
+        return [list(column) for column in zip(*entries)]
+    step = ActiveSetReference(system)
+    if scheme == "gauss-seidel":
+        step = partial(joint_step_reference, system)
+    for k in range(P.N):
+        u, xi, it, res = step(P.nodes[k + 1], u, P.taus[k])
         entries.append((u, xi, it, res))
     return [list(column) for column in zip(*entries)]
 
 
 def assert_matches_reference(system, scheme, P, u0, inner):
+    """The run of ``scheme`` matches its reference bit for bit; returns it."""
     out = sv.solve(system, scheme, P, u0, TOL, inner)
     states, forces, iterations, residuals = reference_run(system, scheme, P, u0, inner)
     # each solve's state and force are held on the next n cells
@@ -194,12 +279,15 @@ def assert_matches_reference(system, scheme, P, u0, inner):
     assert out.xi.cell_values.tobytes() == np.repeat(forces, n, axis=0).tobytes()
     assert out.stats["inner_iterations"] == iterations
     assert np.array(out.stats["inner_residuals"]).tobytes() == np.array(residuals).tobytes()
-    if scheme == "effective":
-        # every step passes the Gauss-Seidel acceptance test, near its states
-        anchors = np.vstack([u0[None], states[:-1]])
-        assert (np.array(residuals) <= TOL * (1.0 + np.linalg.norm(anchors, axis=1))).all()
-        sweeps = reference_run(system, "gauss-seidel", P, u0, inner)[0]
-        assert np.abs(np.array(states) - np.array(sweeps)).max() <= 1e-9
+    # every step passes its acceptance test
+    anchors = np.vstack([u0[None], states[:-1]])
+    assert (np.array(residuals) <= TOL * (1.0 + np.linalg.norm(anchors, axis=1))).all()
+    near = "gauss-seidel" if scheme == "effective" else scheme
+    if near != scheme or any(has_leg_kernel(system, j) for j in (1, 2)):
+        # near the states of the Gauss-Seidel sweeps, or of one step at a time
+        other = reference_run(system, near, P, u0, inner, per_step=True)[0]
+        assert np.abs(np.array(states) - np.array(other)).max() <= 1e-9
+    return out
 
 
 def drawn_load(rng, dim):
@@ -288,3 +376,43 @@ def test_active_set_steps_settle_and_pass_the_audit(n_y, n_z, yields, N, seed):
     if not yielding:  # each step is one linear solve
         assert out.stats["inner_iterations"] == [1] * N
     assert dg.edb_audit(out, system).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_y=st.integers(0, 4), n_z=st.integers(0, 4), diagonal=st.booleans(),
+       yields=st.sampled_from(["y", "z", "both", "neither"]), N=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_drawn_block_runs_match_their_legs_and_pass_the_audit(n_y, n_z, diagonal, yields, N,
+                                                              seed):
+    """Drawn positive definite block energies with time-dependent loads,
+    whose diagonal blocks A and G are diagonal or not, with yielding or
+    quadratic block potentials, blocks of size 0 included: the staggered
+    runs match the leg reference bit for bit and stay within 1e-9 of one
+    step at a time (a yield block whose Hessian block is not diagonal steps
+    by FISTA, one step at a time), and pass their audits."""
+    n = n_y + n_z
+    assume(n > 0)
+    rng = np.random.default_rng(seed)
+    H = spd(rng, n, float(rng.uniform(0.1, n)))
+    if diagonal:
+        # adding a diagonally dominant matrix with a nonnegative diagonal keeps
+        # H positive definite: each diagonal block becomes diag(|row| sums)
+        for idx in (slice(0, n_y), slice(n_y, n)):
+            H[idx, idx] = np.diag(np.abs(H[idx, idx]).sum(axis=1))
+    E = QuadraticBlockEnergy(H[:n_y, :n_y], H[n_y:, :n_y], H[n_y:, n_y:],
+                             f=drawn_load(rng, n_y), g=drawn_load(rng, n_z))
+    blocks = []
+    for size, name in ((n_y, "y"), (n_z, "z")):
+        if yields in (name, "both"):
+            blocks.append(pt.OneHomPlusQuad(float(rng.uniform(0.05, 1.0)),
+                                            float(rng.uniform(0.5, 2.0)),
+                                            rng.uniform(0.5, 2.0, size)))
+        else:
+            blocks.append(pt.QuadraticForm(spd(rng, size, 0.5)))
+    system = sv.GradientSystem(E, pt.BlockIndicator(blocks[0], np.arange(n_y), n),
+                               pt.BlockIndicator(blocks[1], np.arange(n_y, n), n))
+    u0 = rng.standard_normal(n)
+    P = build_partition(1.0, N=N)
+    for scheme in ("block-split", "block-amm"):
+        out = assert_matches_reference(system, scheme, P, u0, 2)
+        assert dg.edb_audit(out, system).passed

@@ -651,11 +651,31 @@ def test_a_step_size_whose_k_is_not_positive_definite_takes_gauss_seidel_sweeps(
     step = sv._joint_block_step(system)
     u0 = np.array([0.5, -0.3])
     assert step(0.0, u0, 0.4, 1e-10)[2].method == "active-set"
-    u, xi, st = step(0.0, u0, 1.0, 1e-10)
-    parts = [None, system.r2.base.shrinkage_parts()]
-    sweeps = sv._gauss_seidel_step(system, parts)(0.0, u0, 1.0, 1e-10)
-    assert u.tobytes() == sweeps[0].tobytes() and xi.tobytes() == sweeps[1].tobytes()
-    assert (st.iterations, st.method) == (sweeps[2].iterations, "gauss-seidel")
+    # the active-set step hands K to the Gauss-Seidel sweeps, whose y block
+    # prox, V / tau + A = -1, has no minimizer either
+    message = "^prox step of size 1 has no unique minimizer: its curvature is not positive"
+    with pytest.raises(NumericalError, match=message):
+        step(0.0, u0, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("scheme", ["block-split", "block-amm"])
+def test_a_prox_step_whose_curvature_is_not_positive_raises(scheme):
+    # A = -2 with V = 1 (y) and G = -3 with q = 1 (z): the leg kernels' steps
+    # at h = 1/4 (block-split, inner 2) and 1/2 (block-amm) have curvatures
+    # -2 + 1/(2h) and -3 + 1/(2h), not positive; at h <= 1/8 both are
+    E = en.QuadraticBlockEnergy(A=[[-2.0]], B=[[0.5]], G=[[-3.0]])
+    Ry, Rz = pt.QuadraticForm([[1.0]]), pt.OneHomPlusQuad(0.1, 1.0)
+    system = sv.GradientSystem(E, pt.BlockIndicator(Ry, [0], 2), pt.BlockIndicator(Rz, [1], 2))
+    u0 = np.array([0.5, -0.3])
+    message = "^prox step of size (0.25|0.5) has no unique minimizer"
+    with pytest.raises(NumericalError, match=message):
+        sv.solve(system, scheme, pa.build_partition(1.0, N=1), u0, 1e-10, 2)
+    fine = sv.solve(system, scheme, pa.build_partition(1.0, N=4), u0, 1e-10, 4)
+    assert np.isfinite(fine.u_const.values).all()
+    # the per-step kernels of each block raise the same error
+    for R, H in ((pt.Rescaled(Ry), [[-2.0]]), (pt.Rescaled(Rz), [[-3.0]])):
+        with pytest.raises(NumericalError, match="^prox step of size 0.5 has no unique"):
+            sv._prox(en.QuadraticBlockEnergy(A=H), R, 0.0, [0.5], 0.5, 1e-10)
 
 
 def test_a_non_finite_residual_never_counts_as_converged():
@@ -756,6 +776,71 @@ def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
     # one prox solve per cell: the y steps are linear solves, the z steps shrinkages
     assert len(out.stats["inner_iterations"]) == out.grid.n_cells == 32
     assert len(hessians) == 2
+
+
+def test_a_leg_kernel_builds_its_matrices_once_per_step_size(monkeypatch):
+    preset = make_model("visco-plasticity-1d", m=6)
+    inverses, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
+    legs = [sv._step(preset.system, m) for m in (1, 2)]
+    assert all(isinstance(leg, sv._BlockLeg) for leg in legs)
+    # uneven nodes: each semi-interval's cells have their own width
+    P = pa.build_partition(1.0, nodes=[0.0, 0.3, 1.0])
+    out = sv.solve(preset.system, "block-split", P, preset.u0, 1e-10, 4)
+    assert out.stats["inner_iterations"] == [1] * 16
+    # one K^-1 per width of the y cells, the curvature of z needs none
+    widths = set(out.grid.cell_widths[out.grid.cell_is_left].tolist())
+    assert len(inverses) == len(widths) > 1
+
+
+def test_the_movements_by_legs_replay_the_movements_by_entries(monkeypatch):
+    """Runs whose steps are all per-step kernels are those of the loop that
+    called the mechanism's step on every plan entry, bit for bit."""
+
+    def per_step(system, m):  # the step of a mechanism before leg kernels
+        E = system.energy
+        if m == sv._EFFECTIVE:
+            if system.block_layout is not None:
+                return sv._joint_block_step(system)
+            return partial(sv._prox_kernel(E, sv.effective_potential(system)), E)
+        R = system.r1 if m == 1 else system.r2
+        if system.block_layout is None:
+            return partial(sv._prox_kernel(E, pt.Rescaled(R)), E)
+        active = system.block_indices()[m - 1]
+        frozen = sv._FrozenBlockEnergy(E, active, np.zeros(system.dim))
+        return partial(sv._block_step, system, active,
+                       sv._prox_kernel(frozen, pt.Rescaled(R.base)))
+
+    def by_entries(system, grid, u0, plan, tol, stats):
+        step = {m: per_step(system, m) for m in dict.fromkeys(m for m, _, _ in plan)}
+        n = grid.n_cells // len(plan)
+        const = np.empty((grid.n_nodes, u0.size))
+        const[0] = u0
+        forces = np.empty((grid.n_cells, u0.size))
+        iterations, residuals = [], []
+        stats.update(inner_iterations=iterations, inner_residuals=residuals)
+        u = u0
+        for k, (m, t_eval, h) in enumerate(plan):
+            u, xi, st = step[m](t_eval, u, h, tol)
+            iterations.append(st.iterations)
+            residuals.append(st.residual)
+            const[k * n + 1 : (k + 1) * n + 1] = u
+            forces[k * n : (k + 1) * n] = xi
+        return const, forces, n
+
+    allen_cahn = make_model("allen-cahn-1d", p=3.0)
+    power, power_u0 = _coupled_power_blocks()
+    runs = [(allen_cahn.system, allen_cahn.u0, scheme, 16) for scheme in sv.SCHEMES[:3]]
+    runs += [(power, power_u0, scheme, 8) for scheme in sv.SCHEMES[2:]]
+    for system, u0, scheme, N in runs:
+        P = pa.build_partition(1.0, N=N)
+        out = sv.solve(system, scheme, P, u0, 1e-10, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(sv, "_movements", by_entries)
+            replay = sv.solve(system, scheme, P, u0, 1e-10, 4)
+        assert out.u_const.values.tobytes() == replay.u_const.values.tobytes()
+        assert out.xi.values.tobytes() == replay.xi.values.tobytes()
+        assert out.stats == replay.stats
 
 
 @pytest.mark.parametrize("N", [4, 8])
@@ -998,6 +1083,23 @@ def test_shrinkage_prox_with_a_coupled_energy_matches_brute_force(A, sigma, anch
     np.testing.assert_allclose(u, oracle, atol=2e-5)
     assert F(u) <= F(oracle) + 1e-12
     np.testing.assert_array_equal(xi, E.grad(0.0, u))
+
+
+def test_the_closed_form_shrinkage_reports_its_measured_residual():
+    E = en.QuadraticBlockEnergy(A=np.diag([2.0, 0.5, 1.0]), f=en.Load([0.3, -1.2, 0.05]))
+    R = pt.Rescaled(pt.OneHomPlusQuad(0.2, 1.0, [1.0, 2.0, 0.5]))
+    sigma_w, quad_w = R.shrinkage_parts()
+    rng = np.random.default_rng(5)
+    residuals = []
+    for h in (0.3, 1e-3, 0.07):
+        anchor = rng.standard_normal(3)
+        u, xi, st = sv._prox(E, R, 0.0, anchor, h, 1e-10)
+        g = E.grad(0.0, anchor)  # the closed form's increment, u = anchor + d
+        d = -np.sign(g) * np.maximum(np.abs(g) - sigma_w, 0.0) / (np.diag(E.A) + quad_w / h)
+        assert st.method == "shrinkage-exact" and u.tobytes() == (anchor + d).tobytes()
+        assert st.residual == sv._shrinkage_residual(xi + quad_w * d / h, d, sigma_w)
+        residuals.append(st.residual)
+    assert max(residuals) <= 1e-14 and max(residuals) > 0.0
 
 
 def test_regime_flow_matches_fine_prox_stepping():
