@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -90,10 +92,12 @@ def coordinate_descent_prox(E, R, t, anchor, h, tol=1e-6, sweeps=400):
 
 
 def test_prox_quadratic_closed_form():
+    # (u - 1) + u = 0, in one solve of the active-set kernel
     E = scalar_quadratic_energy()
     u, xi = sv.prox_step(E, quad_identity(), 0.0, [1.0], 1.0)
     assert u[0] == pytest.approx(0.5)
     assert xi[0] == pytest.approx(0.5)
+    assert sv._prox(E, quad_identity(), 0.0, [1.0], 1.0, 1e-10)[2].iterations == 1
 
 
 def test_quadratic_kernel_builds_one_matrix_per_step_size():
@@ -101,20 +105,90 @@ def test_quadratic_kernel_builds_one_matrix_per_step_size():
     E = en.QuadraticBlockEnergy(np.array([[2.0, 0.5], [0.5, 1.0]]),
                                 f=en.Load([1.0, 0.5], [2.0, 0.0]))
     R = pt.Rescaled(pt.QuadraticForm(np.array([[3.0, 1.0], [1.0, 2.0]])))
+    VR = R.quadratic_matrix()
     kernel = sv._prox_kernel(E, R)
-    assert kernel.keywords["lhs_by_h"] == {}
+    assert kernel.matrices == {}
     close = float(np.nextafter(0.1, 1.0))
     for h in (0.1, 0.25, 0.1, close, 0.25, close):
         anchor = rng.standard_normal(2)
         u, xi, st = kernel(E, 0.5, anchor, h, 1e-10)
-        # a fresh call builds VR / h + H itself
-        ref_u, ref_xi, ref_st = sv._prox_quadratic(R.quadratic_matrix(),
-                                                   E.hess(0.0, np.zeros(2)), E, 0.5,
-                                                   anchor, h, 1e-10)
-        np.testing.assert_array_equal(u, ref_u)
-        np.testing.assert_array_equal(xi, ref_xi)
-        assert (st.iterations, st.residual) == (ref_st.iterations, ref_st.residual)
-    assert sorted(kernel.keywords["lhs_by_h"]) == [0.1, close, 0.25]
+        # the increment -K^-1 c with K = H + VR / h built afresh
+        d = -(np.linalg.inv(E.A + VR / h) @ E.grad(0.5, anchor))
+        assert u.tobytes() == (anchor + d).tobytes()
+        assert xi.tobytes() == E.grad(0.5, u).tobytes()
+        assert (st.iterations, st.residual) == (1, float(np.linalg.norm(VR @ d / h + xi)))
+    assert sorted(kernel.matrices) == [0.1, close, 0.25]
+
+
+def _kind_table():
+    """One row per pairing of an energy kind and potential kinds:
+    ``(label, system, methods)``, with methods the method of each
+    mechanism's step (1, 2 and ``sv._EFFECTIVE``): the method its stats
+    name, "leg" for a leg kernel that steps in closed form, "active-set
+    leg" for one that steps by the active-set kernel, or InputError."""
+    eye = np.eye(2)
+    H = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, 0.2], [0.3, 0.2, 1.8]])
+    quadratic = en.QuadraticBlockEnergy(A=H[:2, :2])
+    # blocks y = {0} and z = {1, 2}, G not diagonal; and H as one block
+    blocks = en.QuadraticBlockEnergy(H[:1, :1], H[1:, :1], H[1:, 1:])
+    flat = en.QuadraticBlockEnergy(A=H)
+    allen_cahn = make_model("allen-cahn-1d", m=4, p=3.0).system
+    quad, yields = pt.QuadraticForm(eye), pt.OneHomPlusQuad(0.3, 1.0, dim=2)
+    power = pt.PowerNorm(3.0, [1.0, 2.0])
+
+    def pair(E, Ry, Rz):
+        return sv.GradientSystem(E, pt.BlockIndicator(Ry, [0], 3),
+                                 pt.BlockIndicator(Rz, [1, 2], 3))
+
+    def methods(first, second, effective):
+        return {1: first, 2: second, sv._EFFECTIVE: effective}
+
+    return [
+        ("quadratic energy, quadratic form and yield",
+         sv.GradientSystem(quadratic, quad, yields),
+         methods("active-set", "active-set", InputError)),
+        ("quadratic energy, p = 3 norm and quadratic form",
+         sv.GradientSystem(quadratic, power, quad),
+         methods("newton", "active-set", "infconv-newton")),
+        ("quadratic energy, p = 2 norm and quadratic form",
+         sv.GradientSystem(quadratic, pt.PowerNorm(2.0, [1.0, 2.0]), quad),
+         methods("active-set", "active-set", "active-set")),
+        ("max-norm energy, dual quadratics", counterexample_system(),
+         methods("maxnorm-cases", "maxnorm-cases", "maxnorm-cases")),
+        ("allen-cahn energy, p = 3 norm and quadratic form", allen_cahn,
+         methods("newton", "newton", "infconv-newton")),
+        ("allen-cahn energy, yield",
+         sv.GradientSystem(allen_cahn.energy, pt.OneHomPlusQuad(0.3, 1.0, dim=4),
+                           pt.QuadraticForm(np.eye(4))),
+         methods(InputError, "newton", InputError)),
+        ("quadratic blocks, quadratic form on y and yield on z",
+         pair(blocks, pt.QuadraticForm([[1.0]]), yields),
+         methods("leg", "active-set leg", "active-set")),
+        ("quadratic blocks, yield on y and p = 3 norm on z",
+         pair(blocks, pt.OneHomPlusQuad(0.3, 1.0), power),
+         methods("leg", "newton", "gauss-seidel")),
+        ("quadratic blocks, p = 3 norms", pair(blocks, pt.PowerNorm(3.0, [1.0]), power),
+         methods("newton", "newton", "gauss-seidel")),
+        ("a quadratic energy of one block, split in two",
+         pair(flat, pt.QuadraticForm([[1.0]]), yields),
+         methods("active-set", "active-set", "active-set")),
+    ]
+
+
+@pytest.mark.parametrize("label, system, methods", _kind_table(),
+                         ids=[row[0] for row in _kind_table()])
+def test_each_kind_steps_by_its_method(label, system, methods):
+    anchor = np.linspace(1.0, -0.5, system.dim)
+    for mechanism, method in methods.items():
+        if method is InputError:
+            with pytest.raises(InputError, match="^no prox method for "):
+                sv._step(system, mechanism)
+            continue
+        step = sv._step(system, mechanism)
+        if isinstance(step, sv._BlockLeg):
+            assert method == ("leg" if step.kernel is None else "active-set leg")
+        else:
+            assert step(0.5, anchor, 0.1, 1e-10)[2].method == method
 
 
 def test_prox_stationary_anchor():
@@ -542,12 +616,17 @@ def test_effective_block_is_simultaneous_implicit_step():
 def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     system = preset.system
-    grads, seen = [], []
-    grad, residual = en.QuadraticBlockEnergy.grad, sv._joint_block_residual
+    grads, cores, seen = [], [], []
+    grad, core = en.QuadraticBlockEnergy.grad, en.QuadraticBlockEnergy._grad
+    residual = sv._joint_block_residual
 
     def counted_grad(self, t, u):
         grads.append(t)
         return grad(self, t, u)
+
+    def counted_core(self, t, u):
+        cores.append(t)
+        return core(self, t, u)
 
     def recorded_residual(sys, t, anchor, u, tau, parts):
         seen.append(parts)
@@ -562,9 +641,11 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
     # the parts of both blocks are taken once per run, not per step or sweep;
     # the Newton blocks step by Gauss-Seidel sweeps
     monkeypatch.setattr(sv, "_joint_block_residual", recorded_residual)
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "_grad", counted_core)
     power, power_u0 = _coupled_power_blocks()
     for system, u0, sweeps in ((power, power_u0, True), (system, preset.u0, False)):
         grads.clear()
+        cores.clear()
         seen.clear()
         out = sv.effective_solve(system, pa.build_partition(1.0, N=4), u0, tol=1e-12)
         assert len(out.stats["inner_iterations"]) == 4
@@ -574,8 +655,9 @@ def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
             # one gradient per sweep's residual, and the last one is the step's force
             assert len(grads) == len(seen) == sum(out.stats["inner_iterations"])
         else:
-            # the active-set step tests its solution once
-            assert len(grads) == len(seen) == 4
+            # the active-set step takes the gradient at its anchor and once at
+            # its solution, whose residual it measures itself
+            assert grads == seen == [] and len(cores) == 2 * 4
 
 
 def test_a_joint_block_step_measures_a_shrinkage_y_block(monkeypatch):
@@ -591,10 +673,9 @@ def test_a_joint_block_step_measures_a_shrinkage_y_block(monkeypatch):
     P = pa.build_partition(1.0, N=8)
     u0 = rng.uniform(-1.0, 1.0, 5)
     runs = [sv.effective_solve(system, P, u0, tol=1e-10)]
-    # the same run with every step handed to the Gauss-Seidel sweeps
-    joint = sv._joint_block_step
-    monkeypatch.setattr(sv, "_joint_block_step",
-                        lambda sys: partial(joint(sys), max_solves=0))
+    # the same run by Gauss-Seidel sweeps, whose y steps are the active-set
+    # kernel's on a frozen view
+    monkeypatch.setattr(sv, "_joint_block_step", sv._gauss_seidel_step)
     runs.append(sv.effective_solve(system, P, u0, tol=1e-10))
     for out in runs:
         nodes = out.node_states()
@@ -626,24 +707,50 @@ def test_joint_block_stagnation_carries_the_last_sweep():
     assert not np.array_equal(best, u0)
 
 
-def test_an_active_set_step_that_does_not_settle_is_the_gauss_seidel_step():
-    preset = make_model("visco-plasticity-1d", m=6)
-    step = sv._joint_block_step(preset.system)
-    assert step.func is sv._joint_active_set
-    parts = [R.shrinkage_parts() for R in (preset.system.r1.base, preset.system.r2.base)]
-    sweeps = sv._gauss_seidel_step(preset.system, parts)(0.5, preset.u0, 0.25, 1e-12)
-    for u, xi, st in (step(0.5, preset.u0, 0.25, 1e-12, max_solves=0), sweeps):
-        assert u.tobytes() == sweeps[0].tobytes() and xi.tobytes() == sweeps[1].tobytes()
-        assert (st.iterations, st.residual, st.method) == (
-            sweeps[2].iterations, sweeps[2].residual, "gauss-seidel")
-    assert sweeps[2].iterations > 1
-    # with the solves it may take, the step settles, in fewer solves than sweeps
-    u, xi, st = step(0.5, preset.u0, 0.25, 1e-12)
-    assert st.method == "active-set" and st.iterations < sweeps[2].iterations
-    np.testing.assert_allclose(u, sweeps[0], rtol=0, atol=1e-11)
+def test_an_active_set_step_that_does_not_settle_restarts_from_a_coordinate_sweep(
+        monkeypatch):
+    # K is positive definite and not an M-matrix: from -c, the sign pattern
+    # of the yield coordinates 1 and 2 has not repeated after 8 solves
+    K = np.array([[1.8, -0.75, -1.34], [-0.75, 1.6, 0.2], [-1.34, 0.2, 1.49]])
+    c, sigma = np.array([1.4, 1.3, -1.5]), np.array([0.0, 0.8, 0.5])
+    sweeps, sweep = [], sv._coordinate_sweep
+    monkeypatch.setattr(sv, "_coordinate_sweep", lambda *args: sweeps.append(args[3])
+                        or sweep(*args))
+    d, signs, solves = sv._active_set(K, c, sigma, None, {})
+    assert (len(sweeps), solves) == (2, 17)
+    # the first sweep starts at d = 0
+    np.testing.assert_array_equal(sweeps[0], np.zeros(3))
+    # the minimizer, from the one pattern whose solve meets the optimality
+    # conditions, of the 9 patterns of the yield coordinates
+    found = []
+    for s1, s2 in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+        free = np.array([True, s1 != 0.0, s2 != 0.0])
+        x = np.zeros(3)
+        x[free] = np.linalg.solve(K[np.ix_(free, free)], -(c + sigma * [0.0, s1, s2])[free])
+        g = K @ x + c
+        if (np.sign(x[1:]) == [s1, s2]).all() and abs(g[0]) < 1e-12 and all(
+                abs(g[i] + sigma[i] * s) < 1e-12 if s else abs(g[i]) <= sigma[i]
+                for i, s in ((1, s1), (2, s2))):
+            found.append(x)
+    assert len(found) == 1
+    np.testing.assert_allclose(d, found[0], rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(signs, np.sign(d) * (sigma > 0.0))
+    # a kernel step on E(u) = u^T K u / 2 + c^T u from u = 0, with M = 0
+    E = en.QuadraticBlockEnergy(A=K, f=en.Load(-c))
+    kernel = sv._ActiveSet(K, np.zeros((3, 3)), sigma, "joint block prox")
+    u, xi, st = kernel(E, 0.0, np.zeros(3), 1.0, 1e-12)
+    assert (st.iterations, st.method) == (17, "active-set") and st.residual <= 1e-12
+    assert u.tobytes() == d.tobytes()
+    # without a sweep the step stagnates at its last solve
+    monkeypatch.setattr(sv, "_ACTIVE_SET_SWEEPS", 0)
+    fresh = sv._ActiveSet(K, np.zeros((3, 3)), sigma, "joint block prox")
+    with pytest.raises(NumericalError, match="^joint block prox stagnated$") as failure:
+        fresh(E, 0.0, np.zeros(3), 1.0, 1e-12)
+    assert failure.value.iterations == 8
+    assert np.isfinite(failure.value.best).all() and fresh.signs is None
 
 
-def test_a_step_size_whose_k_is_not_positive_definite_takes_gauss_seidel_sweeps():
+def test_a_joint_step_whose_k_is_not_positive_definite_has_no_unique_minimizer():
     # K = H + M / tau is positive definite for tau below about 0.48, not at 1
     E = en.QuadraticBlockEnergy(A=[[-2.0]], B=[[0.5]], G=[[1.0]])
     system = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm([[1.0]]), [0], 2),
@@ -651,11 +758,19 @@ def test_a_step_size_whose_k_is_not_positive_definite_takes_gauss_seidel_sweeps(
     step = sv._joint_block_step(system)
     u0 = np.array([0.5, -0.3])
     assert step(0.0, u0, 0.4, 1e-10)[2].method == "active-set"
-    # the active-set step hands K to the Gauss-Seidel sweeps, whose y block
-    # prox, V / tau + A = -1, has no minimizer either
     message = "^prox step of size 1 has no unique minimizer: its curvature is not positive"
     with pytest.raises(NumericalError, match=message):
         step(0.0, u0, 1.0, 1e-10)
+
+
+def test_a_shrinkage_prox_whose_curvature_is_indefinite_ends_at_once():
+    # H + diag(q) / h has the eigenvalues -0.08 and 2.08 at h = 1
+    E = en.QuadraticBlockEnergy(A=[[-2.0, 0.5], [0.5, 1.0]])
+    message = "^prox step of size 1 has no unique minimizer: its curvature is not positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=message):
+            sv._prox(E, pt.OneHomPlusQuad(0.1, 1.0, dim=2), 0.0, [0.5, -0.3], 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("scheme", ["block-split", "block-amm"])
@@ -691,8 +806,10 @@ def test_a_non_finite_residual_never_counts_as_converged():
     assert failure.value.iterations == 0
     np.testing.assert_array_equal(failure.value.best, anchor)
 
-    # Gauss-Seidel sweeps: the quadratic y block's linear solve takes the
-    # anchor, and the Newton z block, uncoupled, converges
+    # Gauss-Seidel sweeps (a Newton block): the quadratic y block's
+    # active-set step measures its own residual in the first sweep, and its
+    # failure ends the joint step; the active-set step of both blocks of
+    # visco-plasticity
     E = en.QuadraticBlockEnergy(np.array([[2.0, 0.3], [0.3, 1.5]]), np.zeros((2, 2)),
                                 np.array([[1.8, -0.2], [-0.2, 2.2]]))
     mixed = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 4),
@@ -700,20 +817,20 @@ def test_a_non_finite_residual_never_counts_as_converged():
     vp = make_model("visco-plasticity-1d", m=6)
     anchor = np.array(vp.u0)
     anchor[0] = 1e200
-    for system, anchor, kernel in ((mixed, np.array([1e200, 0.0, 0.8, -0.6]),
-                                    sv._joint_block_prox),
-                                   (vp.system, anchor, sv._joint_active_set)):
+    for system, anchor, name, size in (
+            (mixed, np.array([1e200, 0.0, 0.8, -0.6]), "incremental minimization", 2),
+            (vp.system, anchor, "joint block prox", vp.system.dim)):
         step = sv._joint_block_step(system)
-        assert step.func is kernel
         with np.errstate(all="ignore"), pytest.raises(
-                NumericalError, match="^joint block prox diverged$") as failure:
+                NumericalError, match=f"^{name} diverged$") as failure:
             step(0.5, anchor, 0.25, 1e-10)
         assert failure.value.iterations == 1
-        assert failure.value.best.shape == (system.dim,)
+        assert failure.value.best.shape == (size,)
 
+    # the active-set step of a yield potential on a coupled energy
     E = en.QuadraticBlockEnergy(A=np.array([[2.0, 0.5], [0.5, 1.0]]))
     with np.errstate(all="ignore"), pytest.raises(
-            NumericalError, match="^shrinkage prox diverged$") as failure:
+            NumericalError, match="^incremental minimization diverged$") as failure:
         sv._prox(E, pt.OneHomPlusQuad(0.3, 1.0, dim=2), 0.0, np.array([1e200, 0.0]),
                  0.2, 1e-12)
     assert failure.value.iterations == 1
@@ -734,30 +851,32 @@ def test_a_newton_prox_that_runs_out_of_steps_stagnates(effective):
     assert np.isfinite(failure.value.best).all()
 
 
-def test_a_shrinkage_kernel_takes_the_spectral_norm_once_per_run(monkeypatch):
+@pytest.mark.parametrize("scheme, N", [("split", 8), ("amm", 32)])
+def test_a_member_step_of_an_inf_convolution_names_the_incremental_minimization(scheme, N):
+    # mechanism 1 steps with R~_1, the inf-convolution of the rescaled
+    # members, not with the effective potential; that these steps stall on
+    # a quadratic energy is open
+    E = en.QuadraticBlockEnergy(A=np.eye(2))
+    r1 = pt.InfConvolution(pt.PowerNorm(3.0, [1.0, 1.0]), pt.PowerNorm(3.0, [2.0, 1.0]))
+    system = sv.GradientSystem(E, r1, pt.QuadraticForm(np.eye(2)))
+    with pytest.raises(NumericalError, match="^incremental minimization stagnated$"):
+        sv.solve(system, scheme, pa.build_partition(1.0, N=N), [1.0, 0.5], 1e-10, 8)
+
+
+def test_a_shrinkage_kernel_tests_its_curvature_once_per_step_size(monkeypatch):
     A = np.array([[1.5, -0.6, 0.2], [-0.6, 1.2, 0.4], [0.2, 0.4, 2.0]])
     system = sv.GradientSystem(en.QuadraticBlockEnergy(A=A),
                                pt.OneHomPlusQuad(0.1, 1.0, dim=3), pt.QuadraticForm(np.eye(3)))
-    spectral, norm = [], np.linalg.norm
-    methods, shrinkage = [], sv._prox_shrinkage
-
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            spectral.append(x)
-        return norm(x, ord, *args, **kwargs)
-
-    def recorded(*args, **kwargs):
-        result = shrinkage(*args, **kwargs)
-        methods.append(result[2].method)
-        return result
-
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    monkeypatch.setattr(sv, "_prox_shrinkage", recorded)
-    sv.solve(system, "split", pa.build_partition(1.0, N=8), np.array([1.0, -0.5, 0.8]),
-             1e-10, 2)
-    assert methods == ["shrinkage-fista"] * 16
-    assert len(spectral) == 1
-    np.testing.assert_array_equal(spectral[0], A)
+    tested, positive_definite = [], sv._positive_definite
+    monkeypatch.setattr(sv, "_positive_definite",
+                        lambda K, h: tested.append(h) or positive_definite(K, h))
+    out = sv.solve(system, "split", pa.build_partition(1.0, N=8), np.array([1.0, -0.5, 0.8]),
+                   1e-10, 2)
+    # one kernel per mechanism, and every cell has the width 1/32
+    assert tested == [1.0 / 32] * 2
+    iterations = np.array(out.stats["inner_iterations"])
+    # the quadratic mechanism's steps take one solve each
+    assert (iterations[~out.grid.cell_is_left] == 1).all() and iterations.min() >= 1
 
 
 def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
@@ -1074,7 +1193,7 @@ def test_shrinkage_prox_with_a_coupled_energy_matches_brute_force(A, sigma, anch
     R = pt.OneHomPlusQuad(sigma, 1.0, dim=len(anchor))
     anchor, h = np.array(anchor), 0.2
     u, xi, st = sv._prox(E, R, 0.0, anchor, h, 1e-12)
-    assert st.method == "shrinkage-fista"
+    assert (st.method, st.iterations) == ("active-set", 1)
 
     def F(w):
         return h * R((w - anchor) / h) + E.eval(0.0, w)
@@ -1085,7 +1204,7 @@ def test_shrinkage_prox_with_a_coupled_energy_matches_brute_force(A, sigma, anch
     np.testing.assert_array_equal(xi, E.grad(0.0, u))
 
 
-def test_the_closed_form_shrinkage_reports_its_measured_residual():
+def test_a_diagonal_shrinkage_takes_one_solve_and_reports_its_measured_residual():
     E = en.QuadraticBlockEnergy(A=np.diag([2.0, 0.5, 1.0]), f=en.Load([0.3, -1.2, 0.05]))
     R = pt.Rescaled(pt.OneHomPlusQuad(0.2, 1.0, [1.0, 2.0, 0.5]))
     sigma_w, quad_w = R.shrinkage_parts()
@@ -1093,11 +1212,16 @@ def test_the_closed_form_shrinkage_reports_its_measured_residual():
     residuals = []
     for h in (0.3, 1e-3, 0.07):
         anchor = rng.standard_normal(3)
-        u, xi, st = sv._prox(E, R, 0.0, anchor, h, 1e-10)
-        g = E.grad(0.0, anchor)  # the closed form's increment, u = anchor + d
-        d = -np.sign(g) * np.maximum(np.abs(g) - sigma_w, 0.0) / (np.diag(E.A) + quad_w / h)
-        assert st.method == "shrinkage-exact" and u.tobytes() == (anchor + d).tobytes()
-        assert st.residual == sv._shrinkage_residual(xi + quad_w * d / h, d, sigma_w)
+        kernel = sv._prox_kernel(E, R)
+        u, xi, st = kernel(E, 0.0, anchor, h, 1e-10)
+        g = E.grad(0.0, anchor)  # the closed form's increment
+        closed = -np.sign(g) * np.maximum(np.abs(g) - sigma_w, 0.0) / (np.diag(E.A) + quad_w / h)
+        # the kernel's increment, from the pattern the step settled on
+        d = kernel.increment(anchor, g, h)[1]
+        assert (st.method, st.iterations) == ("active-set", 1)
+        assert u.tobytes() == (anchor + d).tobytes()
+        np.testing.assert_allclose(d, closed, rtol=1e-15, atol=0.0)
+        assert st.residual == sv._shrinkage_residual(quad_w * d / h + xi, d, sigma_w)
         residuals.append(st.residual)
     assert max(residuals) <= 1e-14 and max(residuals) > 0.0
 
