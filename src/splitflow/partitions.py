@@ -32,11 +32,6 @@ _CSV_FIELD = "%-24.16e"
 # a narrow table takes as many rows as fill it; a block holds about 80 kB of
 # transient bytes at any width
 _CSV_BLOCK_BYTES = 32 * 34 * 25
-# values per sort of _distinct_bits, so that each of its temporaries stays at
-# 128 kB: sorting the 34 x 1025 values of a wide curve at once raised a
-# process's peak RSS by 0.8 MB, and in chunks the peak stays that of one
-# np.unique per column
-_SORT_CHUNK = 16384
 
 
 class Partition(Frozen):
@@ -206,7 +201,8 @@ class SampledCurve:
         """Write the curve as CSV: a kind line, a header, then one ``%.16e`` row
         per node, the bytes ``np.savetxt(fmt="%.16e", delimiter=",")`` writes.
 
-        Each distinct value of a column is formatted once (see ``_csv_fields``).
+        Each run of equal values down a column is formatted once (see
+        ``_csv_fields``).
         """
         cols = ",".join(["t"] + [f"v_{j + 1}" for j in range(self.dim)])
         table, index = _csv_fields([self.grid.times, *self.values.T])
@@ -215,7 +211,7 @@ class SampledCurve:
             block = max(1, _CSV_BLOCK_BYTES // (25 * index.shape[1]))
             for i in range(0, len(index), block):
                 # fields are padded with spaces, which no formatted number holds
-                fh.write(table[index[i : i + block]].tobytes().replace(b" ", b""))
+                fh.write(table[index[i : i + block]].tobytes().translate(None, b" "))
 
     @classmethod
     def from_csv(cls, path, grid):
@@ -231,46 +227,36 @@ def _csv_fields(columns):
     ``S25`` fields and the ``(rows, columns)`` int32 index of each value's
     field in it.
 
-    The schemes repeat values (a movement held over its cells, a frozen block,
-    an equilibrium), so the table holds only each column's distinct values
-    (``_distinct_bits``), all formatted in one pass (``_write_e16``).  A field
-    is ``_CSV_FIELD`` text, possibly with blanks on its left, followed by ","
-    or, in the last column, "\n".
+    The schemes hold values over runs of rows (a movement over its cells, a
+    frozen block, an equilibrium), so the table holds a field only for each
+    run head (``_run_heads``), all formatted in one pass (``_write_e16``).
+    A field is ``_CSV_FIELD`` text, possibly with blanks on its left,
+    followed by "," or, in the last column, "\n".
     """
-    distinct, index, n_last = _distinct_bits(columns)
-    table = np.empty((distinct.size, 25), dtype=np.uint8)
+    heads, index, n_last = _run_heads(columns)
+    table = np.empty((heads.size, 25), dtype=np.uint8)
     table[:, 24] = ord(",")
-    table[distinct.size - n_last :, 24] = ord("\n")
-    _write_e16(distinct, table[:, :24])
+    table[heads.size - n_last :, 24] = ord("\n")
+    _write_e16(heads, table[:, :24])
     return table.view("S25").reshape(-1), index
 
 
-def _distinct_bits(columns):
-    """The distinct float64 bit patterns of each column, in increasing order
-    and one column after the other; the ``(rows, columns)`` int32 index of
-    each value among them; and the number of the last column's.
+def _run_heads(columns):
+    """The run heads of each column -- the values whose float64 bits differ
+    from the value above them -- one column after the other; the
+    ``(rows, columns)`` int32 index of each value's head among them; and the
+    number of the last column's.
 
-    Keying on bits, not values, keeps 0.0 and -0.0 apart.  One sort finds
-    them in a block of columns of up to ``_SORT_CHUNK`` values, and a value's
-    index is the number of distinct values before it, over all columns in
-    turn.
+    Comparing bits, not values, keeps 0.0 and -0.0 apart.  A value's index
+    is the number of heads up to it, over all columns in turn, less one.
     """
-    rows = len(columns[0])
-    index = np.empty((rows, len(columns)), dtype=np.int32)
-    distinct, start = [], 0
-    step = max(1, _SORT_CHUNK // rows)
-    for j in range(0, len(columns), step):
-        bits = np.stack(columns[j : j + step]).view(np.uint64)
-        order = np.argsort(bits, axis=1)
-        bits = np.take_along_axis(bits, order, axis=1)
-        new = np.ones(bits.shape, dtype=bool)
-        new[:, 1:] = bits[:, 1:] != bits[:, :-1]
-        ranks = np.cumsum(new, dtype=np.int32).reshape(bits.shape)
-        ranks += start - 1
-        np.put_along_axis(index.T[j : j + step], order, ranks, axis=1)
-        distinct.append(bits[new])
-        start += distinct[-1].size
-    return np.concatenate(distinct).view(np.float64), index, int(np.count_nonzero(new[-1]))
+    bits = np.stack(columns).view(np.uint64)
+    new = np.empty(bits.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    index = np.cumsum(new, dtype=np.int32).reshape(bits.shape).T
+    index -= 1
+    return bits[new].view(np.float64), index, int(np.count_nonzero(new[-1]))
 
 
 # The fast path below needs a long double with at least a 64-bit significand
@@ -299,18 +285,19 @@ _E16_CHUNK = 4096
 
 def _e16_digits(x):
     """Where plain extended-precision arithmetic decides ``"%.16e" % x``:
-    a mask ``ok`` and, on it, the 17 significant digits of |x| as an int64
-    and the decimal exponent.
+    a mask ``ok``; on it the 17 significant digits of |x| as an int64, and 0
+    elsewhere; and the decimal exponent.
 
     With e = floor(log10|x|) in [-11, 43], D = |x| * 10**(16 - e) is computed
     with one rounding, so |D - exact| <= 2**-64 * 1e17 < 0.0055.  Where
     1e16 + 1 <= D < 1e17 - 1 (e is then right and the rounded digits stay 17)
     and frac(D) is farther than 2**-7 from 1/2, the exact value rounds as D
-    does.  Everything else -- zeros, subnormals, NaN, infinities, exponents
-    outside the window, near-ties -- is left to ``%``, and all of it is
-    without a 64-bit significand.
+    does.  ±0 is 17 zero digits with exponent 0.  Everything else --
+    subnormals, NaN, infinities, exponents outside the window, near-ties --
+    is left to ``%``, and all of it is without a 64-bit significand.
     """
     a = np.abs(x)
+    zero = (a == 0.0) & _EXTENDED
     ok = (a >= 10.0**_E_MIN) & (a < 10.0 ** (_E_MAX + 1)) & _EXTENDED
     a = np.where(ok, a, 1.0)  # keeps the arithmetic below finite
     e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
@@ -323,7 +310,8 @@ def _e16_digits(x):
     # bits, so this is exact; a wider one moves frac by under 2**-53
     frac = (D - whole).astype(np.float64)
     ok &= (whole > 10**16) & (whole < 10**17 - 1) & (np.abs(frac - 0.5) > 2.0**-7)
-    return ok, whole + (frac > 0.5), e
+    # a zero's a is 1.0 above, so its e is 0
+    return ok | zero, np.where(ok, whole + (frac > 0.5), 0), e
 
 
 def _write_e16(x, out):
@@ -334,14 +322,12 @@ def _write_e16(x, out):
     for lo in range(0, len(x), _E16_CHUNK):
         chunk = x[lo : lo + _E16_CHUNK]
         ok, digits, e = _e16_digits(chunk)
-        high = digits // 10**8
-        low = digits - high * 10**8
-        lead = np.minimum(high // 10**8, 9)  # off the fast path there may be 18 digits
-        high -= lead * 10**8
+        high, low = (half.astype(np.int32) for half in np.divmod(digits, 10**8))
+        lead, high = np.divmod(high, 10**8)
         words = np.empty((len(chunk), 6), dtype=np.uint32)
         words[:, 0] = _HEADS[np.signbit(chunk) * 10 + lead]
-        words[:, 1:5] = _GROUPS[np.stack([high // 10**4 % 10**4, high % 10**4,
-                                          low // 10**4, low % 10**4], axis=1)]
+        for k, group in enumerate(np.divmod(high, 10**4) + np.divmod(low, 10**4), 1):
+            words[:, k] = _GROUPS[group]
         words[:, 5] = _TAILS[e - _E_MIN]
         rows = out[lo : lo + _E16_CHUNK]
         rows[:] = words.view(np.uint8)

@@ -1247,7 +1247,11 @@ def _gauss_seidel_step(sys):
 
 
 def _joint_block_prox(sys, kernels, parts, t, anchor, tau, tol, max_sweeps=200):
-    """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps."""
+    """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps.
+
+    A block step that diverges or stagnates ends the joint step as the
+    joint step's own failure, with the whole state; any other error of a
+    block step (a step with no unique minimizer) passes through."""
     idx_y, idx_z = sys.block_indices()
     ky, kz = kernels
     u = np.array(anchor)
@@ -1255,8 +1259,15 @@ def _joint_block_prox(sys, kernels, parts, t, anchor, tau, tol, max_sweeps=200):
     Ey, Ez = (_FrozenBlockEnergy(sys.energy, idx, u) for idx in (idx_y, idx_z))
     scale = 1.0 + float(np.linalg.norm(anchor))
     for sweeps in range(1, max_sweeps + 1):
-        u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
-        u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
+        try:
+            u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
+            u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
+        except NumericalError as err:
+            outcome = str(err).rsplit(" ", 1)[-1]
+            if outcome not in ("diverged", "stagnated"):
+                raise
+            raise NumericalError(f"joint block prox {outcome}", iterations=sweeps,
+                                 best=u) from err
         res, xi = _joint_block_residual(sys, t, anchor, u, tau, parts)
         if not math.isfinite(res):  # an infinite scale would take it
             raise NumericalError("joint block prox diverged", iterations=sweeps, best=u)

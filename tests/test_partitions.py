@@ -320,42 +320,30 @@ def test_csv_bytes_equal_savetxt_on_repeated_and_special_values(N, M, dim, hold,
             assert fh.read() == buf.getvalue()
 
 
-def csv_fields_reference(columns):
-    """The writer's fields with one ``np.unique`` per column."""
-    index = np.empty((len(columns[0]), len(columns)), dtype=np.int32)
-    distinct, start = [], 0
-    for j, column in enumerate(columns):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        index[:, j] = inverse + start
-        start += bits.size
-        distinct.append(bits)
-    table = np.empty((start, 25), dtype=np.uint8)
-    table[:, 24] = ord(",")
-    table[start - distinct[-1].size :, 24] = ord("\n")
-    pa._write_e16(np.concatenate(distinct).view(np.float64), table[:, :24])
-    return table.view("S25").reshape(-1), index
-
-
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 80), dim=st.integers(1, 12), hold=st.integers(1, 10),
        pool=st.lists(st.floats(width=64), min_size=1, max_size=6),
-       seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 50, 160, None]))
-def test_csv_fields_equal_one_unique_per_column(rows, dim, hold, pool, seed, chunk):
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_fields_give_each_run_head_one_field(rows, dim, hold, pool, seed):
     rng = np.random.default_rng(seed)
     choices = np.concatenate([pool, _CSV_SPECIALS, rng.standard_normal(4)])
     values = np.repeat(rng.choice(choices, (-(-rows // hold), dim + 1)), hold, axis=0)[:rows]
     values[rng.random(rows) < 0.2, -1] = -0.0
+    values[:2, 0] = [0.0, -0.0][:rows]
     columns = [values[:, 0].copy(), *values[:, 1:].T]
-    # small chunks sort the columns in several blocks, None in one
-    default = pa._SORT_CHUNK
-    pa._SORT_CHUNK = default if chunk is None else chunk
-    try:
-        table, index = pa._csv_fields(columns)
-    finally:
-        pa._SORT_CHUNK = default
-    ref_table, ref_index = csv_fields_reference(columns)
-    assert table.dtype == ref_table.dtype and table.tobytes() == ref_table.tobytes()
-    assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
+    table, index = pa._csv_fields(columns)
+    assert table.dtype == "S25" and index.dtype == np.int32 and index.shape == values.shape
+    # each value's field is its %.16e text and its "," or "\n", up to blanks
+    fields = [field.replace(b" ", b"") for field in table[index].ravel().tolist()]
+    suffix = [b","] * dim + [b"\n"]
+    assert fields == [b"%.16e%s" % (x, suffix[j % (dim + 1)])
+                      for j, x in enumerate(values.ravel().tolist())]
+    # a value heads a run, and gets a field of its own, exactly where its bits
+    # differ from the value above it: 0.0 and -0.0 are two runs
+    bits = values.view(np.uint64)
+    assert np.array_equal(index[1:] != index[:-1], bits[1:] != bits[:-1])
+    runs = rows * (dim + 1) - np.count_nonzero(bits[1:] == bits[:-1])
+    assert np.array_equal(np.unique(index), np.arange(runs)) and table.size == runs
 
 
 def _e16_text(x):
@@ -483,3 +471,36 @@ def test_csv_bytes_equal_savetxt_at_the_row_block_edges(tmp_path, monkeypatch, c
         np.savetxt(buf, np.column_stack([g.grid.times, values]), fmt="%.16e", delimiter=",",
                    header=f"# interpolant_kind: piecewise-constant\n{header}", comments="")
         assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue()
+
+
+@pytest.mark.parametrize("columns", [2, 3, 34])
+def test_csv_bytes_equal_savetxt_where_runs_outnumber_distinct_values(tmp_path, columns):
+    # zeros of both signs next to each other and between non-zero values, and
+    # values that come back after a gap: each column has many more runs than
+    # distinct values
+    block = pa._CSV_BLOCK_BYTES // (25 * columns)
+    pool = np.array([0.0, -0.0, 1.25, 0.0, -3.5e-7, -0.0, 0.0, 2.0**-30, -0.0, 1.25, 6.02e23])
+    rng = np.random.default_rng(columns)
+    for rows in [1, 2] + [k * block + d for k in (1, 2) for d in (-1, 0, 1)]:
+        values = pool[(np.arange(rows)[:, None] // rng.integers(1, 4, columns - 1)
+                       + rng.integers(0, pool.size, columns - 1)) % pool.size]
+        bits = values.view(np.uint64)
+        if rows > 2 * pool.size:
+            runs = 1 + np.count_nonzero(bits[1:] != bits[:-1], axis=0)
+            assert (runs > [len(set(column)) for column in bits.T.tolist()]).all()
+        g = pa.SampledCurve(_Grid(rows), values, "delayed-constant")
+        g.to_csv(tmp_path / "curve.csv")
+        header = ",".join(["t"] + [f"v_{j + 1}" for j in range(columns - 1)])
+        buf = io.BytesIO()
+        np.savetxt(buf, np.column_stack([g.grid.times, values]), fmt="%.16e", delimiter=",",
+                   header=f"# interpolant_kind: delayed-constant\n{header}", comments="")
+        assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue()
+
+
+def test_e16_formatter_takes_signed_zeros_on_the_fast_path():
+    ok, digits, e = pa._e16_digits(np.array([0.0, -0.0, 1.5, -0.0]))
+    assert ok.tolist() == [pa._EXTENDED] * 4
+    if pa._EXTENDED:
+        assert digits[[0, 1, 3]].tolist() == [0, 0, 0] and e[[0, 1, 3]].tolist() == [0, 0, 0]
+    assert (_e16_text([0.0, -0.0]) == [b"0.0000000000000000e+00",
+                                       b"-0.0000000000000000e+00"]).all()

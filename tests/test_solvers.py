@@ -807,8 +807,8 @@ def test_a_non_finite_residual_never_counts_as_converged():
     np.testing.assert_array_equal(failure.value.best, anchor)
 
     # Gauss-Seidel sweeps (a Newton block): the quadratic y block's
-    # active-set step measures its own residual in the first sweep, and its
-    # failure ends the joint step; the active-set step of both blocks of
+    # active-set step diverges in the first sweep, which ends the joint step
+    # with the whole state; the active-set step of both blocks of
     # visco-plasticity
     E = en.QuadraticBlockEnergy(np.array([[2.0, 0.3], [0.3, 1.5]]), np.zeros((2, 2)),
                                 np.array([[1.8, -0.2], [-0.2, 2.2]]))
@@ -818,7 +818,7 @@ def test_a_non_finite_residual_never_counts_as_converged():
     anchor = np.array(vp.u0)
     anchor[0] = 1e200
     for system, anchor, name, size in (
-            (mixed, np.array([1e200, 0.0, 0.8, -0.6]), "incremental minimization", 2),
+            (mixed, np.array([1e200, 0.0, 0.8, -0.6]), "joint block prox", 4),
             (vp.system, anchor, "joint block prox", vp.system.dim)):
         step = sv._joint_block_step(system)
         with np.errstate(all="ignore"), pytest.raises(
@@ -834,6 +834,18 @@ def test_a_non_finite_residual_never_counts_as_converged():
         sv._prox(E, pt.OneHomPlusQuad(0.3, 1.0, dim=2), 0.0, np.array([1e200, 0.0]),
                  0.2, 1e-12)
     assert failure.value.iterations == 1
+
+
+def test_a_gauss_seidel_block_step_with_no_unique_minimizer_names_its_step_size():
+    # the y block's curvature -5 + 1/0.25 is negative: the joint step passes
+    # the block's error on, it neither diverged nor stagnated
+    E = en.QuadraticBlockEnergy(np.array([[-5.0, 0.3], [0.3, -5.0]]), np.zeros((2, 2)),
+                                np.array([[1.8, -0.2], [-0.2, 2.2]]))
+    mixed = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 4),
+                              pt.BlockIndicator(pt.PowerNorm(3.0, [1.5, 0.5]), [2, 3], 4))
+    step = sv._joint_block_step(mixed)
+    with pytest.raises(NumericalError, match="^prox step of size 0.25 has no unique minimizer"):
+        step(0.5, np.array([1.0, 0.0, 0.8, -0.6]), 0.25, 1e-10)
 
 
 @pytest.mark.parametrize("effective", [False, True], ids=["newton", "infconv"])
