@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .partitions import DEFAULT_INNER_FACTOR, SampledCurve, build_partition, repetition_apply
-from .potentials import Rescaled
 from .solvers import GradientSystem, SchemeOutput, effective_potential, effective_solve, solve
 
 __all__ = [
@@ -99,7 +98,7 @@ def _dissipation(out, pair, interval, dual):
     """
     interval = _audit_interval(out, interval)
     widths, first, rates, forces = _pieces(out, interval)
-    tilde = [Rescaled(R) for R in pair]
+    tilde = [R.rescaled() for R in pair]
     if dual:
         pair, tilde = [R.conjugate for R in pair], [R.conjugate for R in tilde]
         rows, curve, scale = -forces, out.xi, -1.0

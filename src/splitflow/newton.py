@@ -42,11 +42,9 @@ _SINGULAR_ARMIJO = 0.25
 
 
 def _singular_curvature(R):
-    """True for a PowerNorm with p < 2, rescaled or not."""
-    from .potentials import PowerNorm, Rescaled  # potentials imports this module
+    """True for a PowerNorm with p < 2."""
+    from .potentials import PowerNorm  # potentials imports this module
 
-    while isinstance(R, Rescaled):
-        R = R.base
     return isinstance(R, PowerNorm) and R.p < 2.0
 
 

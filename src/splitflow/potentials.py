@@ -28,8 +28,11 @@ Kinds provided:
 * :class:`OneHomPlusQuad`          R(v) = sum_i w_i (sigma |v_i| + rho v_i^2/2)
 * :class:`BlockIndicator`          base potential on an active block, the
   complementary block frozen at rate 0
-* :class:`Rescaled`                R~(v) = 2 R(v/2), with conjugate 2 R*(xi)
 * :class:`InfConvolution`          (R1 # R2)(v) = min_{v1+v2=v} R1(v1)+R2(v2)
+
+Every kind is closed under the half-interval rescaling R~(v) = 2 R(v/2) of
+the alternating schemes, whose conjugate is 2 R*(xi): ``R.rescaled()``
+returns R~ as a potential of R's own kind.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "AnisotropicDualQuadratic",
     "OneHomPlusQuad",
     "BlockIndicator",
-    "Rescaled",
     "InfConvolution",
     "Decomposition",
     "QyeFit",
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 _FLOAT = np.dtype(float)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _is_vector(x, dim):
@@ -153,6 +156,10 @@ class Potential(Frozen):
         or None when the kind has no such structure."""
         return None
 
+    def rescaled(self) -> Potential:
+        """R~(v) = 2 R(v/2), a potential of this kind; its conjugate is 2 R*."""
+        raise NotImplementedError
+
     # -- cores: unchecked, one vector or a batch of rows (``_dual_rate`` one) --
 
     def _eval(self, v):
@@ -240,6 +247,9 @@ class QuadraticForm(Potential):
     def quadratic_matrix(self):
         return np.array(self.V)
 
+    def rescaled(self):
+        return QuadraticForm(0.5 * self.V)
+
 
 class PowerNorm(Potential):
     """R(v) = (1/p) sum_i w_i |v_i|^p with p > 1 and positive weights.
@@ -298,6 +308,17 @@ class PowerNorm(Potential):
             return np.diag(self.weights)
         return None
 
+    def rescaled(self):
+        """The weights 2^(1-p) w; an exponent above the one at which they
+        leave the normal floats raises :class:`ConfigurationError`."""
+        weights = 2.0 ** (1.0 - self.p) * self.weights
+        if weights.min() < _TINY:
+            limit = 1.0 + math.log2(self.weights.min()) - math.log2(_TINY)
+            raise ConfigurationError(
+                f"PowerNorm exponent p = {self.p:g} is above {limit:g}, the largest "
+                "whose rescaled weights 2^(1-p) w are normal floats")
+        return PowerNorm(self.p, weights)
+
 
 class AnisotropicDualQuadratic(Potential):
     """Potential defined through its conjugate R*(xi) = sum_i c_i xi_i^2 / 2.
@@ -337,6 +358,9 @@ class AnisotropicDualQuadratic(Potential):
 
     def quadratic_matrix(self):
         return np.diag(self._curvature)
+
+    def rescaled(self):
+        return AnisotropicDualQuadratic(2.0 * self.dual_weights)
 
 
 class OneHomPlusQuad(Potential):
@@ -379,6 +403,10 @@ class OneHomPlusQuad(Potential):
 
     def shrinkage_parts(self):
         return self.sigma * self.weights, self.rho * self.weights
+
+    def rescaled(self):
+        # 2 [sigma |v/2| + rho (v/2)^2 / 2] = sigma |v| + (rho/2) v^2 / 2
+        return OneHomPlusQuad(self.sigma, 0.5 * self.rho, self.weights)
 
 
 class BlockIndicator(Potential):
@@ -423,50 +451,8 @@ class BlockIndicator(Potential):
         out[self.active] = self.base._dual_rate(xi[self.active])
         return out
 
-
-class Rescaled(Potential):
-    """R~(v) = 2 R(v/2); the conjugate doubles, R~*(xi) = 2 R*(xi).
-
-    This is the half-interval rescaling used by the alternating schemes: a
-    step of R~ over half an interval moves like a full step of R.
-    """
-
-    def __init__(self, base):
-        object.__setattr__(self, "base", base)
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def _eval(self, v):
-        return 2.0 * self.base._eval(0.5 * v)
-
-    def _conjugate(self, xi):
-        return 2.0 * self.base._conjugate(xi)
-
-    def _dual_rate(self, xi):
-        return 2.0 * self.base._dual_rate(xi)
-
-    def _grad(self, v):
-        return self.base._grad(0.5 * v)
-
-    def hess_constant(self):
-        return 0.5 * self.base.hess_constant()
-
-    def _hess_diagonal(self, v):
-        return 0.5 * self.base._hess_diagonal(0.5 * v)
-
-    def quadratic_matrix(self):
-        V = self.base.quadratic_matrix()
-        return None if V is None else 0.5 * V
-
-    def shrinkage_parts(self):
-        parts = self.base.shrinkage_parts()
-        if parts is None:
-            return None
-        sigma_w, quad_w = parts
-        # 2 [sigma|v/2| + rho (v/2)^2/2] = sigma|v| + (rho/2) v^2/2
-        return np.array(sigma_w), 0.5 * np.array(quad_w)
+    def rescaled(self):
+        return BlockIndicator(self.base.rescaled(), self.active, self.total_dim)
 
 
 class InfConvolution(Potential):
@@ -534,6 +520,10 @@ class InfConvolution(Potential):
 
     def _hess_diagonal(self, v):
         return self._V_diagonal
+
+    def rescaled(self):
+        # 2 (R1 # R2)(v/2) = min over v1 + v2 = v of 2 R1(v1/2) + 2 R2(v2/2)
+        return InfConvolution(self.left.rescaled(), self.right.rescaled())
 
     def _complementary_blocks(self):
         if isinstance(self.left, BlockIndicator) and isinstance(
@@ -656,16 +646,19 @@ def _closed_form_split(P, v):
     return v1, v - v1
 
 
+def _is_diagonal(M):
+    """True when every off-diagonal entry of M is exactly zero, whatever
+    the diagonal holds (an infinite entry too)."""
+    return not np.count_nonzero(M[~np.eye(len(M), dtype=bool)])
+
+
 def _coordinate_dual_rate(R):
     """The dual rate of a separable member, applied entry by entry to an
     array whose last axis is the state; None for a member that couples its
     coordinates or has a yield part."""
-    if isinstance(R, Rescaled):
-        base = _coordinate_dual_rate(R.base)
-        return None if base is None else lambda xi: 2.0 * base(xi)
     if isinstance(R, (PowerNorm, AnisotropicDualQuadratic)):
         return R._dual_rate
-    if isinstance(R, QuadraticForm) and not np.count_nonzero(R.V - np.diag(R._V_diagonal)):
+    if isinstance(R, QuadraticForm) and _is_diagonal(R.V):
         c = 1.0 / R._V_diagonal
         return lambda xi: c * xi
     return None

@@ -3,10 +3,10 @@ staggered schemes, and the effective inf-convolution flow.
 
 All schemes advance a gradient system (energy E, dissipation potentials
 R1, R2) over a partition.  Alternating schemes work with the rescaled
-potentials R~_j(v) = 2 R_j(v/2) on semi-intervals of length tau/2, so that
-each half-step moves like a full step of the unrescaled potential; the
-effective solver performs minimizing movements for the inf-convolution of
-R1 and R2 over full steps.
+potentials R~_j(v) = 2 R_j(v/2), ``R_j.rescaled()`` (a potential of R_j's
+own kind), on semi-intervals of length tau/2, so that each half-step moves
+like a full step of the unrescaled potential; the effective solver performs
+minimizing movements for the inf-convolution of R1 and R2 over full steps.
 
 For the pairing of the max-norm energy with anisotropic dual-quadratic
 potentials the single-mechanism flows are piecewise affine and are solved
@@ -38,7 +38,7 @@ from .potentials import (
     BlockIndicator,
     InfConvolution,
     Potential,
-    Rescaled,
+    _is_diagonal,
 )
 
 __all__ = [
@@ -196,7 +196,7 @@ def _prox(E, R, t, anchor, h, tol):
     return _prox_kernel(E, R)(E, t, anchor, h, tol)
 
 
-def _prox_kernel(E, R):
+def _prox_kernel(E, R, name=None):
     """The prox method for the kinds of E and R, with what it needs of them
     taken once: a callable ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)``.
 
@@ -211,23 +211,19 @@ def _prox_kernel(E, R):
     energy; the parts do not depend on the frozen values.  Kinds that no
     method covers raise :class:`InputError`.
 
-    A failed solve of an inf-convolution says "effective prox", any other
-    "incremental minimization".  Every kernel but the max-norm one is warm
+    ``name`` names the problem in a failed solve's errors; by default an
+    inf-convolution's is "effective prox", any other kind's "incremental
+    minimization".  Every kernel but the max-norm one is warm
     (see :func:`_prox_newton` and :class:`_ActiveSet`), so one kernel serves
     one sequence of solves of a run; a Newton kernel's Armijo constant is
     taken from its potentials here.  :func:`prox_step` builds a fresh
     kernel per call and so always starts cold.
     """
-    base, rescalings = R, 0
-    while isinstance(base, Rescaled):
-        base, rescalings = base.base, rescalings + 1
-    name = "effective prox" if isinstance(R, InfConvolution) else "incremental minimization"
+    if name is None:
+        name = "effective prox" if isinstance(R, InfConvolution) else "incremental minimization"
     try:
-        if isinstance(base, InfConvolution) and base.quadratic_matrix() is None:
-            # 2 (R1 # R2)(v/2) is the inf-convolution of the rescaled members
-            left, right = base.left, base.right
-            for _ in range(rescalings):
-                left, right = Rescaled(left), Rescaled(right)
+        if isinstance(R, InfConvolution) and R.quadratic_matrix() is None:
+            left, right = R.left, R.right
             parts = (left.hess_constant(), right.hess_constant(), E.hess_constant())
             return partial(_infconv_prox, left, right, parts,
                            newton.armijo_constant(left, right), _Warm(), name=name)
@@ -268,11 +264,6 @@ def _metric(R):
         return M, np.zeros(len(M))
     parts = R.shrinkage_parts()
     return None if parts is None else (np.diag(parts[1]), parts[0])
-
-
-def _is_diagonal(M):
-    """True when every off-diagonal entry of M is exactly zero."""
-    return not np.count_nonzero(M - np.diag(np.diag(M)))
 
 
 def _positive_definite(K, h):
@@ -852,17 +843,12 @@ def _dual_weights(sys, mechanism):
     """
     if not isinstance(sys.energy, MaxNormEnergy):
         return None
-    pair = {1: (Rescaled(sys.r1),), 2: (Rescaled(sys.r2),),
-            _EFFECTIVE: (sys.r1, sys.r2)}[mechanism]
-    total = 0.0
-    for R in pair:
-        scale = 1.0  # a Rescaled has twice the dual weights of its base
-        while isinstance(R, Rescaled):
-            R, scale = R.base, 2.0 * scale
-        if not isinstance(R, AnisotropicDualQuadratic):
-            return None
-        total = total + scale * R.dual_weights
-    return total
+    pair = (sys.r1, sys.r2)
+    if mechanism != _EFFECTIVE:
+        pair = (pair[mechanism - 1].rescaled(),)
+    if not all(isinstance(R, AnisotropicDualQuadratic) for R in pair):
+        return None
+    return sum(R.dual_weights for R in pair)
 
 
 def _step(sys, mechanism):
@@ -873,39 +859,40 @@ def _step(sys, mechanism):
 
     Mechanism j in (1, 2) steps with the rescaled potential R~_j, on its
     block if the system has a block layout: the other block stays frozen in
-    the energy and keeps its anchor values exactly.  The effective mechanism
-    steps with R1 # R2, both blocks jointly if blocked.  The wrappers and
-    the prox method are built here, once per run.
+    the energy and keeps its anchor values exactly.  Its failed solves say
+    "incremental minimization", an inf-convolution's too.  The effective
+    mechanism steps with R1 # R2, both blocks jointly if blocked.  The
+    wrappers and the prox method are built here, once per run.
     """
-    E = sys.energy
+    E, name = sys.energy, "incremental minimization"
     if mechanism == _EFFECTIVE:
         if sys.block_layout is not None:
             return _joint_block_step(sys)
         return partial(_prox_kernel(E, effective_potential(sys)), E)
-    R = sys.r1 if mechanism == 1 else sys.r2
+    R = (sys.r1, sys.r2)[mechanism - 1]
     if sys.block_layout is None:
-        return partial(_prox_kernel(E, Rescaled(R)), E)
-    leg = _block_leg(sys, mechanism)
+        return partial(_prox_kernel(E, R.rescaled(), name), E)
+    R = R.base.rescaled()
+    leg = _block_leg(sys, mechanism, R)
     if leg is not None:
         return leg
     active = sys.block_indices()[mechanism - 1]
     frozen = _FrozenBlockEnergy(E, active, np.zeros(sys.dim))
-    return partial(_block_step, sys, active, _prox_kernel(frozen, Rescaled(R.base)))
+    return partial(_block_step, sys, active, _prox_kernel(frozen, R, name))
 
 
-def _block_leg(sys, mechanism):
-    """The leg kernel of ``mechanism``'s block (:class:`_BlockLeg`), or None.
+def _block_leg(sys, mechanism, R):
+    """The leg kernel of ``mechanism``'s block (:class:`_BlockLeg`) with the
+    rescaled block potential R, or None.
 
     There is one when the energy is a :class:`QuadraticBlockEnergy` whose
-    blocks y and z are the system's, and the block potential is quadratic
-    or has shrinkage parts: the kinds that :func:`_prox_kernel` sends to
-    the active-set kernel.  The step of R~_j at h is the unrescaled one at
-    2h, so the rescaled potential's metric serves.
+    blocks y and z are the system's, and R is quadratic or has shrinkage
+    parts: the kinds that :func:`_prox_kernel` sends to the active-set
+    kernel.
     """
     E = sys.energy
     if not (isinstance(E, QuadraticBlockEnergy) and E.n_y == sys.block_layout[0]):
         return None
-    R = Rescaled((sys.r1, sys.r2)[mechanism - 1].base)
     return None if _metric(R) is None else _BlockLeg(sys, mechanism, R)
 
 

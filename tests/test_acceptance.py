@@ -199,7 +199,7 @@ def test_criterion_7_convex_kernel():
         pt.QuadraticForm(np.array([[2.0, 0.4], [0.4, 1.0]])),
         pt.PowerNorm(3.0, [0.5, 2.0]),
         pt.OneHomPlusQuad(1.0, 0.5, dim=2),
-        pt.Rescaled(pt.AnisotropicDualQuadratic([1.0, 3.0])),
+        pt.AnisotropicDualQuadratic([1.0, 3.0]).rescaled(),
     ]
     worst = math.inf
     for _ in range(10000):

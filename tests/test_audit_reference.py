@@ -12,7 +12,6 @@ from splitflow import diagnostics as dg
 from splitflow.energies import Load
 from splitflow.models import make_model
 from splitflow.partitions import build_partition, repetition_apply
-from splitflow.potentials import Rescaled
 from splitflow.solvers import SCHEMES, effective_potential, solve
 from test_exact_reference import segment_rows
 
@@ -35,7 +34,7 @@ def segment_pieces(segments, interval):
 
 
 def rate_reference(out, pair, interval):
-    t1, t2 = Rescaled(pair[0]), Rescaled(pair[1])
+    t1, t2 = pair[0].rescaled(), pair[1].rescaled()
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2)(seg.velocity)
@@ -49,7 +48,7 @@ def rate_reference(out, pair, interval):
 
 
 def slope_reference(out, pair, interval):
-    t1, t2 = Rescaled(pair[0]), Rescaled(pair[1])
+    t1, t2 = pair[0].rescaled(), pair[1].rescaled()
     if out.segments is not None:
         return sum(
             (b - a) * (t1 if seg.mechanism == "1" else t2).conjugate(-seg.xi)

@@ -116,7 +116,7 @@ def block_step_reference(system, which, t, anchor, h):
     """The state of one step of block ``which`` from ``anchor``, by
     :func:`l1_reference` with the other block frozen."""
     E, idx = system.energy, index_arrays(system)[which - 1]
-    M, sigma = metric(pt.Rescaled((system.r1, system.r2)[which - 1].base))
+    M, sigma = metric((system.r1, system.r2)[which - 1].base.rescaled())
     c = FrozenReference(E, idx, anchor)._grad(t, anchor[idx])
     H = E.hess(0.0, np.zeros(E.dim))[np.ix_(idx, idx)]
     u = np.array(anchor)
@@ -193,7 +193,7 @@ def leg_reference(system, which, leg, anchor, kept):
     idx, other = index_arrays(system)[which - 1], index_arrays(system)[2 - which]
     H, C = (E.A, E.B.T) if which == 1 else (E.G, E.B)
     load = E.f if which == 1 else E.g
-    R = pt.Rescaled((system.r1, system.r2)[which - 1].base)
+    R = (system.r1, system.r2)[which - 1].base.rescaled()
     V = R.quadratic_matrix()
     diagonal = not np.count_nonzero(H - np.diag(np.diag(H)))
     times = np.array([t for t, _ in leg])

@@ -27,7 +27,7 @@ def _kinds(module, base):
 
 def test_potential_kinds_state_only_cores():
     kinds = _kinds(potentials, Potential)
-    assert len(kinds) == 7
+    assert len(kinds) == 6
     stated = [(kind.__name__, name) for kind in kinds
               for name in POTENTIAL_ENTRIES if name in vars(kind)]
     assert stated == []

@@ -484,6 +484,31 @@ def test_inputs_the_fuzz_found_exit_one(tmp_path, capsys, model, override):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("scheme", ["split", "amm"])
+@pytest.mark.parametrize("p", [1025, 1100])
+def test_an_exponent_whose_rescaled_weights_are_not_normal_floats_exits_one(
+        tmp_path, capsys, p, scheme):
+    # the alternating schemes step with the weights 2^(1-p) w, w = 1/17 on the
+    # allen-cahn mesh: subnormal at p = 1025, zero at p = 1100
+    code = run_cli(["run", "--model", "allen-cahn-1d", "--scheme", scheme, "--N", "4",
+                    "--override", f"p={p}", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: PowerNorm exponent p = {p} is above 1018.91, the largest whose "
+        "rescaled weights 2^(1-p) w are normal floats\n")
+
+
+@pytest.mark.parametrize("a1", ["1e-320", "4e-324"])
+def test_amm_at_a_subnormal_dual_weight_passes_its_audit(tmp_path, a1):
+    # the rescaled metric's diagonal entry 1 / (2 a1) is infinite; it is
+    # still a diagonal metric, which the max-norm prox takes
+    out = tmp_path / "x"
+    code = run_cli(["run", "--model", "counterexample", "--scheme", "amm",
+                    "--override", f"a1={a1}", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["edb_passed"]
+
+
 @pytest.mark.parametrize(
     "model, override, err",
     [("visco-plasticity-1d", "C_el=1e308", "LinAlgError: Eigenvalues did not converge"),

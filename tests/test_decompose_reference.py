@@ -176,8 +176,8 @@ def _partner(kind, rng, dim):
     if kind == "dual-quadratic":
         return pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim))
     if kind == "rescaled-power":
-        return pt.Rescaled(pt.PowerNorm(rng.uniform(1.5, 3.5), rng.uniform(0.2, 3.0, dim)))
-    return pt.Rescaled(pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim)))
+        return pt.PowerNorm(rng.uniform(1.5, 3.5), rng.uniform(0.2, 3.0, dim)).rescaled()
+    return pt.AnisotropicDualQuadratic(rng.uniform(0.2, 3.0, dim)).rescaled()
 
 
 _PARTNERS = ["quadratic", "dual-quadratic", "rescaled-power", "rescaled-dual-quadratic",
@@ -212,7 +212,7 @@ def test_decomposition_equals_the_reference_bit_for_bit(below_two, kind, power_l
     n = int(rng.integers(1, 201))
     power, partner = _power(rng, dim, below_two), _partner(kind, rng, dim)
     if below_two and rng.random() < 0.5:
-        power = pt.Rescaled(power)
+        power = power.rescaled()
     P = pt.InfConvolution(*((power, partner) if power_left else (partner, power)))
     rows = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0)
 
@@ -401,7 +401,7 @@ def test_the_elimination_equals_the_dense_step_to_rounding(dim, rows, seed, zero
 
 def _elementwise_pair(p):
     return pt.InfConvolution(pt.PowerNorm(p, [0.7, 1.3, 2.0]),
-                             pt.Rescaled(pt.AnisotropicDualQuadratic([1.5, 0.4, 2.2])))
+                             pt.AnisotropicDualQuadratic([1.5, 0.4, 2.2]).rescaled())
 
 
 def _counted_rows(monkeypatch):

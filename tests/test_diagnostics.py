@@ -253,13 +253,13 @@ def test_split_with_one_exact_mechanism_is_audited_over_the_whole_run():
 
 @pytest.mark.parametrize("scheme", ["split", "amm", "effective"])
 def test_a_rescaled_member_runs_and_audits_as_its_doubled_weights(scheme):
-    # Rescaled(ADQ([1, 3])) is ADQ([2, 6]): its rescaling R~ doubles it once
+    # ADQ([1, 3]).rescaled() is ADQ([2, 6]): its rescaling R~ doubles it once
     # more, and its dual weights are twice its base's
     P = pa.build_partition(1.0, N=64)
     systems = [
         sv.GradientSystem(en.MaxNormEnergy(shift="auto"), r1,
                           pt.AnisotropicDualQuadratic([3.0, 1.0]))
-        for r1 in (pt.Rescaled(pt.AnisotropicDualQuadratic([1.0, 3.0])),
+        for r1 in (pt.AnisotropicDualQuadratic([1.0, 3.0]).rescaled(),
                    pt.AnisotropicDualQuadratic([2.0, 6.0]))
     ]
     runs = [sv.solve(sys, scheme, P, [2.0, 1.0]) for sys in systems]
@@ -326,8 +326,8 @@ def test_fenchel_young_pointwise_along_run():
     P = pa.build_partition(1.0, N=32)
     out = sv.split_step_solve(sys, P, [2.0, 1.0])
     rate = out.u_linear.derivative()
-    t1 = pt.Rescaled(sys.r1)
-    t2 = pt.Rescaled(sys.r2)
+    t1 = sys.r1.rescaled()
+    t2 = sys.r2.rescaled()
     for i in range(out.grid.n_cells):
         R = t1 if out.grid.cell_is_left[i] else t2
         v = rate.cell_values[i]

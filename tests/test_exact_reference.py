@@ -371,7 +371,7 @@ def assert_prox_matches(R, E, t, anchor, h):
        shift=st.floats(0.0, 2.0))
 def test_maxnorm_prox_matches_the_vector_candidates(anchor, h, weights, rescaled, t, shift):
     R = pt.AnisotropicDualQuadratic(weights)
-    assert_prox_matches(pt.Rescaled(R) if rescaled else R, MaxNormEnergy(shift=shift), t,
+    assert_prox_matches(R.rescaled() if rescaled else R, MaxNormEnergy(shift=shift), t,
                         anchor, h)
 
 
@@ -386,7 +386,7 @@ def test_maxnorm_prox_matches_the_vector_candidates(anchor, h, weights, rescaled
     ([0.0, 0.0], 1 / 32, "origin"),
 ])
 def test_maxnorm_prox_matches_in_each_regime(anchor, h, regime):
-    R = pt.Rescaled(pt.AnisotropicDualQuadratic([1.0, 3.0]))
+    R = pt.AnisotropicDualQuadratic([1.0, 3.0]).rescaled()
     u, xi = assert_prox_matches(R, MaxNormEnergy(shift=1.0), 0.5, np.array(anchor), h)
     if regime == "face":
         assert abs(u[0]) == abs(u[1]) > 0 and np.all(xi != 0.0)

@@ -25,7 +25,6 @@ FROZEN = {
     "OneHomPlusQuad": (lambda: pt.OneHomPlusQuad(0.5, 1.0, dim=2), "sigma"),
     "BlockIndicator": (lambda: pt.BlockIndicator(pt.QuadraticForm(np.eye(1)), [0], 2),
                        "active"),
-    "Rescaled": (lambda: pt.Rescaled(pt.PowerNorm(3.0, dim=2)), "base"),
     "InfConvolution": (lambda: pt.InfConvolution(pt.QuadraticForm(np.eye(2)),
                                                  pt.PowerNorm(3.0, dim=2)), "left"),
     "Decomposition": (lambda: pt.Decomposition(np.zeros(2), np.zeros(2), 0.0), "gap"),

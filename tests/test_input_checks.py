@@ -26,7 +26,7 @@ POTENTIALS = [
     ("one-hom-plus-quad", pt.OneHomPlusQuad(0.4, 1.5, _W3), _NONSMOOTH),
     ("block-indicator", pt.BlockIndicator(pt.PowerNorm(2.0, dim=2), [0, 2], 3),
      _NONSMOOTH),
-    ("rescaled", pt.Rescaled(pt.PowerNorm(3.0, _W3)), _SMOOTH),
+    ("rescaled", pt.PowerNorm(3.0, _W3).rescaled(), _SMOOTH),
     ("inf-convolution", pt.InfConvolution(pt.PowerNorm(3.0, _W3), pt.QuadraticForm(_SPD3)),
      _SMOOTH),
 ]

@@ -60,7 +60,7 @@ def test_only_a_power_below_two_asks_for_a_quarter_of_the_decrease():
     singular = pt.PowerNorm(1.5, np.ones(2))
     smooth = [pt.PowerNorm(2.0, np.ones(2)), pt.PowerNorm(3.0, np.ones(2)),
               pt.QuadraticForm(np.eye(2)), pt.AnisotropicDualQuadratic(np.ones(2))]
-    for R in (singular, pt.Rescaled(singular), pt.Rescaled(pt.Rescaled(singular))):
+    for R in (singular, singular.rescaled(), singular.rescaled().rescaled()):
         assert newton.armijo_constant(R) == 0.25
         assert newton.armijo_constant(smooth[0], R) == 0.25
     for R in smooth:

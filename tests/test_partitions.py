@@ -175,7 +175,7 @@ def test_repetition_identity_rate_rewriting():
         pt.PowerNorm(3.0, [1.0, 0.5]),
         pt.OneHomPlusQuad(0.7, 1.3, dim=2),
     ):
-        Rt = pt.Rescaled(R)
+        Rt = R.rescaled()
         V = curve_from_cells(grid, rng.standard_normal((grid.n_cells, 2)))
         for j in (1, 2):
             mask = grid.cell_is_left if j == 1 else ~grid.cell_is_left

@@ -79,7 +79,7 @@ def test_eval_dimension_mismatch():
         pt.PowerNorm(3.0, [0.5, 1.5]),
         pt.AnisotropicDualQuadratic([1.0, 3.0]),
         pt.OneHomPlusQuad(1.0, 2.0, [1.0, 2.0]),
-        pt.Rescaled(pt.PowerNorm(2.0, dim=2)),
+        pt.PowerNorm(2.0, dim=2).rescaled(),
     ],
 )
 def test_eval_nonnegative_zero_at_origin_convex(P):
@@ -119,13 +119,69 @@ def test_conjugate_infconv_is_sum():
     assert P.conjugate([1.0]) == pytest.approx(0.5 + 1.5)
 
 
-def test_conjugate_rescaled_doubles():
-    base = pt.OneHomPlusQuad(1.0, 2.0, dim=1)
-    P = pt.Rescaled(base)
-    xi = [3.0]
-    assert P.conjugate(xi) == pytest.approx(2.0 * base.conjugate(xi))
-    # direct sup check of the rescaled primal
-    assert P.conjugate(xi) == pytest.approx(grid_search_conjugate(P, 3.0), abs=1e-7)
+_SPD2 = [[2.0, 0.5], [0.5, 1.5]]
+# every kind, with whether its rescaling has the bits of the arithmetic of
+# R~(v) = 2 R(v/2) (a non-integer p rounds 2^(1-p) w |v|^p otherwise)
+RESCALED_KINDS = [
+    (pt.QuadraticForm(_SPD2), True),
+    (pt.PowerNorm(2.0, [0.5, 1.5]), True),
+    (pt.PowerNorm(3.0, [0.5, 1.5]), True),
+    (pt.PowerNorm(1.5, [0.5, 1.5]), False),
+    (pt.PowerNorm(2.5, [0.5, 1.5]), False),
+    (pt.AnisotropicDualQuadratic([1.0, 3.0]), True),
+    (pt.OneHomPlusQuad(1.0, 2.0, dim=1), True),
+    (pt.OneHomPlusQuad(0.4, 1.5, [0.5, 2.0]), True),
+    (pt.BlockIndicator(pt.PowerNorm(3.0, [0.5, 1.5]), [0, 2], 3), True),
+    (pt.BlockIndicator(pt.OneHomPlusQuad(0.4, 1.5, [2.0]), [1], 2), True),
+    (pt.InfConvolution(pt.QuadraticForm(_SPD2), pt.AnisotropicDualQuadratic([1.0, 3.0])),
+     True),
+    (pt.InfConvolution(pt.PowerNorm(3.0, [0.5, 1.5]), pt.AnisotropicDualQuadratic([1.0, 3.0])),
+     True),
+]
+
+
+def _smooth_parts(P, v):
+    """P's gradient and Hessian at v, or None for a kind without them."""
+    try:
+        return P.grad(v), P.hess(v)
+    except NotImplementedError:
+        return None
+
+
+@pytest.mark.parametrize("base,exact", RESCALED_KINDS,
+                         ids=[type(P).__name__ for P, _ in RESCALED_KINDS])
+def test_conjugate_rescaled_doubles(base, exact):
+    # R.rescaled() against the arithmetic of R~(v) = 2 R(v/2): R~* = 2 R*,
+    # R~*' = 2 R*', R~'(v) = R'(v/2), R~''(v) = R''(v/2)/2 below the clamp
+    def same(a, b):
+        if a is None or b is None:
+            assert a is None and b is None
+        elif exact:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+
+    P = base.rescaled()
+    assert type(P) is type(base) and P.dim == base.dim
+    rng = np.random.default_rng(5)
+    V, Xi = rng.uniform(-3.0, 3.0, (2, 8, P.dim))
+    V[:4, getattr(base, "frozen", [])] = 0.0  # a block indicator's rows at rest
+    same(P(V), 2.0 * base(0.5 * V))
+    same(P.conjugate(Xi), 2.0 * base.conjugate(Xi))
+    same(P.rescaled()(V), 4.0 * base(0.25 * V))
+    for v, xi in zip(V, Xi):
+        same(P(v), 2.0 * base(0.5 * v))
+        same(P.dual_rate(xi), 2.0 * base.dual_rate(xi))
+        smooth = _smooth_parts(base, 0.5 * v)
+        if smooth is not None:
+            same(P.grad(v), smooth[0])
+            same(P.hess(v), 0.5 * smooth[1])
+    V = base.quadratic_matrix()
+    same(P.quadratic_matrix(), None if V is None else 0.5 * V)
+    parts = base.shrinkage_parts()
+    same(P.shrinkage_parts(), None if parts is None else (parts[0], 0.5 * parts[1]))
+    if P.dim == 1:  # direct sup check of the rescaled primal
+        assert P.conjugate([3.0]) == pytest.approx(grid_search_conjugate(P, 3.0), abs=1e-7)
 
 
 def test_conjugate_block_indicator_ignores_frozen_duals():
@@ -202,7 +258,7 @@ def test_dual_rate_singular_quadratic_rejected():
         pt.QuadraticForm(np.array([[2.0, 0.3], [0.3, 1.0]])),
         pt.PowerNorm(3.0, [0.5, 1.5]),
         pt.OneHomPlusQuad(1.0, 2.0, dim=2),
-        pt.Rescaled(pt.AnisotropicDualQuadratic([1.0, 3.0])),
+        pt.AnisotropicDualQuadratic([1.0, 3.0]).rescaled(),
         pt.InfConvolution(
             pt.AnisotropicDualQuadratic([1.0, 3.0]),
             pt.AnisotropicDualQuadratic([3.0, 1.0]),
@@ -241,7 +297,7 @@ def _quadratic_member(kind, dim, rng):
         return pt.PowerNorm(2.0, weights)
     if kind == "dual":
         return pt.AnisotropicDualQuadratic(weights)
-    return pt.Rescaled(pt.AnisotropicDualQuadratic(weights))
+    return pt.AnisotropicDualQuadratic(weights).rescaled()
 
 
 _QUADRATIC_KINDS = ["form", "power", "dual", "rescaled"]
@@ -523,7 +579,7 @@ ELEMENTWISE_KINDS = [
     pt.AnisotropicDualQuadratic(_W3),
     pt.OneHomPlusQuad(0.4, 1.5, _W3),
     pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3),
-    pt.Rescaled(pt.OneHomPlusQuad(0.4, 1.5, _W3)),
+    pytest.param(pt.OneHomPlusQuad(0.4, 1.5, _W3).rescaled(), id="Rescaled-OneHomPlusQuad"),
     pt.InfConvolution(
         pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3),
         pt.BlockIndicator(pt.OneHomPlusQuad(0.4, 1.5, dim=1), [1], 3),
@@ -536,7 +592,7 @@ ELEMENTWISE_KINDS = [
 MATRIX_KINDS = [
     pt.QuadraticForm(_SPD3),
     pt.BlockIndicator(pt.QuadraticForm(_SPD3[:2, :2]), [0, 1], 3),
-    pt.Rescaled(pt.QuadraticForm(_SPD3)),
+    pytest.param(pt.QuadraticForm(_SPD3).rescaled(), id="Rescaled-QuadraticForm"),
     pt.InfConvolution(pt.QuadraticForm(_SPD3), pt.PowerNorm(2.0, _W3)),
     pt.InfConvolution(
         pt.BlockIndicator(pt.QuadraticForm(_SPD3[:2, :2]), [0, 1], 3),
@@ -603,15 +659,11 @@ _SMOOTH = [
     (pt.AnisotropicDualQuadratic(_W3), True),
     (pt.InfConvolution(pt.QuadraticForm(_SPD3), pt.PowerNorm(2.0, _W3)), False),
 ]
-SMOOTH_KINDS = _SMOOTH + [(pt.Rescaled(P), elementwise) for P, elementwise in _SMOOTH]
+SMOOTH_KINDS = _SMOOTH + [(P.rescaled(), elementwise) for P, elementwise in _SMOOTH]
+SMOOTH_IDS = [prefix + type(P).__name__ for prefix in ("", "Rescaled-") for P, _ in _SMOOTH]
 
 
-def _smooth_id(case):
-    P = case[0]
-    return f"Rescaled-{type(P.base).__name__}" if isinstance(P, pt.Rescaled) else type(P).__name__
-
-
-@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=map(_smooth_id, SMOOTH_KINDS))
+@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=SMOOTH_IDS)
 @settings(max_examples=25, deadline=None)
 @given(rows=rows_3)
 def test_batched_grad_and_hess_rows_equal_single_calls(P, elementwise, rows):
@@ -626,7 +678,7 @@ def test_batched_grad_and_hess_rows_equal_single_calls(P, elementwise, rows):
             np.testing.assert_allclose(g, P.grad(row), rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=map(_smooth_id, SMOOTH_KINDS))
+@pytest.mark.parametrize("P,elementwise", SMOOTH_KINDS, ids=SMOOTH_IDS)
 def test_grad_and_hess_reject_wrong_lengths(P, elementwise):
     for bad in (np.ones(2), np.ones(4), [1.0] * 4, np.ones((2, 4)), np.ones((2, 2))):
         for method in (P.grad, P.hess):
@@ -658,7 +710,7 @@ def _smooth_partner(kind, rng, dim):
         return pt.QuadraticForm(_random_spd(rng, dim))
     if kind == "dual-quadratic":
         return pt.AnisotropicDualQuadratic(rng.uniform(0.3, 3.0, dim))
-    return pt.Rescaled(pt.QuadraticForm(_random_spd(rng, dim)))
+    return pt.QuadraticForm(_random_spd(rng, dim)).rescaled()
 
 
 @settings(max_examples=20, deadline=None)
@@ -848,7 +900,7 @@ def _separable_member(rng, dim, kind):
         member = pt.AnisotropicDualQuadratic(w)
     else:
         member = pt.QuadraticForm(np.diag(w))
-    return pt.Rescaled(member) if rng.random() < 0.3 else member
+    return member.rescaled() if rng.random() < 0.3 else member
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -882,12 +934,12 @@ def test_the_dual_root_agrees_with_newton_to_the_gap_tolerance(seed, monkeypatch
 def test_only_separable_smooth_members_take_the_dual_root():
     dense = pt.QuadraticForm(_SPD3)
     assert pt._coordinate_dual_rate(dense) is None
-    assert pt._coordinate_dual_rate(pt.Rescaled(dense)) is None
+    assert pt._coordinate_dual_rate(dense.rescaled()) is None
     assert pt._coordinate_dual_rate(pt.OneHomPlusQuad(0.5, 1.0, _W3)) is None
     assert pt._coordinate_dual_rate(pt.InfConvolution(pt.PowerNorm(3.0, _W3), dense)) is None
     xi = np.array([[0.3, -1.2, 2.0], [-0.0, 4.0, -0.5]])
     for member in (pt.PowerNorm(1.5, _W3), pt.AnisotropicDualQuadratic(_W3),
-                   pt.QuadraticForm(np.diag(_W3)), pt.Rescaled(pt.PowerNorm(3.0, _W3))):
+                   pt.QuadraticForm(np.diag(_W3)), pt.PowerNorm(3.0, _W3).rescaled()):
         rates = pt._coordinate_dual_rate(member)(xi)
         for i, row in enumerate(xi):
             np.testing.assert_allclose(rates[i], member.dual_rate(row), rtol=1e-15)
@@ -958,7 +1010,7 @@ def _psi_reference(potentials, K, radii, seed, n_directions):
         ([pt.PowerNorm(2.0, dim=1), pt.PowerNorm(3.0, dim=1)], True),
         ([pt.OneHomPlusQuad(0.4, 1.5, _W3), pt.AnisotropicDualQuadratic(_W3)], True),
         ([pt.BlockIndicator(pt.PowerNorm(3.0, dim=2), [0, 2], 3)], True),
-        ([pt.QuadraticForm(_SPD3), pt.Rescaled(pt.QuadraticForm(_SPD3))], False),
+        ([pt.QuadraticForm(_SPD3), pt.QuadraticForm(_SPD3).rescaled()], False),
     ],
 )
 def test_psi_minorant_matches_the_per_radius_loop(potentials, exact):

@@ -31,8 +31,6 @@ from splitflow.partitions import build_partition
 
 
 def potential_hess(R, v):
-    if isinstance(R, pt.Rescaled):
-        return 0.5 * potential_hess(R.base, 0.5 * v)
     if isinstance(R, pt.PowerNorm):
         with np.errstate(divide="ignore"):
             d = R.weights * (R.p - 1.0) * np.abs(v) ** (R.p - 2.0)
@@ -174,7 +172,7 @@ _steps = st.floats(1e-3, 0.5)
        rescaled=st.booleans(), m=st.integers(1, 6), data=st.data())
 def test_newton_prox_matches_the_public_assembly_on_allen_cahn(kind, rescaled, m, data):
     R = _potential(data, kind, m)
-    R = pt.Rescaled(R) if rescaled else R
+    R = R.rescaled() if rescaled else R
     E = _allen_cahn(data, m)
     t, h, anchor = data.draw(_times), data.draw(_steps), _anchor(data, m)
     kernel = sv._prox_kernel(E, R)
@@ -210,7 +208,7 @@ def test_newton_prox_matches_the_public_assembly_on_a_block_energy(n_y, n_z, fro
         E_kernel = E_call = E_ref = E
     m = E_call.dim
     R = pt.PowerNorm(data.draw(st.sampled_from([1.5, 3.0])), _weights(data, m))
-    R = pt.Rescaled(R) if rescaled else R
+    R = R.rescaled() if rescaled else R
     t, h, anchor = data.draw(_times), data.draw(_steps), _anchor(data, m, 2.0)
     kernel = sv._prox_kernel(E_kernel, R)
     assert kernel.func is sv._prox_newton
@@ -304,7 +302,7 @@ def test_a_split_run_matches_the_public_assembly_cell_by_cell(p):
     predicted = 0
     for i in range(grid.n_cells):
         left = bool(grid.cell_is_left[i])
-        R = pt.Rescaled(system.r1 if left else system.r2)
+        R = (system.r1 if left else system.r2).rescaled()
         a, b = grid.times[i], grid.times[i + 1]
         predicted += len(kernels[left].rates) == 2
         u, xi, it = replay_cell(R, system.energy, b, u, b - a, kernels[left])

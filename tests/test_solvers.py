@@ -104,7 +104,7 @@ def test_quadratic_kernel_builds_one_matrix_per_step_size():
     rng = np.random.default_rng(3)
     E = en.QuadraticBlockEnergy(np.array([[2.0, 0.5], [0.5, 1.0]]),
                                 f=en.Load([1.0, 0.5], [2.0, 0.0]))
-    R = pt.Rescaled(pt.QuadraticForm(np.array([[3.0, 1.0], [1.0, 2.0]])))
+    R = pt.QuadraticForm(np.array([[3.0, 1.0], [1.0, 2.0]])).rescaled()
     VR = R.quadratic_matrix()
     kernel = sv._prox_kernel(E, R)
     assert kernel.matrices == {}
@@ -206,7 +206,7 @@ def test_prox_at_a_stationary_anchor_takes_no_step(monkeypatch):
     plain = en.AllenCahn1DEnergy(m)
     load = en.Load(plain.K @ anchor / plain.h + plain.well.d1(anchor))
     E = en.AllenCahn1DEnergy(m, load=load)
-    R = pt.Rescaled(pt.PowerNorm(3.0, np.full(m, plain.h)))
+    R = pt.PowerNorm(3.0, np.full(m, plain.h)).rescaled()
     evals = []
     # the prox evaluates the energy through its unchecked core
     monkeypatch.setattr(en.AllenCahn1DEnergy, "_eval",
@@ -221,7 +221,7 @@ def test_prox_at_a_stationary_anchor_takes_no_step(monkeypatch):
 
 def test_prox_allen_cahn_matches_coordinate_descent():
     E = en.AllenCahn1DEnergy(m=3)
-    R = pt.Rescaled(pt.PowerNorm(2.0, dim=3))
+    R = pt.PowerNorm(2.0, dim=3).rescaled()
     anchor = np.array([0.5, 0.5, 0.5])
     u, xi = sv.prox_step(E, R, 0.0, anchor, 0.1, tol=1e-12)
     oracle = coordinate_descent_prox(E, R, 0.0, anchor, 0.1)
@@ -237,7 +237,7 @@ def test_prox_of_a_smooth_inf_convolution_runs_newton_on_the_split(rescaled):
     # such a pair has no Hessian parts; its prox moves the members' shares
     E = en.AllenCahn1DEnergy(m=4)
     R = pt.InfConvolution(pt.PowerNorm(3.0, dim=4), pt.QuadraticForm(E.K))
-    R = pt.Rescaled(R) if rescaled else R
+    R = R.rescaled() if rescaled else R
     anchor = np.array([0.5, -0.2, 0.3, 0.1])
     u, xi = sv.prox_step(E, R, 0.0, anchor, 0.1, tol=1e-12)
     np.testing.assert_array_equal(xi, E.grad(0.0, u))
@@ -251,7 +251,7 @@ def test_prox_of_a_twice_rescaled_inf_convolution_is_that_of_its_rescaled_member
     left, right = pt.PowerNorm(3.0, dim=4), pt.QuadraticForm(E.K)
 
     def twice(R):
-        return pt.Rescaled(pt.Rescaled(R))
+        return R.rescaled().rescaled()
 
     anchor = np.array([0.5, -0.2, 0.3, 0.1])
     u, xi = sv.prox_step(E, twice(pt.InfConvolution(left, right)), 0.0, anchor, 0.1, 1e-12)
@@ -278,13 +278,13 @@ def test_counterexample_amm_scores_no_lone_max_norm_candidate(monkeypatch):
     # every prox of the preset run admits one regime, so no objective is evaluated
     preset = make_model("counterexample")
     calls = []
-    evaluate = pt.Rescaled._eval
+    evaluate = pt.AnisotropicDualQuadratic._eval
 
     def counted(self, v):
         calls.append(v)
         return evaluate(self, v)
 
-    monkeypatch.setattr(pt.Rescaled, "_eval", counted)
+    monkeypatch.setattr(pt.AnisotropicDualQuadratic, "_eval", counted)
     P = pa.build_partition(preset.horizon, N=128)
     out = sv.solve(preset.system, "amm", P, preset.u0, 1e-10, 8)
     assert len(out.stats["inner_iterations"]) == 256
@@ -320,7 +320,7 @@ def test_substep_prox_branch_is_a_loop_of_prox_steps():
     expected, kernel, predicted = [u], KernelReplay(), 0
     for a, b in zip(times[:-1], times[1:]):
         predicted += len(kernel.rates) == 2
-        u = replay_cell(pt.Rescaled(sys.r1), sys.energy, b, u, b - a, kernel)[0]
+        u = replay_cell(sys.r1.rescaled(), sys.energy, b, u, b - a, kernel)[0]
         expected.append(u)
     assert predicted
     np.testing.assert_array_equal(curve.values, np.array(expected))
@@ -400,11 +400,11 @@ def test_amm_scalar_sanity_step():
     u_mid = out.u_const.at(0.5)[0]
     u_end = out.u_const.at(1.0)[0]
     # frozen values verified against a dense 1-D search of the functional
-    oracle_mid = grid_search_prox_1d(E, pt.Rescaled(quad_identity()), 0.25, 1.0, 0.5)
+    oracle_mid = grid_search_prox_1d(E, quad_identity().rescaled(), 0.25, 1.0, 0.5)
     assert u_mid == pytest.approx(0.5, abs=1e-10)
     assert oracle_mid == pytest.approx(0.5, abs=1e-5)
     oracle_end = grid_search_prox_1d(
-        E, pt.Rescaled(quad_identity()), 1.0, oracle_mid, 0.5
+        E, quad_identity().rescaled(), 1.0, oracle_mid, 0.5
     )
     assert u_end == pytest.approx(0.25, abs=1e-10)
     assert oracle_end == pytest.approx(0.25, abs=1e-5)
@@ -504,7 +504,7 @@ def test_block_y_half_step_is_linear_solve():
     y1 = out.u_const.at(P.midpoints[0])[idx_y]
     rate = (y1 - y0) / (tau / 2.0)
     eta = out.xi.at(P.midpoints[0])[idx_y]
-    Ry_t = pt.Rescaled(sys.r1.base)
+    Ry_t = sys.r1.base.rescaled()
     resid = np.linalg.norm(Ry_t.grad(rate) + eta)
     assert resid <= 1e-10
 
@@ -788,7 +788,7 @@ def test_a_prox_step_whose_curvature_is_not_positive_raises(scheme):
     fine = sv.solve(system, scheme, pa.build_partition(1.0, N=4), u0, 1e-10, 4)
     assert np.isfinite(fine.u_const.values).all()
     # the per-step kernels of each block raise the same error
-    for R, H in ((pt.Rescaled(Ry), [[-2.0]]), (pt.Rescaled(Rz), [[-3.0]])):
+    for R, H in ((Ry.rescaled(), [[-2.0]]), (Rz.rescaled(), [[-3.0]])):
         with pytest.raises(NumericalError, match="^prox step of size 0.5 has no unique"):
             sv._prox(en.QuadraticBlockEnergy(A=H), R, 0.0, [0.5], 0.5, 1e-10)
 
@@ -799,7 +799,7 @@ def test_a_non_finite_residual_never_counts_as_converged():
     ac = make_model("allen-cahn-1d", p=3.0)
     anchor = np.zeros(ac.system.dim)
     anchor[0] = 1e200
-    R = pt.Rescaled(ac.system.r1)
+    R = ac.system.r1.rescaled()
     with np.errstate(all="ignore"), pytest.raises(
             NumericalError, match="incremental minimization diverged") as failure:
         sv._prox(ac.system.energy, R, 0.1, anchor, 0.05, 1e-10)
@@ -856,7 +856,7 @@ def test_a_newton_prox_that_runs_out_of_steps_stagnates(effective):
     if effective:
         R, name = sv.effective_potential(ac.system), "effective prox"
     else:
-        R, name = pt.Rescaled(ac.system.r1), "incremental minimization"
+        R, name = ac.system.r1.rescaled(), "incremental minimization"
     with pytest.raises(NumericalError, match=f"^{name} stagnated$") as failure:
         sv._prox(ac.system.energy, R, 0.1, ac.u0, 0.05, 1e-300)
     assert failure.value.iterations == 100
@@ -912,7 +912,14 @@ def test_block_split_takes_the_energy_hessian_once_per_mechanism(monkeypatch):
 def test_a_leg_kernel_builds_its_matrices_once_per_step_size(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
     inverses, inv = [], np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
+
+    def recorded(K):
+        # the leg's inverses only: a rescaled quadratic form inverts its matrix too
+        if inspect.currentframe().f_back.f_code is sv._BlockLeg.curvature.__code__:
+            inverses.append(K)
+        return inv(K)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
     legs = [sv._step(preset.system, m) for m in (1, 2)]
     assert all(isinstance(leg, sv._BlockLeg) for leg in legs)
     # uneven nodes: each semi-interval's cells have their own width
@@ -936,11 +943,11 @@ def test_the_movements_by_legs_replay_the_movements_by_entries(monkeypatch):
             return partial(sv._prox_kernel(E, sv.effective_potential(system)), E)
         R = system.r1 if m == 1 else system.r2
         if system.block_layout is None:
-            return partial(sv._prox_kernel(E, pt.Rescaled(R)), E)
+            return partial(sv._prox_kernel(E, R.rescaled()), E)
         active = system.block_indices()[m - 1]
         frozen = sv._FrozenBlockEnergy(E, active, np.zeros(system.dim))
         return partial(sv._block_step, system, active,
-                       sv._prox_kernel(frozen, pt.Rescaled(R.base)))
+                       sv._prox_kernel(frozen, R.base.rescaled()))
 
     def by_entries(system, grid, u0, plan, tol, stats):
         step = {m: per_step(system, m) for m in dict.fromkeys(m for m, _, _ in plan)}
@@ -1161,7 +1168,7 @@ def test_maxnorm_prox_matches_dense_grid_oracle():
     rng = np.random.default_rng(29)
     for _ in range(15):
         c = rng.uniform(0.3, 3.0, size=2)  # dual weights of the metric
-        R = pt.Rescaled(pt.AnisotropicDualQuadratic(c))
+        R = pt.AnisotropicDualQuadratic(c).rescaled()
         anchor = rng.uniform(-2.0, 2.0, size=2)
         h = rng.uniform(0.05, 0.8)
         u, xi = sv.prox_step(E, R, 0.0, anchor, h)
@@ -1218,7 +1225,7 @@ def test_shrinkage_prox_with_a_coupled_energy_matches_brute_force(A, sigma, anch
 
 def test_a_diagonal_shrinkage_takes_one_solve_and_reports_its_measured_residual():
     E = en.QuadraticBlockEnergy(A=np.diag([2.0, 0.5, 1.0]), f=en.Load([0.3, -1.2, 0.05]))
-    R = pt.Rescaled(pt.OneHomPlusQuad(0.2, 1.0, [1.0, 2.0, 0.5]))
+    R = pt.OneHomPlusQuad(0.2, 1.0, [1.0, 2.0, 0.5]).rescaled()
     sigma_w, quad_w = R.shrinkage_parts()
     rng = np.random.default_rng(5)
     residuals = []
@@ -1242,7 +1249,7 @@ def test_regime_flow_matches_fine_prox_stepping():
     # march the first mechanism by many small incremental steps and compare
     # with the exact piecewise-affine flow
     sys = counterexample_system()
-    R = pt.Rescaled(sys.r1)
+    R = sys.r1.rescaled()
     E = sys.energy
     u = np.array([1.4, 1.0])
     steps, dt = 4000, 1.0 / 4000

@@ -57,15 +57,16 @@ def _system(p, drawn, m=8):
 def _solves(scheme, system, P, inner):
     """Each prox solve of a run, in solve order: ``(R, t, h, j)``, where the
     solve's anchor is node value ``j n``, its state ``(j + 1) n`` and its
-    force cell ``j n``, with n the run's ``step_cells``."""
+    force cell ``j n``, with n the run's ``step_cells``.  Each mechanism's
+    solves share one potential."""
+    R1, R2 = system.r1.rescaled(), system.r2.rescaled()
     if scheme == "split":
         grid = P.refine(inner)
         times = grid.times
-        return [(pt.Rescaled(system.r1 if left else system.r2), b, b - a, i)
+        return [(R1 if left else R2, b, b - a, i)
                 for i, (left, a, b) in enumerate(zip(grid.cell_is_left, times[:-1],
                                                      times[1:]))]
     if scheme == "amm":
-        R1, R2 = pt.Rescaled(system.r1), pt.Rescaled(system.r2)
         return [entry for k in range(P.N)
                 for entry in ((R1, P.midpoints[k], P.taus[k] / 2.0, 2 * k),
                               (R2, P.nodes[k + 1], P.taus[k] / 2.0, 2 * k + 1))]
@@ -104,7 +105,8 @@ def test_warm_runs_agree_with_their_cold_replay_within_the_prox_tolerance(p, sch
         assert np.linalg.norm(nodes[(j + 1) * n] - u) <= bound
         assert np.linalg.norm(forces[j * n] - xi) <= bound
     assert warm_steps < cold_steps
-    # the drawn p = 1.5 split run: 13 of its 512 cold replays stall
+    # the drawn p = 1.5 split run: 18 of its 512 cold replays stall (the
+    # rescaled member's curvature is clamped at 1e12, as every PowerNorm's)
     assert stalled <= (20 if (p, scheme, drawn) == (1.5, "split", True) else 0)
 
 
@@ -123,7 +125,7 @@ def test_the_drawn_p15_runs_finish_with_a_passing_audit(scheme, N):
 
 def test_a_warm_solve_that_fails_gives_way_to_the_cold_start(monkeypatch):
     preset = make_model("allen-cahn-1d", m=6, p=3.0)
-    R, E = pt.Rescaled(preset.system.r1), preset.system.energy
+    R, E = preset.system.r1.rescaled(), preset.system.energy
     minimize, starts = newton.minimize, []
 
     def warm_fails(x, *args, **kwargs):
@@ -170,7 +172,7 @@ def test_the_p3_split_run_comes_to_rest_bit_for_bit():
 def test_a_warm_kernel_at_a_converged_anchor_returns_the_anchor(effective):
     preset = make_model("allen-cahn-1d", p=3.0)
     system, E = preset.system, preset.system.energy
-    R = sv.effective_potential(system) if effective else pt.Rescaled(system.r1)
+    R = sv.effective_potential(system) if effective else system.r1.rescaled()
     at_rest = sv.solve(system, "split", build_partition(1.0, N=64), preset.u0, TOL, 8)
     anchor = at_rest.u_const.values[-1]
     kernel = sv._prox_kernel(E, R)
@@ -242,7 +244,7 @@ def test_kernels_of_a_quadratic_potential_start_warm(scheme):
     # at p = 2 both members, and their inf-convolution, are quadratic
     preset = make_model("allen-cahn-1d", m=6, p=2.0)
     system, E = preset.system, preset.system.energy
-    for R in (pt.Rescaled(system.r1), pt.Rescaled(system.r2), sv.effective_potential(system)):
+    for R in (system.r1.rescaled(), system.r2.rescaled(), sv.effective_potential(system)):
         kernel = sv._prox_kernel(E, R)
         assert kernel.func is sv._prox_newton
         assert isinstance(kernel.args[4], sv._Warm) and kernel.args[4].rates == []
@@ -251,7 +253,7 @@ def test_kernels_of_a_quadratic_potential_start_warm(scheme):
     n, nodes = out.step_cells, out.u_const.values
     replays, warm = {}, 0  # the state of each mechanism's kernel
     for k, (R, t, h, j) in enumerate(_solves(scheme, system, P, 4)):
-        state = replays.setdefault(id(getattr(R, "base", R)), KernelReplay())
+        state = replays.setdefault(id(R), KernelReplay())
         warm += bool(state.rates)
         u, xi, it = replay_cell(R, E, t, nodes[j * n], h, state, TOL)
         assert _bits(u) == _bits(nodes[(j + 1) * n])
@@ -262,7 +264,7 @@ def test_kernels_of_a_quadratic_potential_start_warm(scheme):
 
 def test_the_public_prox_step_starts_cold():
     preset = make_model("allen-cahn-1d", m=6, p=3.0)
-    R, E = pt.Rescaled(preset.system.r1), preset.system.energy
+    R, E = preset.system.r1.rescaled(), preset.system.energy
     first = sv.prox_step(E, R, 0.1, preset.u0, 0.05)
     again = sv.prox_step(E, R, 0.2, first[0], 0.05)
     cold = prox_newton_reference(R, E, 0.2, first[0], 0.05, TOL)
@@ -299,7 +301,7 @@ def test_a_kept_result_at_rest_is_the_cold_prox_bit_for_bit(monkeypatch, effecti
     preset = make_model("allen-cahn-1d", p=3.0)
     system, E = preset.system, preset.system.energy
     assert not E.depends_on_time
-    R = sv.effective_potential(system) if effective else pt.Rescaled(system.r1)
+    R = sv.effective_potential(system) if effective else system.r1.rescaled()
     at_rest = sv.solve(system, "split", build_partition(1.0, N=64), preset.u0, TOL, 8)
     anchor, h = at_rest.u_const.values[-1], 1.0 / 64
     kernel = sv._prox_kernel(E, R)
@@ -342,7 +344,7 @@ def test_a_time_dependent_load_solves_at_every_call(monkeypatch, scheme):
 def test_a_time_dependent_load_solves_again_at_a_rest_of_an_earlier_time(monkeypatch):
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     load = Load([1.0, -0.5], c1=[0.5, 0.25])
-    E, R = QuadraticBlockEnergy(A, f=load), pt.Rescaled(pt.PowerNorm(3.0, [1.0, 2.0]))
+    E, R = QuadraticBlockEnergy(A, f=load), pt.PowerNorm(3.0, [1.0, 2.0]).rescaled()
     assert E.depends_on_time
     rest = np.linalg.solve(A, load.value(0.25))  # at rest at t = 0.25 only
     kernel = sv._prox_kernel(E, R)
