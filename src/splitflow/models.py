@@ -149,9 +149,18 @@ def _make_allen_cahn(m=16, p=2.0, well_scale=1.0, well_pos=1.0, load=None,
         raise ConfigurationError(f"exponent p must exceed 1, got {p}")
     if well_scale <= 0 or well_pos <= 0:
         raise ConfigurationError("double-well parameters must be positive")
+    well = DoubleWell(well_scale, well_pos)
+    try:  # a float power that overflows raises
+        # growth data of the quartic well: W'' >= -C1, W >= -C2, |W'| <= C3(1+|r|^s)
+        growth = {"C_W1": well.curvature_bound, "C_W2": well.lower_bound,
+                  "C_W3": well.growth_constant, "s_p": well.growth_exponent}
+    except OverflowError:
+        growth = {"C_W1": math.inf}
+    if not all(map(math.isfinite, growth.values())):
+        raise ConfigurationError(f"well_scale = {well_scale} and well_pos = {well_pos} make "
+                                 "the double well's growth constants overflow")
     if m < 1:
         raise ConfigurationError("mesh needs at least one interior node")
-    well = DoubleWell(well_scale, well_pos)
     energy = AllenCahn1DEnergy(m, well=well, load=load, shift="auto")
     h = energy.h
     r1 = PowerNorm(p, np.full(m, h))
@@ -165,11 +174,7 @@ def _make_allen_cahn(m=16, p=2.0, well_scale=1.0, well_pos=1.0, load=None,
         "well_scale": well_scale,
         "well_pos": well_pos,
         "T": T,
-        # growth data of the quartic well: W'' >= -C1, W >= -C2, |W'| <= C3(1+|r|^s)
-        "C_W1": well.curvature_bound,
-        "C_W2": well.lower_bound,
-        "C_W3": well.growth_constant,
-        "s_p": well.growth_exponent,
+        **growth,
     }
     return ModelPreset(
         name="allen-cahn-1d",
@@ -198,12 +203,7 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
     h = 1.0 / (m + 1)
     n_el = m + 1
     # elementwise strain e(y)_i = (y_{i+1} - y_i)/h with Dirichlet ends
-    D = np.zeros((n_el, m))
-    for i in range(n_el):
-        if i < m:
-            D[i, i] = 1.0
-        if i > 0:
-            D[i, i - 1] = -1.0
+    D = np.eye(n_el, m) - np.eye(n_el, m, k=-1)
     E_op = D / h
     A = C_el * h * (E_op.T @ E_op)
     B = -C_el * h * E_op
@@ -211,14 +211,9 @@ def _make_visco_plasticity(m=8, C_el=1.0, H_hard=0.5, D_visc=1.0,
     energy = QuadraticBlockEnergy(A, B, G, f=f_load, g=g_load, shift="auto")
     Ry = QuadraticForm(D_visc * h * (E_op.T @ E_op))
     Rz = OneHomPlusQuad(sigma_yield, rho, np.full(n_el, h))
-    idx_y = np.arange(m)
-    idx_z = np.arange(m, m + n_el)
     dim = m + n_el
-    system = GradientSystem(
-        energy=energy,
-        r1=BlockIndicator(Ry, idx_y, dim),
-        r2=BlockIndicator(Rz, idx_z, dim),
-    )
+    system = GradientSystem(energy, BlockIndicator(Ry, np.arange(m), dim),
+                            BlockIndicator(Rz, np.arange(m, dim), dim))
     x = np.linspace(0.0, 1.0, m + 2)[1:-1]
     y0 = 0.3 * np.sin(math.pi * x) if y0 is None else np.asarray(y0, dtype=float)
     z0 = np.zeros(n_el) if z0 is None else np.asarray(z0, dtype=float)

@@ -94,20 +94,14 @@ class RefinedGrid:
         ends = np.column_stack([partition.midpoints, partition.nodes[1:]]).ravel()
         starts = np.concatenate([[0.0], ends[:-1]])
         cells = np.linspace(starts, ends, M + 1, axis=1)[:, 1:]
-        self.times = np.concatenate([[0.0], cells.ravel()])
-        self.times.setflags(write=False)
         self.n_cells = 2 * M * partition.N
-        widths = np.diff(self.times)
-        widths.setflags(write=False)
-        self.cell_widths = widths
-        steps = np.repeat(np.arange(1, partition.N + 1), 2 * M)
-        steps.setflags(write=False)
-        self.cell_steps = steps
+        self.times = np.concatenate([[0.0], cells.ravel()])
+        self.cell_widths = np.diff(self.times)
+        self.cell_steps = np.repeat(np.arange(1, partition.N + 1), 2 * M)
         # the characteristic function of the left semi-intervals, per cell
-        left = np.tile(np.concatenate([np.ones(M), np.zeros(M)]), partition.N)
-        left = left.astype(bool)
-        left.setflags(write=False)
-        self.cell_is_left = left
+        self.cell_is_left = np.tile(np.repeat([True, False], M), partition.N)
+        for array in (self.times, self.cell_widths, self.cell_steps, self.cell_is_left):
+            array.setflags(write=False)
 
     @property
     def n_nodes(self):
@@ -117,11 +111,7 @@ class RefinedGrid:
         return 0.5 * (self.times[:-1] + self.times[1:])
 
 
-INTERPOLANT_KINDS = (
-    "piecewise-constant",
-    "delayed-constant",
-    "piecewise-linear",
-)
+INTERPOLANT_KINDS = ("piecewise-constant", "delayed-constant", "piecewise-linear")
 
 
 class SampledCurve:
@@ -181,9 +171,7 @@ class SampledCurve:
     def derivative(self):
         """Piecewise-constant rate (v_i - v_{i-1}) / w_i per cell."""
         rates = np.diff(self.values, axis=0) / self.grid.cell_widths[:, None]
-        return SampledCurve(
-            self.grid, np.vstack([rates[:1], rates]), "piecewise-constant"
-        )
+        return SampledCurve(self.grid, np.vstack([rates[:1], rates]), "piecewise-constant")
 
     def with_values(self, values, kind=None):
         return SampledCurve(self.grid, values, kind or self.kind)
@@ -201,17 +189,22 @@ class SampledCurve:
         """Write the curve as CSV: a kind line, a header, then one ``%.16e`` row
         per node, the bytes ``np.savetxt(fmt="%.16e", delimiter=",")`` writes.
 
-        Each run of equal values down a column is formatted once (see
-        ``_csv_fields``).
+        Each run of equal values down a column is formatted once, and the
+        time column once per grid (see ``_csv_fields``).
         """
         cols = ",".join(["t"] + [f"v_{j + 1}" for j in range(self.dim)])
-        table, index = _csv_fields([self.grid.times, *self.values.T])
+        table, index = _csv_fields(self.grid, self.values)
         with open(path, "wb") as fh:
             fh.write(f"# interpolant_kind: {self.kind}\n{cols}\n".encode("utf-8"))
             block = max(1, _CSV_BLOCK_BYTES // (25 * index.shape[1]))
             for i in range(0, len(index), block):
+                rows = index[i : i + block]
+                if i == 0 or len(rows) < block:  # a shorter last block takes its own
+                    buf = bytearray(25 * rows.size)
+                    fields = np.frombuffer(buf, "S25").reshape(rows.shape)
+                np.take(table, rows, out=fields, mode="clip")
                 # fields are padded with spaces, which no formatted number holds
-                fh.write(table[index[i : i + block]].tobytes().translate(None, b" "))
+                fh.write(buf.translate(None, b" "))
 
     @classmethod
     def from_csv(cls, path, grid):
@@ -222,22 +215,29 @@ class SampledCurve:
         return cls(grid, data[:, 1:], kind)
 
 
-def _csv_fields(columns):
-    """Fixed-width CSV fields of equal-length float columns: a table of
-    ``S25`` fields and the ``(rows, columns)`` int32 index of each value's
-    field in it.
+def _csv_fields(grid, values):
+    """Fixed-width CSV fields of the times of ``grid`` and the columns of
+    ``values``: a table of ``S25`` fields and the ``(rows, 1 + columns)``
+    int32 index of each value's field in it.
 
     The schemes hold values over runs of rows (a movement over its cells, a
     frozen block, an equilibrium), so the table holds a field only for each
-    run head (``_run_heads``), all formatted in one pass (``_write_e16``).
-    A field is ``_CSV_FIELD`` text, possibly with blanks on its left,
-    followed by "," or, in the last column, "\n".
+    run head (``_run_heads``).  The times' heads lead: the first write on a
+    grid formats them and keeps their text on it (its times are read-only);
+    the values' heads are formatted in one pass (``_write_e16``).  A field
+    is ``_CSV_FIELD`` text, possibly with blanks on its left, followed by
+    "," or, in the last column, "\n".
     """
-    heads, index, n_last = _run_heads(columns)
+    heads, index, n_last = _run_heads([grid.times, *values.T])
+    n = int(index[-1, 0]) + 1
     table = np.empty((heads.size, 25), dtype=np.uint8)
     table[:, 24] = ord(",")
     table[heads.size - n_last :, 24] = ord("\n")
-    _write_e16(heads, table[:, :24])
+    if getattr(grid, "_csv_times", None) is None:
+        _write_e16(heads[:n], table[:n, :24])
+        grid._csv_times = table[:n, :24].copy()
+    table[:n, :24] = grid._csv_times
+    _write_e16(heads[n:], table[n:, :24])
     return table.view("S25").reshape(-1), index
 
 
@@ -264,6 +264,9 @@ def _run_heads(columns):
 # (5**27 < 2**63), and one product or quotient |x| * 10**k is off by at most
 # 2**-64 of itself.
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
+# Dekker's splitter: c a - (c a - a) keeps the high half of a long double a,
+# and products of halves are exact
+_SPLIT = np.longdouble(2.0 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1)
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
 # fast-path decimal exponents: 10**(16 - e) stays within _POW10
 _E_MIN, _E_MAX = -11, 43
@@ -272,10 +275,7 @@ _E_MIN, _E_MAX = -11, 43
 _HEADS = np.frombuffer(b"".join(b" %s%d." % (s, d) for s in (b" ", b"-") for d in range(10)),
                        dtype=np.uint32)
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
-_GROUPS = np.empty((100, 100, 2), dtype=np.uint16)
-_GROUPS[..., 0] = _PAIRS[:, None]
-_GROUPS[..., 1] = _PAIRS
-_GROUPS = _GROUPS.view(np.uint32).ravel()
+_GROUPS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), -1).view(np.uint32).ravel()
 _TAILS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)),
                        dtype=np.uint32)
 # values per chunk of _write_e16: its temporaries stay under 1 MB, and one
@@ -292,9 +292,12 @@ def _e16_digits(x):
     with one rounding, so |D - exact| <= 2**-64 * 1e17 < 0.0055.  Where
     1e16 + 1 <= D < 1e17 - 1 (e is then right and the rounded digits stay 17)
     and frac(D) is farther than 2**-7 from 1/2, the exact value rounds as D
-    does.  ±0 is 17 zero digits with exponent 0.  Everything else --
-    subnormals, NaN, infinities, exponents outside the window, near-ties --
-    is left to ``%``, and all of it is without a 64-bit significand.
+    does.  Nearer 1/2, a product's rounding error err, taken exactly by
+    Dekker's product of halves, decides: D + err is the exact value.  ±0 is
+    17 zero digits with exponent 0.  Everything else -- subnormals, NaN,
+    infinities, exponents outside the window, exact ties and near-ties of a
+    quotient (e > 16) -- is left to ``%``, and all of it is without a 64-bit
+    significand.
     """
     a = np.abs(x)
     zero = (a == 0.0) & _EXTENDED
@@ -309,9 +312,22 @@ def _e16_digits(x):
     # with 64 significand bits a D >= 1e16 > 2**53 has at most 10 fraction
     # bits, so this is exact; a wider one moves frac by under 2**-53
     frac = (D - whole).astype(np.float64)
-    ok &= (whole > 10**16) & (whole < 10**17 - 1) & (np.abs(frac - 0.5) > 2.0**-7)
+    ok &= (whole > 10**16) & (whole < 10**17 - 1)
+    up = frac > 0.5
+    near = np.flatnonzero(ok & (np.abs(frac - 0.5) <= 2.0**-7))
+    if near.size:
+        # D rounds m p; with m and p split into halves err = m p - D exactly
+        m, p = wide[near], _POW10[16 - np.minimum(e[near], 16)]
+        cm, cp = _SPLIT * m, _SPLIT * p
+        m1, p1 = cm - (cm - m), cp - (cp - p)
+        m2, p2 = m - m1, p - p1
+        err = ((m1 * p1 - D[near]) + m1 * p2 + m2 * p1) + m2 * p2
+        # D - whole - 1/2 is exact, and the sum keeps the sign of the exact one
+        tie = ((D[near] - whole[near]) - 0.5) + err
+        ok[near] = (tie != 0) & (e[near] <= 16)
+        up[near] = tie > 0
     # a zero's a is 1.0 above, so its e is 0
-    return ok | zero, np.where(ok, whole + (frac > 0.5), 0), e
+    return ok | zero, np.where(ok, whole + up, 0), e
 
 
 def _write_e16(x, out):

@@ -662,66 +662,57 @@ _ZERO_TOL = 1e-13
 _TIME_TOL = 1e-15
 
 
-def _regime_classify(u, tol):
-    u1, u2 = u
-    if abs(u1) <= tol and abs(u2) <= tol:
-        return "zero"
-    if abs(abs(u1) - abs(u2)) <= tol:
-        return "diag" if u1 * u2 > 0 else "anti"
-    return "axis1" if abs(u1) > abs(u2) else "axis2"
-
-
-def _regime_flow(dual_weights, t0, t1, u0, rows):
+def _regime_flow(dual_weights, t0, t1, u0, rows, first):
     """Piecewise-affine flow of u' = -dR*(xi), xi in dE(u), on [t0, t1].
 
     ``dual_weights`` are the dual weights (alpha, beta) of the potential
     actually driving the flow (already rescaled for split sub-steps).
-    Appends one row ``(t0, t1, u0, velocity, xi)`` per affine segment to
-    ``rows`` and returns the end state.
+    Appends one row ``(t0, t1, u0, velocity, xi, first)`` per affine segment
+    to ``rows`` and returns the end state, stepped in floats; a step by
+    gamma = 0 (alpha beta underflows), inf or NaN in numpy, ends at t1.
     """
     alpha, beta = float(dual_weights[0]), float(dual_weights[1])
     gamma = alpha * beta / (alpha + beta)
     theta = beta / (alpha + beta)
-    u = np.array(u0, dtype=float)
+    u1, u2 = map(float, u0)
     t = float(t0)
-    scale = max(1.0, float(np.max(np.abs(u))))
+    # max(1, |u|_inf); a NaN coordinate makes the regime axis2 at any scale
+    scale = max(1.0, abs(u1), abs(u2))
     while t < t1 - _TIME_TOL:
-        kind = _regime_classify(u, _ZERO_TOL * scale)
+        a1, a2, tol = abs(u1), abs(u2), _ZERO_TOL * scale
+        kind = ("zero" if a1 <= tol and a2 <= tol else "face" if abs(a1 - a2) <= tol
+                else "axis1" if a1 > a2 else "axis2")
         if kind == "zero":
-            u = np.zeros(2)
-            vel = np.zeros(2)
-            xi = np.zeros(2)
+            u1 = u2 = v1 = v2 = x1 = x2 = 0.0
             t_next = t1
         elif kind == "axis1":
-            s = math.copysign(1.0, u[0])
-            xi = np.array([s, 0.0])
-            vel = np.array([-alpha * s, 0.0])
-            t_next = min(t1, t + (abs(u[0]) - abs(u[1])) / alpha)
+            s = math.copysign(1.0, u1)
+            x1, x2, v1, v2 = s, 0.0, -alpha * s, 0.0
+            t_next = min(t1, t + (a1 - a2) / alpha)
         elif kind == "axis2":
-            s = math.copysign(1.0, u[1])
-            xi = np.array([0.0, s])
-            vel = np.array([0.0, -beta * s])
-            t_next = min(t1, t + (abs(u[1]) - abs(u[0])) / beta)
-        else:
-            s = math.copysign(1.0, u[0])
-            sign2 = 1.0 if kind == "diag" else -1.0
-            xi = np.array([s * theta, sign2 * s * (1.0 - theta)])
-            vel = np.array([-gamma * s, -sign2 * gamma * s])
-            t_next = min(t1, t + abs(u[0]) / gamma)
+            s = math.copysign(1.0, u2)
+            x1, x2, v1, v2 = 0.0, s, 0.0, -beta * s
+            t_next = min(t1, t + (a2 - a1) / beta)
+        else:  # the diagonal or, where u1 u2 <= 0, the antidiagonal
+            s = math.copysign(1.0, u1)
+            sign2 = 1.0 if u1 * u2 > 0 else -1.0
+            x1, x2 = s * theta, sign2 * s * (1.0 - theta)
+            v1, v2 = -gamma * s, -sign2 * gamma * s
+            t_next = min(t1, t + a1 / gamma) if gamma else t1
         if t_next <= t:
             t_next = t1
-        rows.append((t, t_next, u, vel, xi))
-        u = u + (t_next - t) * vel
+        rows.append((t, t_next, (u1, u2), (v1, v2), (x1, x2), first))
+        u1, u2 = u1 + (t_next - t) * v1, u2 + (t_next - t) * v2
         # snap onto the invariant manifold reached at the crossing
         if t_next < t1:
             if kind == "axis1":
-                u[0] = math.copysign(abs(u[1]), u[0]) if abs(u[1]) > 0 else 0.0
+                u1 = math.copysign(abs(u2), u1) if abs(u2) > 0 else 0.0
             elif kind == "axis2":
-                u[1] = math.copysign(abs(u[0]), u[1]) if abs(u[0]) > 0 else 0.0
+                u2 = math.copysign(abs(u1), u2) if abs(u1) > 0 else 0.0
             else:
-                u = np.zeros(2)
+                u1 = u2 = 0.0
         t = t_next
-    return u
+    return u1, u2
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +733,10 @@ def _exact_flows(times, u0, legs, weights):
     # the loop of _regime_flow emits a segment only under this condition
     if any(t0 >= t1 - _TIME_TOL for t0, t1, _ in legs):
         raise InputError(f"exact flows need semi-intervals longer than {_TIME_TOL:g}")
-    u, rows, first = u0, [], []
+    u, rows = u0, []
     for t0, t1, m in legs:
-        n = len(rows)
-        u = _regime_flow(weights[m], t0, float(t1), u, rows)
-        first += [m == 1] * (len(rows) - n)
-    seg = SegmentArrays(*(np.array(col, dtype=float) for col in zip(*rows)),
-                        np.array(first, dtype=bool))
+        u = _regime_flow(weights[m], t0, float(t1), u, rows, m == 1)
+    seg = SegmentArrays(*map(np.array, zip(*rows)))
     b = times[1:]
     si = np.minimum(np.searchsorted(seg.t1, b - _TIME_TOL), len(seg) - 1)
     # the state of each cell's segment at the cell's right end

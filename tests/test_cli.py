@@ -466,6 +466,43 @@ def test_run_csvs_are_savetxt_text_and_read_back_bit_for_bit(tmp_path, model, sc
         assert np.array_equal(back.values.view(np.uint64), curve.values.view(np.uint64))
 
 
+# every model and scheme, on tables of 3, 17 and 10 columns; the
+# counterexample starts on its axis at u2 = -0.0, a signed zero it keeps
+_WRITER_RUNS = [(model, override, scheme)
+                for model, override, schemes in [
+                    ("counterexample", "u0=[1.5,-0.0]", ("split", "amm", "effective")),
+                    ("allen-cahn-1d", "p=3", ("split", "amm", "effective")),
+                    ("visco-plasticity-1d", "m=4", ("block-split", "block-amm", "effective"))]
+                for scheme in schemes]
+
+
+@pytest.mark.parametrize("model, override, scheme", _WRITER_RUNS)
+def test_every_csv_of_a_run_is_the_savetxt_text_of_the_values_it_reads_back(
+        tmp_path, model, override, scheme):
+    from splitflow.partitions import SampledCurve, build_partition
+
+    assert run_cli(["run", "--model", model, "--scheme", scheme, "--N", "4",
+                    "--override", override, "--out", str(tmp_path)]) == 0
+    grid = build_partition(1.0, N=4).refine(cli.RunConfig().inner_steps)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == (2 if scheme == "effective" else 4)
+    signed_zeros = 0
+    for path in paths:
+        curve = SampledCurve.from_csv(path, grid)
+        assert curve.dim + 1 == {"counterexample": 3, "allen-cahn-1d": 17}.get(model, 10)
+        buf = io.BytesIO()
+        header = ",".join(["t"] + [f"v_{j + 1}" for j in range(curve.dim)])
+        np.savetxt(buf, np.column_stack([grid.times, curve.values]), fmt="%.16e",
+                   delimiter=",", header=f"# interpolant_kind: {curve.kind}\n{header}",
+                   comments="")
+        assert path.read_bytes() == buf.getvalue()
+        signed_zeros += np.count_nonzero((curve.values == 0.0) & np.signbit(curve.values))
+        if path.name == "forces.csv":  # a force is held over runs of cells
+            assert np.unique(curve.values, axis=0).shape[0] < curve.values.shape[0]
+    if model == "counterexample":
+        assert signed_zeros > 0
+
+
 @pytest.mark.parametrize(
     "model, override",
     [("counterexample", "a1=Infinity"), ("counterexample", "T=1e400"),
@@ -511,8 +548,7 @@ def test_amm_at_a_subnormal_dual_weight_passes_its_audit(tmp_path, a1):
 
 @pytest.mark.parametrize(
     "model, override, err",
-    [("visco-plasticity-1d", "C_el=1e308", "LinAlgError: Eigenvalues did not converge"),
-     ("allen-cahn-1d", "well_pos=1e308", "OverflowError: (34, 'Numerical result out of range')")],
+    [("visco-plasticity-1d", "C_el=1e308", "LinAlgError: Eigenvalues did not converge")],
 )
 def test_overflowing_model_parameter_is_a_numerical_failure(tmp_path, capsys, model,
                                                             override, err):
@@ -522,6 +558,24 @@ def test_overflowing_model_parameter_is_a_numerical_failure(tmp_path, capsys, mo
                         "--override", override, "--out", str(tmp_path / "x")])
     assert code == 3
     assert capsys.readouterr().err == f"numerical failure: {err}\n"
+
+
+@pytest.mark.parametrize("override, shown", [
+    ("well_pos=1e155", "well_scale = 1.0 and well_pos = 1e+155"),
+    ("well_pos=1e200", "well_scale = 1.0 and well_pos = 1e+200"),
+    ("well_pos=1e308", "well_scale = 1.0 and well_pos = 1e+308"),
+    # 2 well_scale overflows, and so does a power of an integer past the floats
+    ("well_scale=1e308", "well_scale = 1e+308 and well_pos = 1.0"),
+    ("well_pos=1" + "0" * 200, "well_scale = 1.0 and well_pos = 1" + "0" * 200),
+])
+def test_a_double_well_whose_growth_constants_overflow_is_bad_input(tmp_path, capsys,
+                                                                     override, shown):
+    with no_warning_escapes():
+        code = run_cli(["run", "--model", "allen-cahn-1d", "--scheme", "split", "--N", "2",
+                        "--override", override, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {shown} make the double well's growth constants overflow\n")
 
 
 # each model's override keys; the fuzz also draws unknown keys

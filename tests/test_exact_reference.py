@@ -14,6 +14,7 @@ counterexample's outputs as the per-cell code wrote them.
 import hashlib
 import json
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,15 @@ def segment_rows(segments):
                                    segments.velocity, segments.xi, segments.first)]
 
 
+def regime_classify_reference(u, tol):
+    u1, u2 = u
+    if abs(u1) <= tol and abs(u2) <= tol:
+        return "zero"
+    if abs(abs(u1) - abs(u2)) <= tol:
+        return "diag" if u1 * u2 > 0 else "anti"
+    return "axis1" if abs(u1) > abs(u2) else "axis2"
+
+
 def regime_flow_reference(dual_weights, t0, t1, u0, mechanism):
     """The flow of one piece, one ``Segment`` per regime."""
     alpha, beta = float(dual_weights[0]), float(dual_weights[1])
@@ -73,7 +83,7 @@ def regime_flow_reference(dual_weights, t0, t1, u0, mechanism):
     segments = []
     scale = max(1.0, float(np.max(np.abs(u))))
     while t < t1 - sv._TIME_TOL:
-        kind = sv._regime_classify(u, sv._ZERO_TOL * scale)
+        kind = regime_classify_reference(u, sv._ZERO_TOL * scale)
         if kind == "zero":
             u = np.zeros(2)
             vel = np.zeros(2)
@@ -231,13 +241,21 @@ def prox_maxnorm_reference(R, VR, E, t, anchor, h):
 
 coordinate = st.floats(-3.0, 3.0, allow_subnormal=False)
 weight = st.floats(0.2, 5.0)
+# the extremes: weights down to the least subnormal, where alpha beta
+# underflows and gamma = alpha beta / (alpha + beta) is 0, or up to 1e300,
+# where it overflows; coordinates from subnormal to 1e300
+wide_weight = st.one_of(weight, st.floats(5e-324, 1e300),
+                        st.sampled_from([5e-324, 1.5e-323, 1e-320, 1e-160, 1e300]))
+wide_coordinate = st.one_of(coordinate, st.floats(-1e300, 1e300),
+                            st.sampled_from([5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+                                             1e-160, 1e300, -1e300]))
 
 
 @st.composite
-def states(draw):
+def states(draw, coordinates=coordinate):
     """A state, with |u1| = |u2|, a zero coordinate and the origin as cases."""
     kind = draw(st.sampled_from(["free", "diagonal", "zero-coordinate", "origin"]))
-    a, b = draw(coordinate), draw(coordinate)
+    a, b = draw(coordinates), draw(coordinates)
     if kind == "diagonal":
         b = draw(st.sampled_from([1.0, -1.0])) * a
     elif kind == "zero-coordinate":
@@ -313,6 +331,31 @@ def test_exact_runs_match_the_per_cell_sampler(u0, P, weights, M, scheme):
     for t in [*times, *map(float, times[:4])]:
         assert same_bits(dg._trajectory_state(out, t), trajectory_state_reference(segs, t))
     assert same_bits(dg._reference_rate(out, times), reference_rate_reference(segs, times))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u0=states(wide_coordinate), P=partitions(),
+       weights=st.lists(wide_weight, min_size=4, max_size=4), M=st.sampled_from([2, 4]),
+       scheme=st.sampled_from(["split", "effective"]))
+def test_exact_flows_match_the_reference_at_extreme_weights_and_states(u0, P, weights, M,
+                                                                      scheme):
+    # the flows step in floats, the reference in numpy scalars and vectors:
+    # the bits must agree also where a step by gamma = 0 is infinite and
+    # where states overflow to infinities and NaNs
+    grid = P.refine(M)
+    if scheme == "split":
+        ends = grid.times[::M]
+        legs = [(a, b, 1 + j % 2) for j, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    else:
+        legs = [(0.0, P.T, sv._EFFECTIVE)]
+    with np.errstate(all="ignore"):  # a subnormal weight's metric 1 / c is infinite
+        sys = counterexample_system(weights)
+        dual = {m: sv._dual_weights(sys, m) for m in {leg[2] for leg in legs}}
+        nodes, forces, arrays = sv._exact_flows(grid.times, u0, legs, dual)
+        segs = exact_flow_reference(sys, scheme, grid, u0)
+        ref_nodes, ref_forces = sample_reference(grid.times, u0, segs)
+    assert_segments_are(types.SimpleNamespace(segments=arrays), segs)
+    assert same_bits(nodes, ref_nodes) and same_bits(forces, ref_forces)
 
 
 @pytest.mark.parametrize("ulps", [0, 1, 2, 4, 8, 16, 32, 64])
@@ -404,6 +447,8 @@ CLI_CASES = {
     "preset": ["--N", "16"],
     "anti-face": ["--N", "12", "--override", "u0=[-0.7,0.7]"],
     "zero-coordinate": ["--nodes", "0,0.1,0.35,0.5,0.8,1", "--override", "u0=[1.5,0.0]"],
+    # alpha beta underflows: gamma = 0, and the face regime's step by it is infinite
+    "subnormal-weights": ["--N", "4", "--override", "a1=5e-324", "--override", "b1=5e-324"],
 }
 
 # (time_to_zero, SHA-256 of each CSV and of edb.json)
@@ -460,6 +505,13 @@ CLI_PINNED = {
         "forces.csv": "853921ced130033033f0f124f9bb9c3dfe4b8302f5d0ed3a7908f0f262c71e0a",
         "trajectory.csv": "396d7858346fe70d0633d37e19dff0b030c6d52fecad4f1d1ce135d6d6e2ac55",
     }),
+    "subnormal-weights/split": (None, {
+        "decomposition_v1.csv": "af2e07b1fae31f7aa11015cbecb78cdb7ed2e2da1a7c6e2a3dbffe6b883117f7",
+        "decomposition_v2.csv": "7d1fbe692f27dfdbcea89e65d3bbae0a6f1456f05eb9de59ac65ef1b0859910c",
+        "edb.json": "b3b1a4fec2d1e5171d2762fdffc0ce2ff1e8122e586a9eeee6bd9f54dbe6437a",
+        "forces.csv": "91992235a181938b34b1cc4e5ba84fe2a9a8b9464434e71a49143c9fefcca93b",
+        "trajectory.csv": "3ebef873c3ab9001a3bd04c4c810195d774e0c84231e88da862b1eeb51c89753",
+    }),
     "zero-coordinate/effective": (0.375, {
         "edb.json": "9e33befd98791ab0fde0077fef89b69d6dc9c8ee12190c65b6b1ea6d7d6c7872",
         "forces.csv": "19c063cf142d371fda43986e52b5ea9948d13d1416c2d2605e2d44825a4a6df8",
@@ -480,4 +532,4 @@ def test_counterexample_outputs_keep_their_bytes(key, tmp_path, capsys):
                if path.suffix == ".csv" or path.name == "edb.json"}
     assert written == pinned
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["time_to_zero"] == time_to_zero
+    assert summary.get("time_to_zero") == time_to_zero

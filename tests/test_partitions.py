@@ -2,6 +2,7 @@ import io
 import os
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -330,20 +331,23 @@ def test_csv_fields_give_each_run_head_one_field(rows, dim, hold, pool, seed):
     values = np.repeat(rng.choice(choices, (-(-rows // hold), dim + 1)), hold, axis=0)[:rows]
     values[rng.random(rows) < 0.2, -1] = -0.0
     values[:2, 0] = [0.0, -0.0][:rows]
-    columns = [values[:, 0].copy(), *values[:, 1:].T]
-    table, index = pa._csv_fields(columns)
-    assert table.dtype == "S25" and index.dtype == np.int32 and index.shape == values.shape
-    # each value's field is its %.16e text and its "," or "\n", up to blanks
-    fields = [field.replace(b" ", b"") for field in table[index].ravel().tolist()]
-    suffix = [b","] * dim + [b"\n"]
-    assert fields == [b"%.16e%s" % (x, suffix[j % (dim + 1)])
-                      for j, x in enumerate(values.ravel().tolist())]
-    # a value heads a run, and gets a field of its own, exactly where its bits
-    # differ from the value above it: 0.0 and -0.0 are two runs
-    bits = values.view(np.uint64)
-    assert np.array_equal(index[1:] != index[:-1], bits[1:] != bits[:-1])
-    runs = rows * (dim + 1) - np.count_nonzero(bits[1:] == bits[:-1])
-    assert np.array_equal(np.unique(index), np.arange(runs)) and table.size == runs
+    # the first column stands for the time column, which may hold runs too;
+    # the second pass takes its text from the first
+    grid = types.SimpleNamespace(times=values[:, 0].copy())
+    for _ in range(2):
+        table, index = pa._csv_fields(grid, values[:, 1:])
+        assert table.dtype == "S25" and index.dtype == np.int32 and index.shape == values.shape
+        # each value's field is its %.16e text and its "," or "\n", up to blanks
+        fields = [field.replace(b" ", b"") for field in table[index].ravel().tolist()]
+        suffix = [b","] * dim + [b"\n"]
+        assert fields == [b"%.16e%s" % (x, suffix[j % (dim + 1)])
+                          for j, x in enumerate(values.ravel().tolist())]
+        # a value heads a run, and gets a field of its own, exactly where its
+        # bits differ from the value above it: 0.0 and -0.0 are two runs
+        bits = values.view(np.uint64)
+        assert np.array_equal(index[1:] != index[:-1], bits[1:] != bits[:-1])
+        runs = rows * (dim + 1) - np.count_nonzero(bits[1:] == bits[:-1])
+        assert np.array_equal(np.unique(index), np.arange(runs)) and table.size == runs
 
 
 def _e16_text(x):
@@ -424,6 +428,22 @@ def test_e16_fast_path_takes_most_values_of_a_normal_curve():
     assert ok.mean() >= 0.95
 
 
+@pytest.mark.skipif(not pa._EXTENDED, reason="no 64-bit long double significand")
+def test_e16_fast_path_decides_near_ties_by_the_exact_product():
+    # a counterexample trajectory: a progression whose step 3/4096 is a short
+    # decimal keeps D's fraction within 2**-7 of 1/2 on 90% of its values
+    x = 0.9999044763145539 - (3 / 4096) * np.arange(1, 1366)
+    e = np.floor(np.log10(x)).astype(int)
+    D = x.astype(np.longdouble) * pa._POW10[16 - e]
+    frac = (D - D.astype(np.int64)).astype(float)
+    assert np.mean(np.abs(frac - 0.5) <= 2.0**-7) > 0.85
+    assert pa._e16_digits(x)[0].all()
+    assert (_e16_text(x) == _percent_text(x)).all()
+    # an exact tie, x = 623945832457931.125, is still left to %
+    assert not pa._e16_digits(np.array([623945832457931.125]))[0][0]
+    assert _e16_text([623945832457931.125]) == _percent_text([623945832457931.125])
+
+
 def test_to_csv_transient_memory_stays_within_four_file_sizes(tmp_path):
     g = _wide_curve()
     g.to_csv(tmp_path / "warm.csv")
@@ -495,6 +515,44 @@ def test_csv_bytes_equal_savetxt_where_runs_outnumber_distinct_values(tmp_path, 
         np.savetxt(buf, np.column_stack([g.grid.times, values]), fmt="%.16e", delimiter=",",
                    header=f"# interpolant_kind: delayed-constant\n{header}", comments="")
         assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue()
+
+
+def test_csv_bytes_equal_savetxt_on_grids_written_in_alternation(tmp_path):
+    # each grid keeps the text of its own times: two grids of different N,
+    # then two of the same N over different horizons, written turn about
+    rng = np.random.default_rng(8)
+    for pair in [(pa.build_partition(1.0, N=3), pa.build_partition(1.0, N=5)),
+                 (pa.build_partition(1.0, N=4), pa.build_partition(2.5, N=4))]:
+        grids = [P.refine(4) for P in pair]
+        for grid in grids + grids + grids:
+            values = rng.choice([0.0, -0.0, 1.5, rng.standard_normal()], (grid.n_nodes, 2))
+            pa.SampledCurve(grid, values, "piecewise-constant").to_csv(tmp_path / "curve.csv")
+            buf = io.BytesIO()
+            np.savetxt(buf, np.column_stack([grid.times, values]), fmt="%.16e", delimiter=",",
+                       header="# interpolant_kind: piecewise-constant\nt,v_1,v_2", comments="")
+            assert (tmp_path / "curve.csv").read_bytes() == buf.getvalue()
+
+
+def test_the_four_files_of_a_run_format_its_time_column_once(tmp_path, monkeypatch):
+    from splitflow import cli
+
+    calls, write = [], pa._write_e16
+
+    def counted(x, out):
+        calls.append(np.array(x))
+        write(x, out)
+
+    monkeypatch.setattr(pa, "_write_e16", counted)
+    assert cli.main(["run", "--model", "counterexample", "--scheme", "split", "--N", "8",
+                     "--out", str(tmp_path)]) == 0
+    names = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert names == ["decomposition_v1.csv", "decomposition_v2.csv", "forces.csv",
+                     "trajectory.csv"]
+    # the grid's times increase, so every time heads a run of its own
+    times = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=2, usecols=0)
+    assert np.all(np.diff(times) > 0)
+    formatted = [x for x in calls if np.array_equal(x[: times.size], times)]
+    assert len(formatted) == 1
 
 
 def test_e16_formatter_takes_signed_zeros_on_the_fast_path():
