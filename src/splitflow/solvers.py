@@ -208,8 +208,10 @@ def _prox_kernel(E, R, name=None):
     R (or of its members) and E for Newton, and R's value, gradient and
     Hessian diagonal at v = 0.
     A block step's kernel may be called with another frozen view of the same
-    energy; the parts do not depend on the frozen values.  Kinds that no
-    method covers raise :class:`InputError`.
+    energy; the parts do not depend on the frozen values.  An
+    inf-convolution of complementary block indicators is the block sum
+    (:class:`_BlockSum`).  Kinds that no method covers raise
+    :class:`InputError`.
 
     ``name`` names the problem in a failed solve's errors; by default an
     inf-convolution's is "effective prox", any other kind's "incremental
@@ -221,6 +223,11 @@ def _prox_kernel(E, R, name=None):
     """
     if name is None:
         name = "effective prox" if isinstance(R, InfConvolution) else "incremental minimization"
+    kind, members = type(R).__name__, (R,)
+    blocks = R._complementary_blocks() if isinstance(R, InfConvolution) else None
+    if blocks is not None:
+        R = _BlockSum(*blocks)
+        members = R.bases
     try:
         if isinstance(R, InfConvolution) and R.quadratic_matrix() is None:
             left, right = R.left, R.right
@@ -240,13 +247,16 @@ def _prox_kernel(E, R, name=None):
             # the loads are linear, so one Hessian holds at every time and state
             return _ActiveSet(E.hess_constant(), *metric, name)
 
-        zero = np.zeros(E.dim)
+        parts, zero = (R.hess_constant(), E.hess_constant()), np.zeros(E.dim)
         R_at_zero = (R._eval(zero), R._grad(zero), R._hess_diagonal(zero))
-        return partial(_prox_newton, R, (R.hess_constant(), E.hess_constant()), R_at_zero,
-                       newton.armijo_constant(R), _Warm())
+        fixed = []  # the constant curvature of a quadratic block on a quadratic energy
+        if isinstance(R, _BlockSum) and _energy_is_quadratic(E):
+            fixed = [(parts[1][np.ix_(idx, idx)], V) for base, idx in zip(R.bases, R.indices)
+                     if (V := base.quadratic_matrix()) is not None]
+        return partial(_prox_newton, R, parts, R_at_zero, newton.armijo_constant(*members),
+                       _Warm(), name=name, fixed=fixed)
     except NotImplementedError as exc:  # a kind without the smooth parts Newton needs
-        raise InputError(f"no prox method for {type(R).__name__} on {type(E).__name__}: "
-                         f"{exc}") from None
+        raise InputError(f"no prox method for {kind} on {type(E).__name__}: {exc}") from None
 
 
 def _energy_is_quadratic(E):
@@ -258,7 +268,11 @@ def _energy_is_quadratic(E):
 def _metric(R):
     """``(M, sigma)`` of a potential that is quadratic, R(v) = <Mv, v>/2
     with sigma = 0, or has shrinkage parts, R(v) = sum_i sigma_i |v_i| +
-    q_i v_i^2 / 2 with M = diag(q); None for any other kind."""
+    q_i v_i^2 / 2 with M = diag(q); block-diagonal for a block sum whose
+    bases both have one; None for any other kind."""
+    if isinstance(R, _BlockSum):
+        metrics = [_metric(base) for base in R.bases]
+        return None if None in metrics else tuple(map(R.join, zip(*metrics)))
     M = R.quadratic_matrix()
     if M is not None:
         return M, np.zeros(len(M))
@@ -286,15 +300,10 @@ def _positive_definite(K, h):
     return K
 
 
-def _shrinkage_residual(smooth, d, sigma_w):
-    """Optimality residual at d of sum_i sigma_i |d_i| plus a smooth part
-    whose gradient at d is ``smooth``: the distance of -smooth from the
-    subdifferential of the weighted l1 term."""
-    return float(np.linalg.norm(_shrinkage_excess(smooth, d, sigma_w)))
-
-
 def _shrinkage_excess(smooth, d, sigma_w):
-    """The vector whose norm is :func:`_shrinkage_residual`, up to signs,
+    """The optimality residual at d of sum_i sigma_i |d_i| plus a smooth
+    part whose gradient at d is ``smooth`` is the norm of this vector, the
+    distance of -smooth from the subdifferential of the weighted l1 term
     coordinate by coordinate, for one d or a batch of rows:
     |smooth + sigma sign(d)| where d != 0, max(|smooth| - sigma, 0) where
     d = 0, in one expression."""
@@ -307,15 +316,16 @@ class _ActiveSet:
     K = H + M / h and c the energy's gradient at the anchor, by
     :func:`_active_set`.  ``H`` is the energy's constant Hessian, ``M`` the
     metric (V of a quadratic potential, diag(q) of shrinkage parts
-    (sigma, q), block-diagonal for a block pair) and ``sigma`` 0 on
+    (sigma, q), block-diagonal for a block sum) and ``sigma`` 0 on
     quadratic coordinates.  ``matrices`` keeps, per h, K after the test
     :func:`_positive_definite` and the inverses of its free parts;
     ``signs`` is the last step's sign pattern, where the next one starts.
 
     A call ``kernel(E, t, anchor, h, tol) -> (u, xi, stats)`` measures one
-    residual, :func:`_shrinkage_residual` of M d / h + xi: one that is not
-    finite ends in "<name> diverged", one above ``tol (1 + |anchor|)`` in
-    "<name> stagnated".  The iterations are the solves.
+    residual, the norm of :func:`_shrinkage_excess` of M d / h + xi: one
+    that is not finite ends in "<name> diverged", one above
+    ``tol (1 + |anchor|)`` in "<name> stagnated".  The iterations are the
+    solves.
     """
 
     __slots__ = ("H", "M", "sigma", "name", "matrices", "signs")
@@ -345,7 +355,7 @@ class _ActiveSet:
     def __call__(self, E, t, anchor, h, tol):
         u, d, solves = self.increment(anchor, E._grad(t, anchor), h)
         xi = E._grad(t, u)
-        res = _shrinkage_residual(self.M @ d / h + xi, d, self.sigma)
+        res = float(np.linalg.norm(_shrinkage_excess(self.M @ d / h + xi, d, self.sigma)))
         if not math.isfinite(res):  # an infinite scale would take it
             raise NumericalError(f"{self.name} diverged", iterations=solves, best=u)
         if res > tol * (1.0 + float(np.linalg.norm(anchor))):
@@ -428,14 +438,20 @@ def _coordinate_sweep(K, c, sigma, x):
     return x
 
 
-def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_iter=100):
+def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_iter=100, *,
+                 name, fixed=()):
     """Damped Newton on u for h R((u - anchor)/h) + E(t, u).
 
     ``parts`` are the constant Hessian parts of R and E.  Every Hessian of
     the solve is ``R_c / h + E_c`` off the diagonal, so that matrix is made
     once and each step writes its diagonal ``R_ii / h + E_ii``.  Values,
     gradients and diagonals come from the unchecked cores of R and E.
-    ``armijo`` is the constant of the line search.
+    ``armijo`` is the constant of the line search; ``name`` names the
+    problem in the errors of a solve that fails (see :func:`_prox_kernel`).
+    ``fixed`` holds ``(E_jj, V_j)`` of each block whose curvature
+    E_jj + V_j / h is constant: unless it is positive definite the
+    objective is unbounded below there, and the solve ends at once
+    (:func:`_positive_definite`).
 
     ``warm`` is the kernel's state (:class:`_Warm`).  Newton starts at
     ``anchor + h v`` with v the rate that state predicts for t, or at the
@@ -454,6 +470,8 @@ def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_it
     key, kept = warm.lookup(E, anchor, h, tol)
     if kept is not None:
         return kept
+    for E_jj, V in fixed:
+        _positive_definite(E_jj + V / h, h)
     H = parts[0] / h + parts[1]
     diagonal = H.reshape(-1)[:: len(H) + 1]
     start = np.array(anchor)
@@ -487,7 +505,7 @@ def _prox_newton(R, parts, R_at_zero, armijo, warm, E, t, anchor, h, tol, max_it
     def solve(x, limit=max_iter):
         u, (v, xi), it, res = newton.minimize(
             x, gradient, hessian, objective, tol * (1.0 + norm), max_iter=limit,
-            armijo=armijo, name="incremental minimization")
+            armijo=armijo, name=name)
         return v, u, xi, it, res
 
     return _warm_or_cold(solve, warm, t, key, lambda v: anchor + h * v, start, "newton")
@@ -667,9 +685,10 @@ def _regime_flow(dual_weights, t0, t1, u0, rows, first):
 
     ``dual_weights`` are the dual weights (alpha, beta) of the potential
     actually driving the flow (already rescaled for split sub-steps).
-    Appends one row ``(t0, t1, u0, velocity, xi, first)`` per affine segment
-    to ``rows`` and returns the end state, stepped in floats; a step by
-    gamma = 0 (alpha beta underflows), inf or NaN in numpy, ends at t1.
+    Extends the flat list ``rows`` by the nine floats ``(t0, t1, u0,
+    velocity, xi, first)`` of each affine segment and returns the end state,
+    stepped in floats; a step by gamma = 0 (alpha beta underflows), inf or
+    NaN in numpy, ends at t1.
     """
     alpha, beta = float(dual_weights[0]), float(dual_weights[1])
     gamma = alpha * beta / (alpha + beta)
@@ -701,7 +720,7 @@ def _regime_flow(dual_weights, t0, t1, u0, rows, first):
             t_next = min(t1, t + a1 / gamma) if gamma else t1
         if t_next <= t:
             t_next = t1
-        rows.append((t, t_next, (u1, u2), (v1, v2), (x1, x2), first))
+        rows += t, t_next, u1, u2, v1, v2, x1, x2, first
         u1, u2 = u1 + (t_next - t) * v1, u2 + (t_next - t) * v2
         # snap onto the invariant manifold reached at the crossing
         if t_next < t1:
@@ -735,8 +754,10 @@ def _exact_flows(times, u0, legs, weights):
         raise InputError(f"exact flows need semi-intervals longer than {_TIME_TOL:g}")
     u, rows = u0, []
     for t0, t1, m in legs:
-        u = _regime_flow(weights[m], t0, float(t1), u, rows, m == 1)
-    seg = SegmentArrays(*map(np.array, zip(*rows)))
+        u = _regime_flow(weights[m], t0, float(t1), u, rows, float(m == 1))
+    rows = np.fromiter(rows, float).reshape(-1, 9)
+    seg = SegmentArrays(rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:6], rows[:, 6:8],
+                        rows[:, 8] == 1.0)
     b = times[1:]
     si = np.minimum(np.searchsorted(seg.t1, b - _TIME_TOL), len(seg) - 1)
     # the state of each cell's segment at the cell's right end
@@ -810,6 +831,37 @@ class _FrozenBlockEnergy(EnergySpec):
         return self.base._hess_diagonal(t, self._assemble(x))[self.active]
 
 
+class _BlockSum(Potential):
+    """R_y(v_y) + R_z(v_z): the inf-convolution of complementary block
+    indicators, whose prox moves both blocks at once.  It states the cores
+    of a Newton prox, and its Hessian is block-diagonal; ``join`` assembles
+    one part per block into the sum's vector or block-diagonal matrix."""
+
+    def __init__(self, *blocks):
+        object.__setattr__(self, "bases", tuple(b.base for b in blocks))
+        object.__setattr__(self, "indices", tuple(b.active for b in blocks))
+        object.__setattr__(self, "dim", blocks[0].dim)
+
+    def join(self, parts):
+        out = np.zeros((self.dim,) * parts[0].ndim)
+        for idx, part in zip(self.indices, parts):
+            out[np.ix_(idx, idx) if part.ndim == 2 else idx] = part
+        return out
+
+    def _eval(self, v):
+        (Ry, Rz), (y, z) = self.bases, self.indices
+        return Ry._eval(v[y]) + Rz._eval(v[z])
+
+    def _grad(self, v):
+        return self.join([R._grad(v[idx]) for R, idx in zip(self.bases, self.indices)])
+
+    def hess_constant(self):
+        return self.join([R.hess_constant() for R in self.bases])
+
+    def _hess_diagonal(self, v):
+        return self.join([R._hess_diagonal(v[idx]) for R, idx in zip(self.bases, self.indices)])
+
+
 # ---------------------------------------------------------------------------
 # Scheme drivers
 # ---------------------------------------------------------------------------
@@ -849,13 +901,11 @@ def _step(sys, mechanism):
     block if the system has a block layout: the other block stays frozen in
     the energy and keeps its anchor values exactly.  Its failed solves say
     "incremental minimization", an inf-convolution's too.  The effective
-    mechanism steps with R1 # R2, both blocks jointly if blocked.  The
-    wrappers and the prox method are built here, once per run.
+    mechanism steps with R1 # R2, of blocks the block sum.  The wrappers
+    and the prox method are built here, once per run.
     """
     E, name = sys.energy, "incremental minimization"
     if mechanism == _EFFECTIVE:
-        if sys.block_layout is not None:
-            return _joint_block_step(sys)
         return partial(_prox_kernel(E, effective_potential(sys)), E)
     R = (sys.r1, sys.r2)[mechanism - 1]
     if sys.block_layout is None:
@@ -1190,83 +1240,6 @@ def solve(sys: GradientSystem, scheme, P: Partition, u0, tol=1e-10,
         raise InputError(f"scheme {scheme!r} requires a system with a block layout")
     entry = {"split": split_step_solve, "amm": amm_solve, "effective": effective_solve}
     return entry[scheme.removeprefix("block-")](sys, P, u0, tol, inner)
-
-
-def _joint_block_step(sys):
-    """The joint step of a block system, ``step(t, anchor, tau, tol)``.
-
-    The method follows the kinds, as :func:`_prox_kernel`'s does: a
-    quadratic energy whose block potentials are each quadratic or have
-    shrinkage parts takes the active-set kernel (:class:`_ActiveSet`) with
-    the block-diagonal metric of the pair; any other system, which has a
-    block that steps by Newton (a smooth block potential, or any block of a
-    non-quadratic energy), takes Gauss-Seidel sweeps
-    (:func:`_joint_block_prox`).  What the method needs of the system is
-    taken here, once per run."""
-    E, metrics = sys.energy, [_metric(R) for R in (sys.r1.base, sys.r2.base)]
-    if not (isinstance(E, QuadraticBlockEnergy) and None not in metrics):
-        return _gauss_seidel_step(sys)
-    M, sigma = np.zeros((sys.dim, sys.dim)), np.zeros(sys.dim)
-    for idx, (M_j, sigma_j) in zip(sys.block_indices(), metrics):
-        M[idx, idx], sigma[idx] = M_j, sigma_j
-    return partial(_ActiveSet(E.hess_constant(), M, sigma, "joint block prox"), E)
-
-
-def _gauss_seidel_step(sys):
-    """The Gauss-Seidel joint step, with the prox methods of both blocks
-    and their potentials' shrinkage parts, taken once per run."""
-    potentials = sys.r1.base, sys.r2.base
-    kernels = [_prox_kernel(_FrozenBlockEnergy(sys.energy, block, np.zeros(sys.dim)), R)
-               for block, R in zip(sys.block_indices(), potentials)]
-    return partial(_joint_block_prox, sys, kernels, [R.shrinkage_parts() for R in potentials])
-
-
-def _joint_block_prox(sys, kernels, parts, t, anchor, tau, tol, max_sweeps=200):
-    """Simultaneous implicit step of both blocks via Gauss-Seidel sweeps.
-
-    A block step that diverges or stagnates ends the joint step as the
-    joint step's own failure, with the whole state; any other error of a
-    block step (a step with no unique minimizer) passes through."""
-    idx_y, idx_z = sys.block_indices()
-    ky, kz = kernels
-    u = np.array(anchor)
-    # each view reads its frozen block from u when called, so two serve every sweep
-    Ey, Ez = (_FrozenBlockEnergy(sys.energy, idx, u) for idx in (idx_y, idx_z))
-    scale = 1.0 + float(np.linalg.norm(anchor))
-    for sweeps in range(1, max_sweeps + 1):
-        try:
-            u[idx_y] = ky(Ey, t, anchor[idx_y], tau, tol)[0]
-            u[idx_z] = kz(Ez, t, anchor[idx_z], tau, tol)[0]
-        except NumericalError as err:
-            outcome = str(err).rsplit(" ", 1)[-1]
-            if outcome not in ("diverged", "stagnated"):
-                raise
-            raise NumericalError(f"joint block prox {outcome}", iterations=sweeps,
-                                 best=u) from err
-        res, xi = _joint_block_residual(sys, t, anchor, u, tau, parts)
-        if not math.isfinite(res):  # an infinite scale would take it
-            raise NumericalError("joint block prox diverged", iterations=sweeps, best=u)
-        if res <= tol * scale:
-            # the residual's energy gradient at the accepted state is the force
-            return u, xi, _ProxStats(sweeps, res, "gauss-seidel")
-    raise NumericalError("joint block prox stagnated", iterations=max_sweeps, best=u)
-
-
-def _joint_block_residual(sys, t, anchor, u, tau, parts):
-    """Optimality residual of the joint block step and the energy gradient
-    it took at u.  Both blocks follow one rule: a block whose potential has
-    shrinkage parts (its entry of ``parts``) is measured by
-    :func:`_shrinkage_residual`, any other by its potential's gradient."""
-    g = sys.energy.grad(t, u)
-    residuals = []
-    for idx, R, block_parts in zip(sys.block_indices(), (sys.r1.base, sys.r2.base), parts):
-        v = (u[idx] - anchor[idx]) / tau
-        if block_parts is None:
-            residuals.append(float(np.linalg.norm(R.grad(v) + g[idx])))
-        else:
-            sigma_w, quad_w = block_parts
-            residuals.append(_shrinkage_residual(quad_w * v + g[idx], v, sigma_w))
-    return math.hypot(*residuals), g
 
 
 def _infconv_prox(R1, R2, parts, armijo, warm, E, t, anchor, tau, tol, max_iter=100, *,

@@ -65,7 +65,7 @@ def prox_newton_reference(R, E, t, anchor, h, tol, max_iter=100, start=None):
     u, (_, xi), it, res = newton.minimize(
         np.array(anchor if start is None else start), gradient, hessian, objective,
         tol * scale, max_iter=max_iter, armijo=newton.armijo_constant(R),
-        name="incremental minimization")
+        name="effective prox" if isinstance(R, pt.InfConvolution) else "incremental minimization")
     return u, xi, it, res
 
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import math
@@ -6,15 +7,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from splitflow import diagnostics as dg
 from splitflow import energies as en
+from splitflow import newton
 from splitflow import partitions as pa
 from splitflow import potentials as pt
 from splitflow import solvers as sv
 from splitflow.errors import InputError, NumericalError
 from splitflow.models import make_model
-from test_prox_reference import KernelReplay, replay_cell
+from test_prox_reference import KernelReplay, _spd, _weights, replay_cell
 from test_warm_start import _coupled_power_blocks
 
 
@@ -166,18 +169,59 @@ def _kind_table():
          methods("leg", "active-set leg", "active-set")),
         ("quadratic blocks, yield on y and p = 3 norm on z",
          pair(blocks, pt.OneHomPlusQuad(0.3, 1.0), power),
-         methods("leg", "newton", "gauss-seidel")),
+         methods("leg", "newton", InputError)),
         ("quadratic blocks, p = 3 norms", pair(blocks, pt.PowerNorm(3.0, [1.0]), power),
-         methods("newton", "newton", "gauss-seidel")),
+         methods("newton", "newton", "newton")),
         ("a quadratic energy of one block, split in two",
          pair(flat, pt.QuadraticForm([[1.0]]), yields),
          methods("active-set", "active-set", "active-set")),
     ]
 
 
-@pytest.mark.parametrize("label, system, methods", _kind_table(),
-                         ids=[row[0] for row in _kind_table()])
+_KINDS = _kind_table()
+# the methods of the leg kernels, which report no stats of their own
+_LEG_METHODS = {"leg", "active-set leg"}
+
+
+def _own_calls(function):
+    """The calls in the body of ``function``, outside the functions it defines."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _emitted_methods():
+    """The method names that ``solvers`` can put into a ``_ProxStats``: the
+    strings passed as its method, or passed to a function for a parameter
+    that the function passes on as the method."""
+    tree = ast.parse(inspect.getsource(sv))
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    methods, pending = set(), [("_ProxStats", 2)]  # a callee and the method's position
+    while pending:
+        callee, position = pending.pop()
+        for function in functions:
+            for call in _own_calls(function):
+                if not (isinstance(call.func, ast.Name) and call.func.id == callee):
+                    continue
+                arg = call.args[position]
+                if isinstance(arg, ast.Constant):
+                    methods.add(arg.value)
+                else:  # one of the caller's parameters
+                    params = [a.arg for a in function.args.args]
+                    pending.append((function.name, params.index(arg.id)))
+    return methods
+
+
+@pytest.mark.parametrize("label, system, methods", _KINDS, ids=[row[0] for row in _KINDS])
 def test_each_kind_steps_by_its_method(label, system, methods):
+    # the table reaches every method that a step can report, and no other
+    reached = {m for _, _, row in _KINDS for m in row.values() if m is not InputError}
+    assert reached == _emitted_methods() | _LEG_METHODS
     anchor = np.linspace(1.0, -0.5, system.dim)
     for mechanism, method in methods.items():
         if method is InputError:
@@ -613,54 +657,88 @@ def test_effective_block_is_simultaneous_implicit_step():
     assert np.linalg.norm(rz_vec) <= 1e-9
 
 
-def test_joint_block_step_takes_one_gradient_per_residual(monkeypatch):
+@settings(max_examples=30, deadline=None)
+@given(p_y=strategies.sampled_from([1.5, 2.5, 3.0]),
+       p_z=strategies.sampled_from([1.5, 2.5, 3.0]), data=strategies.data())
+def test_an_effective_block_sum_step_meets_the_joint_optimality_conditions(p_y, p_z, data):
+    # a coupled quadratic energy on three coordinates with a drawn load; y
+    # on {0, 1} and z on {2}, and the same system with y on {0, 2}, z on {1}
+    H = _spd(data, 3)
+    c0, c1 = _weights(data, 3, -1.0, 1.0), _weights(data, 3, -1.0, 1.0)
+    Ry, Rz = pt.PowerNorm(p_y, _weights(data, 2)), pt.PowerNorm(p_z, _weights(data, 1))
+    u0 = np.array(data.draw(strategies.lists(strategies.floats(-1.0, 1.0), min_size=3,
+                                             max_size=3)))
+    perm = np.array([0, 2, 1])  # state i of the permuted system is state perm[i]
+
+    def system(y, z, order):
+        E = en.QuadraticBlockEnergy(H[np.ix_(order, order)],
+                                    f=en.Load(c0[order], c1[order], np.full(3, 0.3), omega=3.0))
+        return sv.GradientSystem(E, pt.BlockIndicator(Ry, y, 3), pt.BlockIndicator(Rz, z, 3))
+
+    plain, permuted = system([0, 1], [2], np.arange(3)), system([0, 2], [1], perm)
+    assert permuted.block_layout is None  # a step of the block sum, not of a layout
+    P = pa.build_partition(1.0, N=8)
+    tol = 1e-10
+    out = sv.solve(plain, "effective", P, u0, tol, 2)
+    nodes = out.u_const.values[:: out.step_cells]
+    for k in range(P.N):
+        anchor, u = nodes[k], nodes[k + 1]
+        v = (u - anchor) / P.taus[k]
+        g = plain.energy.grad(P.nodes[k + 1], u)
+        residual = np.concatenate([Ry.grad(v[:2]) + g[:2], Rz.grad(v[2:]) + g[2:]])
+        assert np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(anchor))
+    # a p < 2 block asks for a quarter of the predicted decrease
+    step = sv._step(plain, sv._EFFECTIVE)  # the kernel's partial, with E bound
+    assert step.func is sv._prox_newton
+    singular = min(p_y, p_z) < 2.0
+    assert step.args[3] == (newton._SINGULAR_ARMIJO if singular else newton.ARMIJO)
+    other = sv.solve(permuted, "effective", P, u0[perm], tol, 2)
+    np.testing.assert_allclose(other.u_const.values, out.u_const.values[:, perm], rtol=0,
+                               atol=1e-9)
+
+
+def test_an_effective_block_step_takes_its_parts_once_per_run(monkeypatch):
     preset = make_model("visco-plasticity-1d", m=6)
-    system = preset.system
-    grads, cores, seen = [], [], []
+    grads, cores, hessians = [], [], []
     grad, core = en.QuadraticBlockEnergy.grad, en.QuadraticBlockEnergy._grad
-    residual = sv._joint_block_residual
-
-    def counted_grad(self, t, u):
-        grads.append(t)
-        return grad(self, t, u)
-
-    def counted_core(self, t, u):
-        cores.append(t)
-        return core(self, t, u)
-
-    def recorded_residual(sys, t, anchor, u, tau, parts):
-        seen.append(parts)
-        return residual(sys, t, anchor, u, tau, parts)
-
-    monkeypatch.setattr(en.QuadraticBlockEnergy, "grad", counted_grad)
-    parts = [None, system.r2.base.shrinkage_parts()]
-    u = preset.u0 + 0.01
-    res, g = sv._joint_block_residual(system, 0.5, preset.u0, u, 0.1, parts)
-    assert len(grads) == 1 and res > 0.0
-    np.testing.assert_array_equal(g, grad(system.energy, 0.5, u))
-    # the parts of both blocks are taken once per run, not per step or sweep;
-    # the Newton blocks step by Gauss-Seidel sweeps
-    monkeypatch.setattr(sv, "_joint_block_residual", recorded_residual)
-    monkeypatch.setattr(en.QuadraticBlockEnergy, "_grad", counted_core)
+    hess_constant = pt.PowerNorm.hess_constant
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "grad",
+                        lambda self, t, u: grads.append(t) or grad(self, t, u))
+    monkeypatch.setattr(en.QuadraticBlockEnergy, "_grad",
+                        lambda self, t, u: cores.append(t) or core(self, t, u))
+    monkeypatch.setattr(pt.PowerNorm, "hess_constant",
+                        lambda self: hessians.append(self) or hess_constant(self))
     power, power_u0 = _coupled_power_blocks()
-    for system, u0, sweeps in ((power, power_u0, True), (system, preset.u0, False)):
+    for system, u0 in ((power, power_u0), (preset.system, preset.u0)):
         grads.clear()
         cores.clear()
-        seen.clear()
         out = sv.effective_solve(system, pa.build_partition(1.0, N=4), u0, tol=1e-12)
-        assert len(out.stats["inner_iterations"]) == 4
-        assert all(p is seen[0] for p in seen)
-        if sweeps:
-            assert min(out.stats["inner_iterations"]) > 1
-            # one gradient per sweep's residual, and the last one is the step's force
-            assert len(grads) == len(seen) == sum(out.stats["inner_iterations"])
-        else:
-            # the active-set step takes the gradient at its anchor and once at
-            # its solution, whose residual it measures itself
-            assert grads == seen == [] and len(cores) == 2 * 4
+        assert len(out.stats["inner_iterations"]) == 4 and grads == []
+    # the block sum's Newton kernel takes the bases' constant Hessians once
+    # per run; the active-set step takes the energy's gradient at its anchor
+    # and once at its solution, whose residual it measures itself
+    assert hessians == [power.r1.base, power.r2.base]
+    assert len(cores) == 2 * 4
+    # a Newton step's force is the energy gradient of its last stopping test
+    u, xi, _ = sv._step(power, sv._EFFECTIVE)(0.5, power_u0, 0.25, 1e-12)
+    assert xi.tobytes() == grad(power.energy, 0.5, u).tobytes()
 
 
-def test_a_joint_block_step_measures_a_shrinkage_y_block(monkeypatch):
+def _swapped(E, Ry, Rz, u0):
+    """A quadratic block system with y moved by Ry and z by Rz, and the same
+    system with its blocks in the other order: (system, swapped, u0 of the
+    swapped system, the indices that take the swapped state back)."""
+    n_y, n_z = E.n_y, E.n_z
+    system = sv.GradientSystem(E, pt.BlockIndicator(Ry, np.arange(n_y), n_y + n_z),
+                               pt.BlockIndicator(Rz, np.arange(n_y, n_y + n_z), n_y + n_z))
+    E_swap = en.QuadraticBlockEnergy(E.G, E.B.T, E.A, f=E.g, g=E.f)
+    swapped = sv.GradientSystem(E_swap, pt.BlockIndicator(Rz, np.arange(n_z), n_y + n_z),
+                                pt.BlockIndicator(Ry, np.arange(n_z, n_y + n_z), n_y + n_z))
+    back = np.concatenate([np.arange(n_z, n_y + n_z), np.arange(n_z)])
+    return system, swapped, np.concatenate([u0[n_y:], u0[:n_y]]), back
+
+
+def test_an_effective_block_step_measures_a_shrinkage_y_block():
     # a y potential with a yield term and no gradient, a quadratic z potential
     rng = np.random.default_rng(7)
     M = rng.uniform(-1.0, 1.0, (5, 5))
@@ -668,43 +746,41 @@ def test_a_joint_block_step_measures_a_shrinkage_y_block(monkeypatch):
     f = en.Load(rng.uniform(-1.0, 1.0, 3), amp=np.full(3, 0.4), omega=2.0)
     E = en.QuadraticBlockEnergy(H[:3, :3], H[3:, :3], H[3:, 3:], f=f)
     Ry, Rz = pt.OneHomPlusQuad(0.3, 1.0, dim=3), pt.QuadraticForm(np.diag([1.0, 2.0]))
-    system = sv.GradientSystem(E, pt.BlockIndicator(Ry, np.arange(3), 5),
-                               pt.BlockIndicator(Rz, np.arange(3, 5), 5))
     P = pa.build_partition(1.0, N=8)
     u0 = rng.uniform(-1.0, 1.0, 5)
-    runs = [sv.effective_solve(system, P, u0, tol=1e-10)]
-    # the same run by Gauss-Seidel sweeps, whose y steps are the active-set
-    # kernel's on a frozen view
-    monkeypatch.setattr(sv, "_joint_block_step", sv._gauss_seidel_step)
-    runs.append(sv.effective_solve(system, P, u0, tol=1e-10))
-    for out in runs:
-        nodes = out.node_states()
-        for k in range(P.N):
-            anchor, u = nodes[k], nodes[k + 1]
-            v = (u - anchor) / P.taus[k]
-            g = E.grad(P.nodes[k + 1], u)
-            sigma_w, quad_w = Ry.shrinkage_parts()
-            smooth = quad_w * v[:3] + g[:3]
-            ry = np.where(v[:3] != 0.0, smooth + sigma_w * np.sign(v[:3]),
-                          np.maximum(np.abs(smooth) - sigma_w, 0.0))
-            rz = Rz.grad(v[3:]) + g[3:]
-            assert np.hypot(np.linalg.norm(ry), np.linalg.norm(rz)) <= (
-                1e-10 * (1.0 + np.linalg.norm(anchor)))
-    assert min(runs[1].stats["inner_iterations"]) > 1
-    np.testing.assert_allclose(runs[0].node_states(), runs[1].node_states(), rtol=0,
-                               atol=1e-9)
+    system, swapped, u0_swapped, back = _swapped(E, Ry, Rz, u0)
+    out = sv.effective_solve(system, P, u0, tol=1e-10)
+    nodes = out.node_states()
+    for k in range(P.N):
+        anchor, u = nodes[k], nodes[k + 1]
+        v = (u - anchor) / P.taus[k]
+        g = E.grad(P.nodes[k + 1], u)
+        sigma_w, quad_w = Ry.shrinkage_parts()
+        smooth = quad_w * v[:3] + g[:3]
+        ry = np.where(v[:3] != 0.0, smooth + sigma_w * np.sign(v[:3]),
+                      np.maximum(np.abs(smooth) - sigma_w, 0.0))
+        rz = Rz.grad(v[3:]) + g[3:]
+        assert np.hypot(np.linalg.norm(ry), np.linalg.norm(rz)) <= (
+            1e-10 * (1.0 + np.linalg.norm(anchor)))
+    # a yield coordinate stays and others move: both rules of the y residual are met
+    moves = np.diff(nodes, axis=0)[:, :3]
+    assert (moves == 0.0).any() and (moves != 0.0).any()
+    # the same run with the shrinkage block second, as z
+    other = sv.effective_solve(swapped, P, u0_swapped, tol=1e-10)
+    np.testing.assert_allclose(other.node_states()[:, back], nodes, rtol=0, atol=1e-12)
 
 
-def test_joint_block_stagnation_carries_the_last_sweep():
+def test_an_effective_block_stall_carries_the_whole_state():
     system, u0 = _coupled_power_blocks()
-    step = sv._joint_block_step(system)
-    # this step takes more than one sweep to reach 1e-12
-    with pytest.raises(NumericalError, match="^joint block prox stagnated$") as failure:
-        step(0.5, u0, 0.25, 1e-12, max_sweeps=1)
+    step = sv._step(system, sv._EFFECTIVE)
+    # this step takes more than one Newton step to reach 1e-12
+    with pytest.raises(NumericalError, match="^effective prox stagnated$") as failure:
+        step(0.5, u0, 0.25, 1e-12, max_iter=1)
     best = failure.value.best
     assert failure.value.iterations == 1
     assert best.shape == (system.dim,) and np.isfinite(best).all()
-    assert not np.array_equal(best, u0)
+    # y0 is at rest for z frozen at z0; in the joint step both blocks move
+    assert (best != u0).all()
 
 
 def test_an_active_set_step_that_does_not_settle_restarts_from_a_coordinate_sweep(
@@ -750,12 +826,12 @@ def test_an_active_set_step_that_does_not_settle_restarts_from_a_coordinate_swee
     assert np.isfinite(failure.value.best).all() and fresh.signs is None
 
 
-def test_a_joint_step_whose_k_is_not_positive_definite_has_no_unique_minimizer():
+def test_an_effective_block_step_whose_k_is_not_positive_definite_has_no_unique_minimizer():
     # K = H + M / tau is positive definite for tau below about 0.48, not at 1
     E = en.QuadraticBlockEnergy(A=[[-2.0]], B=[[0.5]], G=[[1.0]])
     system = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm([[1.0]]), [0], 2),
                                pt.BlockIndicator(pt.OneHomPlusQuad(0.1, 1.0), [1], 2))
-    step = sv._joint_block_step(system)
+    step = sv._step(system, sv._EFFECTIVE)
     u0 = np.array([0.5, -0.3])
     assert step(0.0, u0, 0.4, 1e-10)[2].method == "active-set"
     message = "^prox step of size 1 has no unique minimizer: its curvature is not positive"
@@ -806,10 +882,9 @@ def test_a_non_finite_residual_never_counts_as_converged():
     assert failure.value.iterations == 0
     np.testing.assert_array_equal(failure.value.best, anchor)
 
-    # Gauss-Seidel sweeps (a Newton block): the quadratic y block's
-    # active-set step diverges in the first sweep, which ends the joint step
-    # with the whole state; the active-set step of both blocks of
-    # visco-plasticity
+    # the effective block step by Newton (a p = 3 block), whose first
+    # stopping test overflows, and by the active-set kernel (visco-plasticity);
+    # both end with the whole state
     E = en.QuadraticBlockEnergy(np.array([[2.0, 0.3], [0.3, 1.5]]), np.zeros((2, 2)),
                                 np.array([[1.8, -0.2], [-0.2, 2.2]]))
     mixed = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 4),
@@ -817,15 +892,14 @@ def test_a_non_finite_residual_never_counts_as_converged():
     vp = make_model("visco-plasticity-1d", m=6)
     anchor = np.array(vp.u0)
     anchor[0] = 1e200
-    for system, anchor, name, size in (
-            (mixed, np.array([1e200, 0.0, 0.8, -0.6]), "joint block prox", 4),
-            (vp.system, anchor, "joint block prox", vp.system.dim)):
-        step = sv._joint_block_step(system)
+    for system, anchor, iterations in ((mixed, np.array([1e200, 0.0, 0.8, -0.6]), 0),
+                                       (vp.system, anchor, 1)):
+        step = sv._step(system, sv._EFFECTIVE)
         with np.errstate(all="ignore"), pytest.raises(
-                NumericalError, match=f"^{name} diverged$") as failure:
+                NumericalError, match="^effective prox diverged$") as failure:
             step(0.5, anchor, 0.25, 1e-10)
-        assert failure.value.iterations == 1
-        assert failure.value.best.shape == (size,)
+        assert failure.value.iterations == iterations
+        assert failure.value.best.shape == (system.dim,)
 
     # the active-set step of a yield potential on a coupled energy
     E = en.QuadraticBlockEnergy(A=np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -836,16 +910,19 @@ def test_a_non_finite_residual_never_counts_as_converged():
     assert failure.value.iterations == 1
 
 
-def test_a_gauss_seidel_block_step_with_no_unique_minimizer_names_its_step_size():
-    # the y block's curvature -5 + 1/0.25 is negative: the joint step passes
-    # the block's error on, it neither diverged nor stagnated
+def test_a_newton_block_step_with_no_unique_minimizer_names_its_step_size():
+    # the quadratic y block's curvature -5 + 1/0.25 is negative: the
+    # objective is unbounded below along y, where Newton would stop at the
+    # saddle, so the step ends before its first iteration
     E = en.QuadraticBlockEnergy(np.array([[-5.0, 0.3], [0.3, -5.0]]), np.zeros((2, 2)),
                                 np.array([[1.8, -0.2], [-0.2, 2.2]]))
     mixed = sv.GradientSystem(E, pt.BlockIndicator(pt.QuadraticForm(np.eye(2)), [0, 1], 4),
                               pt.BlockIndicator(pt.PowerNorm(3.0, [1.5, 0.5]), [2, 3], 4))
-    step = sv._joint_block_step(mixed)
+    step = sv._step(mixed, sv._EFFECTIVE)
+    anchor = np.array([1.0, 0.0, 0.8, -0.6])
     with pytest.raises(NumericalError, match="^prox step of size 0.25 has no unique minimizer"):
-        step(0.5, np.array([1.0, 0.0, 0.8, -0.6]), 0.25, 1e-10)
+        step(0.5, anchor, 0.25, 1e-10)
+    assert step(0.5, anchor, 0.05, 1e-10)[2].method == "newton"
 
 
 @pytest.mark.parametrize("effective", [False, True], ids=["newton", "infconv"])
@@ -938,8 +1015,6 @@ def test_the_movements_by_legs_replay_the_movements_by_entries(monkeypatch):
     def per_step(system, m):  # the step of a mechanism before leg kernels
         E = system.energy
         if m == sv._EFFECTIVE:
-            if system.block_layout is not None:
-                return sv._joint_block_step(system)
             return partial(sv._prox_kernel(E, sv.effective_potential(system)), E)
         R = system.r1 if m == 1 else system.r2
         if system.block_layout is None:
@@ -982,7 +1057,7 @@ def test_the_movements_by_legs_replay_the_movements_by_entries(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [4, 8])
-def test_effective_block_run_takes_the_energy_hessian_once_per_block(monkeypatch, N):
+def test_an_effective_block_run_takes_the_energy_hessian_once(monkeypatch, N):
     preset = make_model("visco-plasticity-1d", m=6)
     power, u0 = _coupled_power_blocks()
     hessians, matrices = [], []
@@ -999,10 +1074,10 @@ def test_effective_block_run_takes_the_energy_hessian_once_per_block(monkeypatch
 
     monkeypatch.setattr(en.QuadraticBlockEnergy, "hess_constant", counted_hess)
     monkeypatch.setattr(sv._ActiveSet, "matrix", recorded_matrix)
-    # the Gauss-Seidel step builds the prox methods of both blocks once per run
+    # the block sum's Newton kernel takes the Hessian once per run
     out = sv.solve(power, "effective", pa.build_partition(1.0, N=N), u0, 1e-10, 4)
     assert len(out.stats["inner_iterations"]) == N
-    assert len(hessians) == 2 and matrices == []
+    assert hessians == [power.energy] and matrices == []
     # the active-set step takes the Hessian once, and K once per step size
     hessians.clear()
     out = sv.solve(preset.system, "effective", pa.build_partition(1.0, N=N),
@@ -1240,7 +1315,8 @@ def test_a_diagonal_shrinkage_takes_one_solve_and_reports_its_measured_residual(
         assert (st.method, st.iterations) == ("active-set", 1)
         assert u.tobytes() == (anchor + d).tobytes()
         np.testing.assert_allclose(d, closed, rtol=1e-15, atol=0.0)
-        assert st.residual == sv._shrinkage_residual(quad_w * d / h + xi, d, sigma_w)
+        excess = sv._shrinkage_excess(quad_w * d / h + xi, d, sigma_w)
+        assert st.residual == float(np.linalg.norm(excess))
         residuals.append(st.residual)
     assert max(residuals) <= 1e-14 and max(residuals) > 0.0
 
@@ -1316,11 +1392,12 @@ def test_solve_rejects_unknown_scheme():
         sv.solve(counterexample_system(), "leapfrog", P, [2.0, 1.0], 1e-10, 8)
 
 
-def test_effective_scheme_with_a_yield_member_and_no_blocks_is_an_input_error():
-    # the pair's inf-convolution has no smooth Hessian, and no block layout
-    # gives it the joint block step; split and AMM prox each member alone
-    sys = sv.GradientSystem(en.QuadraticBlockEnergy(np.eye(2)), pt.QuadraticForm(np.eye(2)),
-                            pt.OneHomPlusQuad(0.3, 1.0, dim=2))
+def test_effective_scheme_of_a_yield_member_beside_a_smooth_one_is_an_input_error():
+    # the pair's inf-convolution has no smooth Hessian, and its members are
+    # not complementary block indicators, whose sum the effective step would
+    # prox; split and AMM prox each member alone
+    E = en.QuadraticBlockEnergy(np.eye(2))
+    sys = sv.GradientSystem(E, pt.QuadraticForm(np.eye(2)), pt.OneHomPlusQuad(0.3, 1.0, dim=2))
     P = pa.build_partition(1.0, N=4)
     for scheme in ("split", "amm"):
         sv.solve(sys, scheme, P, [1.0, -0.5], 1e-10, 2)
@@ -1328,3 +1405,10 @@ def test_effective_scheme_with_a_yield_member_and_no_blocks_is_an_input_error():
         sv.solve(sys, "effective", P, [1.0, -0.5], 1e-10, 2)
     assert str(info.value) == ("no prox method for InfConvolution on QuadraticBlockEnergy: "
                                "OneHomPlusQuad has no smooth Hessian")
+    # a yield block beside a p = 3 block: the block sum has no Newton parts
+    # either, and no metric for the active-set kernel
+    blocks = sv.GradientSystem(E, pt.BlockIndicator(pt.OneHomPlusQuad(0.3, 1.0), [0], 2),
+                               pt.BlockIndicator(pt.PowerNorm(3.0, [1.0]), [1], 2))
+    with pytest.raises(InputError) as blocked:
+        sv.solve(blocks, "effective", P, [1.0, -0.5], 1e-10, 2)
+    assert str(blocked.value) == str(info.value)

@@ -372,27 +372,20 @@ def _coupled_power_blocks():
     return system, np.concatenate([-np.linalg.solve(A, B.T @ z0), z0])
 
 
-def test_a_joint_block_step_never_takes_a_result_of_other_frozen_values(monkeypatch):
+def test_a_block_step_never_takes_a_result_of_other_frozen_values(monkeypatch):
     system, u0 = _coupled_power_blocks()
     assert not system.energy.depends_on_time
-    y_calls = []  # the frozen state and the iterations of each y block solve
-
-    def recorded(kernel):
-        def call(E, t, anchor, h, tol):
-            result = kernel(E, t, anchor, h, tol)
-            y_calls.append((np.array(E.full), result[2].iterations))
-            return result
-        return call
-
-    step = sv._joint_block_step(system)
-    sys_, (ky, kz), parts = step.args
-    u, xi, st = sv._joint_block_prox(sys_, [recorded(ky), kz], parts, 0.5, u0, 0.1, TOL)
-    # the y block's first solve took no step at y0; its next one has the same
-    # anchor and step, and a z block that the sweep before has moved
-    assert st.iterations >= 2 and y_calls[0][1] == 0
-    assert _bits(y_calls[1][0][2:]) != _bits(u0[2:]) and y_calls[1][1] > 0
+    # the y block's per-step Newton kernel, as block-split builds it
+    step = sv._step(system, 1)
+    assert step.func is sv._block_step
+    u, xi, st = step(0.5, u0, 0.1, TOL)
+    assert st.iterations == 0 and _bits(u) == _bits(u0)  # y0 is at rest for z0
+    # the same anchor and step of y, with a z block that has moved since
+    moved = u0 + np.array([0.0, 0.0, 0.1, -0.2])
+    u, xi, st = step(0.5, moved, 0.1, TOL)
+    assert st.iterations > 0 and _bits(u[2:]) == _bits(moved[2:])
     monkeypatch.setattr(sv, "_rest_key", lambda *args: None)  # no result is kept
-    fresh = sv._joint_block_step(system)(0.5, u0, 0.1, TOL)
+    fresh = sv._step(system, 1)(0.5, moved, 0.1, TOL)
     assert _bits(u) == _bits(fresh[0]) and _bits(xi) == _bits(fresh[1])
     assert st.iterations == fresh[2].iterations
 
