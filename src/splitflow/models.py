@@ -22,6 +22,7 @@ import numpy as np
 from .energies import (
     AllenCahn1DEnergy,
     DoubleWell,
+    Load,
     MaxNormEnergy,
     QuadraticBlockEnergy,
 )
@@ -103,7 +104,7 @@ def make_model(name, **overrides) -> ModelPreset:
 
 def _check_override_kind(key, value, default):
     """Reject an override whose kind differs from its parameter's: an
-    integer, a finite real number, or a state vector of numbers."""
+    integer, a finite real number, a state vector of numbers, or a load."""
     if isinstance(default, int):
         ok, want = isinstance(value, numbers.Integral), "an integer"
     elif isinstance(default, float):
@@ -118,6 +119,8 @@ def _check_override_kind(key, value, default):
             ok = np.asarray(value, dtype=float).ndim == 1
         except (TypeError, ValueError):
             ok = False
+    elif key in ("load", "f_load", "g_load"):
+        want, ok = "a Load descriptor", value is None or isinstance(value, Load)
     else:
         return
     if not ok or isinstance(value, bool):

@@ -27,11 +27,10 @@ DEFAULT_INNER_FACTOR = 8
 # "%.16e" text is at most 24 characters ("-1.7976931348623157e+308"); a CSV
 # field is that text left-justified in 24, then its "," or "\n" suffix
 _CSV_FIELD = "%-24.16e"
-# bytes of fields gathered per write of SampledCurve.to_csv: 32 rows of 34
-# columns.  A block costs a gather, a strip and a write whatever its size, so
-# a narrow table takes as many rows as fill it; a block holds about 80 kB of
-# transient bytes at any width
-_CSV_BLOCK_BYTES = 32 * 34 * 25
+# bytes of fields gathered per write of SampledCurve.to_csv: 128 rows of 34
+# columns, about 270 kB of transient bytes at any width.  A block costs a
+# gather, a strip and a write whatever its size: narrow tables take long ones
+_CSV_BLOCK_BYTES = 128 * 34 * 25
 
 
 class Partition(Frozen):
@@ -259,75 +258,71 @@ def _run_heads(columns):
     return bits[new].view(np.float64), index, int(np.count_nonzero(new[-1]))
 
 
-# The fast path below needs a long double with at least a 64-bit significand
-# (x87 extended precision, or binary128): there 10**k is exact for k <= 27
-# (5**27 < 2**63), and one product or quotient |x| * 10**k is off by at most
-# 2**-64 of itself.
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
-# Dekker's splitter: c a - (c a - a) keeps the high half of a long double a,
-# and products of halves are exact
-_SPLIT = np.longdouble(2.0 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1)
-_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
-# fast-path decimal exponents: 10**(16 - e) stays within _POW10
-_E_MIN, _E_MAX = -11, 43
+# fast-path decimal exponents: every two-digit exponent of "%.16e"
+_E_MIN, _E_MAX = -99, 99
+# Veltkamp's splitter: c a - (c a - a) is a's high 26 bits; halves multiply exactly
+_SPLIT = 2.0**27 + 1
+# 10**k = P / Q, k = 16 - e for each e of the window, as doubles hi + lo: hi
+# is P / Q rounded once (int / int), lo the rest P / Q - hi rounded once
+_EXACT = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(16 - _E_MIN, 15 - _E_MAX, -1)]
+_HI = np.array([P / Q for P, Q in _EXACT])
+_LO = np.array([(P * d - n * Q) / (Q * d)
+                for (P, Q), (n, d) in zip(_EXACT, map(float.as_integer_ratio, _HI.tolist()))])
+_HI_HIGH = _SPLIT * _HI - (_SPLIT * _HI - _HI)
+del _EXACT
 # a field as six 4-byte words: blank, sign, lead digit and "."; four groups
 # of 4 digits; "e", the exponent's sign and its 2 digits
 _HEADS = np.frombuffer(b"".join(b" %s%d." % (s, d) for s in (b" ", b"-") for d in range(10)),
                        dtype=np.uint32)
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
-_GROUPS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), -1).view(np.uint32).ravel()
-_TAILS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)),
-                       dtype=np.uint32)
+_GROUPS = np.empty((100, 100, 2), dtype=np.uint16)  # "abcd" at 100 ab + cd
+_GROUPS[..., 0], _GROUPS[..., 1] = _PAIRS[:, None], _PAIRS
+_GROUPS = _GROUPS.view(np.uint32).ravel()
+_TAILS = np.frombuffer(("e%+03d" * (_E_MAX - _E_MIN + 1) % (*range(_E_MIN, _E_MAX + 1),)).encode(),
+                       np.uint32)
 # values per chunk of _write_e16: its temporaries stay under 1 MB, and one
 # chunk of 100,000 values is slower than chunks of 4096
 _E16_CHUNK = 4096
 
 
 def _e16_digits(x):
-    """Where plain extended-precision arithmetic decides ``"%.16e" % x``:
-    a mask ``ok``; on it the 17 significant digits of |x| as an int64, and 0
-    elsewhere; and the decimal exponent.
+    """Where float64 arithmetic decides ``"%.16e" % x``: a mask ``ok``; on
+    it the 17 significant digits of |x| as an int64, and 0 elsewhere; and
+    the decimal exponent.
 
-    With e = floor(log10|x|) in [-11, 43], D = |x| * 10**(16 - e) is computed
-    with one rounding, so |D - exact| <= 2**-64 * 1e17 < 0.0055.  Where
-    1e16 + 1 <= D < 1e17 - 1 (e is then right and the rounded digits stay 17)
-    and frac(D) is farther than 2**-7 from 1/2, the exact value rounds as D
-    does.  Nearer 1/2, a product's rounding error err, taken exactly by
-    Dekker's product of halves, decides: D + err is the exact value.  ±0 is
-    17 zero digits with exponent 0.  Everything else -- subnormals, NaN,
-    infinities, exponents outside the window, exact ties and near-ties of a
-    quotient (e > 16) -- is left to ``%``, and all of it is without a 64-bit
-    significand.
+    For e = floor(log10|x|) in [-99, 99], D = |x| 10**(16 - e) is p + r:
+    p + q = |x| hi exactly (Dekker's product), r = q + |x| lo, and as hi + lo
+    is off by 2**-106 of itself and |x| lo (< 11.2) and r (< 20) round once,
+    |p + r - D| < 2**-106 1e17 + 2**-50 + 2**-49 < 4e-15.  A p >= 1e16 is an
+    integer and frac = r - floor(r) exact: where frac is farther than 2**-30
+    from 1/2, p + floor(r) >= 1e16 and the rounded digits stay below 1e17,
+    they are the printed digits (only the double below a power of ten could
+    make D < 1e16 by under 4e-15, and none in the window does).  ±0 is 17
+    zero digits with exponent 0; subnormals, NaN, infinities, exponents
+    outside the window and exact ties are left to ``%``.
     """
     a = np.abs(x)
-    zero = (a == 0.0) & _EXTENDED
-    ok = (a >= 10.0**_E_MIN) & (a < 10.0 ** (_E_MAX + 1)) & _EXTENDED
-    a = np.where(ok, a, 1.0)  # keeps the arithmetic below finite
+    ok = (a >= 10.0**_E_MIN) & (a < 10.0 ** (_E_MAX + 1))
+    a = np.where(ok, a, 1.0)  # keeps the arithmetic below finite; a zero's e is 0
     e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
-    wide = a.astype(np.longdouble)
-    D = wide * _POW10[np.maximum(16 - e, 0)]
-    big = np.flatnonzero(e > 16)
-    D[big] = wide[big] / _POW10[e[big] - 16]
-    whole = D.astype(np.int64)
-    # with 64 significand bits a D >= 1e16 > 2**53 has at most 10 fraction
-    # bits, so this is exact; a wider one moves frac by under 2**-53
-    frac = (D - whole).astype(np.float64)
-    ok &= (whole > 10**16) & (whole < 10**17 - 1)
-    up = frac > 0.5
-    near = np.flatnonzero(ok & (np.abs(frac - 0.5) <= 2.0**-7))
-    if near.size:
-        # D rounds m p; with m and p split into halves err = m p - D exactly
-        m, p = wide[near], _POW10[16 - np.minimum(e[near], 16)]
-        cm, cp = _SPLIT * m, _SPLIT * p
-        m1, p1 = cm - (cm - m), cp - (cp - p)
-        m2, p2 = m - m1, p - p1
-        err = ((m1 * p1 - D[near]) + m1 * p2 + m2 * p1) + m2 * p2
-        # D - whole - 1/2 is exact, and the sum keeps the sign of the exact one
-        tie = ((D[near] - whole[near]) - 0.5) + err
-        ok[near] = (tie != 0) & (e[near] <= 16)
-        up[near] = tie > 0
-    # a zero's a is 1.0 above, so its e is 0
-    return ok | zero, np.where(ok, whole + up, 0), e
+    hi, lo, hh = (table[e - _E_MIN] for table in (_HI, _LO, _HI_HIGH))
+    p = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al, hl = a - ah, hi - hh
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    floor = np.floor(r)
+    frac = r - floor
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    digits = whole + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) > 2.0**-30) & (whole >= 10**16) & (digits < 10**17)
+    return ok | (x == 0.0), np.where(ok, digits, 0), e
+
+
+def _divmod(n, unit):
+    """``np.divmod(n, unit)`` by one division and a product, which is faster."""
+    high = n // unit
+    return high, n - high * unit
 
 
 def _write_e16(x, out):
@@ -338,13 +333,13 @@ def _write_e16(x, out):
     for lo in range(0, len(x), _E16_CHUNK):
         chunk = x[lo : lo + _E16_CHUNK]
         ok, digits, e = _e16_digits(chunk)
-        high, low = (half.astype(np.int32) for half in np.divmod(digits, 10**8))
-        lead, high = np.divmod(high, 10**8)
+        high, low = (half.astype(np.int32) for half in _divmod(digits, 10**8))
+        lead, high = _divmod(high, 10**8)
         words = np.empty((len(chunk), 6), dtype=np.uint32)
-        words[:, 0] = _HEADS[np.signbit(chunk) * 10 + lead]
-        for k, group in enumerate(np.divmod(high, 10**4) + np.divmod(low, 10**4), 1):
-            words[:, k] = _GROUPS[group]
-        words[:, 5] = _TAILS[e - _E_MIN]
+        np.take(_HEADS, np.signbit(chunk) * 10 + lead, out=words[:, 0], mode="clip")
+        for k, group in enumerate(_divmod(high, 10**4) + _divmod(low, 10**4), 1):
+            np.take(_GROUPS, group, out=words[:, k], mode="clip")
+        np.take(_TAILS, e - _E_MIN, out=words[:, 5], mode="clip")
         rows = out[lo : lo + _E16_CHUNK]
         rows[:] = words.view(np.uint8)
         slow = np.flatnonzero(~ok)

@@ -336,6 +336,19 @@ def test_bad_override_exits_one_without_traceback(tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model, key, value", [
+    ("visco-plasticity-1d", "f_load", 1), ("visco-plasticity-1d", "g_load", [1, 2]),
+    ("allen-cahn-1d", "load", 0.5)])
+def test_a_load_override_exits_one_with_one_line_naming_its_key(tmp_path, capsys, model, key,
+                                                                value):
+    code = run_cli(["run", "--model", model, "--scheme", "split", "--N", "4",
+                    "--override", f"{key}={json.dumps(value)}", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: override {key} must be a Load descriptor, got {value!r}"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -1,8 +1,10 @@
 import io
+import math
 import os
 import tempfile
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -405,11 +407,81 @@ def test_e16_formatter_equals_percent_on_a_million_value_sweep():
         assert out.tobytes().replace(b" ", b"") == expected.encode("ascii")
 
 
-def test_e16_formatter_without_extended_precision_uses_percent_only(monkeypatch):
-    rng = np.random.default_rng(3)
-    x = np.concatenate([_targeted_e16_values(), rng.standard_normal(5000)])
-    monkeypatch.setattr(pa, "_EXTENDED", False)
+def _neighbours(x, n=1):
+    """x with its n nearest doubles on each side."""
+    x = np.asarray(x, dtype=float)
+    out, below, above = [x], x, x
+    for _ in range(n):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def _least_in_range(a, m, lo, hi):
+    """The least t >= 0 with lo <= a t mod m <= hi, for 0 <= lo <= hi < m,
+    or None: Euclid's recursion on (a, m)."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    t = -(-lo // a)
+    if a * t <= hi:
+        return t
+    y = _least_in_range(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def _near_ties():
+    """Doubles x whose D = x 10**(16 - e) lies within 2**-54 of a rounding
+    tie of its 17 digits: in each binade of each decade e of the window,
+    the least significand s with frac(s 2**E 10**(16 - e)) that near 1/2.
+    Random draws meet none of them; they are where the decision margin
+    matters."""
+    found = []
+    for e in range(-99, 100):
+        first = math.floor(math.log2(10.0**e)) - 52
+        for E in range(first, first + 5):
+            r = Fraction(2) ** E * Fraction(10) ** (16 - e)
+            n, m = r.numerator, r.denominator
+            width = m >> 54
+            if not width:  # D's fraction is a multiple of 2**-54 or coarser
+                continue
+            b = (n << 52) % m
+            lo, hi = (m // 2 - width - b) % m, (m // 2 + width - b) % m
+            pieces = [(lo, hi)] if lo <= hi else [(lo, m - 1), (0, hi)]
+            ts = [t for t in (_least_in_range(n, m, *piece) for piece in pieces) if t is not None]
+            x = math.ldexp(2**52 + min(ts), E) if ts and min(ts) < 2**52 else 0.0
+            if 10.0**e <= x < 10.0 ** (e + 1):
+                found.append(x)
+    return np.array(found)
+
+
+_NEAR_TIES = _near_ties()
+# the fast path's window edges; each power of ten in it with its
+# neighbours, where log10 may round e up or down; and the near-ties
+_MARGIN_CASES = np.concatenate([[1e-99, np.nextafter(1e-99, 0.0), 1e100, np.nextafter(1e100, 0.0)],
+                                _neighbours([float(f"1e{m}") for m in range(-99, 101)]),
+                                _NEAR_TIES])
+
+
+def test_the_near_ties_lie_within_the_decision_margin():
+    x = _NEAR_TIES
+    assert x.size > 100
+    for v in x.tolist():
+        D = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+        assert abs(D - math.floor(D) - Fraction(1, 2)) <= 2.0**-54
+    # all of them are left to %
     assert not pa._e16_digits(x)[0].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10**16, 10**17 - 1), st.integers(-99, 99))
+def test_e16_formatter_equals_percent_at_the_decision_margin(d, e):
+    # the double nearest the rounding tie (d + 1/2) 10**(e - 16) of the 17
+    # digits d, and two neighbours on each side
+    tie = float(Fraction(2 * d + 1, 2) * Fraction(10) ** (e - 16))
+    x = np.concatenate([_neighbours([tie, -tie], 2), _MARGIN_CASES, -_MARGIN_CASES])
     assert (_e16_text(x) == _percent_text(x)).all()
 
 
@@ -420,7 +492,6 @@ def _wide_curve():
     return pa.SampledCurve(grid, values, "piecewise-linear")
 
 
-@pytest.mark.skipif(not pa._EXTENDED, reason="no 64-bit long double significand")
 def test_e16_fast_path_takes_most_values_of_a_normal_curve():
     g = _wide_curve()
     ok = pa._e16_digits(np.column_stack([g.grid.times, g.values]).ravel())[0]
@@ -428,14 +499,13 @@ def test_e16_fast_path_takes_most_values_of_a_normal_curve():
     assert ok.mean() >= 0.95
 
 
-@pytest.mark.skipif(not pa._EXTENDED, reason="no 64-bit long double significand")
 def test_e16_fast_path_decides_near_ties_by_the_exact_product():
     # a counterexample trajectory: a progression whose step 3/4096 is a short
     # decimal keeps D's fraction within 2**-7 of 1/2 on 90% of its values
     x = 0.9999044763145539 - (3 / 4096) * np.arange(1, 1366)
     e = np.floor(np.log10(x)).astype(int)
-    D = x.astype(np.longdouble) * pa._POW10[16 - e]
-    frac = (D - D.astype(np.int64)).astype(float)
+    D = [Fraction(v) * Fraction(10) ** (16 - k) for v, k in zip(x.tolist(), e.tolist())]
+    frac = np.array([float(v - math.floor(v)) for v in D])
     assert np.mean(np.abs(frac - 0.5) <= 2.0**-7) > 0.85
     assert pa._e16_digits(x)[0].all()
     assert (_e16_text(x) == _percent_text(x)).all()
@@ -555,10 +625,29 @@ def test_the_four_files_of_a_run_format_its_time_column_once(tmp_path, monkeypat
     assert len(formatted) == 1
 
 
+@pytest.mark.parametrize("model, override, scheme", [
+    ("allen-cahn-1d", "p=3", "split"), ("visco-plasticity-1d", "m=16", "block-split")])
+def test_the_fast_path_takes_every_value_of_a_run(tmp_path, monkeypatch, model, override,
+                                                   scheme):
+    from splitflow import cli
+
+    formatted, write = [], pa._write_e16
+
+    def kept(x, out):
+        formatted.append(np.array(x))
+        write(x, out)
+
+    monkeypatch.setattr(pa, "_write_e16", kept)
+    assert cli.main(["run", "--model", model, "--scheme", scheme, "--N", "8",
+                     "--override", override, "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 4
+    x = np.concatenate(formatted)
+    assert pa._e16_digits(x)[0].all()
+
+
 def test_e16_formatter_takes_signed_zeros_on_the_fast_path():
     ok, digits, e = pa._e16_digits(np.array([0.0, -0.0, 1.5, -0.0]))
-    assert ok.tolist() == [pa._EXTENDED] * 4
-    if pa._EXTENDED:
-        assert digits[[0, 1, 3]].tolist() == [0, 0, 0] and e[[0, 1, 3]].tolist() == [0, 0, 0]
+    assert ok.all()
+    assert digits[[0, 1, 3]].tolist() == [0, 0, 0] and e[[0, 1, 3]].tolist() == [0, 0, 0]
     assert (_e16_text([0.0, -0.0]) == [b"0.0000000000000000e+00",
                                        b"-0.0000000000000000e+00"]).all()
